@@ -7,10 +7,12 @@ flips each qubit independently with probability sin^2(beta/2), so the
 transition probability from j to j' is a sum of binomial terms over the
 number of up-to-down flips.
 
-Three independent routes are implemented: the closed-form single-sum
-formulas (two branches, j >= j' and j <= j'), a brute-force double-sum
-enumeration over flip counts, and a per-qubit simulator.  Tests close
-the loops between all three and against the spin-1/2 chain at N = 1.
+Four independent routes are implemented: the closed-form single-sum
+formulas as printed (two branches, j >= j' and j <= j'), the matrix
+builder (each row a convolution of two binomial distributions), a
+brute-force double-sum enumeration over flip counts, and a per-qubit
+simulator.  Tests close the loops between them and against the
+spin-1/2 chain at N = 1.
 """
 
 import math
@@ -23,9 +25,6 @@ from .halfint import HalfInt, m_values
 from .markov import StochasticMatrix, Trajectory
 from .rng import RngState
 from .wigner import _check_angle
-
-BASIS_Z = "z"
-BASIS_N = "n"
 
 N_MAX_FORMULA = 64
 N_MAX_BRUTE_FORCE = 20
@@ -49,28 +48,6 @@ class QubitChainSpec:
     def labels(self) -> tuple[HalfInt, ...]:
         """Outcome labels N/2, N/2-1, ..., -N/2 (N+1 of them)."""
         return m_values(HalfInt(self.n_qubits))
-
-
-@dataclass(frozen=True)
-class RegisterConfiguration:
-    """Collapsed register state: how many qubits point up, in which basis."""
-
-    ups: int
-    basis: str
-    n_qubits: int
-
-    def __post_init__(self):
-        if self.basis not in (BASIS_Z, BASIS_N):
-            raise InvalidArgumentError(f"basis must be {BASIS_Z!r} or {BASIS_N!r}, got {self.basis!r}")
-        if not 0 <= self.ups <= self.n_qubits:
-            raise InvalidArgumentError(
-                f"ups must lie in [0, {self.n_qubits}], got {self.ups}"
-            )
-
-    @property
-    def j(self) -> HalfInt:
-        """The collective outcome: ups - N/2."""
-        return HalfInt(2 * self.ups - self.n_qubits)
 
 
 def flip_probability(beta: float) -> float:
@@ -152,14 +129,33 @@ def q_formula(spec: QubitChainSpec, j: HalfInt, j_prime: HalfInt) -> float:
 
 
 def qubit_transition_matrix(spec: QubitChainSpec) -> StochasticMatrix:
-    """The (N+1)x(N+1) chain matrix; row = current j, column = next j'."""
-    labels = spec.labels
-    dim = len(labels)
-    rows = np.empty((dim, dim))
-    for i, j in enumerate(labels):
-        for k, j_prime in enumerate(labels):
-            rows[i, k] = q_formula(spec, j, j_prime)
-    return StochasticMatrix(labels=labels, rows=rows)
+    """The (N+1)x(N+1) chain matrix; row = current j, column = next j'.
+
+    From ups up qubits, the next up count is the number of ups that stay
+    up plus the number of downs that flip up: the sum of two independent
+    binomials, so each row is the convolution of their distributions,
+    reversed because labels descend.
+    """
+    n = spec.n_qubits
+    if n > N_MAX_FORMULA:
+        raise RangeLimitError(f"closed form limited to N <= {N_MAX_FORMULA}, got N={n}")
+    ch = math.cos(spec.beta / 2.0)
+    sh = math.sin(spec.beta / 2.0)
+    # cos^2 and sin^2 as q_formula forms them, not 1 - p: the N = 1 rows
+    # then equal the spin-1/2 rows bit for bit
+    stay_pow = np.cumprod([1.0] + [ch * ch] * n)
+    flip_pow = np.cumprod([1.0] + [sh * sh] * n)
+    rows = np.empty((n + 1, n + 1))
+    for ups in range(n + 1):
+        downs = n - ups
+        stay_up = _binomial_coefficients(ups) * stay_pow[: ups + 1] * flip_pow[ups::-1]
+        flip_up = _binomial_coefficients(downs) * flip_pow[: downs + 1] * stay_pow[downs::-1]
+        rows[downs] = np.convolve(stay_up, flip_up)[::-1]
+    return StochasticMatrix(labels=spec.labels, rows=rows)
+
+
+def _binomial_coefficients(n: int) -> np.ndarray:
+    return np.array([math.comb(n, k) for k in range(n + 1)], dtype=float)
 
 
 def brute_force_q(spec: QubitChainSpec, j: HalfInt, j_prime: HalfInt) -> float:

@@ -10,6 +10,8 @@ import time
 import numpy as np
 
 from qmarkov import (
+    N_MAX_FORMULA,
+    TWICE_S_MAX,
     HalfInt,
     QubitChainSpec,
     RngState,
@@ -228,4 +230,40 @@ def test_criterion_8_cli_reruns_are_byte_identical(capsys, tmp_path):
     report(
         capsys, 8, bool(identical),
         f"{len(cases)} CLI commands rerun byte-identically, trajectory files included",
+    )
+
+
+def _legendre_values(x: float, degree: int) -> list:
+    """P_0(x) .. P_degree(x) by Bonnet's three-term recurrence."""
+    values = [1.0, x]
+    for ell in range(1, degree):
+        values.append(((2 * ell + 1) * x * values[ell] - ell * values[ell - 1]) / (ell + 1))
+    return values[: degree + 1]
+
+
+def test_criterion_9_spectra_match_the_closed_forms(capsys):
+    betas = (0.3, 1.0, math.pi / 2.0, 2.2, 2.7)
+    spin_worst = 0.0
+    for twice in range(1, TWICE_S_MAX + 1):
+        for beta in betas:
+            rows = spin_transition_matrix(SpinChainSpec(s=HalfInt(twice), beta=beta)).rows
+            expected = np.sort(_legendre_values(math.cos(beta), twice))
+            spin_worst = max(spin_worst, float(np.abs(np.linalg.eigvalsh(rows) - expected).max()))
+    register_worst = 0.0
+    for n in range(1, N_MAX_FORMULA + 1):
+        # reversible against Binomial(N, 1/2): sqrt(C(N,k)) weights make it symmetric
+        weights = np.sqrt([float(math.comb(n, k)) for k in range(n + 1)])
+        for beta in betas:
+            rows = qubit_transition_matrix(QubitChainSpec(n_qubits=n, beta=beta)).rows
+            symmetric = weights[:, None] * rows / weights[None, :]
+            expected = np.sort((1.0 - 2.0 * math.sin(beta / 2.0) ** 2) ** np.arange(n + 1))
+            register_worst = max(
+                register_worst, float(np.abs(np.linalg.eigvalsh(symmetric) - expected).max())
+            )
+    ok = spin_worst < 1e-12 and register_worst < 1e-12
+    report(
+        capsys, 9, ok,
+        f"spin eigenvalues = P_L(cos beta), L=0..2s, within {spin_worst:.2e} for 2s=1..{TWICE_S_MAX}; "
+        f"register eigenvalues = (1-2p)^k, k=0..N, within {register_worst:.2e} for N=1..{N_MAX_FORMULA} "
+        f"(tol 1e-12, 5 beta each)",
     )

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from qmarkov import trajectory_from_text
+from qmarkov import HalfInt, trajectory_from_text
 from qmarkov.cli import main
 
 
@@ -147,6 +147,17 @@ def test_simulate_usage_errors(capsys):
     assert code == 2  # step cap
 
 
+def test_qubit_register_above_the_cap_fails_before_simulating(capsys, monkeypatch):
+    import qmarkov.cli as cli
+
+    def never(*args, **kwargs):
+        raise AssertionError("simulate_register ran before the range check")
+
+    monkeypatch.setattr(cli, "simulate_register", never)
+    code, _ = run(capsys, "simulate", "--kind", "qubit", "--n", "65", "--beta", "1.0", "--steps", str(10**8))
+    assert code == 2
+
+
 def test_malformed_matrix_file_is_a_usage_error(capsys, tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text('{"kind": "generic", "version": 1}\n')
@@ -186,6 +197,10 @@ def test_coin_toss_output(capsys):
     assert payload["bits"] == ""
     assert payload["mean"] is None
     assert payload["chi_square"] is None
+    # both expected counts fall below 5 and pool into one cell: no test
+    code, payload = run_json(capsys, "coin-toss", "--count", "5", "--seed", "1")
+    assert code == 0
+    assert payload["chi_square"] is None
 
 
 def test_verify_passes_and_reports_counts(capsys):
@@ -196,8 +211,19 @@ def test_verify_passes_and_reports_counts(capsys):
     assert payload["checks"] > 0
 
 
-def test_verify_catches_an_injected_error(capsys):
-    code, payload = run_json(capsys, "verify", "--n-max", "2", "--beta", "0.7", "--inject-error")
+def test_verify_catches_an_injected_error(capsys, monkeypatch):
+    import qmarkov.cli as cli
+
+    oracle = cli.brute_force_q
+
+    def skewed(spec, j, j_prime):
+        value = oracle(spec, j, j_prime)
+        if spec.n_qubits == 2 and j == j_prime == HalfInt(2):
+            value += 1e-6
+        return value
+
+    monkeypatch.setattr(cli, "brute_force_q", skewed)
+    code, payload = run_json(capsys, "verify", "--n-max", "2", "--beta", "0.7")
     assert code == 4
     assert payload["pass"] is False
     checks = {f["check"] for f in payload["failures"]}

@@ -4,15 +4,12 @@ import numpy as np
 import pytest
 
 from qmarkov import (
-    BASIS_N,
-    BASIS_Z,
     HalfInt,
     InvalidArgumentError,
     N_MAX_BRUTE_FORCE,
     N_MAX_FORMULA,
     QubitChainSpec,
     RangeLimitError,
-    RegisterConfiguration,
     RngState,
     SpinChainSpec,
     brute_force_q,
@@ -62,16 +59,6 @@ def test_spec_validation():
     assert labels_for(2) == (HalfInt(2), HalfInt(0), HalfInt(-2))
 
 
-def test_register_configuration():
-    c = RegisterConfiguration(ups=3, basis=BASIS_Z, n_qubits=4)
-    assert c.j == HalfInt(2)
-    assert RegisterConfiguration(ups=0, basis=BASIS_N, n_qubits=4).j == HalfInt(-4)
-    with pytest.raises(InvalidArgumentError):
-        RegisterConfiguration(ups=5, basis=BASIS_Z, n_qubits=4)
-    with pytest.raises(InvalidArgumentError):
-        RegisterConfiguration(ups=1, basis="x", n_qubits=4)
-
-
 def test_outcome_validation():
     spec = QubitChainSpec(n_qubits=3, beta=1.0)
     with pytest.raises(InvalidArgumentError):
@@ -91,9 +78,23 @@ def test_matches_frozen_enumeration_values():
 def test_formula_matches_bitmask_enumeration(n):
     for beta in BETAS:
         spec = QubitChainSpec(n_qubits=n, beta=beta)
-        for j in spec.labels:
-            for j_prime in spec.labels:
-                assert abs(q_formula(spec, j, j_prime) - enumerate_q(n, beta, j, j_prime)) < 1e-10
+        rows = qubit_transition_matrix(spec).rows
+        for i, j in enumerate(spec.labels):
+            for k, j_prime in enumerate(spec.labels):
+                expected = enumerate_q(n, beta, j, j_prime)
+                assert abs(q_formula(spec, j, j_prime) - expected) < 1e-10
+                assert abs(rows[i, k] - expected) < 1e-12
+
+
+@pytest.mark.parametrize("n", [33, 64])
+def test_matrix_matches_formula_beyond_enumeration_range(n):
+    # the printed single sums and the convolution builder share no code
+    for beta in BETAS:
+        spec = QubitChainSpec(n_qubits=n, beta=beta)
+        rows = qubit_transition_matrix(spec).rows
+        for i, j in enumerate(spec.labels):
+            for k, j_prime in enumerate(spec.labels):
+                assert abs(rows[i, k] - q_formula(spec, j, j_prime)) < 1e-12
 
 
 @pytest.mark.parametrize("n", range(1, 9))
@@ -146,6 +147,8 @@ def test_single_qubit_equals_spin_half_chain(beta):
 def test_range_limits():
     with pytest.raises(RangeLimitError):
         q_formula(QubitChainSpec(n_qubits=N_MAX_FORMULA + 1, beta=1.0), HalfInt(1), HalfInt(1))
+    with pytest.raises(RangeLimitError):
+        qubit_transition_matrix(QubitChainSpec(n_qubits=N_MAX_FORMULA + 1, beta=1.0))
     with pytest.raises(RangeLimitError):
         brute_force_q(
             QubitChainSpec(n_qubits=N_MAX_BRUTE_FORCE + 1, beta=1.0), HalfInt(1), HalfInt(1)
