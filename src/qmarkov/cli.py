@@ -360,7 +360,7 @@ def cmd_coin_toss(args) -> int:
         "config": {"command": "coin-toss", "count": count, "seed": seed},
         "rng": RNG_ALGORITHM,
         "version": FORMAT_VERSION,
-        "bits": "".join("1" if b else "0" for b in bits),
+        "bits": (bits + ord("0")).tobytes().decode("ascii"),
         "ones": ones,
         "mean": ones / count if count else None,
         "lag1_autocorrelation": _lag1_autocorrelation(bits),

@@ -7,6 +7,7 @@ that fails the probability axioms is reported, not repaired, because the
 stochasticity of quantum-derived matrices is a correctness signal.
 """
 
+import math
 from bisect import bisect_right
 from dataclasses import dataclass
 
@@ -22,8 +23,9 @@ from .rng import RngState
 
 SUM_TOL = 1e-9
 
-# draws are batched for speed; identical values to one-at-a-time draws
-_BLOCK = 1 << 20
+# uniforms per block draw, shared by every simulator; block draws equal
+# one-at-a-time draws, so the size changes no trajectory
+_BLOCK = 1 << 16
 
 
 def _as_prob_vector(probs) -> np.ndarray:
@@ -154,17 +156,58 @@ def validate_distribution(probs, labels=None) -> Distribution:
     return Distribution(tuple(labels), arr)
 
 
-def _pick(cum: list, u: float, dim: int) -> int:
-    # inverse CDF in stored label order; the clamp absorbs the float gap
-    # between the final cumulative value and 1
-    i = bisect_right(cum, u)
-    return i if i < dim else dim - 1
+def _cumulative(rows) -> list:
+    """Inverse-CDF tables in stored label order, one per row.
+
+    Each table holds the row's running sums with the last one replaced by
+    inf, so bisect_right never returns len(row): a uniform at or above the
+    row's float sum, which can fall short of 1, lands on the last label.
+    """
+    tables = []
+    for row in rows:
+        cum = np.cumsum(row).tolist()
+        cum[-1] = math.inf
+        tables.append(cum)
+    return tables
+
+
+def _walk(tables: tuple, state: int, out: np.ndarray, rng: RngState) -> None:
+    """Write the states after steps 1..out.size into out, one uniform per step.
+
+    Step k leaves `state` through tables[(k - 1) % p][state], for a period
+    p of 1 (a plain chain) or 2 (alternating measurement axes).  Uniforms
+    come in blocks of _BLOCK and are read in pairs; the pair's tables
+    follow from the global step index, so any block length keeps the phase.
+    """
+    period = len(tables)
+    bisect = bisect_right
+    steps = out.size
+    done = 0
+    while done < steps:
+        count = min(_BLOCK, steps - done)
+        block = rng.random_block(count).tolist()
+        first = tables[done % period]
+        second = tables[(done + 1) % period]
+        path = []
+        append = path.append
+        pairs = iter(block)
+        for u, v in zip(pairs, pairs):
+            state = bisect(first[state], u)
+            append(state)
+            state = bisect(second[state], v)
+            append(state)
+        if count % 2:
+            state = bisect(first[state], block[-1])
+            append(state)
+        out[done : done + count] = path
+        done += count
+        # freed before the next block is drawn, so only one block is alive
+        del block, path
 
 
 def sample(dist: Distribution, rng: RngState) -> int:
     """One outcome index drawn from dist, consuming exactly one uniform."""
-    cum = np.cumsum(dist.probs).tolist()
-    return _pick(cum, rng.random(), dist.dim)
+    return bisect_right(_cumulative([dist.probs])[0], rng.random())
 
 
 def simulate_chain(P: StochasticMatrix, initial: Distribution, steps: int, rng: RngState) -> Trajectory:
@@ -173,18 +216,9 @@ def simulate_chain(P: StochasticMatrix, initial: Distribution, steps: int, rng: 
         raise DimensionMismatchError("matrix and initial distribution have different labels")
     if not isinstance(steps, int) or steps < 0:
         raise InvalidArgumentError(f"steps must be a non-negative integer, got {steps!r}")
-    dim = P.dim
-    cums = [np.cumsum(row).tolist() for row in P.rows]
     states = np.empty(steps + 1, dtype=np.int64)
-    state = _pick(np.cumsum(initial.probs).tolist(), rng.random(), dim)
-    states[0] = state
-    done = 0
-    while done < steps:
-        block = rng.random_block(min(_BLOCK, steps - done)).tolist()
-        for offset, u in enumerate(block, start=done + 1):
-            state = _pick(cums[state], u, dim)
-            states[offset] = state
-        done += len(block)
+    states[0] = sample(initial, rng)
+    _walk((_cumulative(P.rows),), int(states[0]), states[1:], rng)
     return Trajectory(labels=P.labels, states=states, seed=rng.seed, steps=steps)
 
 

@@ -22,6 +22,7 @@ import numpy as np
 
 from .errors import InternalConsistencyError, InvalidArgumentError, RangeLimitError
 from .halfint import HalfInt, m_values
+from . import markov
 from .markov import StochasticMatrix, Trajectory
 from .rng import RngState
 from .wigner import _check_angle
@@ -158,6 +159,17 @@ def _binomial_coefficients(n: int) -> np.ndarray:
     return np.array([math.comb(n, k) for k in range(n + 1)], dtype=float)
 
 
+def _flip_words(flips: np.ndarray) -> list:
+    """One int per row of a boolean flip array, with bit q set when qubit q flips."""
+    packed = np.packbits(flips, axis=1, bitorder="little")
+    words = np.pad(packed, ((0, 0), (0, -packed.shape[1] % 8))).view("<u8")
+    rows = words[:, -1].tolist()
+    # fold wider registers in 64-bit limbs, most significant first
+    for limb in range(words.shape[1] - 2, -1, -1):
+        rows = [(high << 64) | low for high, low in zip(rows, words[:, limb].tolist())]
+    return rows
+
+
 def brute_force_q(spec: QubitChainSpec, j: HalfInt, j_prime: HalfInt) -> float:
     """Transition probability by enumerating flip counts directly.
 
@@ -220,18 +232,19 @@ def simulate_register(
     labels = spec.labels
     states = np.empty(steps + 1, dtype=np.int64)
     states[0] = n - ups  # labels descend, so index = N - ups
-    block_steps = max(1, (1 << 20) // n)
+    # up_mask[u] selects the u up qubits, bits 0..u-1, of a step's flip word
+    up_mask = [(1 << u) - 1 for u in range(n + 1)]
+    block_steps = max(1, markov._BLOCK // n)
     done = 0
     while done < steps:
         count = min(block_steps, steps - done)
         flips = rng.random_block(count * n).reshape(count, n) < p
-        # per-step flip counts among the first `ups` qubits (up ones) and the rest
-        prefix = np.cumsum(flips, axis=1)
-        totals = prefix[:, -1]
-        for offset in range(count):
-            down_flips = int(prefix[offset, ups - 1]) if ups > 0 else 0
-            up_flips = int(totals[offset]) - down_flips
-            ups = ups - down_flips + up_flips
-            states[done + offset + 1] = n - ups
+        path = []
+        append = path.append
+        for word in _flip_words(flips):
+            # each up qubit that flips goes down, each other flip goes up
+            ups += word.bit_count() - 2 * (word & up_mask[ups]).bit_count()
+            append(n - ups)
+        states[done + 1 : done + count + 1] = path
         done += count
     return Trajectory(labels=labels, states=states, seed=rng.seed, steps=steps)

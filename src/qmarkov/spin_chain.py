@@ -13,13 +13,15 @@ measurement.  Tests close the loop between them.
 """
 
 import math
+import operator
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DimensionMismatchError, InternalConsistencyError, InvalidArgumentError, InvalidStateError
 from .halfint import HalfInt, m_values
-from .markov import Distribution, StochasticMatrix, Trajectory, _pick
+from .markov import Distribution, StochasticMatrix, Trajectory, _cumulative, _walk, sample
 from .rng import RngState
 from .wigner import EulerAngles, big_D
 
@@ -27,8 +29,6 @@ AXIS_Z = "z"
 AXIS_N = "n"
 
 _DOUBLY_STOCHASTIC_TOL = 1e-10
-
-_BLOCK = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -148,9 +148,37 @@ def initial_distribution(spec: SpinChainSpec, psi: QuantumState) -> Distribution
     return Distribution(labels=spec.labels, probs=probs)
 
 
+class MeasurementRecords(Sequence):
+    """Read-only view of a trajectory as one MeasurementRecord per step.
+
+    Nothing is stored per step: record k is built on access from the
+    trajectory, with axis z at even k, n at odd k, and outcome
+    labels[states[k]].  Slices return lists of records.
+    """
+
+    __slots__ = ("trajectory",)
+
+    def __init__(self, trajectory: Trajectory):
+        self.trajectory = trajectory
+
+    def __len__(self) -> int:
+        return self.trajectory.states.size
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self[k] for k in range(*index.indices(len(self)))]
+        k = operator.index(index)
+        if k < 0:
+            k += len(self)
+        if not 0 <= k < len(self):
+            raise IndexError(f"record index {index} out of range for {len(self)} records")
+        outcome = self.trajectory.labels[self.trajectory.states[k]]
+        return MeasurementRecord(step=k, kind=AXIS_Z if k % 2 == 0 else AXIS_N, outcome=outcome)
+
+
 def simulate_measurements(
     spec: SpinChainSpec, psi: QuantumState, steps: int, rng: RngState
-) -> tuple[Trajectory, list[MeasurementRecord]]:
+) -> tuple[Trajectory, MeasurementRecords]:
     """Realize the alternating measurement sequence with explicit collapse.
 
     Step 0 reads the z-axis on psi; afterwards the state is always a
@@ -160,36 +188,21 @@ def simulate_measurements(
     from a z-outcome the overlap matrix is read along its row, from an
     n-outcome along its column.  No transition matrix is consulted; the
     chain law is emergent and is what the tests verify.
+
+    The records are a lazy view derived from the trajectory, so the
+    simulation stores one integer per step and nothing else.
     """
     if not isinstance(steps, int) or steps < 0:
         raise InvalidArgumentError(f"steps must be a non-negative integer, got {steps!r}")
     init = initial_distribution(spec, psi)
-    labels = spec.labels
-    dim = len(labels)
     overlap = _overlap_squared(spec)
-    from_z = [np.cumsum(overlap[a, :]).tolist() for a in range(dim)]
-    from_n = [np.cumsum(overlap[:, b]).tolist() for b in range(dim)]
-
     states = np.empty(steps + 1, dtype=np.int64)
-    state = _pick(np.cumsum(init.probs).tolist(), rng.random(), dim)
-    states[0] = state
-    records = [MeasurementRecord(step=0, kind=AXIS_Z, outcome=labels[state])]
-    done = 0
-    while done < steps:
-        block = rng.random_block(min(_BLOCK, steps - done)).tolist()
-        for step, u in enumerate(block, start=done + 1):
-            # even steps read z, odd steps read n; the state entering
-            # step `step` is a basis vector of the other axis
-            if step % 2 == 1:
-                state = _pick(from_z[state], u, dim)
-                records.append(MeasurementRecord(step=step, kind=AXIS_N, outcome=labels[state]))
-            else:
-                state = _pick(from_n[state], u, dim)
-                records.append(MeasurementRecord(step=step, kind=AXIS_Z, outcome=labels[state]))
-            states[step] = state
-        done += len(block)
-    trajectory = Trajectory(labels=labels, states=states, seed=rng.seed, steps=steps)
-    return trajectory, records
+    states[0] = sample(init, rng)
+    # odd steps read n from a z basis vector (a row of the overlap), even
+    # steps read z from an n basis vector (a column)
+    _walk((_cumulative(overlap), _cumulative(overlap.T)), int(states[0]), states[1:], rng)
+    trajectory = Trajectory(labels=spec.labels, states=states, seed=rng.seed, steps=steps)
+    return trajectory, MeasurementRecords(trajectory)
 
 
 def coin_toss_stream(count: int, rng: RngState) -> np.ndarray:

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from qmarkov import HalfInt, trajectory_from_text
+from qmarkov import HalfInt, RngState, coin_toss_stream, trajectory_from_text
 from qmarkov.cli import main
 
 
@@ -192,6 +192,8 @@ def test_coin_toss_output(capsys):
     assert abs(payload["mean"] - 0.5) < 0.1
     assert payload["chi_square"]["dof"] == 1
     assert payload["chi_square"]["pass"] is True
+    bits = coin_toss_stream(1000, RngState(42))
+    assert payload["bits"] == "".join("1" if b else "0" for b in bits)
     code, payload = run_json(capsys, "coin-toss", "--count", "0", "--seed", "1")
     assert code == 0
     assert payload["bits"] == ""

@@ -1,3 +1,6 @@
+import math
+from bisect import bisect_right
+
 import numpy as np
 import pytest
 
@@ -5,17 +8,27 @@ from qmarkov import (
     ConvergenceError,
     DimensionMismatchError,
     Distribution,
+    HalfInt,
     InvalidArgumentError,
     InvalidDistributionError,
+    QuantumState,
+    QubitChainSpec,
     RngState,
+    SpinChainSpec,
     StochasticMatrix,
     Trajectory,
+    coin_toss_stream,
     evolve,
+    markov,
     sample,
     simulate_chain,
+    simulate_measurements,
+    simulate_register,
     stationary,
     validate_distribution,
 )
+from qmarkov.markov import _cumulative, _walk
+from qmarkov.spin_chain import _overlap_squared
 
 
 def coin_matrix():
@@ -170,3 +183,97 @@ def test_trajectory_validation():
         Trajectory(labels=("a", "b"), states=np.array([0, 2]), seed=0, steps=1)
     t = Trajectory(labels=("a", "b"), states=np.array([0, 1, 1]), seed=9, steps=2)
     assert t.outcomes() == ["a", "b", "b"]
+
+
+class StubRng:
+    """Feeds chosen uniforms to the kernel in order, through either draw method."""
+
+    seed = 0
+
+    def __init__(self, uniforms):
+        self.uniforms = list(uniforms)
+
+    def random(self):
+        return self.uniforms.pop(0)
+
+    def random_block(self, count):
+        block, self.uniforms = self.uniforms[:count], self.uniforms[count:]
+        return np.array(block)
+
+
+def clamped_pick(cum, u, dim):
+    # the inverse CDF with an explicit clamp for the float gap below 1
+    i = bisect_right(cum, u)
+    return i if i < dim else dim - 1
+
+
+def _spin_half_rows():
+    overlap = _overlap_squared(SpinChainSpec(s=HalfInt(1), beta=math.pi / 2.0))
+    return [*overlap, *overlap.T]
+
+
+@pytest.mark.parametrize(
+    "row",
+    [[0.1] * 10, [0.25, 0.75, 0.0, 0.0], [0.0, 0.5, 0.5, 0.0, 0.0], *_spin_half_rows()],
+    ids=lambda row: f"dim{len(row)}:{float(np.cumsum(row)[-1])!r}",
+)
+def test_inf_sentinel_picks_what_the_clamp_picks(row):
+    cum = np.cumsum(row).tolist()
+    dim = len(row)
+    uniforms = [0.0, 1.0 - 2.0**-53]
+    for c in cum:
+        uniforms += [math.nextafter(c, -math.inf), c, math.nextafter(c, math.inf)]
+    expected = [clamped_pick(cum, u, dim) for u in uniforms]
+    # equal rows: every step draws from `row` whatever the current state
+    states = np.empty(len(uniforms), dtype=np.int64)
+    _walk((_cumulative([row] * dim),), 0, states, StubRng(uniforms))
+    assert states.tolist() == expected
+    dist = Distribution(tuple(range(dim)), np.array(row))
+    stub = StubRng(uniforms)
+    assert [sample(dist, stub) for _ in uniforms] == expected
+
+
+def test_block_size_changes_no_trajectory(monkeypatch):
+    spin = SpinChainSpec(s=HalfInt(2), beta=1.0)
+    psi = QuantumState(np.full(3, math.sqrt(1.0 / 3.0), dtype=complex))
+    chain = StochasticMatrix(labels=("a", "b", "c"), rows=np.array(
+        [[0.2, 0.5, 0.3], [0.6, 0.0, 0.4], [0.1, 0.1, 0.8]]))
+    start = Distribution(chain.labels, np.full(3, 1.0 / 3.0))
+    # the spin chain's two tables are transposes of a symmetric matrix, so
+    # only distinct tables show which one a step used
+    rows = (chain.rows, chain.rows[::-1])
+
+    def alternating(steps):
+        out = np.empty(steps, dtype=np.int64)
+        _walk(tuple(_cumulative(r) for r in rows), 0, out, RngState(9))
+        return out
+
+    def trajectories():
+        out = [alternating(steps) for steps in (100, 101)]
+        out += [simulate_measurements(spin, psi, steps, RngState(5))[0].states for steps in (100, 101)]
+        out.append(simulate_chain(chain, start, 101, RngState(6)).states)
+        for n in (3, 8):
+            out.append(simulate_register(QubitChainSpec(n_qubits=n, beta=1.0), HalfInt(n), 60, RngState(7)).states)
+        out += [coin_toss_stream(count, RngState(8)) for count in (100, 101)]
+        return out
+
+    default = trajectories()
+    scalar, state, expected = RngState(9), 0, []
+    for k in range(101):
+        state = clamped_pick(np.cumsum(rows[k % 2][state]).tolist(), scalar.random(), 3)
+        expected.append(state)
+    assert default[1].tolist() == expected
+    sizes = []
+    random_block = RngState.random_block
+
+    def recording(self, count):
+        sizes.append(count)
+        return random_block(self, count)
+
+    monkeypatch.setattr(markov, "_BLOCK", 7)
+    monkeypatch.setattr(RngState, "random_block", recording)
+    small = trajectories()
+    assert 0 < max(sizes) <= 8  # a register block rounds to whole steps of 8 draws
+    assert len(default) == len(small)
+    for a, b in zip(default, small):
+        assert np.array_equal(a, b)

@@ -197,3 +197,23 @@ def test_register_frequencies_close_on_the_analytic_matrix():
     tvs = per_row_tv(empirical_matrix(transition_counts(t)), theory)
     assert all(tv is not None for tv in tvs)
     assert max(tvs) < 0.03
+
+
+def _reference_register(n, p, ups, steps, rng):
+    # the per-step prefix count of flips among the up qubits, listed first
+    states = [n - ups]
+    flips = rng.random_block(steps * n).reshape(steps, n) < p
+    for row in flips:
+        down_flips = int(row[:ups].sum())
+        ups += int(row.sum()) - 2 * down_flips
+        states.append(n - ups)
+    return states
+
+
+@pytest.mark.parametrize("n", [1, 8, 63, 64, 65, 130])
+def test_simulate_register_matches_a_per_qubit_reference(n):
+    spec = QubitChainSpec(n_qubits=n, beta=1.3)
+    initial = HalfInt(n - 2 * (n // 3))  # n // 3 qubits start down
+    t = simulate_register(spec, initial, 300, RngState(n))
+    expected = _reference_register(n, flip_probability(spec.beta), n - n // 3, 300, RngState(n))
+    assert t.states.tolist() == expected

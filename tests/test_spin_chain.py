@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -193,3 +194,36 @@ def test_coin_toss_stream_different_seeds_differ():
     a = coin_toss_stream(64, RngState(1))
     b = coin_toss_stream(64, RngState(2))
     assert not np.array_equal(a, b)
+
+
+def test_records_are_a_read_only_view_of_the_trajectory():
+    spec = SpinChainSpec(s=HalfInt(2), beta=1.0)
+    trajectory, records = simulate_measurements(spec, balanced_state(3), 9, RngState(4))
+    assert len(records) == 10
+    assert records[-1] == records[9]
+    assert records[9].kind == AXIS_N
+    assert records[9].outcome == trajectory.labels[trajectory.states[9]]
+    assert records[2:7:2] == [records[2], records[4], records[6]]
+    assert all(r.kind == AXIS_Z for r in records[::2])
+    with pytest.raises(IndexError):
+        records[10]
+    with pytest.raises(IndexError):
+        records[-11]
+    with pytest.raises(TypeError):
+        records[0] = records[1]
+
+
+@pytest.mark.parametrize("dim", [3, 51])
+def test_simulation_allocates_at_most_16_bytes_per_step(dim):
+    spec = SpinChainSpec(s=HalfInt(dim - 1), beta=1.0)
+    psi = balanced_state(dim)
+    steps = 10**6
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        simulate_measurements(spec, psi, steps, RngState(11))
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak / steps <= 16.0
