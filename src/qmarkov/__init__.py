@@ -20,17 +20,15 @@ from .errors import (
     RangeLimitError,
     UndefinedTestError,
 )
-from .halfint import HalfInt, check_magnetic_number, m_values
+from .halfint import HalfInt, m_values
 from .markov import (
     Distribution,
     StationaryResult,
     StochasticMatrix,
     Trajectory,
-    evolve,
     sample,
     simulate_chain,
     stationary,
-    validate_distribution,
 )
 from .qubit_chain import (
     N_MAX_BRUTE_FORCE,
@@ -123,11 +121,9 @@ __all__ = [
     "UndefinedTestError",
     "big_D",
     "brute_force_q",
-    "check_magnetic_number",
     "chi_square",
     "coin_toss_stream",
     "empirical_matrix",
-    "evolve",
     "flip_probability",
     "initial_distribution",
     "m_values",
@@ -149,7 +145,6 @@ __all__ = [
     "trajectory_from_text",
     "trajectory_to_text",
     "transition_counts",
-    "validate_distribution",
     "write_trajectory",
     "__version__",
 ]

@@ -27,7 +27,6 @@ from .errors import (
     InvalidArgumentError,
     InvalidDistributionError,
     InvalidStateError,
-    RangeLimitError,
     UndefinedTestError,
 )
 from .halfint import HalfInt
@@ -103,36 +102,41 @@ def _emit(text: str, out) -> None:
         Path(out).write_text(text)
 
 
-def _read_matrix_file(path) -> tuple:
-    try:
-        text = Path(path).read_text()
-    except OSError as exc:
-        raise InvalidArgumentError(f"cannot read {path}: {exc}") from None
-    return matrix_from_json(text)
+def _chain(args) -> tuple:
+    """(matrix, source, spec) for --kind spin, qubit or matrix-file.
+
+    source is the ordered dict of the flags that name the chain, echoed
+    into every output; spec is the chain's SpinChainSpec or
+    QubitChainSpec, None for a matrix file.
+    """
+    if args.kind == "spin":
+        if args.s is None:
+            raise InvalidArgumentError("--kind spin requires --s")
+        spec = SpinChainSpec(s=HalfInt.parse(args.s), beta=_resolve_beta(args))
+        source = {"kind": "spin", "s": str(spec.s), "beta": spec.beta}
+        return spin_transition_matrix(spec), source, spec
+    if args.kind == "qubit":
+        if args.n is None:
+            raise InvalidArgumentError("--kind qubit requires --n")
+        spec = QubitChainSpec(n_qubits=args.n, beta=_resolve_beta(args))
+        source = {"kind": "qubit", "n": spec.n_qubits, "beta": spec.beta}
+        return qubit_transition_matrix(spec), source, spec
+    if args.file is None:
+        raise InvalidArgumentError("--kind matrix-file requires --file")
+    matrix, _meta = matrix_from_json(Path(args.file).read_text())
+    return matrix, {"kind": "matrix-file", "file": str(args.file)}, None
 
 
-def _render_matrix(matrix, kind: str, params: dict, fmt: str) -> str:
-    if fmt == "json":
-        return matrix_to_json(matrix, kind=kind, params=params)
-    if fmt == "csv":
-        return matrix_to_csv(matrix)
-    return matrix_to_table(matrix)
-
-
-def cmd_spin_matrix(args) -> int:
-    s = HalfInt.parse(args.s)
-    beta = _resolve_beta(args)
-    matrix = spin_transition_matrix(SpinChainSpec(s=s, beta=beta))
-    params = {"s": str(s), "beta": beta}
-    _emit(_render_matrix(matrix, "spin", params, args.format), args.out)
-    return EXIT_OK
-
-
-def cmd_qubit_matrix(args) -> int:
-    beta = _resolve_beta(args)
-    matrix = qubit_transition_matrix(QubitChainSpec(n_qubits=args.n, beta=beta))
-    params = {"n": args.n, "beta": beta}
-    _emit(_render_matrix(matrix, "qubit", params, args.format), args.out)
+def cmd_matrix(args) -> int:
+    matrix, source, _ = _chain(args)
+    if args.format == "json":
+        params = {key: value for key, value in source.items() if key != "kind"}
+        text = matrix_to_json(matrix, kind=source["kind"], params=params)
+    elif args.format == "csv":
+        text = matrix_to_csv(matrix)
+    else:
+        text = matrix_to_table(matrix)
+    _emit(text, args.out)
     return EXIT_OK
 
 
@@ -155,63 +159,29 @@ def cmd_simulate(args) -> int:
     steps = _check_steps(args.steps)
     seed = _resolve_seed(args.seed)
     rng = RngState(seed)
+    # the matrix is built first, so a chain beyond a builder's range fails before any draw
+    theory, source, spec = _chain(args)
     if args.kind == "spin":
-        if args.s is None:
-            raise InvalidArgumentError("--kind spin requires --s")
-        spec = SpinChainSpec(s=HalfInt.parse(args.s), beta=_resolve_beta(args))
         psi = _spin_initial_state(spec, args.initial)
         trajectory, _ = simulate_measurements(spec, psi, steps, rng)
-        theory = spin_transition_matrix(spec)
-        config = {
-            "command": "simulate",
-            "kind": "spin",
-            "s": str(spec.s),
-            "beta": spec.beta,
-            "initial": args.initial if args.initial is not None else "balanced",
-            "steps": steps,
-            "seed": seed,
-        }
+        initial = args.initial if args.initial is not None else "balanced"
     elif args.kind == "qubit":
-        if args.n is None:
-            raise InvalidArgumentError("--kind qubit requires --n")
-        spec = QubitChainSpec(n_qubits=args.n, beta=_resolve_beta(args))
         initial_j = HalfInt.parse(args.initial) if args.initial is not None else HalfInt(spec.n_qubits)
-        # built first so that a register above the formula's range fails before any draw
-        theory = qubit_transition_matrix(spec)
         trajectory = simulate_register(spec, initial_j, steps, rng)
-        config = {
-            "command": "simulate",
-            "kind": "qubit",
-            "n": spec.n_qubits,
-            "beta": spec.beta,
-            "initial": str(initial_j),
-            "steps": steps,
-            "seed": seed,
-        }
+        initial = str(initial_j)
     else:
-        if args.file is None:
-            raise InvalidArgumentError("--kind matrix-file requires --file")
-        matrix, _meta = _read_matrix_file(args.file)
         if args.initial is not None:
-            if args.initial not in matrix.labels:
+            if args.initial not in theory.labels:
                 raise InvalidArgumentError(
                     f"initial label {args.initial!r} is not one of the matrix labels"
                 )
-            probs = np.zeros(matrix.dim)
-            probs[matrix.labels.index(args.initial)] = 1.0
-            initial = Distribution(matrix.labels, probs)
+            probs = np.zeros(theory.dim)
+            probs[theory.labels.index(args.initial)] = 1.0
         else:
-            initial = Distribution(matrix.labels, np.full(matrix.dim, 1.0 / matrix.dim))
-        trajectory = simulate_chain(matrix, initial, steps, rng)
-        theory = matrix
-        config = {
-            "command": "simulate",
-            "kind": "matrix-file",
-            "file": str(args.file),
-            "initial": args.initial if args.initial is not None else "uniform",
-            "steps": steps,
-            "seed": seed,
-        }
+            probs = np.full(theory.dim, 1.0 / theory.dim)
+        trajectory = simulate_chain(theory, Distribution(theory.labels, probs), steps, rng)
+        initial = args.initial if args.initial is not None else "uniform"
+    config = {"command": "simulate", **source, "initial": initial, "steps": steps, "seed": seed}
 
     counts = transition_counts(trajectory)
     empirical = empirical_matrix(counts)
@@ -299,24 +269,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_stationary(args) -> int:
-    if args.kind == "spin":
-        if args.s is None:
-            raise InvalidArgumentError("--kind spin requires --s")
-        s = HalfInt.parse(args.s)
-        beta = _resolve_beta(args)
-        matrix = spin_transition_matrix(SpinChainSpec(s=s, beta=beta))
-        source = {"kind": "spin", "s": str(s), "beta": beta}
-    elif args.kind == "qubit":
-        if args.n is None:
-            raise InvalidArgumentError("--kind qubit requires --n")
-        beta = _resolve_beta(args)
-        matrix = qubit_transition_matrix(QubitChainSpec(n_qubits=args.n, beta=beta))
-        source = {"kind": "qubit", "n": args.n, "beta": beta}
-    else:
-        if args.file is None:
-            raise InvalidArgumentError("--kind matrix-file requires --file")
-        matrix, _meta = _read_matrix_file(args.file)
-        source = {"kind": "matrix-file", "file": str(args.file)}
+    matrix, source, _ = _chain(args)
     config = {
         "command": "stationary",
         "source": source,
@@ -457,14 +410,14 @@ def build_parser() -> argparse.ArgumentParser:
     _add_beta(p, required=True)
     _add_format(p)
     _add_out(p)
-    p.set_defaults(func=cmd_spin_matrix)
+    p.set_defaults(func=cmd_matrix, kind="spin")
 
     p = sub.add_parser("qubit-matrix", help="analytic transition matrix of the qubit register chain")
     p.add_argument("--n", required=True, type=int, metavar="N", help="number of qubits")
     _add_beta(p, required=True)
     _add_format(p)
     _add_out(p)
-    p.set_defaults(func=cmd_qubit_matrix)
+    p.set_defaults(func=cmd_matrix, kind="qubit")
 
     p = sub.add_parser("simulate", help="realize a trajectory and summarize it against theory")
     _add_source(p)
@@ -521,7 +474,7 @@ def main(argv=None) -> int:
         InvalidDistributionError,
         InvalidStateError,
         DimensionMismatchError,
-        RangeLimitError,
+        OSError,
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

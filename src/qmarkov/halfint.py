@@ -8,14 +8,12 @@ the bookkeeping.
 
 import re
 from dataclasses import dataclass
-from functools import total_ordering
 
 from .errors import InvalidArgumentError
 
 _HALF_INT_RE = re.compile(r"([+-]?\d+)(/2)?")
 
 
-@total_ordering
 @dataclass(frozen=True)
 class HalfInt:
     """A half-integer stored as twice its value (s=1/2 has twice=1)."""
@@ -27,10 +25,6 @@ class HalfInt:
             raise InvalidArgumentError(
                 f"HalfInt.twice must be an int, got {self.twice!r}"
             )
-
-    @classmethod
-    def from_int(cls, value: int) -> "HalfInt":
-        return cls(2 * value)
 
     @classmethod
     def parse(cls, text: str) -> "HalfInt":
@@ -46,10 +40,6 @@ class HalfInt:
         value = int(match.group(1))
         return cls(value if match.group(2) else 2 * value)
 
-    @property
-    def is_integer(self) -> bool:
-        return self.twice % 2 == 0
-
     def as_float(self) -> float:
         return self.twice / 2.0
 
@@ -63,39 +53,6 @@ class HalfInt:
 
     def __neg__(self) -> "HalfInt":
         return HalfInt(-self.twice)
-
-    def __add__(self, other):
-        if isinstance(other, HalfInt):
-            return HalfInt(self.twice + other.twice)
-        if isinstance(other, int):
-            return HalfInt(self.twice + 2 * other)
-        return NotImplemented
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        if isinstance(other, HalfInt):
-            return HalfInt(self.twice - other.twice)
-        if isinstance(other, int):
-            return HalfInt(self.twice - 2 * other)
-        return NotImplemented
-
-    def __lt__(self, other):
-        if isinstance(other, HalfInt):
-            return self.twice < other.twice
-        if isinstance(other, int):
-            return self.twice < 2 * other
-        return NotImplemented
-
-
-def check_magnetic_number(s: HalfInt, m: HalfInt) -> None:
-    """Validate that m is an allowed projection for spin s.
-
-    Requires |m| <= s and s - m integral (same parity of the doubled
-    values).
-    """
-    if abs(m.twice) > s.twice or (s.twice - m.twice) % 2 != 0:
-        raise InvalidArgumentError(f"m={m} is not a valid projection for s={s}")
 
 
 def m_values(s: HalfInt) -> tuple[HalfInt, ...]:

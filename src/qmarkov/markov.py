@@ -42,10 +42,6 @@ def _as_prob_vector(probs) -> np.ndarray:
     return arr
 
 
-def _default_labels(count: int) -> tuple:
-    return tuple(range(count))
-
-
 @dataclass(frozen=True, eq=False)
 class Distribution:
     """A probability vector over an ordered outcome label set."""
@@ -105,9 +101,6 @@ class StochasticMatrix:
     def dim(self) -> int:
         return len(self.labels)
 
-    def row_distribution(self, i: int) -> Distribution:
-        return Distribution(self.labels, self.rows[i])
-
 
 @dataclass(frozen=True, eq=False)
 class Trajectory:
@@ -136,24 +129,12 @@ class Trajectory:
         object.__setattr__(self, "states", arr)
         object.__setattr__(self, "labels", labels)
 
-    def outcomes(self) -> list:
-        """The outcome labels in sequence order."""
-        return [self.labels[i] for i in self.states]
-
 
 @dataclass(frozen=True)
 class StationaryResult:
     distribution: Distribution
     iterations: int
     residual: float
-
-
-def validate_distribution(probs, labels=None) -> Distribution:
-    """Check the probability axioms and wrap the vector; never renormalizes."""
-    arr = _as_prob_vector(probs)
-    if labels is None:
-        labels = _default_labels(arr.size)
-    return Distribution(tuple(labels), arr)
 
 
 def _cumulative(rows) -> list:
@@ -220,18 +201,6 @@ def simulate_chain(P: StochasticMatrix, initial: Distribution, steps: int, rng: 
     states[0] = sample(initial, rng)
     _walk((_cumulative(P.rows),), int(states[0]), states[1:], rng)
     return Trajectory(labels=P.labels, states=states, seed=rng.seed, steps=steps)
-
-
-def evolve(P: StochasticMatrix, lam: Distribution, n: int) -> Distribution:
-    """The distribution after n steps: lam as a row vector times P, n times."""
-    if P.labels != lam.labels:
-        raise DimensionMismatchError("matrix and distribution have different labels")
-    if not isinstance(n, int) or n < 0:
-        raise InvalidArgumentError(f"step count must be a non-negative integer, got {n!r}")
-    v = lam.probs
-    for _ in range(n):
-        v = v @ P.rows
-    return Distribution(P.labels, v)
 
 
 def stationary(P: StochasticMatrix, tol: float = 1e-10, max_iters: int = 100_000) -> StationaryResult:

@@ -203,7 +203,6 @@ def simulate_register(
     initial_j: HalfInt,
     steps: int,
     rng: RngState,
-    up_probability: float | None = None,
 ) -> Trajectory:
     """Realize the chain at the per-qubit level.
 
@@ -213,21 +212,11 @@ def simulate_register(
     flips are i.i.d., which is exactly why the aggregate is Markov in j;
     the simulator therefore tracks only the count, with the up qubits
     notionally listed first.
-
-    As an extension beyond the deterministic start, up_probability draws
-    the initial configuration with each qubit independently up with the
-    given probability (consuming N extra uniforms); initial_j is then
-    ignored.
     """
     n = spec.n_qubits
     if not isinstance(steps, int) or steps < 0:
         raise InvalidArgumentError(f"steps must be a non-negative integer, got {steps!r}")
-    if up_probability is None:
-        ups = (_check_outcome(n, initial_j, "initial_j") + n) // 2
-    else:
-        if not 0.0 <= up_probability <= 1.0:
-            raise InvalidArgumentError(f"up_probability must lie in [0, 1], got {up_probability!r}")
-        ups = int(np.count_nonzero(rng.random_block(n) < up_probability))
+    ups = (_check_outcome(n, initial_j, "initial_j") + n) // 2
     p = flip_probability(spec.beta)
     labels = spec.labels
     states = np.empty(steps + 1, dtype=np.int64)

@@ -1,7 +1,8 @@
 """Deterministic random number generation.
 
 Every stochastic operation takes an explicit RngState; there is no
-module-level generator.  The algorithm is pinned (PCG64, exposed as the
+module-level generator.  An RngState is one stream from one 64-bit
+seed, consumed in order.  The algorithm is pinned (PCG64, exposed as the
 name "pcg64" in output metadata) so that a seed fully determines every
 trajectory across runs and platforms.
 """
@@ -23,22 +24,15 @@ class RngState:
     results.
     """
 
-    __slots__ = ("seed", "stream", "_generator")
+    __slots__ = ("seed", "_generator")
 
-    def __init__(self, seed: int, stream: int | None = None):
+    def __init__(self, seed: int):
         if not isinstance(seed, int) or isinstance(seed, bool):
             raise InvalidArgumentError(f"seed must be an integer, got {seed!r}")
         if not 0 <= seed <= _SEED_MAX:
             raise InvalidArgumentError(f"seed must fit in 64 bits, got {seed}")
-        if stream is not None and (not isinstance(stream, int) or stream < 0):
-            raise InvalidArgumentError(f"stream index must be a non-negative integer, got {stream!r}")
         self.seed = seed
-        self.stream = stream
-        if stream is None:
-            sequence = np.random.SeedSequence(seed)
-        else:
-            sequence = np.random.SeedSequence(seed, spawn_key=(stream,))
-        self._generator = np.random.Generator(np.random.PCG64(sequence))
+        self._generator = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
 
     def random(self) -> float:
         """The next uniform draw."""
@@ -50,16 +44,5 @@ class RngState:
             raise InvalidArgumentError(f"count must be a non-negative integer, got {count!r}")
         return self._generator.random(count)
 
-    def spawn(self, index: int) -> "RngState":
-        """Independent stream number `index` derived from this seed.
-
-        The child depends only on (seed, index), not on draws already
-        made from the parent, so sharded work is reproducible regardless
-        of scheduling.
-        """
-        return RngState(self.seed, stream=index)
-
     def __repr__(self) -> str:
-        if self.stream is None:
-            return f"RngState(seed={self.seed})"
-        return f"RngState(seed={self.seed}, stream={self.stream})"
+        return f"RngState(seed={self.seed})"

@@ -54,14 +54,6 @@ class SmallDMatrix:
     beta: float
     entries: np.ndarray
 
-    @property
-    def labels(self) -> tuple[HalfInt, ...]:
-        return m_values(self.s)
-
-    @property
-    def dim(self) -> int:
-        return self.s.twice + 1
-
 
 @dataclass(frozen=True)
 class BigDMatrix:
@@ -70,14 +62,6 @@ class BigDMatrix:
     s: HalfInt
     angles: EulerAngles
     entries: np.ndarray
-
-    @property
-    def labels(self) -> tuple[HalfInt, ...]:
-        return m_values(self.s)
-
-    @property
-    def dim(self) -> int:
-        return self.s.twice + 1
 
 
 def _check_spin(s: HalfInt) -> None:

@@ -12,6 +12,7 @@ import numpy as np
 from qmarkov import (
     N_MAX_FORMULA,
     TWICE_S_MAX,
+    Distribution,
     HalfInt,
     QubitChainSpec,
     RngState,
@@ -28,7 +29,6 @@ from qmarkov import (
     small_d,
     spin_transition_matrix,
     transition_counts,
-    validate_distribution,
 )
 from qmarkov.cli import main
 from qmarkov.spin_chain import QuantumState
@@ -190,7 +190,7 @@ def test_criterion_7_coin_stream_statistics(capsys):
     x = bits.astype(float) - mean
     lag1 = float(np.dot(x[:-1], x[1:]) / np.dot(x, x))
     ones = int(bits.sum())
-    fair = validate_distribution([0.5, 0.5], labels=(1, 0))
+    fair = Distribution((1, 0), [0.5, 0.5])
     stat = chi_square(np.array([ones, bits.size - ones], dtype=float), fair).statistic
     crit = CHI2_CRIT_999[1]
     ok = abs(mean - 0.5) < 0.002 and abs(lag1) < 0.003 and stat < crit

@@ -1,9 +1,11 @@
-"""CLI output pinned to SHA-256 digests recorded before the shared step kernel.
+"""CLI output pinned to SHA-256 digests recorded from earlier versions.
 
 The determinism tests elsewhere compare two runs of the same code; these
-digests compare against the output of the per-module step loops that the
-shared kernel replaced, so any change to a draw, a state or a rendered
-byte fails here.  Step counts are odd so the last step reads the n-axis.
+digests compare against output recorded before a rewrite: the simulate
+and coin-toss digests before the shared step kernel, the matrix,
+stationary and verify digests before the CLI's one chain-source
+resolver.  Any change to a draw, a state, a key order or a rendered byte
+fails here.  Step counts are odd so the last step reads the n-axis.
 """
 
 import hashlib
@@ -16,6 +18,8 @@ from qmarkov.cli import main
 SEED = 20260
 STEPS = "20001"
 MATRIX_FILE = "chain9.json"
+CHAIN3_FILE = "chain3.json"
+CYCLE_FILE = "cycle2.json"
 
 CASES = {
     "coin": ("coin-toss", "--count", STEPS, "--seed", str(SEED)),
@@ -31,7 +35,22 @@ CASES = {
                  "--steps", STEPS, "--seed", str(SEED)),
     "matrix-9": ("simulate", "--kind", "matrix-file", "--file", MATRIX_FILE,
                  "--steps", STEPS, "--seed", str(SEED)),
+    "spin-matrix-json": ("spin-matrix", "--s", "3/2", "--beta", "1.1"),
+    "spin-matrix-csv": ("spin-matrix", "--s", "5/2", "--beta-pi", "0.3", "--format", "csv"),
+    "spin-matrix-table": ("spin-matrix", "--s", "2", "--beta", "2.5", "--format", "table"),
+    "qubit-matrix-json": ("qubit-matrix", "--n", "5", "--beta", "0.9"),
+    "qubit-matrix-csv": ("qubit-matrix", "--n", "7", "--beta-pi", "0.25", "--format", "csv"),
+    "qubit-matrix-table": ("qubit-matrix", "--n", "4", "--beta", "1.7", "--format", "table"),
+    "stationary-spin": ("stationary", "--kind", "spin", "--s", "1", "--beta", "0.9"),
+    "stationary-qubit": ("stationary", "--kind", "qubit", "--n", "6", "--beta", "1.3"),
+    "stationary-file": ("stationary", "--kind", "matrix-file", "--file", CHAIN3_FILE),
+    "stationary-cycle": ("stationary", "--kind", "matrix-file", "--file", CYCLE_FILE,
+                         "--max-iters", "50"),
+    "verify": ("verify", "--n-max", "6"),
 }
+
+# exit status of every case that does not exit 0
+EXIT_CODES = {"stationary-cycle": 3}
 
 DIGESTS = {
     "coin": "9e5a9479214d4ac0f9ef0f041e5668f753d32b37f8d110bb3ab25e6e806cba5b",
@@ -44,6 +63,17 @@ DIGESTS = {
     "qubit-8": "0a2a1ce566979f9f4bf9070e020a55f9ee94447df7cebbcbd9017448d62083ad",
     "qubit-64": "d8689c066736dc8734f5bdedf86def15c95089f7c87dd77de98d158c5b4cbc00",
     "matrix-9": "9ad2fc97072197e796ebb556f22ea0ad9eda16c41fbb29ddf9ec1afc2a0534a7",
+    "spin-matrix-json": "ac232de94a4521c95b08ab21b8650dceb2e87e5174ead5e3941debda725694d9",
+    "spin-matrix-csv": "62d2bab38600729d108c8a9a76e3049f133936dc82fa35c3d43f8ac995063031",
+    "spin-matrix-table": "cdb580a6a2f218ba94b4ff0e8158e77b94059effde342f3a2b255f9ffa844ebc",
+    "qubit-matrix-json": "c33bed335effc73801b3b6c2ff8f4b645a7e8ecfc9cf7f7f3b82fdac55ce8e7d",
+    "qubit-matrix-csv": "4cf2a9fc31e195f174d0b19656890648ea099ee434589d06f54809d74e4ac6e7",
+    "qubit-matrix-table": "da9439374a810d4397d7e7849c5709add1344e481fa921d171c2988733339891",
+    "stationary-spin": "14148c5b7ae8a03e92ab25713614801b574feb67bd403fa97a6e437e6c9d66f1",
+    "stationary-qubit": "342016da51a6a38f5fc04f3e2006d6a145462b738c8e90c551c53f9b4658ecd9",
+    "stationary-file": "a3b6d35bed3d97681562f535c6e5799be84c3c148a85d1bce080eb5183718adc",
+    "stationary-cycle": "aa1797234042c59b4720574d787ae91c1267474dc25d1a6d4f59305709db964f",
+    "verify": "f801086329babd14b298fe02f9c5003a0b8ac219c2e9158e7b2a05b9f24e8bcf",
 }
 
 
@@ -55,23 +85,29 @@ def _matrix_text() -> str:
         weights = [(3 * i + 5 * j + 1) % 7 if j <= i + 4 else 0 for j in range(9)]
         total = sum(weights)
         rows.append([w / total for w in weights])
-    payload = {"version": 1, "kind": "file", "labels": [f"s{i}" for i in range(9)], "rows": rows}
-    return json.dumps(payload) + "\n"
+    return _file_text(rows)
+
+
+def _file_text(rows) -> str:
+    labels = [f"s{i}" for i in range(len(rows))]
+    return json.dumps({"version": 1, "kind": "file", "labels": labels, "rows": rows}) + "\n"
 
 
 def outputs(directory) -> dict:
     """Name -> bytes of every pinned output, with relative paths inside `directory`."""
     (directory / MATRIX_FILE).write_text(_matrix_text())
+    (directory / CHAIN3_FILE).write_text(_file_text([[0.5, 0.25, 0.25], [0.2, 0.7, 0.1], [0.3, 0.3, 0.4]]))
+    (directory / CYCLE_FILE).write_text(_file_text([[0.0, 1.0], [1.0, 0.0]]))
     produced = {}
     for name, argv in CASES.items():
         argv = list(argv)
         trajectory_file = None
-        if name.startswith("spin"):
+        if argv[:3] == ["simulate", "--kind", "spin"]:
             trajectory_file = directory / f"{name.replace('/', '_')}.txt"
             argv += ["--out", trajectory_file.name]
         buffer = io.StringIO()
         with redirect_stdout(buffer):
-            assert main(argv) == 0, name
+            assert main(argv) == EXIT_CODES.get(name, 0), name
         produced[name] = buffer.getvalue().encode()
         if trajectory_file is not None:
             produced[f"{name}:out"] = trajectory_file.read_bytes()

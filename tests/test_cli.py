@@ -133,7 +133,7 @@ def test_simulate_matrix_file_round_trip(capsys, tmp_path):
     assert code == 2
 
 
-def test_simulate_usage_errors(capsys):
+def test_simulate_usage_errors(capsys, tmp_path):
     code, _ = run(capsys, "simulate", "--kind", "spin", "--beta", "1.0", "--steps", "5")
     assert code == 2  # missing --s
     code, _ = run(capsys, "simulate", "--kind", "spin", "--s", "1/2", "--steps", "5")
@@ -145,6 +145,15 @@ def test_simulate_usage_errors(capsys):
     code, _ = run(capsys, "simulate", "--kind", "spin", "--s", "1/2", "--beta", "1.0",
                   "--steps", str(10**8 + 1))
     assert code == 2  # step cap
+    unwritable = str(tmp_path / "missing" / "out")
+    for argv in (
+        ("spin-matrix", "--s", "1", "--beta", "1", "--out", unwritable),
+        ("simulate", "--kind", "spin", "--s", "1", "--beta", "1", "--steps", "5", "--out", unwritable),
+    ):
+        assert main(list(argv)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1  # one line, no traceback
+        assert unwritable in err
 
 
 def test_qubit_register_above_the_cap_fails_before_simulating(capsys, monkeypatch):

@@ -18,14 +18,12 @@ from qmarkov import (
     StochasticMatrix,
     Trajectory,
     coin_toss_stream,
-    evolve,
     markov,
     sample,
     simulate_chain,
     simulate_measurements,
     simulate_register,
     stationary,
-    validate_distribution,
 )
 from qmarkov.markov import _cumulative, _walk
 from qmarkov.spin_chain import _overlap_squared
@@ -44,10 +42,11 @@ def two_cycle():
 
 
 def test_validate_distribution_accepts_probability_vectors():
-    d = validate_distribution([0.25, 0.75])
+    d = Distribution((0, 1), [0.25, 0.75])
     assert d.labels == (0, 1)
     assert d.dim == 2
-    named = validate_distribution([1.0], labels=("only",))
+    assert np.array_equal(d.probs, [0.25, 0.75])
+    named = Distribution(["only"], [1.0])
     assert named.labels == ("only",)
 
 
@@ -57,7 +56,7 @@ def test_validate_distribution_accepts_probability_vectors():
 )
 def test_validate_distribution_rejects_bad_vectors(probs):
     with pytest.raises(InvalidDistributionError):
-        validate_distribution(probs)
+        Distribution(tuple(range(len(probs))), probs)
 
 
 def test_distribution_label_length_must_match():
@@ -72,13 +71,12 @@ def test_stochastic_matrix_validation():
         StochasticMatrix(labels=("a", "b"), rows=np.array([[1.0, 0.0]]))
     m = coin_matrix()
     assert m.dim == 2
-    row = m.row_distribution(1)
-    assert row.labels == ("h", "t")
-    assert np.array_equal(row.probs, [0.5, 0.5])
+    assert m.labels == ("h", "t")
+    assert np.array_equal(m.rows[1], [0.5, 0.5])
 
 
 def test_sample_is_deterministic_and_in_range():
-    d = validate_distribution([0.25, 0.75])
+    d = Distribution((0, 1), [0.25, 0.75])
     rng_a, rng_b = RngState(7), RngState(7)
     a = [sample(d, rng_a) for _ in range(100)]
     b = [sample(d, rng_b) for _ in range(100)]
@@ -88,7 +86,7 @@ def test_sample_is_deterministic_and_in_range():
 
 
 def test_sample_frequencies_follow_the_distribution():
-    d = validate_distribution([0.25, 0.75])
+    d = Distribution((0, 1), [0.25, 0.75])
     rng = RngState(11)
     draws = np.array([sample(d, rng) for _ in range(20_000)])
     assert abs(draws.mean() - 0.75) < 0.01
@@ -102,7 +100,7 @@ def test_simulate_chain_shape_and_determinism():
     assert t1.states.shape == (101,)
     assert t1.states[0] == 0
     assert np.array_equal(t1.states, t2.states)
-    assert t1.outcomes()[:1] == ["h"]
+    assert t1.labels[t1.states[0]] == "h"
     empty = simulate_chain(coin_matrix(), start, 0, RngState(3))
     assert empty.states.shape == (1,)
 
@@ -121,27 +119,6 @@ def test_simulate_chain_transition_frequencies_match_rows():
 
     emp = empirical_matrix(transition_counts(t))
     assert np.abs(emp.rows - P.rows).max() < 0.01
-
-
-def test_evolve_applies_the_matrix():
-    start = Distribution(labels=("a", "b"), probs=np.array([1.0, 0.0]))
-    one = evolve(lazy_walk(), start, 1)
-    assert np.allclose(one.probs, [0.9, 0.1], atol=1e-15)
-    ten = evolve(lazy_walk(), start, 10)
-    assert abs(ten.probs.sum() - 1.0) < 1e-12
-    # uniform is preserved by any doubly stochastic matrix
-    uniform = Distribution(labels=("h", "t"), probs=np.array([0.5, 0.5]))
-    after = evolve(coin_matrix(), uniform, 5)
-    assert np.allclose(after.probs, [0.5, 0.5], atol=1e-15)
-
-
-def test_evolve_validates_steps_and_labels():
-    start = Distribution(labels=("a", "b"), probs=np.array([1.0, 0.0]))
-    with pytest.raises(InvalidArgumentError):
-        evolve(lazy_walk(), start, -1)
-    bad = Distribution(labels=("x", "y"), probs=np.array([1.0, 0.0]))
-    with pytest.raises(DimensionMismatchError):
-        evolve(lazy_walk(), bad, 1)
 
 
 def test_stationary_fair_coin_converges_immediately():
@@ -182,7 +159,7 @@ def test_trajectory_validation():
     with pytest.raises(InvalidArgumentError):
         Trajectory(labels=("a", "b"), states=np.array([0, 2]), seed=0, steps=1)
     t = Trajectory(labels=("a", "b"), states=np.array([0, 1, 1]), seed=9, steps=2)
-    assert t.outcomes() == ["a", "b", "b"]
+    assert [t.labels[i] for i in t.states] == ["a", "b", "b"]
 
 
 class StubRng:

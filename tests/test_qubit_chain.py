@@ -175,19 +175,6 @@ def test_simulate_register_validation():
         simulate_register(spec, HalfInt(3), 10, RngState(0))  # parity
     with pytest.raises(InvalidArgumentError):
         simulate_register(spec, HalfInt(4), -1, RngState(0))
-    with pytest.raises(InvalidArgumentError):
-        simulate_register(spec, HalfInt(4), 10, RngState(0), up_probability=1.5)
-
-
-def test_simulate_register_random_start():
-    spec = QubitChainSpec(n_qubits=6, beta=0.9)
-    t = simulate_register(spec, HalfInt(6), 100, RngState(17), up_probability=0.5)
-    starts = {
-        simulate_register(spec, HalfInt(6), 0, RngState(s), up_probability=0.5).states[0]
-        for s in range(40)
-    }
-    assert len(starts) > 1  # the start really is random
-    assert t.states.shape == (101,)
 
 
 def test_register_frequencies_close_on_the_analytic_matrix():

@@ -10,7 +10,6 @@ from qmarkov import (
     RangeLimitError,
     TWICE_S_MAX,
     big_D,
-    m_values,
     small_d,
 )
 
@@ -65,14 +64,6 @@ def test_full_turn_flips_half_odd_spins_exactly():
     # must still be within a few ulp of the spinor sign rule
     assert np.abs(d_half - (-np.eye(2))).max() < 1e-15
     assert np.abs(d_one - np.eye(3)).max() < 1e-15
-
-
-def test_labels_descend():
-    m = small_d(HalfInt(3), 0.7)
-    assert m.labels == m_values(HalfInt(3))
-    assert m.dim == 4
-    D = big_D(HalfInt(3), EulerAngles(0.1, 0.7, -0.3))
-    assert D.labels == m_values(HalfInt(3))
 
 
 @pytest.mark.parametrize("twice", [1, 2, 3, 4, 6])
