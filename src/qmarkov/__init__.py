@@ -48,7 +48,6 @@ from .serialization import (
     matrix_to_json,
     matrix_to_table,
     trajectory_from_text,
-    trajectory_to_text,
     write_trajectory,
 )
 from .spin_chain import (
@@ -70,7 +69,6 @@ from .stats import (
     chi_square,
     empirical_matrix,
     per_row_tv,
-    total_variation,
     transition_counts,
 )
 from .wigner import (
@@ -141,9 +139,7 @@ __all__ = [
     "small_d",
     "spin_transition_matrix",
     "stationary",
-    "total_variation",
     "trajectory_from_text",
-    "trajectory_to_text",
     "transition_counts",
     "write_trajectory",
     "__version__",

@@ -15,19 +15,18 @@ import json
 import math
 import os
 import sys
+from contextlib import nullcontext
 from pathlib import Path
 
 import numpy as np
 
 from .errors import (
     ConvergenceError,
-    DimensionMismatchError,
     FormatError,
     InternalConsistencyError,
     InvalidArgumentError,
-    InvalidDistributionError,
-    InvalidStateError,
     UndefinedTestError,
+    check_int,
 )
 from .halfint import HalfInt
 from .markov import Distribution, simulate_chain, stationary
@@ -88,9 +87,7 @@ def _resolve_beta(args) -> float:
 
 
 def _check_steps(value: int, what: str = "steps") -> int:
-    if value < 0:
-        raise InvalidArgumentError(f"{what} must be non-negative, got {value}")
-    if value > STEPS_MAX:
+    if check_int(what, value, 0) > STEPS_MAX:
         raise InvalidArgumentError(f"{what} above {STEPS_MAX} are rejected, got {value}")
     return value
 
@@ -159,15 +156,16 @@ def cmd_simulate(args) -> int:
     steps = _check_steps(args.steps)
     seed = _resolve_seed(args.seed)
     rng = RngState(seed)
-    # the matrix is built first, so a chain beyond a builder's range fails before any draw
+    # the matrix is built, the start parsed and --out opened before the
+    # first draw, so every input error surfaces before any work
     theory, source, spec = _chain(args)
     if args.kind == "spin":
         psi = _spin_initial_state(spec, args.initial)
-        trajectory, _ = simulate_measurements(spec, psi, steps, rng)
+        draw = lambda: simulate_measurements(spec, psi, steps, rng)[0]  # noqa: E731
         initial = args.initial if args.initial is not None else "balanced"
     elif args.kind == "qubit":
         initial_j = HalfInt.parse(args.initial) if args.initial is not None else HalfInt(spec.n_qubits)
-        trajectory = simulate_register(spec, initial_j, steps, rng)
+        draw = lambda: simulate_register(spec, initial_j, steps, rng)  # noqa: E731
         initial = str(initial_j)
     else:
         if args.initial is not None:
@@ -179,9 +177,14 @@ def cmd_simulate(args) -> int:
             probs[theory.labels.index(args.initial)] = 1.0
         else:
             probs = np.full(theory.dim, 1.0 / theory.dim)
-        trajectory = simulate_chain(theory, Distribution(theory.labels, probs), steps, rng)
+        start = Distribution(theory.labels, probs)
+        draw = lambda: simulate_chain(theory, start, steps, rng)  # noqa: E731
         initial = args.initial if args.initial is not None else "uniform"
     config = {"command": "simulate", **source, "initial": initial, "steps": steps, "seed": seed}
+    with open(args.out, "w") if args.out is not None else nullcontext() as stream:
+        trajectory = draw()
+        if stream is not None:
+            write_trajectory(trajectory, stream, config=config)
 
     counts = transition_counts(trajectory)
     empirical = empirical_matrix(counts)
@@ -200,9 +203,6 @@ def cmd_simulate(args) -> int:
         "row_tv": row_tv,
         "max_row_tv": max(observed) if observed else None,
     }
-    if args.out is not None:
-        with open(args.out, "w") as stream:
-            write_trajectory(trajectory, stream, config=config)
     sys.stdout.write(json.dumps(summary) + "\n")
     return EXIT_OK
 
@@ -469,13 +469,7 @@ def main(argv=None) -> int:
         where = f" (line {exc.line})" if exc.line is not None else ""
         print(f"error: {exc}{where}", file=sys.stderr)
         return EXIT_USAGE
-    except (
-        InvalidArgumentError,
-        InvalidDistributionError,
-        InvalidStateError,
-        DimensionMismatchError,
-        OSError,
-    ) as exc:
+    except (InvalidArgumentError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except ConvergenceError as exc:

@@ -9,7 +9,7 @@ the bookkeeping.
 import re
 from dataclasses import dataclass
 
-from .errors import InvalidArgumentError
+from .errors import InvalidArgumentError, check_int
 
 _HALF_INT_RE = re.compile(r"([+-]?\d+)(/2)?")
 
@@ -21,10 +21,7 @@ class HalfInt:
     twice: int
 
     def __post_init__(self):
-        if not isinstance(self.twice, int) or isinstance(self.twice, bool):
-            raise InvalidArgumentError(
-                f"HalfInt.twice must be an int, got {self.twice!r}"
-            )
+        check_int("HalfInt.twice", self.twice)
 
     @classmethod
     def parse(cls, text: str) -> "HalfInt":

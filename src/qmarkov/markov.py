@@ -18,6 +18,8 @@ from .errors import (
     DimensionMismatchError,
     InvalidArgumentError,
     InvalidDistributionError,
+    check_int,
+    check_real,
 )
 from .rng import RngState
 
@@ -26,6 +28,14 @@ SUM_TOL = 1e-9
 # uniforms per block draw, shared by every simulator; block draws equal
 # one-at-a-time draws, so the size changes no trajectory
 _BLOCK = 1 << 16
+
+
+def _labels(labels) -> tuple:
+    """The outcome labels as a tuple, if no label appears twice."""
+    labels = tuple(labels)
+    if len(set(labels)) != len(labels):
+        raise InvalidArgumentError(f"outcome labels must be distinct, got {labels!r}")
+    return labels
 
 
 def _as_prob_vector(probs) -> np.ndarray:
@@ -51,7 +61,7 @@ class Distribution:
 
     def __post_init__(self):
         arr = _as_prob_vector(self.probs)
-        labels = tuple(self.labels)
+        labels = _labels(self.labels)
         if len(labels) != arr.size:
             raise DimensionMismatchError(
                 f"{len(labels)} labels for {arr.size} probabilities"
@@ -74,7 +84,7 @@ class StochasticMatrix:
 
     def __post_init__(self):
         arr = np.asarray(self.rows, dtype=float)
-        labels = tuple(self.labels)
+        labels = _labels(self.labels)
         n = len(labels)
         if arr.shape != (n, n):
             raise DimensionMismatchError(
@@ -112,13 +122,12 @@ class Trajectory:
     steps: int
 
     def __post_init__(self):
-        if not isinstance(self.steps, int) or self.steps < 0:
-            raise InvalidArgumentError(f"steps must be a non-negative integer, got {self.steps!r}")
+        check_int("steps", self.steps, 0)
         arr = np.asarray(self.states)
         if not np.issubdtype(arr.dtype, np.integer):
             raise InvalidArgumentError("trajectory states must be integer indices")
         arr = arr.astype(np.int64, copy=False)
-        labels = tuple(self.labels)
+        labels = _labels(self.labels)
         if arr.ndim != 1 or arr.size != self.steps + 1:
             raise InvalidArgumentError(
                 f"expected {self.steps + 1} states for {self.steps} steps, got {arr.size}"
@@ -195,8 +204,7 @@ def simulate_chain(P: StochasticMatrix, initial: Distribution, steps: int, rng: 
     """Realize steps transitions of the chain; states[0] is drawn from initial."""
     if P.labels != initial.labels:
         raise DimensionMismatchError("matrix and initial distribution have different labels")
-    if not isinstance(steps, int) or steps < 0:
-        raise InvalidArgumentError(f"steps must be a non-negative integer, got {steps!r}")
+    check_int("steps", steps, 0)
     states = np.empty(steps + 1, dtype=np.int64)
     states[0] = sample(initial, rng)
     _walk((_cumulative(P.rows),), int(states[0]), states[1:], rng)
@@ -210,10 +218,9 @@ def stationary(P: StochasticMatrix, tol: float = 1e-10, max_iters: int = 100_000
     uniform vector: uniform is exactly fixed by every doubly stochastic
     matrix, which would mask non-convergence of periodic chains.
     """
-    if not (isinstance(tol, (int, float)) and tol > 0.0):
+    if check_real("tol", tol) <= 0.0:
         raise InvalidArgumentError(f"tol must be positive, got {tol!r}")
-    if not isinstance(max_iters, int) or max_iters < 1:
-        raise InvalidArgumentError(f"max_iters must be a positive integer, got {max_iters!r}")
+    check_int("max_iters", max_iters, 1)
     dim = P.dim
     ramp = np.arange(dim, 0, -1, dtype=float)
     curr = (ramp / ramp.sum()) @ P.rows

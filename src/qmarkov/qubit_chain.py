@@ -20,12 +20,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InternalConsistencyError, InvalidArgumentError, RangeLimitError
+from .errors import InternalConsistencyError, InvalidArgumentError, RangeLimitError, check_int, check_real
 from .halfint import HalfInt, m_values
 from . import markov
 from .markov import StochasticMatrix, Trajectory
 from .rng import RngState
-from .wigner import _check_angle
 
 N_MAX_FORMULA = 64
 N_MAX_BRUTE_FORCE = 20
@@ -41,9 +40,8 @@ class QubitChainSpec:
     beta: float
 
     def __post_init__(self):
-        if not isinstance(self.n_qubits, int) or isinstance(self.n_qubits, bool) or self.n_qubits < 1:
-            raise InvalidArgumentError(f"n_qubits must be a positive integer, got {self.n_qubits!r}")
-        _check_angle(self.beta)
+        check_int("n_qubits", self.n_qubits, 1)
+        check_real("beta", self.beta)
 
     @property
     def labels(self) -> tuple[HalfInt, ...]:
@@ -58,8 +56,7 @@ def flip_probability(beta: float) -> float:
     staying and sin^2(beta/2) for flipping, identical in both measurement
     directions.
     """
-    beta = _check_angle(beta)
-    sh = math.sin(beta / 2.0)
+    sh = math.sin(check_real("beta", beta) / 2.0)
     return sh * sh
 
 
@@ -214,8 +211,7 @@ def simulate_register(
     notionally listed first.
     """
     n = spec.n_qubits
-    if not isinstance(steps, int) or steps < 0:
-        raise InvalidArgumentError(f"steps must be a non-negative integer, got {steps!r}")
+    check_int("steps", steps, 0)
     ups = (_check_outcome(n, initial_j, "initial_j") + n) // 2
     p = flip_probability(spec.beta)
     labels = spec.labels

@@ -9,7 +9,7 @@ trajectory across runs and platforms.
 
 import numpy as np
 
-from .errors import InvalidArgumentError
+from .errors import InvalidArgumentError, check_int
 
 RNG_ALGORITHM = "pcg64"
 
@@ -27,9 +27,7 @@ class RngState:
     __slots__ = ("seed", "_generator")
 
     def __init__(self, seed: int):
-        if not isinstance(seed, int) or isinstance(seed, bool):
-            raise InvalidArgumentError(f"seed must be an integer, got {seed!r}")
-        if not 0 <= seed <= _SEED_MAX:
+        if not 0 <= check_int("seed", seed) <= _SEED_MAX:
             raise InvalidArgumentError(f"seed must fit in 64 bits, got {seed}")
         self.seed = seed
         self._generator = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
@@ -40,9 +38,7 @@ class RngState:
 
     def random_block(self, count: int) -> np.ndarray:
         """The next `count` uniform draws as an array."""
-        if not isinstance(count, int) or count < 0:
-            raise InvalidArgumentError(f"count must be a non-negative integer, got {count!r}")
-        return self._generator.random(count)
+        return self._generator.random(check_int("count", count, 0))
 
     def __repr__(self) -> str:
         return f"RngState(seed={self.seed})"

@@ -9,13 +9,12 @@ A trajectory file is one JSON header line followed by one outcome label
 per line.  Labels are exact strings ("1/2", "-3/2", "0"), never floats.
 """
 
-import io
 import json
 
 import numpy as np
 
-from .errors import FormatError
-from .markov import StochasticMatrix, Trajectory
+from .errors import FormatError, InvalidArgumentError, check_int
+from .markov import StochasticMatrix, Trajectory, _labels
 from .rng import RNG_ALGORITHM
 
 FORMAT_VERSION = 1
@@ -61,6 +60,8 @@ def matrix_from_json(text: str) -> tuple[StochasticMatrix, dict]:
         for r in rows
     ):
         raise FormatError("'rows' must be a list of numeric lists")
+    if len({len(r) for r in rows}) > 1:
+        raise FormatError("'rows' must all have the same length")
     params = payload.get("params", {})
     if not isinstance(params, dict):
         raise FormatError("'params' must be an object")
@@ -110,12 +111,6 @@ def write_trajectory(t: Trajectory, stream, config: dict | None = None) -> None:
         stream.write("\n")
 
 
-def trajectory_to_text(t: Trajectory, config: dict | None = None) -> str:
-    buffer = io.StringIO()
-    write_trajectory(t, buffer, config=config)
-    return buffer.getvalue()
-
-
 def trajectory_from_text(text: str) -> tuple[Trajectory, dict]:
     """Parse a trajectory file; FormatError carries the offending line number."""
     lines = text.split("\n")
@@ -135,10 +130,12 @@ def trajectory_from_text(text: str) -> tuple[Trajectory, dict]:
     rng_name = header.get("rng")
     if not isinstance(labels, list) or not labels or not all(isinstance(x, str) for x in labels):
         raise FormatError("header 'labels' must be a non-empty list of strings", line=1)
-    if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
-        raise FormatError("header 'seed' must be a non-negative integer", line=1)
-    if not isinstance(steps, int) or isinstance(steps, bool) or steps < 0:
-        raise FormatError("header 'steps' must be a non-negative integer", line=1)
+    try:
+        labels = _labels(labels)
+        check_int("header 'seed'", seed, 0)
+        check_int("header 'steps'", steps, 0)
+    except InvalidArgumentError as exc:
+        raise FormatError(str(exc), line=1) from None
     if not isinstance(rng_name, str):
         raise FormatError("header 'rng' must be a string", line=1)
     if header.get("version") != FORMAT_VERSION:
@@ -155,5 +152,5 @@ def trajectory_from_text(text: str) -> tuple[Trajectory, dict]:
         if i is None:
             raise FormatError(f"unknown outcome label {line!r}", line=offset + 2)
         states[offset] = i
-    trajectory = Trajectory(labels=tuple(labels), states=states, seed=seed, steps=steps)
+    trajectory = Trajectory(labels=labels, states=states, seed=seed, steps=steps)
     return trajectory, header

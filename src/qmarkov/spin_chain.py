@@ -19,7 +19,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatchError, InternalConsistencyError, InvalidArgumentError, InvalidStateError
+from .errors import (
+    DimensionMismatchError,
+    InternalConsistencyError,
+    InvalidArgumentError,
+    InvalidStateError,
+    check_int,
+    check_real,
+)
 from .halfint import HalfInt, m_values
 from .markov import Distribution, StochasticMatrix, Trajectory, _cumulative, _walk, sample
 from .rng import RngState
@@ -33,31 +40,23 @@ _DOUBLY_STOCHASTIC_TOL = 1e-10
 
 @dataclass(frozen=True)
 class SpinChainSpec:
-    """Chain parameters: spin magnitude and the rotation carrying z to n.
+    """Chain parameters: spin magnitude s and the angle beta from z to n.
 
-    alpha and gamma complete the Euler triple of the rotation; they drop
-    out of every squared magnitude and are retained only so the full
-    complex model can be exercised.  beta is meaningful modulo the usual
-    conventions but any finite value is accepted; the matrix elements
-    are entire in beta.
+    The chain is (s, beta) alone: the other two Euler angles of the
+    rotation only multiply its entries by phases, which cancel in every
+    squared magnitude.  Any finite beta is accepted; the matrix elements
+    are entire in beta.  Range limits on s surface at evaluation.
     """
 
     s: HalfInt
     beta: float
-    alpha: float = 0.0
-    gamma: float = 0.0
 
     def __post_init__(self):
         if not isinstance(self.s, HalfInt):
             raise InvalidArgumentError(f"s must be a HalfInt, got {self.s!r}")
         if self.s.twice < 1:
             raise InvalidArgumentError(f"spin must be at least 1/2, got s={self.s}")
-        # finiteness checked here; range limits surface at evaluation
-        EulerAngles(self.alpha, self.beta, self.gamma)
-
-    @property
-    def angles(self) -> EulerAngles:
-        return EulerAngles(self.alpha, self.beta, self.gamma)
+        check_real("beta", self.beta)
 
     @property
     def labels(self) -> tuple[HalfInt, ...]:
@@ -111,7 +110,7 @@ def _overlap_squared(spec: SpinChainSpec) -> np.ndarray:
     cross-basis transition between outcomes m_a and m_b; the two readings
     agree because squared magnitudes kill the phases.
     """
-    entries = big_D(spec.s, spec.angles).entries
+    entries = big_D(spec.s, EulerAngles(0.0, spec.beta, 0.0)).entries
     return np.square(entries.real) + np.square(entries.imag)
 
 
@@ -192,8 +191,7 @@ def simulate_measurements(
     The records are a lazy view derived from the trajectory, so the
     simulation stores one integer per step and nothing else.
     """
-    if not isinstance(steps, int) or steps < 0:
-        raise InvalidArgumentError(f"steps must be a non-negative integer, got {steps!r}")
+    check_int("steps", steps, 0)
     init = initial_distribution(spec, psi)
     overlap = _overlap_squared(spec)
     states = np.empty(steps + 1, dtype=np.int64)
@@ -212,9 +210,7 @@ def coin_toss_stream(count: int, rng: RngState) -> np.ndarray:
     superposition gives i.i.d. fair outcomes; +1/2 maps to 1 and -1/2
     to 0.
     """
-    if not isinstance(count, int) or count < 0:
-        raise InvalidArgumentError(f"count must be a non-negative integer, got {count!r}")
-    if count == 0:
+    if check_int("count", count, 0) == 0:
         return np.zeros(0, dtype=np.uint8)
     spec = SpinChainSpec(s=HalfInt(1), beta=math.pi / 2.0)
     amp = math.sqrt(0.5)

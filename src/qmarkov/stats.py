@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatchError, InvalidArgumentError, UndefinedTestError
-from .markov import Distribution, StochasticMatrix, Trajectory
+from .markov import Distribution, StochasticMatrix, Trajectory, _labels
 
 # 0.999 quantiles of the chi-square distribution by degrees of freedom,
 # hard-coded so no special-function dependency is needed
@@ -37,7 +37,7 @@ class TransitionCounts:
 
     def __post_init__(self):
         arr = np.asarray(self.counts)
-        labels = tuple(self.labels)
+        labels = _labels(self.labels)
         n = len(labels)
         if arr.shape != (n, n):
             raise DimensionMismatchError(
@@ -55,9 +55,6 @@ class TransitionCounts:
     @property
     def row_visits(self) -> np.ndarray:
         return self.counts.sum(axis=1)
-
-    def total(self) -> int:
-        return int(self.counts.sum())
 
 
 @dataclass(frozen=True, eq=False)
@@ -103,13 +100,6 @@ def empirical_matrix(c: TransitionCounts) -> EmpiricalMatrix:
     rows.flags.writeable = False
     visits.flags.writeable = False
     return EmpiricalMatrix(labels=c.labels, rows=rows, row_visits=visits)
-
-
-def total_variation(a: Distribution, b: Distribution) -> float:
-    """Half the L1 distance between two distributions on the same labels."""
-    if a.labels != b.labels:
-        raise DimensionMismatchError("distributions have different labels")
-    return 0.5 * float(np.abs(a.probs - b.probs).sum())
 
 
 def per_row_tv(empirical: EmpiricalMatrix, theory: StochasticMatrix) -> list:

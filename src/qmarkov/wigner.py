@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidArgumentError, RangeLimitError
+from .errors import InvalidArgumentError, RangeLimitError, check_real
 from .halfint import HalfInt, m_values
 
 TWICE_S_MAX = 50
@@ -39,11 +39,7 @@ class EulerAngles:
 
     def __post_init__(self):
         for name in ("alpha", "beta", "gamma"):
-            value = getattr(self, name)
-            if not isinstance(value, (int, float)) or isinstance(value, bool):
-                raise InvalidArgumentError(f"{name} must be a real number, got {value!r}")
-            if not math.isfinite(value):
-                raise InvalidArgumentError(f"{name} must be finite, got {value!r}")
+            check_real(name, getattr(self, name))
 
 
 @dataclass(frozen=True)
@@ -74,15 +70,6 @@ def _check_spin(s: HalfInt) -> None:
             f"spin s={s} exceeds the supported range s <= 25; "
             "larger dimensions are not evaluated to guaranteed accuracy"
         )
-
-
-def _check_angle(beta) -> float:
-    if not isinstance(beta, (int, float)) or isinstance(beta, bool):
-        raise InvalidArgumentError(f"angle must be a real number, got {beta!r}")
-    beta = float(beta)
-    if not math.isfinite(beta):
-        raise InvalidArgumentError(f"angle must be finite, got {beta!r}")
-    return beta
 
 
 def _risbo(twice_s: int, beta: float) -> np.ndarray:
@@ -125,14 +112,12 @@ def small_d(s: HalfInt, beta: float) -> SmallDMatrix:
     orthogonal to within 1e-10 for all supported spins.
     """
     _check_spin(s)
-    beta = _check_angle(beta)
-    sh = math.sin(beta / 2.0)
-    ch = math.cos(beta / 2.0)
-    if sh == 0.0 and abs(ch) == 1.0:
-        # zero rotation (or full turn): exact signed identity, so that a
-        # frozen chain is frozen exactly; a full turn flips half-odd spins
-        sign = 1.0 if ch > 0.0 else (-1.0) ** s.twice
-        entries = sign * np.eye(s.twice + 1)
+    beta = check_real("beta", beta)
+    if math.sin(beta / 2.0) == 0.0:
+        # only at beta/2 == 0 in floats (sin(pi) is 1.2e-16): the exact
+        # identity, so that a frozen chain is frozen exactly; the recursion's
+        # diagonal there is off 1 by rounding for 2s >= 2
+        entries = np.eye(s.twice + 1)
     else:
         entries = _risbo(s.twice, beta)
     entries.flags.writeable = False

@@ -3,7 +3,7 @@
 import qmarkov
 
 # names and members that nothing in the package used, since deleted
-REMOVED = ("check_magnetic_number", "evolve", "validate_distribution")
+REMOVED = ("check_magnetic_number", "evolve", "validate_distribution", "total_variation", "trajectory_to_text")
 REMOVED_MEMBERS = (
     (qmarkov.RngState, ("spawn", "stream")),
     (qmarkov.HalfInt, ("from_int", "is_integer", "__add__", "__sub__", "__lt__")),
@@ -11,6 +11,8 @@ REMOVED_MEMBERS = (
     (qmarkov.Trajectory, ("outcomes",)),
     (qmarkov.SmallDMatrix, ("labels", "dim")),
     (qmarkov.BigDMatrix, ("labels", "dim")),
+    (qmarkov.TransitionCounts, ("total",)),
+    (qmarkov.SpinChainSpec, ("alpha", "gamma", "angles")),
 )
 
 

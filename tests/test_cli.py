@@ -133,6 +133,19 @@ def test_simulate_matrix_file_round_trip(capsys, tmp_path):
     assert code == 2
 
 
+def never(name):
+    def fail(*args, **kwargs):
+        raise AssertionError(f"{name} ran before an input error was reported")
+
+    return fail
+
+
+def assert_one_error_line(capsys):
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1  # one line, no traceback
+    return err
+
+
 def test_simulate_usage_errors(capsys, tmp_path):
     code, _ = run(capsys, "simulate", "--kind", "spin", "--beta", "1.0", "--steps", "5")
     assert code == 2  # missing --s
@@ -151,20 +164,47 @@ def test_simulate_usage_errors(capsys, tmp_path):
         ("simulate", "--kind", "spin", "--s", "1", "--beta", "1", "--steps", "5", "--out", unwritable),
     ):
         assert main(list(argv)) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and err.count("\n") == 1  # one line, no traceback
-        assert unwritable in err
+        assert unwritable in assert_one_error_line(capsys)
 
 
 def test_qubit_register_above_the_cap_fails_before_simulating(capsys, monkeypatch):
     import qmarkov.cli as cli
 
-    def never(*args, **kwargs):
-        raise AssertionError("simulate_register ran before the range check")
-
-    monkeypatch.setattr(cli, "simulate_register", never)
+    monkeypatch.setattr(cli, "simulate_register", never("simulate_register"))
     code, _ = run(capsys, "simulate", "--kind", "qubit", "--n", "65", "--beta", "1.0", "--steps", str(10**8))
     assert code == 2
+
+
+def test_unwritable_out_fails_before_the_first_draw(capsys, monkeypatch, tmp_path):
+    import qmarkov.cli as cli
+
+    monkeypatch.setattr(cli, "simulate_measurements", never("simulate_measurements"))
+    unwritable = str(tmp_path / "missing" / "t.txt")
+    argv = ["simulate", "--kind", "spin", "--s", "1", "--beta", "1", "--steps", str(10**8), "--out", unwritable]
+    assert main(argv) == 2
+    assert unwritable in assert_one_error_line(capsys)
+
+
+def test_repeated_matrix_labels_fail_before_the_first_draw(capsys, monkeypatch, tmp_path):
+    import qmarkov.cli as cli
+
+    monkeypatch.setattr(cli, "simulate_chain", never("simulate_chain"))
+    dup = tmp_path / "dup.json"
+    dup.write_text(json.dumps({"kind": "generic", "labels": ["a", "a"], "rows": [[0.5, 0.5], [0.5, 0.5]],
+                               "params": {}, "version": 1}))
+    out = tmp_path / "dup.txt"
+    argv = ["simulate", "--kind", "matrix-file", "--file", str(dup), "--steps", "1000", "--seed", "1", "--out", str(out)]
+    assert main(argv) == 2
+    assert "distinct" in assert_one_error_line(capsys)
+    assert not out.exists()
+
+
+def test_ragged_matrix_file_is_a_usage_error(capsys, tmp_path):
+    ragged = tmp_path / "ragged.json"
+    ragged.write_text(json.dumps({"kind": "generic", "labels": ["a", "b"], "rows": [[1.0], [0.5, 0.5]],
+                                  "params": {}, "version": 1}))
+    assert main(["stationary", "--kind", "matrix-file", "--file", str(ragged)]) == 2
+    assert_one_error_line(capsys)
 
 
 def test_malformed_matrix_file_is_a_usage_error(capsys, tmp_path):

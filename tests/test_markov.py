@@ -155,6 +155,8 @@ def test_trajectory_validation():
     with pytest.raises(InvalidArgumentError):
         Trajectory(labels=("a", "b"), states=np.array([0]), seed=0, steps=-1)
     with pytest.raises(InvalidArgumentError):
+        Trajectory(labels=("a", "b"), states=np.array([0, 1]), seed=0, steps=True)
+    with pytest.raises(InvalidArgumentError):
         Trajectory(labels=("a", "b"), states=np.array([0, 1, 0]), seed=0, steps=5)
     with pytest.raises(InvalidArgumentError):
         Trajectory(labels=("a", "b"), states=np.array([0, 2]), seed=0, steps=1)

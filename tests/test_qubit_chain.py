@@ -175,6 +175,8 @@ def test_simulate_register_validation():
         simulate_register(spec, HalfInt(3), 10, RngState(0))  # parity
     with pytest.raises(InvalidArgumentError):
         simulate_register(spec, HalfInt(4), -1, RngState(0))
+    with pytest.raises(InvalidArgumentError):
+        simulate_register(spec, HalfInt(4), True, RngState(0))
 
 
 def test_register_frequencies_close_on_the_analytic_matrix():

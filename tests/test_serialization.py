@@ -1,3 +1,4 @@
+import io
 import json
 import math
 
@@ -18,7 +19,7 @@ from qmarkov import (
     simulate_measurements,
     spin_transition_matrix,
     trajectory_from_text,
-    trajectory_to_text,
+    write_trajectory,
 )
 from qmarkov.spin_chain import QuantumState
 
@@ -58,6 +59,7 @@ def test_matrix_json_is_one_deterministic_line():
         lambda p: p.update(labels=[1, 2]),
         lambda p: p.update(rows=[["a", "b"], ["c", "d"]]),
         lambda p: p.update(rows=[[True, False], [False, True]]),
+        lambda p: p.update(labels=["a", "b"], rows=[[1.0], [0.5, 0.5]]),  # ragged
         lambda p: p.update(params=[1]),
     ],
 )
@@ -100,6 +102,12 @@ def test_matrix_table_is_aligned_text():
     assert all(len(line) == len(lines[1]) for line in lines[1:])
 
 
+def trajectory_text(t, config=None):
+    buffer = io.StringIO()
+    write_trajectory(t, buffer, config=config)
+    return buffer.getvalue()
+
+
 def make_trajectory(steps=25, seed=4):
     spec = SpinChainSpec(s=HalfInt(2), beta=1.0)
     amp = math.sqrt(1.0 / 3.0)
@@ -110,7 +118,7 @@ def make_trajectory(steps=25, seed=4):
 
 def test_trajectory_round_trip():
     t = make_trajectory()
-    text = trajectory_to_text(t, config={"note": 1})
+    text = trajectory_text(t, config={"note": 1})
     parsed, header = trajectory_from_text(text)
     assert np.array_equal(parsed.states, t.states)
     assert parsed.labels == ("1", "0", "-1")
@@ -118,12 +126,12 @@ def test_trajectory_round_trip():
     assert parsed.steps == t.steps
     assert header["rng"] == "pcg64"
     assert header["config"] == {"note": 1}
-    assert trajectory_to_text(t, config={"note": 1}) == text
+    assert trajectory_text(t, config={"note": 1}) == text
 
 
 def test_trajectory_file_layout():
     t = Trajectory(labels=("1/2", "-1/2"), states=np.array([0, 1, 1]), seed=7, steps=2)
-    text = trajectory_to_text(t)
+    text = trajectory_text(t)
     lines = text.splitlines()
     assert len(lines) == 4
     header = json.loads(lines[0])
@@ -146,11 +154,15 @@ def test_trajectory_header_errors_point_at_line_one():
 
 @pytest.mark.parametrize(
     "field,value",
-    [("seed", -1), ("seed", True), ("steps", -2), ("labels", []), ("rng", 3), ("version", 0)],
+    [
+        ("seed", -1), ("seed", True), ("steps", -2), ("labels", []), ("rng", 3), ("version", 0),
+        ("steps", True),
+        ("labels", ["a", "a"]),  # the body's "b" would otherwise fail at line 3
+    ],
 )
 def test_trajectory_header_field_errors(field, value):
     t = Trajectory(labels=("a", "b"), states=np.array([0, 1]), seed=1, steps=1)
-    lines = trajectory_to_text(t).splitlines()
+    lines = trajectory_text(t).splitlines()
     header = json.loads(lines[0])
     header[field] = value
     with pytest.raises(FormatError) as info:
@@ -160,7 +172,7 @@ def test_trajectory_header_field_errors(field, value):
 
 def test_trajectory_unknown_label_reports_its_line():
     t = Trajectory(labels=("a", "b"), states=np.array([0, 1, 0]), seed=1, steps=2)
-    lines = trajectory_to_text(t).splitlines()
+    lines = trajectory_text(t).splitlines()
     lines[2] = "zzz"  # second outcome, file line 3
     with pytest.raises(FormatError) as info:
         trajectory_from_text("\n".join(lines) + "\n")
@@ -169,7 +181,7 @@ def test_trajectory_unknown_label_reports_its_line():
 
 def test_trajectory_length_mismatch_is_an_error():
     t = Trajectory(labels=("a", "b"), states=np.array([0, 1, 0]), seed=1, steps=2)
-    lines = trajectory_to_text(t).splitlines()
+    lines = trajectory_text(t).splitlines()
     with pytest.raises(FormatError):
         trajectory_from_text("\n".join(lines[:-1]) + "\n")
     with pytest.raises(FormatError):
@@ -178,5 +190,5 @@ def test_trajectory_length_mismatch_is_an_error():
 
 def test_long_trajectory_round_trip():
     t = make_trajectory(steps=5000, seed=11)
-    parsed, _ = trajectory_from_text(trajectory_to_text(t))
+    parsed, _ = trajectory_from_text(trajectory_text(t))
     assert np.array_equal(parsed.states, t.states)

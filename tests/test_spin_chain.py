@@ -81,12 +81,6 @@ def test_matrix_is_symmetric():
         assert np.abs(m.rows - m.rows.T).max() < 1e-10
 
 
-def test_other_euler_angles_do_not_change_the_chain():
-    base = spin_transition_matrix(SpinChainSpec(s=HalfInt(3), beta=1.1))
-    rotated = spin_transition_matrix(SpinChainSpec(s=HalfInt(3), beta=1.1, alpha=1.3, gamma=-0.4))
-    assert np.abs(base.rows - rotated.rows).max() < 1e-12
-
-
 def test_spec_validation():
     with pytest.raises(InvalidArgumentError):
         SpinChainSpec(s=HalfInt(0), beta=1.0)

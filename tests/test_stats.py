@@ -19,7 +19,6 @@ from qmarkov import (
     per_row_tv,
     simulate_measurements,
     spin_transition_matrix,
-    total_variation,
     transition_counts,
 )
 from qmarkov.spin_chain import QuantumState
@@ -34,13 +33,13 @@ def test_transition_counts_by_hand():
     t = make_trajectory([0, 1, 1, 0, 1])
     c = transition_counts(t)
     assert np.array_equal(c.counts, [[0, 2], [1, 1]])
-    assert c.total() == 4
+    assert c.counts.sum() == 4
     assert np.array_equal(c.row_visits, [2, 2])
 
 
 def test_transition_counts_single_state_trajectory():
     c = transition_counts(make_trajectory([0]))
-    assert c.total() == 0
+    assert c.counts.sum() == 0
 
 
 def test_empirical_matrix_normalizes_rows():
@@ -55,19 +54,6 @@ def test_empirical_matrix_keeps_unvisited_rows_at_zero():
     e = empirical_matrix(transition_counts(t))
     assert np.array_equal(e.rows[1], [0.0, 0.0])
     assert list(e.observed) == [True, False]
-
-
-def test_total_variation_metric_properties():
-    pa = Distribution(("a", "b"), np.array([1.0, 0.0]))
-    pb = Distribution(("a", "b"), np.array([0.0, 1.0]))
-    pc = Distribution(("a", "b"), np.array([0.5, 0.5]))
-    assert total_variation(pa, pb) == 1.0
-    assert total_variation(pa, pa) == 0.0
-    assert total_variation(pa, pc) == 0.5
-    assert total_variation(pa, pb) == total_variation(pb, pa)
-    assert total_variation(pa, pb) <= total_variation(pa, pc) + total_variation(pc, pb)
-    with pytest.raises(DimensionMismatchError):
-        total_variation(pa, Distribution(("x", "y"), np.array([1.0, 0.0])))
 
 
 def test_per_row_tv_reports_unvisited_rows_as_none():

@@ -142,6 +142,14 @@ def test_argument_validation():
         EulerAngles(0.0, float("inf"), 0.0)
 
 
+def test_other_euler_angles_do_not_change_the_chain():
+    # alpha and gamma only multiply entries by phases, so a spin chain is (s, beta)
+    for twice in (1, 3, 10, 50):
+        D = big_D(HalfInt(twice), EulerAngles(1.3, 1.1, -0.4)).entries
+        d = small_d(HalfInt(twice), 1.1).entries
+        assert np.abs(np.abs(D) ** 2 - d**2).max() <= 1e-15
+
+
 def test_entries_are_read_only():
     d = small_d(ONE, 1.0)
     with pytest.raises(ValueError):
