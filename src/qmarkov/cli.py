@@ -27,9 +27,10 @@ from .errors import (
     InvalidArgumentError,
     UndefinedTestError,
     check_int,
+    check_real,
 )
 from .halfint import HalfInt
-from .markov import Distribution, simulate_chain, stationary
+from .markov import Distribution, _check_tol, simulate_chain, stationary
 from .qubit_chain import (
     N_MAX_BRUTE_FORCE,
     QubitChainSpec,
@@ -62,6 +63,9 @@ EXIT_CONVERGENCE = 3
 EXIT_VERIFICATION = 4
 
 STEPS_MAX = 10**8
+# stationary's power iteration takes a few microseconds per iteration at
+# the analytic sizes, so the cap bounds a run to under a minute
+ITERS_MAX = 10**7
 
 _DEFAULT_VERIFY_BETAS = (0.3, 1.0, math.pi / 2.0, 2.2, 2.7)
 
@@ -86,17 +90,19 @@ def _resolve_beta(args) -> float:
     raise InvalidArgumentError("--beta or --beta-pi is required here")
 
 
-def _check_steps(value: int, what: str = "steps") -> int:
-    if check_int(what, value, 0) > STEPS_MAX:
-        raise InvalidArgumentError(f"{what} above {STEPS_MAX} are rejected, got {value}")
+def _check_bounded(what: str, value: int, minimum: int, maximum: int) -> int:
+    if check_int(what, value, minimum) > maximum:
+        raise InvalidArgumentError(f"{what} above {maximum} are rejected, got {value}")
     return value
 
 
-def _emit(text: str, out) -> None:
-    if out is None:
-        sys.stdout.write(text)
-    else:
-        Path(out).write_text(text)
+def _opened(out):
+    """--out opened for writing, or stdout when it is None, as a context manager.
+
+    Commands open it after their inputs are checked and before the work,
+    so a bad path is reported before anything is computed.
+    """
+    return open(out, "w") if out is not None else nullcontext(sys.stdout)
 
 
 def _chain(args) -> tuple:
@@ -126,14 +132,14 @@ def _chain(args) -> tuple:
 
 def cmd_matrix(args) -> int:
     matrix, source, _ = _chain(args)
-    if args.format == "json":
-        params = {key: value for key, value in source.items() if key != "kind"}
-        text = matrix_to_json(matrix, kind=source["kind"], params=params)
-    elif args.format == "csv":
-        text = matrix_to_csv(matrix)
-    else:
-        text = matrix_to_table(matrix)
-    _emit(text, args.out)
+    with _opened(args.out) as stream:
+        if args.format == "json":
+            params = {key: value for key, value in source.items() if key != "kind"}
+            stream.write(matrix_to_json(matrix, kind=source["kind"], params=params))
+        elif args.format == "csv":
+            stream.write(matrix_to_csv(matrix))
+        else:
+            stream.write(matrix_to_table(matrix))
     return EXIT_OK
 
 
@@ -153,7 +159,7 @@ def _spin_initial_state(spec: SpinChainSpec, initial: str | None) -> QuantumStat
 
 
 def cmd_simulate(args) -> int:
-    steps = _check_steps(args.steps)
+    steps = _check_bounded("steps", args.steps, 0, STEPS_MAX)
     seed = _resolve_seed(args.seed)
     rng = RngState(seed)
     # the matrix is built, the start parsed and --out opened before the
@@ -212,10 +218,26 @@ def cmd_verify(args) -> int:
         raise InvalidArgumentError(
             f"--n-max must lie in [1, {N_MAX_BRUTE_FORCE}] (enumeration oracle range), got {args.n_max}"
         )
-    betas = args.beta if args.beta else list(_DEFAULT_VERIFY_BETAS)
+    betas = [check_real("beta", beta) for beta in args.beta] if args.beta else list(_DEFAULT_VERIFY_BETAS)
+    with _opened(args.out) as stream:
+        checks, failures = _verify_sweep(args.n_max, betas)
+        report = {
+            "n_max": args.n_max,
+            "betas": betas,
+            "checks": checks,
+            "failures": failures,
+            "pass": not failures,
+            "version": FORMAT_VERSION,
+        }
+        stream.write(json.dumps(report) + "\n")
+    return EXIT_OK if not failures else EXIT_VERIFICATION
+
+
+def _verify_sweep(n_max: int, betas: list) -> tuple:
+    """(checks, failures) of the closed form and the builder against the oracle."""
     failures = []
     checks = 0
-    for n in range(1, args.n_max + 1):
+    for n in range(1, n_max + 1):
         for beta in betas:
             spec = QubitChainSpec(n_qubits=n, beta=beta)
             labels = spec.labels
@@ -256,19 +278,12 @@ def cmd_verify(args) -> int:
                 diff = float(np.abs(rows - spin.rows).max())
                 if diff > 1e-12:
                     failures.append({"check": "spin_identity", "n": 1, "beta": beta, "diff": diff})
-    report = {
-        "n_max": args.n_max,
-        "betas": betas,
-        "checks": checks,
-        "failures": failures,
-        "pass": not failures,
-        "version": FORMAT_VERSION,
-    }
-    _emit(json.dumps(report) + "\n", args.out)
-    return EXIT_OK if not failures else EXIT_VERIFICATION
+    return checks, failures
 
 
 def cmd_stationary(args) -> int:
+    max_iters = _check_bounded("max_iters", args.max_iters, 1, ITERS_MAX)
+    _check_tol(args.tol)
     matrix, source, _ = _chain(args)
     config = {
         "command": "stationary",
@@ -281,45 +296,48 @@ def cmd_stationary(args) -> int:
         "version": FORMAT_VERSION,
         "labels": [str(label) for label in matrix.labels],
     }
-    try:
-        result = stationary(matrix, tol=args.tol, max_iters=args.max_iters)
-    except ConvergenceError as exc:
-        payload = {
-            **base,
-            "converged": False,
-            "iterations": exc.iterations,
-            "residual": float(exc.residual),
-            "last_iterate": [float(x) for x in exc.last_iterate],
-        }
-        _emit(json.dumps(payload) + "\n", args.out)
-        return EXIT_CONVERGENCE
-    payload = {
-        **base,
-        "converged": True,
-        "iterations": result.iterations,
-        "residual": float(result.residual),
-        "probs": [float(x) for x in result.distribution.probs],
-    }
-    _emit(json.dumps(payload) + "\n", args.out)
-    return EXIT_OK
+    with _opened(args.out) as stream:
+        try:
+            result = stationary(matrix, tol=args.tol, max_iters=max_iters)
+        except ConvergenceError as exc:
+            code = EXIT_CONVERGENCE
+            payload = {
+                **base,
+                "converged": False,
+                "iterations": exc.iterations,
+                "residual": float(exc.residual),
+                "last_iterate": [float(x) for x in exc.last_iterate],
+            }
+        else:
+            code = EXIT_OK
+            payload = {
+                **base,
+                "converged": True,
+                "iterations": result.iterations,
+                "residual": float(result.residual),
+                "probs": [float(x) for x in result.distribution.probs],
+            }
+        stream.write(json.dumps(payload) + "\n")
+    return code
 
 
 def cmd_coin_toss(args) -> int:
-    count = _check_steps(args.count, what="count")
+    count = _check_bounded("count", args.count, 0, STEPS_MAX)
     seed = _resolve_seed(args.seed)
-    bits = coin_toss_stream(count, RngState(seed))
-    ones = int(bits.sum())
-    payload = {
-        "config": {"command": "coin-toss", "count": count, "seed": seed},
-        "rng": RNG_ALGORITHM,
-        "version": FORMAT_VERSION,
-        "bits": (bits + ord("0")).tobytes().decode("ascii"),
-        "ones": ones,
-        "mean": ones / count if count else None,
-        "lag1_autocorrelation": _lag1_autocorrelation(bits),
-        "chi_square": _fair_coin_chi_square(ones, count),
-    }
-    _emit(json.dumps(payload) + "\n", args.out)
+    with _opened(args.out) as stream:
+        bits = coin_toss_stream(count, RngState(seed))
+        ones = int(bits.sum())
+        payload = {
+            "config": {"command": "coin-toss", "count": count, "seed": seed},
+            "rng": RNG_ALGORITHM,
+            "version": FORMAT_VERSION,
+            "bits": (bits + ord("0")).tobytes().decode("ascii"),
+            "ones": ones,
+            "mean": ones / count if count else None,
+            "lag1_autocorrelation": _lag1_autocorrelation(bits),
+            "chi_square": _fair_coin_chi_square(ones, count),
+        }
+        stream.write(json.dumps(payload) + "\n")
     return EXIT_OK
 
 
@@ -447,7 +465,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("stationary", help="power-iterate a matrix to its stationary distribution")
     _add_source(p)
     p.add_argument("--tol", type=float, default=1e-10, help="residual total variation target (default 1e-10)")
-    p.add_argument("--max-iters", type=int, default=100_000, help="iteration cap (default 100000)")
+    p.add_argument(
+        "--max-iters", type=int, default=100_000, help=f"iteration cap (default 100000, at most {ITERS_MAX})"
+    )
     _add_out(p)
     p.set_defaults(func=cmd_stationary)
 

@@ -166,33 +166,79 @@ def _walk(tables: tuple, state: int, out: np.ndarray, rng: RngState) -> None:
 
     Step k leaves `state` through tables[(k - 1) % p][state], for a period
     p of 1 (a plain chain) or 2 (alternating measurement axes).  Uniforms
-    come in blocks of _BLOCK and are read in pairs; the pair's tables
-    follow from the global step index, so any block length keeps the phase.
+    come in blocks of _BLOCK; each block's tables follow from the global
+    step index, so any block length keeps the phase.
+
+    With more than two states every step is a bisect in Python.  A
+    two-state chain is scanned with numpy instead, with the same result
+    bit for bit: the table [c_r, inf] of row r sends a uniform u to
+    u >= c_r, so with a = u >= c_0 and b = u >= c_1 each uniform maps the
+    state by one of four maps: constant a when a == b, the identity when
+    a < b, a swap when a > b.  Either non-constant map sends x to x ^ a.
+    So a state is the value of the last constant draw XOR the running
+    parity of a since then, and both come from array scans.
     """
-    period = len(tables)
-    bisect = bisect_right
+    walk_block = _scan_block if len(tables[0]) == 2 else _bisect_block
     steps = out.size
     done = 0
     while done < steps:
         count = min(_BLOCK, steps - done)
-        block = rng.random_block(count).tolist()
-        first = tables[done % period]
-        second = tables[(done + 1) % period]
-        path = []
-        append = path.append
-        pairs = iter(block)
-        for u, v in zip(pairs, pairs):
-            state = bisect(first[state], u)
-            append(state)
-            state = bisect(second[state], v)
-            append(state)
-        if count % 2:
-            state = bisect(first[state], block[-1])
-            append(state)
-        out[done : done + count] = path
+        state = walk_block(tables, done, state, rng, out[done : done + count])
         done += count
-        # freed before the next block is drawn, so only one block is alive
-        del block, path
+
+
+def _bisect_block(tables: tuple, done: int, state: int, rng: RngState, out: np.ndarray) -> int:
+    """Steps done + 1..done + out.size by bisect, into out; returns the last state.
+
+    Uniforms are read in pairs, the first through the tables of step done + 1.
+    """
+    period = len(tables)
+    bisect = bisect_right
+    block = rng.random_block(out.size).tolist()
+    first = tables[done % period]
+    second = tables[(done + 1) % period]
+    path = []
+    append = path.append
+    pairs = iter(block)
+    for u, v in zip(pairs, pairs):
+        state = bisect(first[state], u)
+        append(state)
+        state = bisect(second[state], v)
+        append(state)
+    if out.size % 2:
+        state = bisect(first[state], block[-1])
+        append(state)
+    out[:] = path
+    return state
+
+
+def _scan_block(tables: tuple, done: int, state: int, rng: RngState, out: np.ndarray) -> int:
+    """Steps done + 1..done + out.size of a two-state chain by scans; as _bisect_block.
+
+    Index 0 of the scans stands for the start state, taken as a constant
+    draw; index k >= 1 is the block's step k, which is step done + k.
+    """
+    period = len(tables)
+    block = rng.random_block(out.size)
+    a = np.empty(block.size + 1, dtype=bool)
+    b = np.empty(block.size + 1, dtype=bool)
+    a[0] = b[0] = state
+    for phase in range(period):
+        table = tables[(done + phase) % period]
+        np.greater_equal(block[phase::period], table[0][0], out=a[1 + phase :: period])
+        np.greater_equal(block[phase::period], table[1][0], out=b[1 + phase :: period])
+    constant = np.equal(a, b, out=b)
+    # last[k]: index of the last constant draw at or before k
+    last = np.arange(block.size + 1, dtype=np.int32)
+    last *= constant
+    np.maximum.accumulate(last, out=last)
+    parity = np.bitwise_xor.accumulate(a)
+    # parity before each index, so parity ^ before[last] is the parity
+    # since the last constant draw, XOR that draw's value
+    before = np.bitwise_xor(parity, a, out=a)
+    states = np.bitwise_xor(parity, np.take(before, last), out=parity)
+    out[:] = states[1:]
+    return int(states[-1])
 
 
 def sample(dist: Distribution, rng: RngState) -> int:
@@ -211,6 +257,12 @@ def simulate_chain(P: StochasticMatrix, initial: Distribution, steps: int, rng: 
     return Trajectory(labels=P.labels, states=states, seed=rng.seed, steps=steps)
 
 
+def _check_tol(tol) -> None:
+    """Refuse a tol that is not a finite positive real."""
+    if check_real("tol", tol) <= 0.0:
+        raise InvalidArgumentError(f"tol must be positive, got {tol!r}")
+
+
 def stationary(P: StochasticMatrix, tol: float = 1e-10, max_iters: int = 100_000) -> StationaryResult:
     """Power-iterate to a distribution pi with TV(pi P, pi) <= tol.
 
@@ -218,8 +270,7 @@ def stationary(P: StochasticMatrix, tol: float = 1e-10, max_iters: int = 100_000
     uniform vector: uniform is exactly fixed by every doubly stochastic
     matrix, which would mask non-convergence of periodic chains.
     """
-    if check_real("tol", tol) <= 0.0:
-        raise InvalidArgumentError(f"tol must be positive, got {tol!r}")
+    _check_tol(tol)
     check_int("max_iters", max_iters, 1)
     dim = P.dim
     ramp = np.arange(dim, 0, -1, dtype=float)

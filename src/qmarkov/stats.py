@@ -82,8 +82,10 @@ class ChiSquareResult:
 def transition_counts(t: Trajectory) -> TransitionCounts:
     """Exact pairwise step counts of a trajectory."""
     n = len(t.labels)
-    counts = np.zeros((n, n), dtype=np.int64)
-    np.add.at(counts, (t.states[:-1], t.states[1:]), 1)
+    # pair code prev * n + next, built in one int64 array
+    pairs = t.states[:-1] * n
+    pairs += t.states[1:]
+    counts = np.bincount(pairs, minlength=n * n).reshape(n, n)
     return TransitionCounts(labels=t.labels, counts=counts)
 
 

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from qmarkov import HalfInt, RngState, coin_toss_stream, trajectory_from_text
+from qmarkov import HalfInt, RngState, coin_toss_stream, stationary, trajectory_from_text
 from qmarkov.cli import main
 
 
@@ -183,6 +183,73 @@ def test_unwritable_out_fails_before_the_first_draw(capsys, monkeypatch, tmp_pat
     argv = ["simulate", "--kind", "spin", "--s", "1", "--beta", "1", "--steps", str(10**8), "--out", unwritable]
     assert main(argv) == 2
     assert unwritable in assert_one_error_line(capsys)
+
+
+@pytest.mark.parametrize(
+    "argv, work",
+    [
+        (("coin-toss", "--count", str(10**8)), "coin_toss_stream"),
+        (("verify", "--n-max", "12"), "q_formula"),
+        (("stationary", "--kind", "spin", "--s", "1", "--beta", "0.9"), "stationary"),
+        (("spin-matrix", "--s", "1", "--beta", "1"), "matrix_to_json"),
+        (("qubit-matrix", "--n", "3", "--beta", "1", "--format", "csv"), "matrix_to_csv"),
+    ],
+    ids=["coin-toss", "verify", "stationary", "spin-matrix", "qubit-matrix"],
+)
+def test_unwritable_out_fails_before_the_work(capsys, monkeypatch, tmp_path, argv, work):
+    import qmarkov.cli as cli
+
+    monkeypatch.setattr(cli, work, never(work))
+    unwritable = str(tmp_path / "missing" / "out.json")
+    assert main([*argv, "--out", unwritable]) == 2
+    assert unwritable in assert_one_error_line(capsys)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("coin-toss", "--count", "-1"),
+        ("coin-toss", "--count", str(10**8 + 1)),
+        ("verify", "--n-max", "0"),
+        ("verify", "--n-max", "2", "--beta", "nan"),
+        ("stationary", "--kind", "spin", "--s", "1", "--beta", "0.9", "--tol", "-1"),
+        ("stationary", "--kind", "spin", "--s", "1", "--beta", "0.9", "--max-iters", "0"),
+        ("stationary", "--kind", "spin", "--s", "1/3", "--beta", "0.9"),
+        ("spin-matrix", "--s", "1/3", "--beta", "1"),
+        ("qubit-matrix", "--n", "65", "--beta", "1"),
+    ],
+    ids=lambda argv: " ".join(argv),
+)
+def test_rejected_input_leaves_the_out_file_alone(capsys, tmp_path, argv):
+    out = tmp_path / "out.json"
+    out.write_text("kept\n")
+    assert main([*argv, "--out", str(out)]) == 2
+    assert_one_error_line(capsys)
+    assert out.read_text() == "kept\n"
+
+
+def test_stationary_iteration_cap(capsys, monkeypatch, tmp_path):
+    import qmarkov.cli as cli
+
+    cycle = tmp_path / "cycle.json"
+    cycle.write_text(json.dumps({"kind": "generic", "labels": ["a", "b"], "rows": [[0.0, 1.0], [1.0, 0.0]],
+                                 "params": {}, "version": 1}))
+    monkeypatch.setattr(cli, "stationary", never("stationary"))
+    for max_iters in (cli.ITERS_MAX + 1, 10**12):
+        argv = ["stationary", "--kind", "matrix-file", "--file", str(cycle), "--max-iters", str(max_iters)]
+        assert main(argv) == 2
+        assert f"max_iters above {cli.ITERS_MAX}" in assert_one_error_line(capsys)
+    seen = []
+
+    def recording(matrix, tol, max_iters):
+        seen.append(max_iters)
+        return stationary(matrix, tol=tol)
+
+    monkeypatch.setattr(cli, "stationary", recording)
+    code, payload = run_json(capsys, "stationary", "--kind", "spin", "--s", "1", "--beta", "0.9",
+                             "--max-iters", str(cli.ITERS_MAX))
+    assert code == 0 and payload["converged"] is True
+    assert seen == [cli.ITERS_MAX]
 
 
 def test_repeated_matrix_labels_fail_before_the_first_draw(capsys, monkeypatch, tmp_path):

@@ -212,12 +212,70 @@ def test_inf_sentinel_picks_what_the_clamp_picks(row):
     assert [sample(dist, stub) for _ in uniforms] == expected
 
 
+def _random_two_state(seed):
+    p, q = np.random.default_rng(seed).random(2)
+    return np.array([[p, 1.0 - p], [q, 1.0 - q]])
+
+
+# 2x2 matrices for the two-state scan: identity and swap never draw a
+# constant map, the two "stay" matrices always do, and the spin-1/2
+# overlap at pi/2 has cumulative sums 1 ulp either side of 0.5
+TWO_STATE = {
+    "random-a": _random_two_state(1),
+    "random-b": _random_two_state(2),
+    "identity": np.array([[1.0, 0.0], [0.0, 1.0]]),
+    "swap": np.array([[0.0, 1.0], [1.0, 0.0]]),
+    "stay-0": np.array([[1.0, 0.0], [1.0, 0.0]]),
+    "stay-1": np.array([[0.0, 1.0], [0.0, 1.0]]),
+    "spin-z": np.array(_spin_half_rows()[0:2]),
+    "spin-n": np.array(_spin_half_rows()[2:4]),
+}
+
+
+def bisect_loop(matrices, start, uniforms):
+    """States after each uniform by the clamped inverse CDF, step k using matrices[k % p]."""
+    state, path = start, []
+    for k, u in enumerate(uniforms):
+        row = matrices[k % len(matrices)][state]
+        state = clamped_pick(np.cumsum(row).tolist(), u, len(row))
+        path.append(state)
+    return path
+
+
+@pytest.mark.parametrize("period", [1, 2])
+@pytest.mark.parametrize("first", list(TWO_STATE))
+def test_two_state_scan_matches_the_bisect_loop(monkeypatch, first, period):
+    default_block = markov._BLOCK
+    for second in list(TWO_STATE) if period == 2 else [None]:
+        matrices = [TWO_STATE[first]] if second is None else [TWO_STATE[first], TWO_STATE[second]]
+        # every cumulative entry and its neighbours, where the maps change
+        edges = {0.0, 1.0 - 2.0**-53}
+        for c in np.cumsum(np.concatenate(matrices), axis=1).ravel().tolist():
+            edges |= {math.nextafter(c, -math.inf), c, math.nextafter(c, math.inf)}
+        edges = sorted(u for u in edges if 0.0 <= u < 1.0)
+        tables = tuple(_cumulative(m) for m in matrices)
+        for steps in (0, 1, 2, 3, 7, 8, 1000):
+            uniforms = RngState(steps).random_block(steps).tolist()
+            uniforms[::3] = (edges * steps)[: len(uniforms[::3])]
+            for start in (0, 1):
+                expected = bisect_loop(matrices, start, uniforms)
+                for block in (default_block, 3):
+                    monkeypatch.setattr(markov, "_BLOCK", block)
+                    out = np.empty(steps, dtype=np.int64)
+                    _walk(tables, start, out, StubRng(uniforms))
+                    assert out.tolist() == expected, (second, steps, start, block)
+
+
 def test_block_size_changes_no_trajectory(monkeypatch):
     spin = SpinChainSpec(s=HalfInt(2), beta=1.0)
     psi = QuantumState(np.full(3, math.sqrt(1.0 / 3.0), dtype=complex))
+    spin_half = SpinChainSpec(s=HalfInt(1), beta=1.0)
+    psi_half = QuantumState(np.array([0.6, 0.8], dtype=complex))
     chain = StochasticMatrix(labels=("a", "b", "c"), rows=np.array(
         [[0.2, 0.5, 0.3], [0.6, 0.0, 0.4], [0.1, 0.1, 0.8]]))
     start = Distribution(chain.labels, np.full(3, 1.0 / 3.0))
+    pair = StochasticMatrix(labels=("a", "b"), rows=np.array([[0.3, 0.7], [0.6, 0.4]]))
+    pair_start = Distribution(pair.labels, np.array([0.5, 0.5]))
     # the spin chain's two tables are transposes of a symmetric matrix, so
     # only distinct tables show which one a step used
     rows = (chain.rows, chain.rows[::-1])
@@ -230,7 +288,9 @@ def test_block_size_changes_no_trajectory(monkeypatch):
     def trajectories():
         out = [alternating(steps) for steps in (100, 101)]
         out += [simulate_measurements(spin, psi, steps, RngState(5))[0].states for steps in (100, 101)]
+        out += [simulate_measurements(spin_half, psi_half, steps, RngState(5))[0].states for steps in (100, 101)]
         out.append(simulate_chain(chain, start, 101, RngState(6)).states)
+        out.append(simulate_chain(pair, pair_start, 101, RngState(6)).states)
         for n in (3, 8):
             out.append(simulate_register(QubitChainSpec(n_qubits=n, beta=1.0), HalfInt(n), 60, RngState(7)).states)
         out += [coin_toss_stream(count, RngState(8)) for count in (100, 101)]
@@ -249,10 +309,12 @@ def test_block_size_changes_no_trajectory(monkeypatch):
         sizes.append(count)
         return random_block(self, count)
 
-    monkeypatch.setattr(markov, "_BLOCK", 7)
     monkeypatch.setattr(RngState, "random_block", recording)
-    small = trajectories()
-    assert 0 < max(sizes) <= 8  # a register block rounds to whole steps of 8 draws
-    assert len(default) == len(small)
-    for a, b in zip(default, small):
-        assert np.array_equal(a, b)
+    for block in (1, 7):
+        monkeypatch.setattr(markov, "_BLOCK", block)
+        sizes.clear()
+        small = trajectories()
+        assert 0 < max(sizes) <= 8  # a register block rounds to whole steps of 8 draws
+        assert len(default) == len(small)
+        for a, b in zip(default, small):
+            assert np.array_equal(a, b)

@@ -207,7 +207,7 @@ def test_records_are_a_read_only_view_of_the_trajectory():
         records[0] = records[1]
 
 
-@pytest.mark.parametrize("dim", [3, 51])
+@pytest.mark.parametrize("dim", [2, 3, 51])
 def test_simulation_allocates_at_most_16_bytes_per_step(dim):
     spec = SpinChainSpec(s=HalfInt(dim - 1), beta=1.0)
     psi = balanced_state(dim)

@@ -42,6 +42,18 @@ def test_transition_counts_single_state_trajectory():
     assert c.counts.sum() == 0
 
 
+@pytest.mark.parametrize("dim", [1, 2, 3, 9])
+@pytest.mark.parametrize("steps", [0, 1, 2, 500])
+def test_transition_counts_match_a_plain_loop(dim, steps):
+    states = np.random.default_rng(dim * 1000 + steps).integers(0, dim, steps + 1)
+    expected = [[0] * dim for _ in range(dim)]
+    for prev, nxt in zip(states[:-1].tolist(), states[1:].tolist()):
+        expected[prev][nxt] += 1
+    c = transition_counts(make_trajectory(states, labels=tuple(range(dim))))
+    assert c.counts.dtype == np.int64
+    assert c.counts.tolist() == expected
+
+
 def test_empirical_matrix_normalizes_rows():
     t = make_trajectory([0, 1, 1, 0, 1])
     e = empirical_matrix(transition_counts(t))
