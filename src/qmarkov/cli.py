@@ -3,8 +3,10 @@
 Subcommands: spin-matrix, qubit-matrix, simulate, verify, stationary,
 coin-toss.  Machine output is deterministic JSON (CSV and a plain table
 are available for matrices); identical flags and seed always produce
-byte-identical output.  No timestamps, no environment echoes, nothing
-that varies between runs.
+byte-identical output.  No timestamps, no environment reads or echoes,
+nothing that varies between runs: the seed comes from --seed alone
+(default 0).  Every input is checked before an --out file is opened, so
+a rejected command leaves an existing file as it was.
 
 Exit codes: 0 success, 2 usage or input error, 3 convergence failure,
 4 verification failure.
@@ -13,7 +15,6 @@ Exit codes: 0 success, 2 usage or input error, 3 convergence failure,
 import argparse
 import json
 import math
-import os
 import sys
 from contextlib import nullcontext
 from pathlib import Path
@@ -68,18 +69,6 @@ STEPS_MAX = 10**8
 ITERS_MAX = 10**7
 
 _DEFAULT_VERIFY_BETAS = (0.3, 1.0, math.pi / 2.0, 2.2, 2.7)
-
-
-def _resolve_seed(flag_value) -> int:
-    if flag_value is not None:
-        return flag_value
-    env = os.environ.get("QMARKOV_SEED")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise InvalidArgumentError(f"QMARKOV_SEED must be an integer, got {env!r}") from None
-    return 0
 
 
 def _resolve_beta(args) -> float:
@@ -143,50 +132,49 @@ def cmd_matrix(args) -> int:
     return EXIT_OK
 
 
-def _spin_initial_state(spec: SpinChainSpec, initial: str | None) -> QuantumState:
-    dim = spec.s.twice + 1
-    if initial is None:
-        # balanced superposition: every outcome reachable at step 0
-        return QuantumState(np.full(dim, math.sqrt(1.0 / dim), dtype=complex))
-    m = HalfInt.parse(initial)
+def _initial_index(labels: tuple, initial: str) -> int:
+    """Position of the --initial text among a chain's labels.
+
+    Half-integer labels (spin, qubit) match by value, so "+1" names 1;
+    the labels of a matrix file match only as the exact string.
+    """
+    key = HalfInt.parse(initial) if isinstance(labels[0], HalfInt) else initial
     try:
-        index = spec.labels.index(m)
+        return labels.index(key)
     except ValueError:
-        raise InvalidArgumentError(f"initial outcome {initial!r} is not valid for s={spec.s}") from None
-    amplitudes = np.zeros(dim, dtype=complex)
-    amplitudes[index] = 1.0
-    return QuantumState(amplitudes)
+        raise InvalidArgumentError(f"initial outcome {initial!r} is not one of the chain's labels") from None
 
 
 def cmd_simulate(args) -> int:
     steps = _check_bounded("steps", args.steps, 0, STEPS_MAX)
-    seed = _resolve_seed(args.seed)
-    rng = RngState(seed)
-    # the matrix is built, the start parsed and --out opened before the
+    rng = RngState(args.seed)
+    # the matrix is built, the start resolved and --out opened before the
     # first draw, so every input error surfaces before any work
     theory, source, spec = _chain(args)
-    if args.kind == "spin":
-        psi = _spin_initial_state(spec, args.initial)
-        draw = lambda: simulate_measurements(spec, psi, steps, rng)[0]  # noqa: E731
-        initial = args.initial if args.initial is not None else "balanced"
-    elif args.kind == "qubit":
-        initial_j = HalfInt.parse(args.initial) if args.initial is not None else HalfInt(spec.n_qubits)
+    labels, dim = theory.labels, theory.dim
+    index = None if args.initial is None else _initial_index(labels, args.initial)
+    if args.kind == "qubit":
+        # all qubits up by default
+        initial_j = labels[0 if index is None else index]
         draw = lambda: simulate_register(spec, initial_j, steps, rng)  # noqa: E731
-        initial = str(initial_j)
+        default = str(initial_j)
     else:
-        if args.initial is not None:
-            if args.initial not in theory.labels:
-                raise InvalidArgumentError(
-                    f"initial label {args.initial!r} is not one of the matrix labels"
-                )
-            probs = np.zeros(theory.dim)
-            probs[theory.labels.index(args.initial)] = 1.0
+        # the start law: uniform by default, else all weight on the named label
+        start = np.full(dim, 1.0 / dim)
+        if index is not None:
+            start = np.zeros(dim)
+            start[index] = 1.0
+        if args.kind == "spin":
+            # amplitudes are the law's square roots: by default the balanced superposition
+            psi = QuantumState(np.sqrt(start).astype(complex))
+            draw = lambda: simulate_measurements(spec, psi, steps, rng)[0]  # noqa: E731
+            default = "balanced"
         else:
-            probs = np.full(theory.dim, 1.0 / theory.dim)
-        start = Distribution(theory.labels, probs)
-        draw = lambda: simulate_chain(theory, start, steps, rng)  # noqa: E731
-        initial = args.initial if args.initial is not None else "uniform"
-    config = {"command": "simulate", **source, "initial": initial, "steps": steps, "seed": seed}
+            law = Distribution(labels, start)
+            draw = lambda: simulate_chain(theory, law, steps, rng)  # noqa: E731
+            default = "uniform"
+    initial = default if index is None else str(labels[index])
+    config = {"command": "simulate", **source, "initial": initial, "steps": steps, "seed": rng.seed}
     with open(args.out, "w") if args.out is not None else nullcontext() as stream:
         trajectory = draw()
         if stream is not None:
@@ -214,10 +202,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    if args.n_max < 1 or args.n_max > N_MAX_BRUTE_FORCE:
-        raise InvalidArgumentError(
-            f"--n-max must lie in [1, {N_MAX_BRUTE_FORCE}] (enumeration oracle range), got {args.n_max}"
-        )
+    _check_bounded("n_max", args.n_max, 1, N_MAX_BRUTE_FORCE)
     betas = [check_real("beta", beta) for beta in args.beta] if args.beta else list(_DEFAULT_VERIFY_BETAS)
     with _opened(args.out) as stream:
         checks, failures = _verify_sweep(args.n_max, betas)
@@ -323,12 +308,12 @@ def cmd_stationary(args) -> int:
 
 def cmd_coin_toss(args) -> int:
     count = _check_bounded("count", args.count, 0, STEPS_MAX)
-    seed = _resolve_seed(args.seed)
+    rng = RngState(args.seed)
     with _opened(args.out) as stream:
-        bits = coin_toss_stream(count, RngState(seed))
+        bits = coin_toss_stream(count, rng)
         ones = int(bits.sum())
         payload = {
-            "config": {"command": "coin-toss", "count": count, "seed": seed},
+            "config": {"command": "coin-toss", "count": count, "seed": rng.seed},
             "rng": RNG_ALGORITHM,
             "version": FORMAT_VERSION,
             "bits": (bits + ord("0")).tobytes().decode("ascii"),
@@ -386,9 +371,9 @@ def _add_seed(parser) -> None:
     parser.add_argument(
         "--seed",
         type=int,
-        default=None,
+        default=0,
         metavar="U64",
-        help="64-bit RNG seed (default: QMARKOV_SEED environment variable, else 0)",
+        help="64-bit RNG seed (default 0)",
     )
 
 
@@ -417,8 +402,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="Markov chains induced by alternating quantum measurements.",
         epilog=(
             f"All randomness comes from the {RNG_ALGORITHM} generator; a 64-bit seed "
-            "(--seed, or QMARKOV_SEED when the flag is absent, default 0) makes every "
-            "output bit-reproducible."
+            "(--seed, default 0) makes every output bit-reproducible.  Every input is "
+            "checked before an --out file is opened."
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
@@ -444,7 +429,11 @@ def build_parser() -> argparse.ArgumentParser:
         "--initial",
         default=None,
         metavar="LABEL",
-        help="starting outcome label; defaults: balanced state (spin), all up (qubit), uniform (matrix-file)",
+        help=(
+            "starting outcome, one of the chain's labels: a half-integer such as -1 or 1/2 "
+            "(spin, qubit) or the exact label string (matrix-file); defaults: balanced state "
+            "(spin), all up (qubit), uniform (matrix-file)"
+        ),
     )
     _add_seed(p)
     _add_out(p, what="the trajectory file")

@@ -72,6 +72,14 @@ def _check_outcome(n_qubits: int, j: HalfInt, name: str) -> int:
     return j.twice
 
 
+def _check_formula_range(spec: QubitChainSpec) -> int:
+    """The register size, if the closed forms cover it."""
+    n = spec.n_qubits
+    if n > N_MAX_FORMULA:
+        raise RangeLimitError(f"closed form limited to N <= {N_MAX_FORMULA}, got N={n}")
+    return n
+
+
 def _branch_sum(start_count: int, other_count: int, delta: int, cpow: list, spow: list) -> float:
     """One printed branch: sum over m of C(start_count, m) C(other_count, K - m) terms.
 
@@ -96,9 +104,7 @@ def q_formula(spec: QubitChainSpec, j: HalfInt, j_prime: HalfInt) -> float:
     branches are evaluated and must agree to 1e-12, a standing tripwire
     for transcription errors in either formula.
     """
-    n = spec.n_qubits
-    if n > N_MAX_FORMULA:
-        raise RangeLimitError(f"closed form limited to N <= {N_MAX_FORMULA}, got N={n}")
+    n = _check_formula_range(spec)
     tj = _check_outcome(n, j, "j")
     tjp = _check_outcome(n, j_prime, "j_prime")
     ch = math.cos(spec.beta / 2.0)
@@ -134,9 +140,7 @@ def qubit_transition_matrix(spec: QubitChainSpec) -> StochasticMatrix:
     binomials, so each row is the convolution of their distributions,
     reversed because labels descend.
     """
-    n = spec.n_qubits
-    if n > N_MAX_FORMULA:
-        raise RangeLimitError(f"closed form limited to N <= {N_MAX_FORMULA}, got N={n}")
+    n = _check_formula_range(spec)
     ch = math.cos(spec.beta / 2.0)
     sh = math.sin(spec.beta / 2.0)
     # cos^2 and sin^2 as q_formula forms them, not 1 - p: the N = 1 rows

@@ -14,7 +14,7 @@ import json
 import numpy as np
 
 from .errors import FormatError, InvalidArgumentError, check_int
-from .markov import StochasticMatrix, Trajectory, _labels
+from .markov import _BLOCK, StochasticMatrix, Trajectory, _labels
 from .rng import RNG_ALGORITHM
 
 FORMAT_VERSION = 1
@@ -103,10 +103,10 @@ def write_trajectory(t: Trajectory, stream, config: dict | None = None) -> None:
     stream.write(json.dumps(header))
     stream.write("\n")
     label_strings = [str(label) for label in t.labels]
-    # chunked join keeps memory flat for long trajectories
+    # one step kernel block per join keeps memory flat for long trajectories
     states = t.states
-    for start in range(0, states.size, 1 << 20):
-        chunk = states[start : start + (1 << 20)]
+    for start in range(0, states.size, _BLOCK):
+        chunk = states[start : start + _BLOCK]
         stream.write("\n".join(label_strings[i] for i in chunk))
         stream.write("\n")
 

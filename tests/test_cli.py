@@ -1,5 +1,7 @@
 import json
 import math
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -210,6 +212,8 @@ def test_unwritable_out_fails_before_the_work(capsys, monkeypatch, tmp_path, arg
     [
         ("coin-toss", "--count", "-1"),
         ("coin-toss", "--count", str(10**8 + 1)),
+        ("coin-toss", "--count", "5", "--seed", "-1"),
+        ("coin-toss", "--count", "5", "--seed", str(2**64)),
         ("verify", "--n-max", "0"),
         ("verify", "--n-max", "2", "--beta", "nan"),
         ("stationary", "--kind", "spin", "--s", "1", "--beta", "0.9", "--tol", "-1"),
@@ -217,10 +221,17 @@ def test_unwritable_out_fails_before_the_work(capsys, monkeypatch, tmp_path, arg
         ("stationary", "--kind", "spin", "--s", "1/3", "--beta", "0.9"),
         ("spin-matrix", "--s", "1/3", "--beta", "1"),
         ("qubit-matrix", "--n", "65", "--beta", "1"),
+        ("simulate", "--kind", "qubit", "--n", "2", "--beta", "1", "--steps", "5", "--initial", "7"),
+        ("simulate", "--kind", "qubit", "--n", "2", "--beta", "1", "--steps", "5", "--initial", "1/2"),
+        ("simulate", "--kind", "spin", "--s", "1", "--beta", "1", "--steps", "5", "--initial", "1/2"),
     ],
     ids=lambda argv: " ".join(argv),
 )
-def test_rejected_input_leaves_the_out_file_alone(capsys, tmp_path, argv):
+def test_rejected_input_leaves_the_out_file_alone(capsys, monkeypatch, tmp_path, argv):
+    import qmarkov.cli as cli
+
+    for work in ("coin_toss_stream", "simulate_measurements", "simulate_register", "q_formula", "stationary"):
+        monkeypatch.setattr(cli, work, never(work))
     out = tmp_path / "out.json"
     out.write_text("kept\n")
     assert main([*argv, "--out", str(out)]) == 2
@@ -285,18 +296,41 @@ def test_malformed_matrix_file_is_a_usage_error(capsys, tmp_path):
 
 def test_seed_resolution(capsys, monkeypatch):
     monkeypatch.delenv("QMARKOV_SEED", raising=False)
-    _, a = run(capsys, "coin-toss", "--count", "50")
-    monkeypatch.setenv("QMARKOV_SEED", "0")
-    _, b = run(capsys, "coin-toss", "--count", "50")
-    assert a == b  # default seed is 0
-    monkeypatch.setenv("QMARKOV_SEED", "99")
-    _, c = run(capsys, "coin-toss", "--count", "50")
-    assert c != a
-    _, d = run(capsys, "coin-toss", "--count", "50", "--seed", "0")
-    assert d == a  # the flag outranks the environment
-    monkeypatch.setenv("QMARKOV_SEED", "zzz")
-    code, _ = run(capsys, "coin-toss", "--count", "50")
-    assert code == 2
+    _, default = run(capsys, "coin-toss", "--count", "50")
+    _, zero = run(capsys, "coin-toss", "--count", "50", "--seed", "0")
+    assert default == zero  # the default seed is 0
+    for env in ("99", "zzz"):
+        monkeypatch.setenv("QMARKOV_SEED", env)
+        code, out = run(capsys, "coin-toss", "--count", "50")
+        assert code == 0 and out == default  # the seed comes from --seed alone
+
+
+def _three_labels(tmp_path):
+    target = tmp_path / "m.json"
+    target.write_text(json.dumps({"kind": "generic", "labels": ["1", "0", "-1"], "rows": [[1 / 3] * 3] * 3,
+                                  "params": {}, "version": 1}))
+    return ("--kind", "matrix-file", "--file", str(target))
+
+
+@pytest.mark.parametrize(
+    "kind, label, echoed, foreign",
+    [
+        ("spin", "+1", "1", "3/2"),
+        ("qubit", "1", "1", "1/2"),
+        ("matrix-file", "-1", "-1", "+1"),  # file labels match only as exact strings
+    ],
+)
+def test_initial_label_for_every_kind(capsys, tmp_path, kind, label, echoed, foreign):
+    source = {
+        "spin": ("--kind", "spin", "--s", "1", "--beta", "0.4"),
+        "qubit": ("--kind", "qubit", "--n", "2", "--beta", "0.4"),
+        "matrix-file": _three_labels(tmp_path),
+    }[kind]
+    code, payload = run_json(capsys, "simulate", *source, "--steps", "10", "--seed", "1", "--initial", label)
+    assert code == 0
+    assert payload["config"]["initial"] == echoed
+    assert main(["simulate", *source, "--steps", "10", "--initial", foreign]) == 2
+    assert foreign in assert_one_error_line(capsys)
 
 
 def test_coin_toss_output(capsys):
@@ -416,3 +450,21 @@ def test_help_names_the_generator():
     import qmarkov.cli as cli
 
     assert "pcg64" in cli.build_parser().epilog
+
+
+def test_readme_command_lines_match_the_parser(capsys):
+    import qmarkov.cli as cli
+
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    section = readme.split("## Command line\n", 1)[1].split("\n## ", 1)[0]
+    commands = [shlex.split(line, comments=True) for line in section.splitlines() if line.startswith("qmarkov ")]
+    assert len(commands) >= 7
+    parser = cli.build_parser()
+    for argv in commands:
+        parser.parse_args(argv[1:])  # parse only: a stale flag exits 2 here
+    blocks = section.split("```")
+    table_argv = shlex.split(blocks[1].strip())
+    assert table_argv == ["qmarkov", "spin-matrix", "--s", "1", "--beta-pi", "0.5", "--format", "table"]
+    code, out = run(capsys, *table_argv[1:])
+    assert code == 0
+    assert out == blocks[3].lstrip("\n")
