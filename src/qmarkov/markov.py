@@ -30,6 +30,11 @@ SUM_TOL = 1e-9
 _BLOCK = 1 << 16
 
 
+def _state_dtype(dim: int) -> np.dtype:
+    """The narrowest unsigned dtype that holds every index of dim labels."""
+    return np.min_scalar_type(dim - 1)
+
+
 def _labels(labels) -> tuple:
     """The outcome labels as a tuple, if no label appears twice."""
     labels = tuple(labels)
@@ -114,7 +119,11 @@ class StochasticMatrix:
 
 @dataclass(frozen=True, eq=False)
 class Trajectory:
-    """A realized outcome sequence: states[n] indexes labels; length steps + 1."""
+    """A realized outcome sequence: states[n] indexes labels; length steps + 1.
+
+    States are stored in the narrowest unsigned dtype that holds every
+    label index: one byte per step for up to 256 labels.
+    """
 
     labels: tuple
     states: np.ndarray
@@ -126,7 +135,6 @@ class Trajectory:
         arr = np.asarray(self.states)
         if not np.issubdtype(arr.dtype, np.integer):
             raise InvalidArgumentError("trajectory states must be integer indices")
-        arr = arr.astype(np.int64, copy=False)
         labels = _labels(self.labels)
         if arr.ndim != 1 or arr.size != self.steps + 1:
             raise InvalidArgumentError(
@@ -134,6 +142,7 @@ class Trajectory:
             )
         if arr.size and (arr.min() < 0 or arr.max() >= len(labels)):
             raise InvalidArgumentError("trajectory contains an out-of-range outcome index")
+        arr = arr.astype(_state_dtype(len(labels)), copy=False)
         arr.flags.writeable = False
         object.__setattr__(self, "states", arr)
         object.__setattr__(self, "labels", labels)
@@ -251,7 +260,7 @@ def simulate_chain(P: StochasticMatrix, initial: Distribution, steps: int, rng: 
     if P.labels != initial.labels:
         raise DimensionMismatchError("matrix and initial distribution have different labels")
     check_int("steps", steps, 0)
-    states = np.empty(steps + 1, dtype=np.int64)
+    states = np.empty(steps + 1, dtype=_state_dtype(P.dim))
     states[0] = sample(initial, rng)
     _walk((_cumulative(P.rows),), int(states[0]), states[1:], rng)
     return Trajectory(labels=P.labels, states=states, seed=rng.seed, steps=steps)

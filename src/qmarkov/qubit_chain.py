@@ -219,7 +219,7 @@ def simulate_register(
     ups = (_check_outcome(n, initial_j, "initial_j") + n) // 2
     p = flip_probability(spec.beta)
     labels = spec.labels
-    states = np.empty(steps + 1, dtype=np.int64)
+    states = np.empty(steps + 1, dtype=markov._state_dtype(n + 1))
     states[0] = n - ups  # labels descend, so index = N - ups
     # up_mask[u] selects the u up qubits, bits 0..u-1, of a step's flip word
     up_mask = [(1 << u) - 1 for u in range(n + 1)]

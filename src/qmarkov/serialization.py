@@ -14,7 +14,7 @@ import json
 import numpy as np
 
 from .errors import FormatError, InvalidArgumentError, check_int
-from .markov import _BLOCK, StochasticMatrix, Trajectory, _labels
+from .markov import _BLOCK, StochasticMatrix, Trajectory, _labels, _state_dtype
 from .rng import RNG_ALGORITHM
 
 FORMAT_VERSION = 1
@@ -102,24 +102,26 @@ def write_trajectory(t: Trajectory, stream, config: dict | None = None) -> None:
         header["config"] = config
     stream.write(json.dumps(header))
     stream.write("\n")
-    label_strings = [str(label) for label in t.labels]
+    label_strings = np.array([str(label) for label in t.labels], dtype=object)
     # one step kernel block per join keeps memory flat for long trajectories
     states = t.states
     for start in range(0, states.size, _BLOCK):
-        chunk = states[start : start + _BLOCK]
-        stream.write("\n".join(label_strings[i] for i in chunk))
+        stream.write("\n".join(label_strings.take(states[start : start + _BLOCK]).tolist()))
         stream.write("\n")
 
 
 def trajectory_from_text(text: str) -> tuple[Trajectory, dict]:
-    """Parse a trajectory file; FormatError carries the offending line number."""
-    lines = text.split("\n")
-    if lines and lines[-1] == "":
-        lines.pop()
-    if not lines:
+    """Parse a trajectory file; FormatError carries the offending line number.
+
+    The body is read in slices of about _BLOCK characters, each cut at a
+    newline, so the parse holds one slice's lines at a time besides the
+    text and the states.
+    """
+    if not text:
         raise FormatError("empty trajectory file", line=1)
+    body = text.find("\n") + 1
     try:
-        header = json.loads(lines[0])
+        header = json.loads(text[: body - 1] if body else text)
     except json.JSONDecodeError as exc:
         raise FormatError(f"invalid header JSON: {exc}", line=1) from None
     if not isinstance(header, dict):
@@ -140,17 +142,29 @@ def trajectory_from_text(text: str) -> tuple[Trajectory, dict]:
         raise FormatError("header 'rng' must be a string", line=1)
     if header.get("version") != FORMAT_VERSION:
         raise FormatError(f"unsupported format version {header.get('version')!r}", line=1)
-    index = {label: i for i, label in enumerate(labels)}
-    if len(lines) - 1 != steps + 1:
+    # a final newline ends the last line rather than starting an empty one
+    end = len(text) - text.endswith("\n")
+    line_count = text.count("\n", 0, end) + 1
+    if line_count - 1 != steps + 1:
         raise FormatError(
-            f"expected {steps + 1} outcome lines for {steps} steps, found {len(lines) - 1}",
-            line=len(lines),
+            f"expected {steps + 1} outcome lines for {steps} steps, found {line_count - 1}",
+            line=line_count,
         )
-    states = np.empty(steps + 1, dtype=np.int64)
-    for offset, line in enumerate(lines[1:]):
-        i = index.get(line)
-        if i is None:
-            raise FormatError(f"unknown outcome label {line!r}", line=offset + 2)
-        states[offset] = i
+    index = {label: i for i, label in enumerate(labels)}
+    states = np.empty(steps + 1, dtype=_state_dtype(len(labels)))
+    done = 0
+    # body..end holds exactly steps + 1 lines, so the slices fill states
+    while done < states.size:
+        cut = text.find("\n", body + _BLOCK, end)
+        cut = end if cut < 0 else cut
+        words = text[body:cut].split("\n")
+        codes = list(map(index.get, words))
+        try:
+            states[done : done + len(codes)] = codes
+        except TypeError:
+            bad = codes.index(None)
+            raise FormatError(f"unknown outcome label {words[bad]!r}", line=done + bad + 2) from None
+        done += len(codes)
+        body = cut + 1
     trajectory = Trajectory(labels=labels, states=states, seed=seed, steps=steps)
     return trajectory, header

@@ -28,7 +28,7 @@ from .errors import (
     check_real,
 )
 from .halfint import HalfInt, m_values
-from .markov import Distribution, StochasticMatrix, Trajectory, _cumulative, _walk, sample
+from .markov import Distribution, StochasticMatrix, Trajectory, _cumulative, _state_dtype, _walk, sample
 from .rng import RngState
 from .wigner import EulerAngles, big_D
 
@@ -194,7 +194,7 @@ def simulate_measurements(
     check_int("steps", steps, 0)
     init = initial_distribution(spec, psi)
     overlap = _overlap_squared(spec)
-    states = np.empty(steps + 1, dtype=np.int64)
+    states = np.empty(steps + 1, dtype=_state_dtype(init.dim))
     states[0] = sample(init, rng)
     # odd steps read n from a z basis vector (a row of the overlap), even
     # steps read z from an n basis vector (a column)
@@ -217,4 +217,4 @@ def coin_toss_stream(count: int, rng: RngState) -> np.ndarray:
     psi = QuantumState(np.array([amp, amp], dtype=complex))
     trajectory, _ = simulate_measurements(spec, psi, count - 1, rng)
     # outcome index 0 is m = +1/2
-    return (1 - trajectory.states).astype(np.uint8)
+    return np.subtract(1, trajectory.states, dtype=np.uint8)

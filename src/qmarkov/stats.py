@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatchError, InvalidArgumentError, UndefinedTestError
-from .markov import Distribution, StochasticMatrix, Trajectory, _labels
+from .markov import _BLOCK, Distribution, StochasticMatrix, Trajectory, _labels
 
 # 0.999 quantiles of the chi-square distribution by degrees of freedom,
 # hard-coded so no special-function dependency is needed
@@ -82,11 +82,17 @@ class ChiSquareResult:
 def transition_counts(t: Trajectory) -> TransitionCounts:
     """Exact pairwise step counts of a trajectory."""
     n = len(t.labels)
-    # pair code prev * n + next, built in one int64 array
-    pairs = t.states[:-1] * n
-    pairs += t.states[1:]
-    counts = np.bincount(pairs, minlength=n * n).reshape(n, n)
-    return TransitionCounts(labels=t.labels, counts=counts)
+    states = t.states
+    counts = np.zeros(n * n, dtype=np.int64)
+    # pair codes prev * n + next, one block at a time; each block is
+    # widened to int64 first, since narrow state arithmetic would wrap
+    for start in range(0, states.size - 1, _BLOCK):
+        stop = min(start + _BLOCK, states.size - 1)
+        pairs = states[start:stop].astype(np.int64)
+        pairs *= n
+        pairs += states[start + 1 : stop + 1]
+        counts += np.bincount(pairs, minlength=n * n)
+    return TransitionCounts(labels=t.labels, counts=counts.reshape(n, n))
 
 
 def empirical_matrix(c: TransitionCounts) -> EmpiricalMatrix:

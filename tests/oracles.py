@@ -4,15 +4,20 @@ Everything here deliberately avoids the code paths under test: rotation
 matrices come from an eigendecomposition of the angular momentum
 operator rather than a closed-form sum, and register transition
 probabilities come from enumerating every flip pattern of every qubit.
-Slow is fine; different is the point.
+The trajectory parser splits the whole file into lines and looks each
+label up on its own.  Slow is fine; different is the point.
 """
 
 import itertools
+import json
 import math
 
 import numpy as np
 
+from qmarkov.errors import FormatError, InvalidArgumentError, check_int
 from qmarkov.halfint import HalfInt
+from qmarkov.markov import Trajectory, _labels
+from qmarkov.serialization import FORMAT_VERSION
 
 
 def sy_matrix(twice_s: int) -> np.ndarray:
@@ -62,3 +67,48 @@ def enumerate_q(n_qubits: int, beta: float, j: HalfInt, j_prime: HalfInt) -> flo
         if 2 * ups_after - n_qubits == j_prime.twice:
             total += weight
     return total
+
+
+def oracle_trajectory_from_text(text: str) -> tuple[Trajectory, dict]:
+    """Parse a trajectory file one whole-file line list at a time."""
+    lines = text.split("\n")
+    if lines and lines[-1] == "":
+        lines.pop()
+    if not lines:
+        raise FormatError("empty trajectory file", line=1)
+    try:
+        header = json.loads(lines[0])
+    except json.JSONDecodeError as exc:
+        raise FormatError(f"invalid header JSON: {exc}", line=1) from None
+    if not isinstance(header, dict):
+        raise FormatError("header must be a JSON object", line=1)
+    labels = header.get("labels")
+    seed = header.get("seed")
+    steps = header.get("steps")
+    rng_name = header.get("rng")
+    if not isinstance(labels, list) or not labels or not all(isinstance(x, str) for x in labels):
+        raise FormatError("header 'labels' must be a non-empty list of strings", line=1)
+    try:
+        labels = _labels(labels)
+        check_int("header 'seed'", seed, 0)
+        check_int("header 'steps'", steps, 0)
+    except InvalidArgumentError as exc:
+        raise FormatError(str(exc), line=1) from None
+    if not isinstance(rng_name, str):
+        raise FormatError("header 'rng' must be a string", line=1)
+    if header.get("version") != FORMAT_VERSION:
+        raise FormatError(f"unsupported format version {header.get('version')!r}", line=1)
+    index = {label: i for i, label in enumerate(labels)}
+    if len(lines) - 1 != steps + 1:
+        raise FormatError(
+            f"expected {steps + 1} outcome lines for {steps} steps, found {len(lines) - 1}",
+            line=len(lines),
+        )
+    states = np.empty(steps + 1, dtype=np.int64)
+    for offset, line in enumerate(lines[1:]):
+        i = index.get(line)
+        if i is None:
+            raise FormatError(f"unknown outcome label {line!r}", line=offset + 2)
+        states[offset] = i
+    trajectory = Trajectory(labels=labels, states=states, seed=seed, steps=steps)
+    return trajectory, header

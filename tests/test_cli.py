@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qmarkov import HalfInt, RngState, coin_toss_stream, stationary, trajectory_from_text
+from qmarkov import HalfInt, RngState, coin_toss_stream, simulate_register, stationary, trajectory_from_text
 from qmarkov.cli import main
 
 
@@ -177,6 +177,21 @@ def test_qubit_register_above_the_cap_fails_before_simulating(capsys, monkeypatc
     assert code == 2
 
 
+def test_qubit_draws_at_the_cap_reach_the_simulator(capsys, monkeypatch):
+    import qmarkov.cli as cli
+
+    calls = []
+
+    def record(spec, initial_j, steps, rng):
+        calls.append((spec.n_qubits, steps))
+        return simulate_register(spec, initial_j, 0, rng)
+
+    monkeypatch.setattr(cli, "simulate_register", record)
+    code, _ = run(capsys, "simulate", "--kind", "qubit", "--n", "64", "--beta", "1.0", "--steps", str(10**8 // 64))
+    assert code == 0
+    assert calls == [(64, 10**8 // 64)]
+
+
 def test_unwritable_out_fails_before_the_first_draw(capsys, monkeypatch, tmp_path):
     import qmarkov.cli as cli
 
@@ -221,6 +236,7 @@ def test_unwritable_out_fails_before_the_work(capsys, monkeypatch, tmp_path, arg
         ("stationary", "--kind", "spin", "--s", "1/3", "--beta", "0.9"),
         ("spin-matrix", "--s", "1/3", "--beta", "1"),
         ("qubit-matrix", "--n", "65", "--beta", "1"),
+        ("simulate", "--kind", "qubit", "--n", "64", "--beta", "1", "--steps", str(10**8 // 64 + 1)),
         ("simulate", "--kind", "qubit", "--n", "2", "--beta", "1", "--steps", "5", "--initial", "7"),
         ("simulate", "--kind", "qubit", "--n", "2", "--beta", "1", "--steps", "5", "--initial", "1/2"),
         ("simulate", "--kind", "spin", "--s", "1", "--beta", "1", "--steps", "5", "--initial", "1/2"),

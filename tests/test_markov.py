@@ -105,6 +105,22 @@ def test_simulate_chain_shape_and_determinism():
     assert empty.states.shape == (1,)
 
 
+def test_states_take_the_narrowest_unsigned_dtype():
+    spin, _ = simulate_measurements(SpinChainSpec(s=HalfInt(2), beta=1.0), QuantumState(np.eye(3)[0]), 50, RngState(1))
+    register = simulate_register(QubitChainSpec(n_qubits=8, beta=1.0), HalfInt(8), 50, RngState(1))
+    assert spin.states.dtype == register.states.dtype == np.uint8
+    for dim, dtype in ((9, np.uint8), (256, np.uint8), (257, np.uint16), (300, np.uint16)):
+        rows = np.random.default_rng(dim).random((dim, dim))
+        P = StochasticMatrix(labels=tuple(range(dim)), rows=rows / rows.sum(axis=1, keepdims=True))
+        start = Distribution(P.labels, np.full(dim, 1.0 / dim))
+        t = simulate_chain(P, start, 2000, RngState(dim))
+        assert t.states.dtype == dtype
+        assert t.states.max() < dim
+        # the constructor narrows indices given in any integer dtype
+        assert Trajectory(P.labels, t.states.astype(np.int64), 0, 2000).states.dtype == dtype
+    assert t.states.max() > 255  # the 300-label run needs the second byte
+
+
 def test_simulate_chain_requires_matching_labels():
     start = Distribution(labels=("x", "y"), probs=np.array([1.0, 0.0]))
     with pytest.raises(DimensionMismatchError):

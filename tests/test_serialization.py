@@ -1,27 +1,34 @@
 import io
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from qmarkov import (
     FORMAT_VERSION,
+    Distribution,
     FormatError,
     HalfInt,
     RngState,
     SpinChainSpec,
+    StochasticMatrix,
     Trajectory,
     matrix_from_json,
     matrix_to_csv,
     matrix_to_json,
     matrix_to_table,
+    serialization,
+    simulate_chain,
     simulate_measurements,
     spin_transition_matrix,
     trajectory_from_text,
     write_trajectory,
 )
 from qmarkov.spin_chain import QuantumState
+
+from oracles import oracle_trajectory_from_text
 
 
 def spin_matrix():
@@ -127,6 +134,14 @@ def test_trajectory_round_trip():
     assert header["rng"] == "pcg64"
     assert header["config"] == {"note": 1}
     assert trajectory_text(t, config={"note": 1}) == text
+    # 300 labels take two bytes per state; the top labels must come back unwrapped
+    rows = np.random.default_rng(3).random((300, 300))
+    P = StochasticMatrix(labels=tuple(f"x{i}" for i in range(300)), rows=rows / rows.sum(axis=1, keepdims=True))
+    wide = simulate_chain(P, Distribution(P.labels, np.full(300, 1 / 300)), 3000, RngState(8))
+    parsed, _ = trajectory_from_text(trajectory_text(wide))
+    assert parsed.states.dtype == np.uint16
+    assert parsed.states.max() > 255
+    assert np.array_equal(parsed.states, wide.states)
 
 
 def test_trajectory_file_layout():
@@ -192,3 +207,69 @@ def test_long_trajectory_round_trip():
     t = make_trajectory(steps=5000, seed=11)
     parsed, _ = trajectory_from_text(trajectory_text(t))
     assert np.array_equal(parsed.states, t.states)
+
+
+def parse_outcome(parse, text):
+    """Everything a parse gives back, or the FormatError's message and line."""
+    try:
+        t, header = parse(text)
+    except FormatError as exc:
+        return ("error", str(exc), exc.line)
+    return ("ok", t.labels, t.seed, t.steps, t.states.tolist(), header)
+
+
+def first_cut(text, block):
+    """0-based body lines on each side of the parser's first slice cut."""
+    body = text.find("\n") + 1
+    cut = text.find("\n", body + block)
+    assert cut > 0, "the text is too short to be cut"
+    last = text.count("\n", body, cut)
+    return last, last + 1
+
+
+def parser_corpus(block):
+    cases = {"empty": ""}
+    for steps in (0, 1, 1000):
+        text = trajectory_text(make_trajectory(steps=steps, seed=steps + 1), config={"steps": steps})
+        cases[f"{steps} steps"] = text
+        cases[f"{steps} steps, no final newline"] = text[:-1]
+    # long enough for a cut at the default block as well
+    text = trajectory_text(make_trajectory(steps=30_000, seed=2))
+    header, *body = text.splitlines()
+    join = lambda lines: "\n".join([header, *lines]) + "\n"  # noqa: E731
+    for where in (0, len(body) - 1, *first_cut(text, block)):
+        cases[f"unknown label at body line {where}"] = join(body[:where] + ["zz"] + body[where + 1 :])
+    middle = len(body) // 2
+    cases["blank line added in the middle"] = join(body[:middle] + [""] + body[middle:])
+    cases["blank line in place of a label"] = join(body[:middle] + [""] + body[middle + 1 :])
+    cases["two newlines at the end"] = text + "\n"
+    cases["CRLF endings"] = text.replace("\n", "\r\n")
+    cases["one line too few"] = join(body[:-1])
+    cases["one line too many"] = join(body + [body[0]])
+    cases["header only"] = header + "\n"
+    cases["header only, no final newline"] = header
+    return cases
+
+
+@pytest.mark.parametrize("block", [None, 7], ids=["default-block", "block-7"])
+def test_trajectory_parser_matches_the_oracle(block, monkeypatch):
+    if block is not None:
+        monkeypatch.setattr(serialization, "_BLOCK", block)
+    for name, text in parser_corpus(serialization._BLOCK).items():
+        expected = parse_outcome(oracle_trajectory_from_text, text)
+        assert parse_outcome(trajectory_from_text, text) == expected, name
+
+
+def test_trajectory_parse_allocates_at_most_8_bytes_per_line():
+    steps = 10**6
+    states = np.random.default_rng(6).integers(0, 3, steps + 1)
+    text = trajectory_text(Trajectory(labels=("1", "0", "-1"), states=states, seed=0, steps=steps))
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        trajectory_from_text(text)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak / (steps + 1) <= 8.0

@@ -221,3 +221,16 @@ def test_simulation_allocates_at_most_16_bytes_per_step(dim):
     finally:
         tracemalloc.stop()
     assert peak / steps <= 16.0
+
+
+def test_coin_toss_allocates_at_most_8_bytes_per_bit():
+    count = 10**6
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        coin_toss_stream(count, RngState(11))
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak / count <= 8.0

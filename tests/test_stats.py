@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from qmarkov import (
     per_row_tv,
     simulate_measurements,
     spin_transition_matrix,
+    stats,
     transition_counts,
 )
 from qmarkov.spin_chain import QuantumState
@@ -42,16 +44,35 @@ def test_transition_counts_single_state_trajectory():
     assert c.counts.sum() == 0
 
 
-@pytest.mark.parametrize("dim", [1, 2, 3, 9])
+# dim 300 stores states as uint16, where prev * dim would wrap unwidened
+@pytest.mark.parametrize("dim", [1, 2, 3, 9, 300])
 @pytest.mark.parametrize("steps", [0, 1, 2, 500])
-def test_transition_counts_match_a_plain_loop(dim, steps):
+def test_transition_counts_match_a_plain_loop(dim, steps, monkeypatch):
     states = np.random.default_rng(dim * 1000 + steps).integers(0, dim, steps + 1)
     expected = [[0] * dim for _ in range(dim)]
     for prev, nxt in zip(states[:-1].tolist(), states[1:].tolist()):
         expected[prev][nxt] += 1
-    c = transition_counts(make_trajectory(states, labels=tuple(range(dim))))
+    t = make_trajectory(states, labels=tuple(range(dim)))
+    c = transition_counts(t)
     assert c.counts.dtype == np.int64
     assert c.counts.tolist() == expected
+    # a block of 7 pairs puts many block seams inside the trajectory
+    monkeypatch.setattr(stats, "_BLOCK", 7)
+    assert transition_counts(t).counts.tolist() == expected
+
+
+def test_transition_counts_allocate_at_most_2_bytes_per_step():
+    steps = 10**6
+    t = make_trajectory(np.random.default_rng(5).integers(0, 51, steps + 1), labels=tuple(range(51)))
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        transition_counts(t)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak / steps <= 2.0
 
 
 def test_empirical_matrix_normalizes_rows():
