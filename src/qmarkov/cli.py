@@ -8,8 +8,10 @@ nothing that varies between runs: the seed comes from --seed alone
 (default 0).  Every input is checked before an --out file is opened, so
 a rejected command leaves an existing file as it was.
 
-Exit codes: 0 success, 2 usage or input error, 3 convergence failure,
-4 verification failure.
+Exit codes: 0 success, 2 usage or input error, 3 convergence failure
+(from stationary only), 4 verification failure.  Every input error,
+malformed files included, is an InvalidArgumentError or an OSError, and
+main turns each into one "error:" line on stderr and exit 2.
 """
 
 import argparse
@@ -23,7 +25,6 @@ import numpy as np
 
 from .errors import (
     ConvergenceError,
-    FormatError,
     InternalConsistencyError,
     InvalidArgumentError,
     UndefinedTestError,
@@ -115,7 +116,11 @@ def _chain(args) -> tuple:
         return qubit_transition_matrix(spec), source, spec
     if args.file is None:
         raise InvalidArgumentError("--kind matrix-file requires --file")
-    matrix, _meta = matrix_from_json(Path(args.file).read_text())
+    try:
+        text = Path(args.file).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise InvalidArgumentError(f"{args.file}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
+    matrix, _meta = matrix_from_json(text)
     return matrix, {"kind": "matrix-file", "file": str(args.file)}, None
 
 
@@ -476,16 +481,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except FormatError as exc:
-        where = f" (line {exc.line})" if exc.line is not None else ""
-        print(f"error: {exc}{where}", file=sys.stderr)
-        return EXIT_USAGE
     except (InvalidArgumentError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except ConvergenceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONVERGENCE
 
 
 if __name__ == "__main__":

@@ -3,8 +3,9 @@
 Validation never silently repairs data: a distribution that does not sum
 to one, a matrix row that is not stochastic, or an out-of-range quantum
 number is reported through one of these exceptions instead of being
-normalized away.  Every bad argument raises an InvalidArgumentError or
-one of its subclasses, so one except clause turns all of them away.
+normalized away.  Every bad argument, and every malformed file, raises
+an InvalidArgumentError or one of its subclasses (FormatError among
+them), so one except clause turns all of them away.
 
 Integer and real-number arguments are checked by check_int and
 check_real, the only implementations of those rules: a bool is never a
@@ -60,14 +61,15 @@ class UndefinedTestError(QmarkovError):
     """A statistical test has no valid cells left after pooling."""
 
 
-class FormatError(QmarkovError):
+class FormatError(InvalidArgumentError):
     """A serialized artifact violates its file format.
 
-    ``line`` is the 1-based offending line number when known.
+    ``line`` is the 1-based offending line number when known; the
+    message then ends with " (line N)".
     """
 
     def __init__(self, message, line=None):
-        super().__init__(message)
+        super().__init__(message if line is None else f"{message} (line {line})")
         self.line = line
 
 

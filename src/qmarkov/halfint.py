@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 from .errors import InvalidArgumentError, check_int
 
-_HALF_INT_RE = re.compile(r"([+-]?\d+)(/2)?")
+_HALF_INT_RE = re.compile(r"([+-]?[0-9]+)(/2)?")
 
 
 @dataclass(frozen=True)
@@ -27,14 +27,18 @@ class HalfInt:
     def parse(cls, text: str) -> "HalfInt":
         """Parse an exact string form: "2", "-1", "1/2", "-3/2".
 
-        No inner whitespace; the only accepted denominator is a literal 2.
+        ASCII digits only, no inner whitespace; the only accepted
+        denominator is a literal 2.
         """
         match = _HALF_INT_RE.fullmatch(text.strip())
         if match is None:
             raise InvalidArgumentError(
                 f"not a half-integer string: {text!r} (expected e.g. '2', '1/2', '-3/2')"
             )
-        value = int(match.group(1))
+        try:
+            value = int(match.group(1))
+        except ValueError:  # more digits than Python converts
+            raise InvalidArgumentError(f"half-integer string too long: {len(text)} characters") from None
         return cls(value if match.group(2) else 2 * value)
 
     def as_float(self) -> float:
@@ -47,9 +51,6 @@ class HalfInt:
 
     def __repr__(self) -> str:
         return f"HalfInt({self.twice})"
-
-    def __neg__(self) -> "HalfInt":
-        return HalfInt(-self.twice)
 
 
 def m_values(s: HalfInt) -> tuple[HalfInt, ...]:

@@ -255,15 +255,20 @@ def sample(dist: Distribution, rng: RngState) -> int:
     return bisect_right(_cumulative([dist.probs])[0], rng.random())
 
 
+def _realize(initial: Distribution, rows: tuple, steps: int, rng: RngState) -> Trajectory:
+    """steps transitions from a start drawn from initial; step k walks rows[(k - 1) % len(rows)]."""
+    check_int("steps", steps, 0)
+    states = np.empty(steps + 1, dtype=_state_dtype(initial.dim))
+    states[0] = sample(initial, rng)
+    _walk(tuple(map(_cumulative, rows)), int(states[0]), states[1:], rng)
+    return Trajectory(labels=initial.labels, states=states, seed=rng.seed, steps=steps)
+
+
 def simulate_chain(P: StochasticMatrix, initial: Distribution, steps: int, rng: RngState) -> Trajectory:
     """Realize steps transitions of the chain; states[0] is drawn from initial."""
     if P.labels != initial.labels:
         raise DimensionMismatchError("matrix and initial distribution have different labels")
-    check_int("steps", steps, 0)
-    states = np.empty(steps + 1, dtype=_state_dtype(P.dim))
-    states[0] = sample(initial, rng)
-    _walk((_cumulative(P.rows),), int(states[0]), states[1:], rng)
-    return Trajectory(labels=P.labels, states=states, seed=rng.seed, steps=steps)
+    return _realize(initial, (P.rows,), steps, rng)
 
 
 def _check_tol(tol) -> None:

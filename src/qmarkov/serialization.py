@@ -41,8 +41,10 @@ def matrix_from_json(text: str) -> tuple[StochasticMatrix, dict]:
     """
     try:
         payload = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"invalid JSON: {exc}", line=exc.lineno) from None
+    except (ValueError, RecursionError) as exc:
+        # a ValueError is a JSONDecodeError, with a line, or an integer
+        # past Python's digit limit; a RecursionError is nesting too deep
+        raise FormatError(f"invalid JSON: {exc}", line=getattr(exc, "lineno", None)) from None
     if not isinstance(payload, dict):
         raise FormatError("expected a JSON object at top level")
     version = payload.get("version")
@@ -65,7 +67,11 @@ def matrix_from_json(text: str) -> tuple[StochasticMatrix, dict]:
     params = payload.get("params", {})
     if not isinstance(params, dict):
         raise FormatError("'params' must be an object")
-    matrix = StochasticMatrix(labels=tuple(labels), rows=np.array(rows, dtype=float))
+    try:
+        rows = np.array(rows, dtype=float)
+    except OverflowError:
+        raise FormatError("'rows' entries must fit in a double") from None
+    matrix = StochasticMatrix(labels=tuple(labels), rows=rows)
     return matrix, {"kind": kind, "params": params, "version": version}
 
 
@@ -122,7 +128,7 @@ def trajectory_from_text(text: str) -> tuple[Trajectory, dict]:
     body = text.find("\n") + 1
     try:
         header = json.loads(text[: body - 1] if body else text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
         raise FormatError(f"invalid header JSON: {exc}", line=1) from None
     if not isinstance(header, dict):
         raise FormatError("header must be a JSON object", line=1)

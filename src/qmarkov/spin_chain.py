@@ -28,7 +28,7 @@ from .errors import (
     check_real,
 )
 from .halfint import HalfInt, m_values
-from .markov import Distribution, StochasticMatrix, Trajectory, _cumulative, _state_dtype, _walk, sample
+from .markov import Distribution, StochasticMatrix, Trajectory, _realize
 from .rng import RngState
 from .wigner import EulerAngles, big_D
 
@@ -191,15 +191,11 @@ def simulate_measurements(
     The records are a lazy view derived from the trajectory, so the
     simulation stores one integer per step and nothing else.
     """
-    check_int("steps", steps, 0)
     init = initial_distribution(spec, psi)
     overlap = _overlap_squared(spec)
-    states = np.empty(steps + 1, dtype=_state_dtype(init.dim))
-    states[0] = sample(init, rng)
     # odd steps read n from a z basis vector (a row of the overlap), even
     # steps read z from an n basis vector (a column)
-    _walk((_cumulative(overlap), _cumulative(overlap.T)), int(states[0]), states[1:], rng)
-    trajectory = Trajectory(labels=spec.labels, states=states, seed=rng.seed, steps=steps)
+    trajectory = _realize(init, (overlap, overlap.T), steps, rng)
     return trajectory, MeasurementRecords(trajectory)
 
 

@@ -78,7 +78,7 @@ def oracle_trajectory_from_text(text: str) -> tuple[Trajectory, dict]:
         raise FormatError("empty trajectory file", line=1)
     try:
         header = json.loads(lines[0])
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
         raise FormatError(f"invalid header JSON: {exc}", line=1) from None
     if not isinstance(header, dict):
         raise FormatError("header must be a JSON object", line=1)

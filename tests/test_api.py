@@ -6,7 +6,7 @@ import qmarkov
 REMOVED = ("check_magnetic_number", "evolve", "validate_distribution", "total_variation", "trajectory_to_text")
 REMOVED_MEMBERS = (
     (qmarkov.RngState, ("spawn", "stream")),
-    (qmarkov.HalfInt, ("from_int", "is_integer", "__add__", "__sub__", "__lt__")),
+    (qmarkov.HalfInt, ("from_int", "is_integer", "__add__", "__sub__", "__lt__", "__neg__")),
     (qmarkov.StochasticMatrix, ("row_distribution",)),
     (qmarkov.Trajectory, ("outcomes",)),
     (qmarkov.SmallDMatrix, ("labels", "dim")),

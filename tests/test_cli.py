@@ -222,6 +222,33 @@ def test_unwritable_out_fails_before_the_work(capsys, monkeypatch, tmp_path, arg
     assert unwritable in assert_one_error_line(capsys)
 
 
+# matrix files past the parser's limits (not UTF-8, nesting, integer
+# digits, double range); an argv entry "@name" stands for the path of a
+# file holding BAD_MATRIX_FILES[name]
+_TWO_STATES = json.dumps({"kind": "generic", "labels": ["a", "b"], "rows": [[0.5, 0.5], [0.5, 0.5]],
+                          "params": {}, "version": 1})
+BAD_MATRIX_FILES = {
+    "non-utf-8": _TWO_STATES.encode().replace(b"generic", b"gen\xffric"),
+    "nested": b"[" * 10**5 + b"]" * 10**5,
+    "digits": _TWO_STATES.replace("0.5,", "1" + "0" * 5000 + ",", 1).encode(),
+    "overflow": _TWO_STATES.replace("0.5,", "1" + "0" * 400 + ",", 1).encode(),
+}
+LONG_DIGITS = "1" * 5000
+
+
+def _short(arg: str) -> str:
+    return arg if len(arg) <= 40 else f"<{len(arg)} digits>"
+
+
+def _file_arg(tmp_path, arg: str) -> str:
+    """arg, or for "@name" the path of a new file holding BAD_MATRIX_FILES[name]."""
+    if not arg.startswith("@"):
+        return arg
+    path = tmp_path / f"{arg[1:]}.json"
+    path.write_bytes(BAD_MATRIX_FILES[arg[1:]])
+    return str(path)
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -240,14 +267,23 @@ def test_unwritable_out_fails_before_the_work(capsys, monkeypatch, tmp_path, arg
         ("simulate", "--kind", "qubit", "--n", "2", "--beta", "1", "--steps", "5", "--initial", "7"),
         ("simulate", "--kind", "qubit", "--n", "2", "--beta", "1", "--steps", "5", "--initial", "1/2"),
         ("simulate", "--kind", "spin", "--s", "1", "--beta", "1", "--steps", "5", "--initial", "1/2"),
+        ("simulate", "--kind", "spin", "--s", "1", "--beta", "1", "--steps", "5", "--initial", LONG_DIGITS),
+        ("simulate", "--kind", "spin", "--s", LONG_DIGITS, "--beta", "1", "--steps", "5"),
+        ("simulate", "--kind", "spin", "--s", "\u0663/2", "--beta", "1", "--steps", "5"),
+        ("spin-matrix", "--s", LONG_DIGITS, "--beta", "1"),
+        *(("simulate", "--kind", "matrix-file", "--file", f"@{name}", "--steps", "3") for name in BAD_MATRIX_FILES),
+        ("stationary", "--kind", "matrix-file", "--file", "@nested"),
     ],
-    ids=lambda argv: " ".join(argv),
+    ids=lambda argv: " ".join(map(_short, argv)),
 )
 def test_rejected_input_leaves_the_out_file_alone(capsys, monkeypatch, tmp_path, argv):
     import qmarkov.cli as cli
 
-    for work in ("coin_toss_stream", "simulate_measurements", "simulate_register", "q_formula", "stationary"):
+    work_names = ("coin_toss_stream", "simulate_measurements", "simulate_chain", "simulate_register", "q_formula",
+                  "stationary")
+    for work in work_names:
         monkeypatch.setattr(cli, work, never(work))
+    argv = [_file_arg(tmp_path, arg) for arg in argv]
     out = tmp_path / "out.json"
     out.write_text("kept\n")
     assert main([*argv, "--out", str(out)]) == 2

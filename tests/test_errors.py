@@ -9,6 +9,7 @@ from qmarkov import (
     DimensionMismatchError,
     Distribution,
     EulerAngles,
+    FormatError,
     HalfInt,
     InvalidArgumentError,
     InvalidDistributionError,
@@ -34,7 +35,7 @@ HALF = HalfInt(1)
 
 
 def test_every_input_error_is_an_invalid_argument():
-    for cls in (RangeLimitError, InvalidDistributionError, InvalidStateError, DimensionMismatchError):
+    for cls in (RangeLimitError, InvalidDistributionError, InvalidStateError, DimensionMismatchError, FormatError):
         assert issubclass(cls, InvalidArgumentError)
 
 

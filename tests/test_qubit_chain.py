@@ -120,7 +120,8 @@ def test_negating_both_outcomes_preserves_q():
         spec = QubitChainSpec(n_qubits=n, beta=1.1)
         for j in spec.labels:
             for j_prime in spec.labels:
-                assert abs(q_formula(spec, j, j_prime) - q_formula(spec, -j, -j_prime)) < 1e-12
+                negated = q_formula(spec, HalfInt(-j.twice), HalfInt(-j_prime.twice))
+                assert abs(q_formula(spec, j, j_prime) - negated) < 1e-12
 
 
 def test_stretched_row_is_binomial():

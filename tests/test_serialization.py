@@ -84,6 +84,34 @@ def test_matrix_json_rejects_garbage():
         matrix_from_json("[1, 2, 3]")
 
 
+# texts past the parser's limits: nesting deeper than the recursion
+# limit, an integer past Python's digit limit, an integer past a double
+TOO_DEEP = "[" * 10**5 + "]" * 10**5
+TOO_MANY_DIGITS = "1" * 5000
+TOO_LARGE = "1" + "0" * 400
+TWO_STATES = '{"kind": "generic", "labels": ["a", "b"], "rows": [[0.5, 0.5], [0.5, 0.5]], "params": {}, "version": 1}'
+
+
+@pytest.mark.parametrize(
+    "text",
+    [TOO_DEEP, TWO_STATES.replace("0.5", TOO_MANY_DIGITS, 1), TWO_STATES.replace("0.5", TOO_LARGE, 1)],
+    ids=["nesting", "digits", "overflow"],
+)
+def test_matrix_json_past_the_parser_limits(text):
+    with pytest.raises(FormatError):
+        matrix_from_json(text)
+
+
+def test_trajectory_header_past_the_parser_limits():
+    t = Trajectory(labels=("a", "b"), states=np.array([0, 1]), seed=7, steps=1)
+    header, *body = trajectory_text(t).splitlines()
+    assert '"seed": 7' in header
+    for bad in (TOO_DEEP, header.replace('"seed": 7', f'"seed": {TOO_MANY_DIGITS}')):
+        with pytest.raises(FormatError) as info:
+            trajectory_from_text("\n".join([bad, *body]) + "\n")
+        assert info.value.line == 1
+
+
 def test_matrix_json_rejects_non_stochastic_rows():
     from qmarkov import InvalidDistributionError
 
