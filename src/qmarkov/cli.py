@@ -15,6 +15,7 @@ main turns each into one "error:" line on stderr and exit 2.
 """
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -403,7 +404,14 @@ def _add_source(parser) -> None:
     _add_beta(parser, required=False)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The qmarkov argument parser, built on the first call and shared after it.
+
+    parse_args keeps no state between calls (each returns a new
+    namespace), so repeated main calls in one process reuse it; it is
+    not built at import, which keeps importing the module cheap.
+    """
     parser = argparse.ArgumentParser(
         prog="qmarkov",
         description="Markov chains induced by alternating quantum measurements.",
@@ -477,8 +485,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (InvalidArgumentError, OSError) as exc:

@@ -15,6 +15,7 @@ simulator.  Tests close the loops between them and against the
 spin-1/2 chain at N = 1.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -97,6 +98,26 @@ def _branch_sum(start_count: int, other_count: int, delta: int, cpow: list, spow
     return total
 
 
+@functools.lru_cache(maxsize=64)
+def _power_tables(n: int, beta: float) -> tuple:
+    """(cos^2(beta/2)^k, sin^2(beta/2)^k for k = 0..n) as two tuples.
+
+    Cached because a matrix's worth of q_formula calls shares one
+    (n, beta); 0.0 and -0.0 share an entry, which is sound since only
+    the squares enter the tables.
+    """
+    ch = math.cos(beta / 2.0)
+    sh = math.sin(beta / 2.0)
+    cc = ch * ch
+    ss = sh * sh
+    cpow = [1.0]
+    spow = [1.0]
+    for _ in range(n):
+        cpow.append(cpow[-1] * cc)
+        spow.append(spow[-1] * ss)
+    return tuple(cpow), tuple(spow)
+
+
 def q_formula(spec: QubitChainSpec, j: HalfInt, j_prime: HalfInt) -> float:
     """Closed-form transition probability from outcome j to j'.
 
@@ -107,15 +128,7 @@ def q_formula(spec: QubitChainSpec, j: HalfInt, j_prime: HalfInt) -> float:
     n = _check_formula_range(spec)
     tj = _check_outcome(n, j, "j")
     tjp = _check_outcome(n, j_prime, "j_prime")
-    ch = math.cos(spec.beta / 2.0)
-    sh = math.sin(spec.beta / 2.0)
-    cc = ch * ch
-    ss = sh * sh
-    cpow = [1.0]
-    spow = [1.0]
-    for _ in range(n):
-        cpow.append(cpow[-1] * cc)
-        spow.append(spow[-1] * ss)
+    cpow, spow = _power_tables(n, spec.beta)
     ups = (n + tj) // 2
     downs = n - ups
     if tj > tjp:
@@ -147,17 +160,20 @@ def qubit_transition_matrix(spec: QubitChainSpec) -> StochasticMatrix:
     # then equal the spin-1/2 rows bit for bit
     stay_pow = np.cumprod([1.0] + [ch * ch] * n)
     flip_pow = np.cumprod([1.0] + [sh * sh] * n)
+    # Pascal's triangle, row m = C(m, 0..m), exact in int64 because
+    # C(64, 32) < 2^63 at N_MAX_FORMULA; each float is float(math.comb(m, k))
+    binom = np.zeros((n + 1, n + 1), dtype=np.int64)
+    binom[:, 0] = 1
+    for m in range(1, n + 1):
+        binom[m, 1:] = binom[m - 1, 1:] + binom[m - 1, :-1]
+    binom = binom.astype(float)
     rows = np.empty((n + 1, n + 1))
     for ups in range(n + 1):
         downs = n - ups
-        stay_up = _binomial_coefficients(ups) * stay_pow[: ups + 1] * flip_pow[ups::-1]
-        flip_up = _binomial_coefficients(downs) * flip_pow[: downs + 1] * stay_pow[downs::-1]
+        stay_up = binom[ups, : ups + 1] * stay_pow[: ups + 1] * flip_pow[ups::-1]
+        flip_up = binom[downs, : downs + 1] * flip_pow[: downs + 1] * stay_pow[downs::-1]
         rows[downs] = np.convolve(stay_up, flip_up)[::-1]
     return StochasticMatrix(labels=spec.labels, rows=rows)
-
-
-def _binomial_coefficients(n: int) -> np.ndarray:
-    return np.array([math.comb(n, k) for k in range(n + 1)], dtype=float)
 
 
 def _flip_words(flips: np.ndarray) -> list:

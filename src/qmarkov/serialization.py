@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import FormatError, InvalidArgumentError, check_int
 from .markov import _BLOCK, StochasticMatrix, Trajectory, _labels, _state_dtype
-from .rng import RNG_ALGORITHM
+from .rng import _SEED_MAX, RNG_ALGORITHM
 
 FORMAT_VERSION = 1
 
@@ -25,7 +25,7 @@ def matrix_to_json(m: StochasticMatrix, kind: str = "generic", params: dict | No
     payload = {
         "kind": kind,
         "labels": [str(label) for label in m.labels],
-        "rows": [[float(x) for x in row] for row in m.rows],
+        "rows": m.rows.tolist(),
         "params": dict(params or {}),
         "version": FORMAT_VERSION,
     }
@@ -78,8 +78,8 @@ def matrix_from_json(text: str) -> tuple[StochasticMatrix, dict]:
 def matrix_to_csv(m: StochasticMatrix) -> str:
     """Label header row, then one row of full-precision entries per line."""
     lines = [",".join(str(label) for label in m.labels)]
-    for row in m.rows:
-        lines.append(",".join(repr(float(x)) for x in row))
+    for row in m.rows.tolist():
+        lines.append(",".join(map(repr, row)))
     return "\n".join(lines) + "\n"
 
 
@@ -140,7 +140,8 @@ def trajectory_from_text(text: str) -> tuple[Trajectory, dict]:
         raise FormatError("header 'labels' must be a non-empty list of strings", line=1)
     try:
         labels = _labels(labels)
-        check_int("header 'seed'", seed, 0)
+        if check_int("header 'seed'", seed, 0) > _SEED_MAX:
+            raise InvalidArgumentError(f"header 'seed' must fit in 64 bits, got {seed}")
         check_int("header 'steps'", steps, 0)
     except InvalidArgumentError as exc:
         raise FormatError(str(exc), line=1) from None

@@ -4,6 +4,9 @@ Everything here deliberately avoids the code paths under test: rotation
 matrices come from an eigendecomposition of the angular momentum
 operator rather than a closed-form sum, and register transition
 probabilities come from enumerating every flip pattern of every qubit.
+The register matrix oracle is the exception: it repeats the builder's
+float arithmetic with binomials from math.comb, to pin the builder's
+output bit for bit.
 The trajectory parser splits the whole file into lines and looks each
 label up on its own.  Slow is fine; different is the point.
 """
@@ -69,6 +72,29 @@ def enumerate_q(n_qubits: int, beta: float, j: HalfInt, j_prime: HalfInt) -> flo
     return total
 
 
+def oracle_register_matrix(n_qubits: int, beta: float) -> np.ndarray:
+    """The register matrix built row by row from math.comb binomial lists.
+
+    The builder's arithmetic in the builder's order, with each binomial
+    row a fresh list of math.comb values converted to float, so the two
+    must agree bit for bit whatever table the builder takes them from.
+    """
+    n = n_qubits
+    ch = math.cos(beta / 2.0)
+    sh = math.sin(beta / 2.0)
+    stay_pow = np.cumprod([1.0] + [ch * ch] * n)
+    flip_pow = np.cumprod([1.0] + [sh * sh] * n)
+    rows = np.empty((n + 1, n + 1))
+    for ups in range(n + 1):
+        downs = n - ups
+        comb_ups = np.array([math.comb(ups, k) for k in range(ups + 1)], dtype=float)
+        comb_downs = np.array([math.comb(downs, k) for k in range(downs + 1)], dtype=float)
+        stay_up = comb_ups * stay_pow[: ups + 1] * flip_pow[ups::-1]
+        flip_up = comb_downs * flip_pow[: downs + 1] * stay_pow[downs::-1]
+        rows[downs] = np.convolve(stay_up, flip_up)[::-1]
+    return rows
+
+
 def oracle_trajectory_from_text(text: str) -> tuple[Trajectory, dict]:
     """Parse a trajectory file one whole-file line list at a time."""
     lines = text.split("\n")
@@ -94,6 +120,8 @@ def oracle_trajectory_from_text(text: str) -> tuple[Trajectory, dict]:
         check_int("header 'steps'", steps, 0)
     except InvalidArgumentError as exc:
         raise FormatError(str(exc), line=1) from None
+    if seed >= 2**64:
+        raise FormatError(f"header 'seed' must fit in 64 bits, got {seed}", line=1)
     if not isinstance(rng_name, str):
         raise FormatError("header 'rng' must be a string", line=1)
     if header.get("version") != FORMAT_VERSION:

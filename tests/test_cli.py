@@ -1,11 +1,15 @@
 import json
 import math
+import os
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import qmarkov
 from qmarkov import HalfInt, RngState, coin_toss_stream, simulate_register, stationary, trajectory_from_text
 from qmarkov.cli import main
 
@@ -496,6 +500,61 @@ def test_reruns_are_byte_identical(capsys, tmp_path):
     run(capsys, *base, "--out", str(file_a))
     run(capsys, *base, "--out", str(file_b))
     assert file_a.read_bytes() == file_b.read_bytes()
+
+
+def fresh_interpreter(*args):
+    """(exit code, stdout) of python ARGS in a new process importing this qmarkov."""
+    env = dict(os.environ)
+    src = str(Path(qmarkov.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True, timeout=120)
+    return done.returncode, done.stdout
+
+
+def test_repeated_main_calls_share_no_parse_state(capsys):
+    verify_two = ("verify", "--n-max", "2")
+    spin = ("spin-matrix", "--s", "1/2", "--beta", "1.0")
+    qubit = ("qubit-matrix", "--n", "2", "--beta", "1.0")
+    outputs = {}
+    for argv in (("verify", "--n-max", "2", "--beta", "0.3"), verify_two, spin, qubit):
+        code, outputs[argv] = run(capsys, *argv)
+        assert code == 0
+    assert json.loads(outputs[verify_two])["betas"] == [0.3, 1.0, math.pi / 2.0, 2.2, 2.7]
+    assert json.loads(outputs[spin])["kind"] == "spin"
+    assert json.loads(outputs[qubit])["kind"] == "qubit"
+    # a parse that exits 2 leaves nothing behind for the next call
+    with pytest.raises(SystemExit) as info:
+        main(["qubit-matrix", "--n", "2", "--beta", "1.0", "--beta-pi", "0.5"])
+    assert info.value.code == 2
+    capsys.readouterr()
+    assert run(capsys, *qubit) == (0, outputs[qubit])
+    for argv, out in outputs.items():
+        assert fresh_interpreter("-m", "qmarkov.cli", *argv) == (0, out), argv
+
+
+def test_the_parser_is_built_on_the_first_main_call_only():
+    # counts every ArgumentParser made (the subcommands' parsers included)
+    script = """
+import argparse, contextlib, io
+made = []
+init = argparse.ArgumentParser.__init__
+def counting(self, *args, **kwargs):
+    made.append(1)
+    init(self, *args, **kwargs)
+argparse.ArgumentParser.__init__ = counting
+import qmarkov.cli
+counts = [len(made)]
+for _ in range(2):
+    with contextlib.redirect_stdout(io.StringIO()):
+        qmarkov.cli.main(["qubit-matrix", "--n", "2", "--beta", "1.0"])
+    counts.append(len(made))
+print(counts)
+"""
+    code, out = fresh_interpreter("-c", script)
+    assert code == 0
+    at_import, first, second = json.loads(out)
+    assert at_import == 0
+    assert first == second > 0
 
 
 def test_help_names_the_generator():

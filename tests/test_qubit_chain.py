@@ -17,13 +17,14 @@ from qmarkov import (
     flip_probability,
     per_row_tv,
     q_formula,
+    qubit_chain,
     qubit_transition_matrix,
     simulate_register,
     spin_transition_matrix,
     transition_counts,
 )
 
-from oracles import enumerate_q
+from oracles import enumerate_q, oracle_register_matrix
 
 # q_{j'j} for N=3, beta=0.7, rows j = 3/2..-3/2, frozen from the
 # bitmask-enumeration oracle
@@ -95,6 +96,46 @@ def test_matrix_matches_formula_beyond_enumeration_range(n):
         for i, j in enumerate(spec.labels):
             for k, j_prime in enumerate(spec.labels):
                 assert abs(rows[i, k] - q_formula(spec, j, j_prime)) < 1e-12
+
+
+@pytest.mark.parametrize("beta", [0.0, 0.3, math.pi / 2.0, 2.7, math.pi])
+def test_builder_equals_the_math_comb_oracle_bit_for_bit(beta):
+    for n in range(1, N_MAX_FORMULA + 1):
+        rows = qubit_transition_matrix(QubitChainSpec(n_qubits=n, beta=beta)).rows
+        expected = oracle_register_matrix(n, beta)
+        assert np.array_equal(rows, expected), n
+        assert rows.tobytes() == expected.tobytes(), n  # signed zeros too
+
+
+def uncached_power_tables(n, beta):
+    """The closed form's cos^2/sin^2 power loop, rebuilt on every call."""
+    ch = math.cos(beta / 2.0)
+    sh = math.sin(beta / 2.0)
+    cc = ch * ch
+    ss = sh * sh
+    cpow = [1.0]
+    spow = [1.0]
+    for _ in range(n):
+        cpow.append(cpow[-1] * cc)
+        spow.append(spow[-1] * ss)
+    return cpow, spow
+
+
+def test_cached_power_tables_give_the_uncached_values(monkeypatch):
+    # interleaved so that each call follows one on another (n, beta)
+    cases = [(5, 0.7), (5, 1.9), (9, 0.7), (5, 0.7), (5, 0.0),
+             (5, -0.0), (9, -0.0), (9, 0.0), (9, 1.9), (5, 0.7)]
+
+    def matrix(n, beta):
+        spec = QubitChainSpec(n_qubits=n, beta=beta)
+        return [[q_formula(spec, j, j_prime) for j_prime in spec.labels] for j in spec.labels]
+
+    with monkeypatch.context() as patched:
+        patched.setattr(qubit_chain, "_power_tables", uncached_power_tables)
+        expected = [matrix(n, beta) for n, beta in cases]
+    for (n, beta), want in zip(cases, expected):
+        assert matrix(n, beta) == want, (n, beta)
+        assert qubit_chain._power_tables(n, beta) == tuple(map(tuple, uncached_power_tables(n, beta)))
 
 
 @pytest.mark.parametrize("n", range(1, 9))

@@ -106,10 +106,14 @@ def test_trajectory_header_past_the_parser_limits():
     t = Trajectory(labels=("a", "b"), states=np.array([0, 1]), seed=7, steps=1)
     header, *body = trajectory_text(t).splitlines()
     assert '"seed": 7' in header
-    for bad in (TOO_DEEP, header.replace('"seed": 7', f'"seed": {TOO_MANY_DIGITS}')):
+    # seeds past 64 bits are refused, as RngState refuses them
+    seeds = (TOO_MANY_DIGITS, 2**64, 2**200)
+    for bad in (TOO_DEEP, *(header.replace('"seed": 7', f'"seed": {seed}') for seed in seeds)):
         with pytest.raises(FormatError) as info:
             trajectory_from_text("\n".join([bad, *body]) + "\n")
         assert info.value.line == 1
+    top = header.replace('"seed": 7', f'"seed": {2**64 - 1}')
+    assert trajectory_from_text("\n".join([top, *body]) + "\n")[0].seed == 2**64 - 1
 
 
 def test_matrix_json_rejects_non_stochastic_rows():
@@ -274,6 +278,7 @@ def parser_corpus(block):
     cases["CRLF endings"] = text.replace("\n", "\r\n")
     cases["one line too few"] = join(body[:-1])
     cases["one line too many"] = join(body + [body[0]])
+    cases["seed past 64 bits"] = text.replace('"seed": 2,', f'"seed": {2**64},', 1)
     cases["header only"] = header + "\n"
     cases["header only, no final newline"] = header
     return cases
