@@ -15,7 +15,6 @@ from .errors import (
     InternalConsistencyError,
     InvalidArgumentError,
     InvalidDistributionError,
-    InvalidStateError,
     QmarkovError,
     RangeLimitError,
     UndefinedTestError,
@@ -54,10 +53,8 @@ from .spin_chain import (
     AXIS_N,
     AXIS_Z,
     MeasurementRecord,
-    QuantumState,
     SpinChainSpec,
     coin_toss_stream,
-    initial_distribution,
     simulate_measurements,
     spin_transition_matrix,
 )
@@ -99,12 +96,10 @@ __all__ = [
     "InternalConsistencyError",
     "InvalidArgumentError",
     "InvalidDistributionError",
-    "InvalidStateError",
     "MeasurementRecord",
     "N_MAX_BRUTE_FORCE",
     "N_MAX_FORMULA",
     "QmarkovError",
-    "QuantumState",
     "QubitChainSpec",
     "RangeLimitError",
     "RngState",
@@ -123,7 +118,6 @@ __all__ = [
     "coin_toss_stream",
     "empirical_matrix",
     "flip_probability",
-    "initial_distribution",
     "m_values",
     "matrix_from_json",
     "matrix_to_csv",

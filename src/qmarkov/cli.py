@@ -52,7 +52,6 @@ from .serialization import (
     write_trajectory,
 )
 from .spin_chain import (
-    QuantumState,
     SpinChainSpec,
     coin_toss_stream,
     simulate_measurements,
@@ -167,18 +166,17 @@ def cmd_simulate(args) -> int:
         draw = lambda: simulate_register(spec, initial_j, steps, rng)  # noqa: E731
         default = str(initial_j)
     else:
-        # the start law: uniform by default, else all weight on the named label
+        # the start law: uniform by default (for spin, the Born law of the
+        # balanced superposition), else all weight on the named label
         start = np.full(dim, 1.0 / dim)
         if index is not None:
             start = np.zeros(dim)
             start[index] = 1.0
+        law = Distribution(labels, start)
         if args.kind == "spin":
-            # amplitudes are the law's square roots: by default the balanced superposition
-            psi = QuantumState(np.sqrt(start).astype(complex))
-            draw = lambda: simulate_measurements(spec, psi, steps, rng)[0]  # noqa: E731
+            draw = lambda: simulate_measurements(spec, law, steps, rng)[0]  # noqa: E731
             default = "balanced"
         else:
-            law = Distribution(labels, start)
             draw = lambda: simulate_chain(theory, law, steps, rng)  # noqa: E731
             default = "uniform"
     initial = default if index is None else str(labels[index])

@@ -31,10 +31,6 @@ class InvalidDistributionError(InvalidArgumentError):
     """A probability vector has a negative entry or does not sum to one."""
 
 
-class InvalidStateError(InvalidArgumentError):
-    """A quantum state vector is not normalized or has the wrong dimension."""
-
-
 class DimensionMismatchError(InvalidArgumentError):
     """Two objects that must share an outcome label set do not."""
 

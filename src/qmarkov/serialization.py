@@ -89,7 +89,7 @@ def matrix_to_table(m: StochasticMatrix) -> str:
     width = max(max(len(x) for x in labels), 9)
     header = " " * (width + 2) + "  ".join(f"{x:>{width}}" for x in labels)
     lines = [header]
-    for label, row in zip(labels, m.rows):
+    for label, row in zip(labels, m.rows.tolist()):
         cells = "  ".join(f"{x:>{width}.6f}" for x in row)
         lines.append(f"{label:>{width}}  {cells}")
     return "\n".join(lines) + "\n"

@@ -23,7 +23,6 @@ from .errors import (
     DimensionMismatchError,
     InternalConsistencyError,
     InvalidArgumentError,
-    InvalidStateError,
     check_int,
     check_real,
 )
@@ -61,29 +60,6 @@ class SpinChainSpec:
     @property
     def labels(self) -> tuple[HalfInt, ...]:
         return m_values(self.s)
-
-
-@dataclass(frozen=True, eq=False)
-class QuantumState:
-    """State vector over the z-basis {|s,m>}, m descending from s to -s."""
-
-    amplitudes: np.ndarray
-
-    def __post_init__(self):
-        arr = np.asarray(self.amplitudes, dtype=complex)
-        if arr.ndim != 1 or arr.size == 0:
-            raise InvalidStateError(f"expected a non-empty 1-d amplitude vector, got shape {arr.shape}")
-        if not np.all(np.isfinite(arr)):
-            raise InvalidStateError("amplitudes must be finite")
-        norm = float(np.sum(arr.real**2 + arr.imag**2))
-        if abs(norm - 1.0) > 1e-9:
-            raise InvalidStateError(f"state norm squared is {norm!r}, not 1 within 1e-9")
-        arr.flags.writeable = False
-        object.__setattr__(self, "amplitudes", arr)
-
-    @property
-    def dim(self) -> int:
-        return self.amplitudes.size
 
 
 @dataclass(frozen=True, slots=True)
@@ -134,19 +110,6 @@ def spin_transition_matrix(spec: SpinChainSpec) -> StochasticMatrix:
     return StochasticMatrix(labels=spec.labels, rows=rows)
 
 
-def initial_distribution(spec: SpinChainSpec, psi: QuantumState) -> Distribution:
-    """Outcome distribution of the first z-axis measurement on psi."""
-    if not isinstance(psi, QuantumState):
-        psi = QuantumState(np.asarray(psi))
-    if psi.dim != spec.s.twice + 1:
-        raise DimensionMismatchError(
-            f"state dimension {psi.dim} does not match 2s+1 = {spec.s.twice + 1}"
-        )
-    amps = psi.amplitudes
-    probs = np.square(amps.real) + np.square(amps.imag)
-    return Distribution(labels=spec.labels, probs=probs)
-
-
 class MeasurementRecords(Sequence):
     """Read-only view of a trajectory as one MeasurementRecord per step.
 
@@ -176,26 +139,30 @@ class MeasurementRecords(Sequence):
 
 
 def simulate_measurements(
-    spec: SpinChainSpec, psi: QuantumState, steps: int, rng: RngState
+    spec: SpinChainSpec, initial: Distribution, steps: int, rng: RngState
 ) -> tuple[Trajectory, MeasurementRecords]:
     """Realize the alternating measurement sequence with explicit collapse.
 
-    Step 0 reads the z-axis on psi; afterwards the state is always a
-    known basis vector of the axis just measured, so only (axis, outcome)
-    is tracked.  Outcome probabilities at every later step are squared
-    overlaps between the current basis vector and the next axis's basis:
-    from a z-outcome the overlap matrix is read along its row, from an
-    n-outcome along its column.  No transition matrix is consulted; the
-    chain law is emergent and is what the tests verify.
+    Step 0 reads the z-axis: its outcome is drawn from the start law
+    over spec.labels, which holds the Born probabilities |<m|psi>|^2 of
+    whatever state psi was prepared; nothing else about psi reaches the
+    chain.  Afterwards the state is always a known basis vector of the
+    axis just measured, so only (axis, outcome) is tracked.  Outcome
+    probabilities at every later step are squared overlaps between the
+    current basis vector and the next axis's basis: from a z-outcome the
+    overlap matrix is read along its row, from an n-outcome along its
+    column.  No transition matrix is consulted; the chain law is
+    emergent and is what the tests verify.
 
     The records are a lazy view derived from the trajectory, so the
     simulation stores one integer per step and nothing else.
     """
-    init = initial_distribution(spec, psi)
+    if initial.labels != spec.labels:
+        raise DimensionMismatchError("spin chain and initial distribution have different labels")
     overlap = _overlap_squared(spec)
     # odd steps read n from a z basis vector (a row of the overlap), even
     # steps read z from an n basis vector (a column)
-    trajectory = _realize(init, (overlap, overlap.T), steps, rng)
+    trajectory = _realize(initial, (overlap, overlap.T), steps, rng)
     return trajectory, MeasurementRecords(trajectory)
 
 
@@ -203,14 +170,12 @@ def coin_toss_stream(count: int, rng: RngState) -> np.ndarray:
     """Fair bits from a spin-1/2 chain at beta = pi/2.
 
     Measuring alternately along z and x starting from the balanced
-    superposition gives i.i.d. fair outcomes; +1/2 maps to 1 and -1/2
-    to 0.
+    superposition (first outcome law 1/2, 1/2) gives i.i.d. fair
+    outcomes; +1/2 maps to 1 and -1/2 to 0.
     """
     if check_int("count", count, 0) == 0:
         return np.zeros(0, dtype=np.uint8)
     spec = SpinChainSpec(s=HalfInt(1), beta=math.pi / 2.0)
-    amp = math.sqrt(0.5)
-    psi = QuantumState(np.array([amp, amp], dtype=complex))
-    trajectory, _ = simulate_measurements(spec, psi, count - 1, rng)
+    trajectory, _ = simulate_measurements(spec, Distribution(spec.labels, [0.5, 0.5]), count - 1, rng)
     # outcome index 0 is m = +1/2
     return np.subtract(1, trajectory.states, dtype=np.uint8)

@@ -27,6 +27,9 @@ CHI2_CRIT_999 = {
     10: 29.58829844507442,
 }
 
+# Cochran's rule: a cell expecting fewer counts than this is pooled
+_MIN_EXPECTED = 5.0
+
 
 @dataclass(frozen=True, eq=False)
 class TransitionCounts:
@@ -127,10 +130,10 @@ def per_row_tv(empirical: EmpiricalMatrix, theory: StochasticMatrix) -> list:
     return out
 
 
-def chi_square(observed, expected: Distribution, min_expected: float = 5.0) -> ChiSquareResult:
+def chi_square(observed, expected: Distribution) -> ChiSquareResult:
     """Pearson goodness-of-fit statistic of observed counts against expected.
 
-    Cells whose expected count falls below min_expected are pooled into a
+    Cells whose expected count falls below 5 (_MIN_EXPECTED) are pooled into a
     single cell before the statistic is formed; degrees of freedom are
     (effective cells - 1).  A test with fewer than two effective cells is
     undefined and reported as such.
@@ -147,7 +150,7 @@ def chi_square(observed, expected: Distribution, min_expected: float = 5.0) -> C
         raise InvalidArgumentError("chi-square needs at least one observation")
     expected_counts = expected.probs * total
     # zero-mass cells are always pooled so no kept cell can divide by zero
-    keep = (expected_counts >= min_expected) & (expected_counts > 0.0)
+    keep = (expected_counts >= _MIN_EXPECTED) & (expected_counts > 0.0)
     statistic = 0.0
     cells = 0
     for o, e in zip(counts[keep], expected_counts[keep]):
@@ -166,6 +169,6 @@ def chi_square(observed, expected: Distribution, min_expected: float = 5.0) -> C
             cells += 1
     if cells < 2:
         raise UndefinedTestError(
-            f"only {cells} effective cell(s) after pooling below {min_expected}"
+            f"only {cells} effective cell(s) after pooling below {_MIN_EXPECTED}"
         )
     return ChiSquareResult(statistic=float(statistic), dof=cells - 1, cells=cells, pooled=pooled)

@@ -31,7 +31,6 @@ from qmarkov import (
     transition_counts,
 )
 from qmarkov.cli import main
-from qmarkov.spin_chain import QuantumState
 from qmarkov.stats import CHI2_CRIT_999
 
 
@@ -153,9 +152,9 @@ def test_criterion_6_measurement_chain_closure(capsys):
     all_ok = True
 
     spec = SpinChainSpec(s=HalfInt(1), beta=math.pi / 2.0)
-    psi = QuantumState(np.full(2, math.sqrt(0.5), dtype=complex))
+    start = Distribution(spec.labels, np.full(2, 0.5))
     t0 = time.perf_counter()
-    trajectory, _ = simulate_measurements(spec, psi, steps, RngState(101))
+    trajectory, _ = simulate_measurements(spec, start, steps, RngState(101))
     detail, ok = _closure_case(
         "s=1/2 beta=pi/2", spin_transition_matrix(spec), trajectory, time.perf_counter() - t0
     )
@@ -163,9 +162,9 @@ def test_criterion_6_measurement_chain_closure(capsys):
     all_ok &= ok
 
     spec = SpinChainSpec(s=HalfInt(2), beta=1.0)
-    psi = QuantumState(np.full(3, math.sqrt(1.0 / 3.0), dtype=complex))
+    start = Distribution(spec.labels, np.full(3, 1.0 / 3.0))
     t0 = time.perf_counter()
-    trajectory, _ = simulate_measurements(spec, psi, steps, RngState(102))
+    trajectory, _ = simulate_measurements(spec, start, steps, RngState(102))
     detail, ok = _closure_case(
         "s=1 beta=1.0", spin_transition_matrix(spec), trajectory, time.perf_counter() - t0
     )

@@ -1,9 +1,20 @@
-"""The package's public names: what `from qmarkov import *` gives."""
+"""The package's public names: what `from qmarkov import *` gives, and the README example that uses them."""
+
+from pathlib import Path
 
 import qmarkov
 
 # names and members that nothing in the package used, since deleted
-REMOVED = ("check_magnetic_number", "evolve", "validate_distribution", "total_variation", "trajectory_to_text")
+REMOVED = (
+    "check_magnetic_number",
+    "evolve",
+    "validate_distribution",
+    "total_variation",
+    "trajectory_to_text",
+    "QuantumState",
+    "initial_distribution",
+    "InvalidStateError",
+)
 REMOVED_MEMBERS = (
     (qmarkov.RngState, ("spawn", "stream")),
     (qmarkov.HalfInt, ("from_int", "is_integer", "__add__", "__sub__", "__lt__", "__neg__")),
@@ -29,3 +40,14 @@ def test_public_api():
     for owner, members in REMOVED_MEMBERS:
         for member in members:
             assert member not in vars(owner), f"{owner.__name__}.{member}"
+
+
+def test_readme_library_example_runs(capsys):
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    section = readme.split("## Library\n", 1)[1].split("\n## ", 1)[0]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(code, "README.md (Library)", "exec"), {})
+    last = capsys.readouterr().out.splitlines()[-1]
+    # records[1] reads the n axis, and there is one record per step plus the start
+    assert "step=1, kind='n'" in last
+    assert last.endswith(" 10001")

@@ -13,8 +13,6 @@ from qmarkov import (
     HalfInt,
     InvalidArgumentError,
     InvalidDistributionError,
-    InvalidStateError,
-    QuantumState,
     QubitChainSpec,
     RangeLimitError,
     RngState,
@@ -35,7 +33,7 @@ HALF = HalfInt(1)
 
 
 def test_every_input_error_is_an_invalid_argument():
-    for cls in (RangeLimitError, InvalidDistributionError, InvalidStateError, DimensionMismatchError, FormatError):
+    for cls in (RangeLimitError, InvalidDistributionError, DimensionMismatchError, FormatError):
         assert issubclass(cls, InvalidArgumentError)
 
 
@@ -77,7 +75,7 @@ COUNT_CHECKS = {
         _chain(), Distribution(("a", "b"), [1.0, 0.0]), n, RngState(0)
     ),
     "simulate_measurements": lambda n: simulate_measurements(
-        _spin(), QuantumState(np.array([1.0, 0.0])), n, RngState(0)
+        _spin(), Distribution(_spin().labels, [1.0, 0.0]), n, RngState(0)
     ),
     "coin_toss_stream": lambda n: coin_toss_stream(n, RngState(0)),
 }

@@ -11,7 +11,6 @@ from qmarkov import (
     HalfInt,
     InvalidArgumentError,
     InvalidDistributionError,
-    QuantumState,
     QubitChainSpec,
     RngState,
     SpinChainSpec,
@@ -106,7 +105,8 @@ def test_simulate_chain_shape_and_determinism():
 
 
 def test_states_take_the_narrowest_unsigned_dtype():
-    spin, _ = simulate_measurements(SpinChainSpec(s=HalfInt(2), beta=1.0), QuantumState(np.eye(3)[0]), 50, RngState(1))
+    spec = SpinChainSpec(s=HalfInt(2), beta=1.0)
+    spin, _ = simulate_measurements(spec, Distribution(spec.labels, np.eye(3)[0]), 50, RngState(1))
     register = simulate_register(QubitChainSpec(n_qubits=8, beta=1.0), HalfInt(8), 50, RngState(1))
     assert spin.states.dtype == register.states.dtype == np.uint8
     for dim, dtype in ((9, np.uint8), (256, np.uint8), (257, np.uint16), (300, np.uint16)):
@@ -284,9 +284,9 @@ def test_two_state_scan_matches_the_bisect_loop(monkeypatch, first, period):
 
 def test_block_size_changes_no_trajectory(monkeypatch):
     spin = SpinChainSpec(s=HalfInt(2), beta=1.0)
-    psi = QuantumState(np.full(3, math.sqrt(1.0 / 3.0), dtype=complex))
+    spin_start = Distribution(spin.labels, np.full(3, 1.0 / 3.0))
     spin_half = SpinChainSpec(s=HalfInt(1), beta=1.0)
-    psi_half = QuantumState(np.array([0.6, 0.8], dtype=complex))
+    half_start = Distribution(spin_half.labels, np.array([0.36, 0.64]))
     chain = StochasticMatrix(labels=("a", "b", "c"), rows=np.array(
         [[0.2, 0.5, 0.3], [0.6, 0.0, 0.4], [0.1, 0.1, 0.8]]))
     start = Distribution(chain.labels, np.full(3, 1.0 / 3.0))
@@ -303,8 +303,8 @@ def test_block_size_changes_no_trajectory(monkeypatch):
 
     def trajectories():
         out = [alternating(steps) for steps in (100, 101)]
-        out += [simulate_measurements(spin, psi, steps, RngState(5))[0].states for steps in (100, 101)]
-        out += [simulate_measurements(spin_half, psi_half, steps, RngState(5))[0].states for steps in (100, 101)]
+        out += [simulate_measurements(spin, spin_start, steps, RngState(5))[0].states for steps in (100, 101)]
+        out += [simulate_measurements(spin_half, half_start, steps, RngState(5))[0].states for steps in (100, 101)]
         out.append(simulate_chain(chain, start, 101, RngState(6)).states)
         out.append(simulate_chain(pair, pair_start, 101, RngState(6)).states)
         for n in (3, 8):

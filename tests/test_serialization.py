@@ -1,6 +1,5 @@
 import io
 import json
-import math
 import tracemalloc
 
 import numpy as np
@@ -26,7 +25,6 @@ from qmarkov import (
     trajectory_from_text,
     write_trajectory,
 )
-from qmarkov.spin_chain import QuantumState
 
 from oracles import oracle_trajectory_from_text
 
@@ -149,9 +147,8 @@ def trajectory_text(t, config=None):
 
 def make_trajectory(steps=25, seed=4):
     spec = SpinChainSpec(s=HalfInt(2), beta=1.0)
-    amp = math.sqrt(1.0 / 3.0)
-    psi = QuantumState(np.array([amp, amp, amp], dtype=complex))
-    trajectory, _ = simulate_measurements(spec, psi, steps, RngState(seed))
+    start = Distribution(spec.labels, np.full(3, 1.0 / 3.0))
+    trajectory, _ = simulate_measurements(spec, start, steps, RngState(seed))
     return trajectory
 
 

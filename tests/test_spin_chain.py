@@ -8,16 +8,15 @@ from qmarkov import (
     AXIS_N,
     AXIS_Z,
     DimensionMismatchError,
+    Distribution,
     HalfInt,
     InvalidArgumentError,
-    InvalidStateError,
     MeasurementRecord,
-    QuantumState,
     RngState,
     SpinChainSpec,
     coin_toss_stream,
     empirical_matrix,
-    initial_distribution,
+    m_values,
     per_row_tv,
     simulate_measurements,
     spin_transition_matrix,
@@ -38,8 +37,10 @@ SPIN1_BETA1 = np.array(
 )
 
 
-def balanced_state(dim: int) -> QuantumState:
-    return QuantumState(np.full(dim, math.sqrt(1.0 / dim), dtype=complex))
+def balanced(spec: SpinChainSpec) -> Distribution:
+    """Born law of the balanced superposition: uniform over the z-outcomes."""
+    dim = len(spec.labels)
+    return Distribution(spec.labels, np.full(dim, 1.0 / dim))
 
 
 def test_coin_matrix_is_fair():
@@ -90,20 +91,15 @@ def test_spec_validation():
         SpinChainSpec(s=0.5, beta=1.0)
 
 
-def test_quantum_state_must_be_normalized():
-    QuantumState(np.array([0.6, 0.8j]))
-    with pytest.raises(InvalidStateError):
-        QuantumState(np.array([0.6, 0.9]))
-    with pytest.raises(InvalidStateError):
-        QuantumState(np.array([float("nan"), 0.0]))
-
-
-def test_initial_distribution_is_squared_amplitudes():
+def test_start_law_must_share_the_chain_labels():
     spec = SpinChainSpec(s=HALF, beta=1.0)
-    d = initial_distribution(spec, QuantumState(np.array([0.6, 0.8j])))
-    assert np.allclose(d.probs, [0.36, 0.64], atol=1e-15)
-    with pytest.raises(DimensionMismatchError):
-        initial_distribution(spec, QuantumState(np.array([1.0, 0.0, 0.0])))
+    # three outcomes for a two-outcome spin, then the right two in the wrong order
+    for start in (
+        Distribution(m_values(HalfInt(2)), [1.0, 0.0, 0.0]),
+        Distribution(spec.labels[::-1], [0.36, 0.64]),
+    ):
+        with pytest.raises(DimensionMismatchError):
+            simulate_measurements(spec, start, 5, RngState(0))
 
 
 def test_measurement_record_kind_follows_step_parity():
@@ -117,7 +113,7 @@ def test_measurement_record_kind_follows_step_parity():
 
 def test_simulate_measurements_shapes_and_records():
     spec = SpinChainSpec(s=HalfInt(2), beta=1.0)
-    trajectory, records = simulate_measurements(spec, balanced_state(3), 7, RngState(1))
+    trajectory, records = simulate_measurements(spec, balanced(spec), 7, RngState(1))
     assert trajectory.steps == 7
     assert trajectory.states.shape == (8,)
     assert len(records) == 8
@@ -130,15 +126,14 @@ def test_simulate_measurements_shapes_and_records():
 
 def test_simulate_measurements_is_deterministic():
     spec = SpinChainSpec(s=HALF, beta=0.8)
-    t1, _ = simulate_measurements(spec, balanced_state(2), 1000, RngState(42))
-    t2, _ = simulate_measurements(spec, balanced_state(2), 1000, RngState(42))
+    t1, _ = simulate_measurements(spec, balanced(spec), 1000, RngState(42))
+    t2, _ = simulate_measurements(spec, balanced(spec), 1000, RngState(42))
     assert np.array_equal(t1.states, t2.states)
 
 
 def test_pure_initial_state_pins_the_first_outcome():
     spec = SpinChainSpec(s=HalfInt(2), beta=1.0)
-    psi = QuantumState(np.array([0.0, 1.0, 0.0], dtype=complex))
-    trajectory, _ = simulate_measurements(spec, psi, 10, RngState(0))
+    trajectory, _ = simulate_measurements(spec, Distribution(spec.labels, [0.0, 1.0, 0.0]), 10, RngState(0))
     assert trajectory.states[0] == 1
 
 
@@ -149,7 +144,7 @@ def test_pure_initial_state_pins_the_first_outcome():
 def test_measurement_frequencies_close_on_the_analytic_matrix(twice, beta):
     spec = SpinChainSpec(s=HalfInt(twice), beta=beta)
     dim = twice + 1
-    trajectory, _ = simulate_measurements(spec, balanced_state(dim), 200_000, RngState(twice * 100 + 1))
+    trajectory, _ = simulate_measurements(spec, balanced(spec), 200_000, RngState(twice * 100 + 1))
     theory = spin_transition_matrix(spec)
     tvs = per_row_tv(empirical_matrix(transition_counts(trajectory)), theory)
     assert all(tv is not None for tv in tvs)
@@ -160,7 +155,7 @@ def test_even_and_odd_steps_share_one_transition_law():
     # split transitions by the parity of the starting step: both halves
     # must follow the same matrix, i.e. the chain is time-homogeneous
     spec = SpinChainSpec(s=HalfInt(2), beta=1.0)
-    trajectory, _ = simulate_measurements(spec, balanced_state(3), 200_000, RngState(9))
+    trajectory, _ = simulate_measurements(spec, balanced(spec), 200_000, RngState(9))
     theory = spin_transition_matrix(spec)
     states = trajectory.states
     dim = 3
@@ -192,7 +187,7 @@ def test_coin_toss_stream_different_seeds_differ():
 
 def test_records_are_a_read_only_view_of_the_trajectory():
     spec = SpinChainSpec(s=HalfInt(2), beta=1.0)
-    trajectory, records = simulate_measurements(spec, balanced_state(3), 9, RngState(4))
+    trajectory, records = simulate_measurements(spec, balanced(spec), 9, RngState(4))
     assert len(records) == 10
     assert records[-1] == records[9]
     assert records[9].kind == AXIS_N
@@ -210,13 +205,13 @@ def test_records_are_a_read_only_view_of_the_trajectory():
 @pytest.mark.parametrize("dim", [2, 3, 51])
 def test_simulation_allocates_at_most_16_bytes_per_step(dim):
     spec = SpinChainSpec(s=HalfInt(dim - 1), beta=1.0)
-    psi = balanced_state(dim)
+    start = balanced(spec)
     steps = 10**6
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
         tracemalloc.reset_peak()
-        simulate_measurements(spec, psi, steps, RngState(11))
+        simulate_measurements(spec, start, steps, RngState(11))
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()

@@ -23,7 +23,6 @@ from qmarkov import (
     stats,
     transition_counts,
 )
-from qmarkov.spin_chain import QuantumState
 
 
 def make_trajectory(states, labels=("a", "b")):
@@ -110,7 +109,7 @@ def test_chi_square_fair_coin_by_hand():
 def test_chi_square_pools_rare_cells():
     expected = Distribution(("a", "b", "c", "d"), np.array([0.50, 0.03, 0.02, 0.45]))
     observed = np.array([49.0, 4.0, 2.0, 45.0])
-    r = chi_square(observed, expected, min_expected=5.0)
+    r = chi_square(observed, expected)
     # cells b and c (expected 3 and 2) merge into one
     assert r.cells == 3
     assert r.pooled == 2
@@ -121,7 +120,7 @@ def test_chi_square_needs_at_least_two_cells():
     # every expected count sits below the pooling floor, so one cell remains
     even = Distribution(("a", "b"), np.array([0.6, 0.4]))
     with pytest.raises(UndefinedTestError):
-        chi_square(np.array([3.0, 2.0]), even, min_expected=5.0)
+        chi_square(np.array([3.0, 2.0]), even)
 
 
 def test_chi_square_impossible_observation_is_infinite():
@@ -156,10 +155,10 @@ def test_relabeling_leaves_statistics_unchanged():
 def test_longer_runs_track_theory_more_closely():
     spec = SpinChainSpec(s=HalfInt(1), beta=1.0)
     theory = spin_transition_matrix(spec)
-    psi = QuantumState(np.array([math.sqrt(0.5), math.sqrt(0.5)], dtype=complex))
+    start = Distribution(spec.labels, np.array([0.5, 0.5]))
 
     def worst_tv(steps, seed):
-        t, _ = simulate_measurements(spec, psi, steps, RngState(seed))
+        t, _ = simulate_measurements(spec, start, steps, RngState(seed))
         tvs = per_row_tv(empirical_matrix(transition_counts(t)), theory)
         return max(tv for tv in tvs if tv is not None)
 
