@@ -217,7 +217,7 @@ def _bisect_block(tables: tuple, done: int, state: int, rng: RngState, out: np.n
     if out.size % 2:
         state = bisect(first[state], block[-1])
         append(state)
-    out[:] = path
+    out[:] = np.fromiter(path, dtype=out.dtype, count=out.size)
     return state
 
 

@@ -11,11 +11,11 @@ Four independent routes are implemented: the closed-form single-sum
 formulas as printed (two branches, j >= j' and j <= j'), the matrix
 builder (each row a convolution of two binomial distributions), a
 brute-force double-sum enumeration over flip counts, and a per-qubit
-simulator.  Tests close the loops between them and against the
-spin-1/2 chain at N = 1.
+simulator.  The first three each return the whole (N+1)x(N+1) matrix,
+row j and column j' with labels descending, in one call.  Tests close
+the loops between them and against the spin-1/2 chain at N = 1.
 """
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -61,13 +61,13 @@ def flip_probability(beta: float) -> float:
     return sh * sh
 
 
-def _check_outcome(n_qubits: int, j: HalfInt, name: str) -> int:
-    """Validate j as an outcome label for N qubits; returns twice j."""
+def _check_outcome(n_qubits: int, j: HalfInt) -> int:
+    """Validate initial_j as an outcome label for N qubits; returns twice j."""
     if not isinstance(j, HalfInt):
-        raise InvalidArgumentError(f"{name} must be a HalfInt, got {j!r}")
+        raise InvalidArgumentError(f"initial_j must be a HalfInt, got {j!r}")
     if abs(j.twice) > n_qubits or (j.twice - n_qubits) % 2 != 0:
         raise InvalidArgumentError(
-            f"{name}={j} is not an outcome for {n_qubits} qubits "
+            f"initial_j={j} is not an outcome for {n_qubits} qubits "
             f"(need |j| <= N/2 with j - N/2 integral)"
         )
     return j.twice
@@ -98,16 +98,16 @@ def _branch_sum(start_count: int, other_count: int, delta: int, cpow: list, spow
     return total
 
 
-@functools.lru_cache(maxsize=64)
-def _power_tables(n: int, beta: float) -> tuple:
-    """(cos^2(beta/2)^k, sin^2(beta/2)^k for k = 0..n) as two tuples.
+def q_formula(spec: QubitChainSpec) -> np.ndarray:
+    """The chain matrix from the closed-form sums; row j, column j', labels descending.
 
-    Cached because a matrix's worth of q_formula calls shares one
-    (n, beta); 0.0 and -0.0 share an entry, which is sound since only
-    the squares enter the tables.
+    Each cell evaluates the printed branch for the sign of j - j'; on the
+    diagonal both branches are evaluated and must agree to 1e-12, a
+    standing tripwire for transcription errors in either formula.
     """
-    ch = math.cos(beta / 2.0)
-    sh = math.sin(beta / 2.0)
+    n = _check_formula_range(spec)
+    ch = math.cos(spec.beta / 2.0)
+    sh = math.sin(spec.beta / 2.0)
     cc = ch * ch
     ss = sh * sh
     cpow = [1.0]
@@ -115,34 +115,26 @@ def _power_tables(n: int, beta: float) -> tuple:
     for _ in range(n):
         cpow.append(cpow[-1] * cc)
         spow.append(spow[-1] * ss)
-    return tuple(cpow), tuple(spow)
-
-
-def q_formula(spec: QubitChainSpec, j: HalfInt, j_prime: HalfInt) -> float:
-    """Closed-form transition probability from outcome j to j'.
-
-    Evaluates the printed branch for the sign of j - j'; at j = j' both
-    branches are evaluated and must agree to 1e-12, a standing tripwire
-    for transcription errors in either formula.
-    """
-    n = _check_formula_range(spec)
-    tj = _check_outcome(n, j, "j")
-    tjp = _check_outcome(n, j_prime, "j_prime")
-    cpow, spow = _power_tables(n, spec.beta)
-    ups = (n + tj) // 2
-    downs = n - ups
-    if tj > tjp:
-        return _branch_sum(ups, downs, (tj - tjp) // 2, cpow, spow)
-    if tj < tjp:
-        return _branch_sum(downs, ups, (tjp - tj) // 2, cpow, spow)
-    value_high = _branch_sum(ups, downs, 0, cpow, spow)
-    value_low = _branch_sum(downs, ups, 0, cpow, spow)
-    if abs(value_high - value_low) > _BRANCH_SEAM_TOL:
-        raise InternalConsistencyError(
-            f"branch formulas disagree at j=j'={j} for N={n}, beta={spec.beta}: "
-            f"{value_high!r} vs {value_low!r}"
-        )
-    return value_high
+    q = np.empty((n + 1, n + 1))
+    for i in range(n + 1):
+        # labels descend, so row i starts from n - i up qubits
+        ups = n - i
+        downs = i
+        for k in range(n + 1):
+            if i < k:
+                q[i, k] = _branch_sum(ups, downs, k - i, cpow, spow)
+            elif i > k:
+                q[i, k] = _branch_sum(downs, ups, i - k, cpow, spow)
+            else:
+                value_high = _branch_sum(ups, downs, 0, cpow, spow)
+                value_low = _branch_sum(downs, ups, 0, cpow, spow)
+                if abs(value_high - value_low) > _BRANCH_SEAM_TOL:
+                    raise InternalConsistencyError(
+                        f"branch formulas disagree at j=j'={spec.labels[i]} for N={n}, beta={spec.beta}: "
+                        f"{value_high!r} vs {value_low!r}"
+                    )
+                q[i, k] = value_high
+    return q
 
 
 def qubit_transition_matrix(spec: QubitChainSpec) -> StochasticMatrix:
@@ -187,32 +179,28 @@ def _flip_words(flips: np.ndarray) -> list:
     return rows
 
 
-def brute_force_q(spec: QubitChainSpec, j: HalfInt, j_prime: HalfInt) -> float:
-    """Transition probability by enumerating flip counts directly.
+def brute_force_q(spec: QubitChainSpec) -> np.ndarray:
+    """The chain matrix by enumerating flip counts directly; rows and columns as q_formula.
 
     Starting from ups up qubits, a of them flip down and b of the downs
     flip up, each qubit independently with probability p; every (a, b)
-    with ups - a + b = ups' contributes C(ups,a) C(downs,b) p^(a+b)
-    (1-p)^(N-a-b).  Deliberately shares no structure with the single-sum
-    closed form; kept within exact enumeration range.
+    adds C(ups,a) C(downs,b) p^(a+b) (1-p)^(N-a-b) to the cell of
+    ups' = ups - a + b.  Deliberately shares no structure with the
+    single-sum closed form; kept within exact enumeration range.
     """
     n = spec.n_qubits
     if n > N_MAX_BRUTE_FORCE:
         raise RangeLimitError(f"enumeration limited to N <= {N_MAX_BRUTE_FORCE}, got N={n}")
-    tj = _check_outcome(n, j, "j")
-    tjp = _check_outcome(n, j_prime, "j_prime")
     p = flip_probability(spec.beta)
     q = 1.0 - p
-    ups = (n + tj) // 2
-    downs = n - ups
-    ups_next = (n + tjp) // 2
-    total = 0.0
-    for a in range(ups + 1):
-        for b in range(downs + 1):
-            if ups - a + b != ups_next:
-                continue
-            total += math.comb(ups, a) * math.comb(downs, b) * p ** (a + b) * q ** (n - a - b)
-    return total
+    rows = [[0.0] * (n + 1) for _ in range(n + 1)]
+    for ups in range(n + 1):
+        downs = n - ups
+        row = rows[n - ups]
+        for a in range(ups + 1):
+            for b in range(downs + 1):
+                row[n - (ups - a + b)] += math.comb(ups, a) * math.comb(downs, b) * p ** (a + b) * q ** (n - a - b)
+    return np.array(rows)
 
 
 def simulate_register(
@@ -232,7 +220,7 @@ def simulate_register(
     """
     n = spec.n_qubits
     check_int("steps", steps, 0)
-    ups = (_check_outcome(n, initial_j, "initial_j") + n) // 2
+    ups = (_check_outcome(n, initial_j) + n) // 2
     p = flip_probability(spec.beta)
     labels = spec.labels
     states = np.empty(steps + 1, dtype=markov._state_dtype(n + 1))
@@ -250,6 +238,6 @@ def simulate_register(
             # each up qubit that flips goes down, each other flip goes up
             ups += word.bit_count() - 2 * (word & up_mask[ups]).bit_count()
             append(n - ups)
-        states[done + 1 : done + count + 1] = path
+        states[done + 1 : done + count + 1] = np.fromiter(path, dtype=states.dtype, count=count)
         done += count
     return Trajectory(labels=labels, states=states, seed=rng.seed, steps=steps)

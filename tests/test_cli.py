@@ -424,10 +424,10 @@ def test_verify_catches_an_injected_error(capsys, monkeypatch):
 
     oracle = cli.brute_force_q
 
-    def skewed(spec, j, j_prime):
-        value = oracle(spec, j, j_prime)
-        if spec.n_qubits == 2 and j == j_prime == HalfInt(2):
-            value += 1e-6
+    def skewed(spec):
+        value = oracle(spec)
+        if spec.n_qubits == 2:
+            value[0, 0] += 1e-6  # j = j' = 1
         return value
 
     monkeypatch.setattr(cli, "brute_force_q", skewed)
@@ -440,6 +440,22 @@ def test_verify_catches_an_injected_error(capsys, monkeypatch):
     assert named[0]["n"] == 2
     assert named[0]["j"] == "1"
     assert named[0]["j_prime"] == "1"
+
+
+def test_verify_reports_a_branch_seam_break(capsys, monkeypatch):
+    from qmarkov import qubit_chain
+
+    # a negative tolerance fails every diagonal, so each (N, beta) breaks at its first one
+    monkeypatch.setattr(qubit_chain, "_BRANCH_SEAM_TOL", -1.0)
+    code, payload = run_json(capsys, "verify", "--n-max", "2", "--beta", "0.7")
+    assert code == 4
+    assert payload["pass"] is False
+    assert [(f["check"], f["n"], f["beta"]) for f in payload["failures"]] == [
+        ("branch_seam", 1, 0.7),
+        ("branch_seam", 2, 0.7),
+    ]
+    assert payload["failures"][0]["detail"].startswith("branch formulas disagree at j=j'=1/2 for N=1")
+    assert payload["failures"][1]["detail"].startswith("branch formulas disagree at j=j'=1 for N=2")
 
 
 def test_verify_range_check(capsys):

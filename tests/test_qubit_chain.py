@@ -17,7 +17,6 @@ from qmarkov import (
     flip_probability,
     per_row_tv,
     q_formula,
-    qubit_chain,
     qubit_transition_matrix,
     simulate_register,
     spin_transition_matrix,
@@ -63,11 +62,13 @@ def test_spec_validation():
 def test_outcome_validation():
     spec = QubitChainSpec(n_qubits=3, beta=1.0)
     with pytest.raises(InvalidArgumentError):
-        q_formula(spec, HalfInt(2), HalfInt(1))  # wrong parity for N=3
+        simulate_register(spec, HalfInt(2), 10, RngState(0))  # wrong parity for N=3
     with pytest.raises(InvalidArgumentError):
-        q_formula(spec, HalfInt(5), HalfInt(1))  # |j| > N/2
+        simulate_register(spec, HalfInt(5), 10, RngState(0))  # |j| > N/2
     with pytest.raises(InvalidArgumentError):
-        q_formula(spec, 1.5, HalfInt(1))
+        simulate_register(spec, HalfInt(-5), 10, RngState(0))
+    with pytest.raises(InvalidArgumentError):
+        simulate_register(spec, 1.5, 10, RngState(0))  # not a HalfInt
 
 
 def test_matches_frozen_enumeration_values():
@@ -80,10 +81,12 @@ def test_formula_matches_bitmask_enumeration(n):
     for beta in BETAS:
         spec = QubitChainSpec(n_qubits=n, beta=beta)
         rows = qubit_transition_matrix(spec).rows
+        formula = q_formula(spec)
+        assert formula.shape == (n + 1, n + 1)
         for i, j in enumerate(spec.labels):
             for k, j_prime in enumerate(spec.labels):
                 expected = enumerate_q(n, beta, j, j_prime)
-                assert abs(q_formula(spec, j, j_prime) - expected) < 1e-10
+                assert abs(formula[i, k] - expected) < 1e-10
                 assert abs(rows[i, k] - expected) < 1e-12
 
 
@@ -93,9 +96,7 @@ def test_matrix_matches_formula_beyond_enumeration_range(n):
     for beta in BETAS:
         spec = QubitChainSpec(n_qubits=n, beta=beta)
         rows = qubit_transition_matrix(spec).rows
-        for i, j in enumerate(spec.labels):
-            for k, j_prime in enumerate(spec.labels):
-                assert abs(rows[i, k] - q_formula(spec, j, j_prime)) < 1e-12
+        assert np.abs(rows - q_formula(spec)).max() < 1e-12
 
 
 @pytest.mark.parametrize("beta", [0.0, 0.3, math.pi / 2.0, 2.7, math.pi])
@@ -107,45 +108,16 @@ def test_builder_equals_the_math_comb_oracle_bit_for_bit(beta):
         assert rows.tobytes() == expected.tobytes(), n  # signed zeros too
 
 
-def uncached_power_tables(n, beta):
-    """The closed form's cos^2/sin^2 power loop, rebuilt on every call."""
-    ch = math.cos(beta / 2.0)
-    sh = math.sin(beta / 2.0)
-    cc = ch * ch
-    ss = sh * sh
-    cpow = [1.0]
-    spow = [1.0]
-    for _ in range(n):
-        cpow.append(cpow[-1] * cc)
-        spow.append(spow[-1] * ss)
-    return cpow, spow
-
-
-def test_cached_power_tables_give_the_uncached_values(monkeypatch):
-    # interleaved so that each call follows one on another (n, beta)
-    cases = [(5, 0.7), (5, 1.9), (9, 0.7), (5, 0.7), (5, 0.0),
-             (5, -0.0), (9, -0.0), (9, 0.0), (9, 1.9), (5, 0.7)]
-
-    def matrix(n, beta):
-        spec = QubitChainSpec(n_qubits=n, beta=beta)
-        return [[q_formula(spec, j, j_prime) for j_prime in spec.labels] for j in spec.labels]
-
-    with monkeypatch.context() as patched:
-        patched.setattr(qubit_chain, "_power_tables", uncached_power_tables)
-        expected = [matrix(n, beta) for n, beta in cases]
-    for (n, beta), want in zip(cases, expected):
-        assert matrix(n, beta) == want, (n, beta)
-        assert qubit_chain._power_tables(n, beta) == tuple(map(tuple, uncached_power_tables(n, beta)))
-
-
 @pytest.mark.parametrize("n", range(1, 9))
 def test_binomial_oracle_matches_bitmask_enumeration(n):
     # two independent enumeration strategies agree essentially exactly
     for beta in (0.3, 2.2):
         spec = QubitChainSpec(n_qubits=n, beta=beta)
-        for j in spec.labels:
-            for j_prime in spec.labels:
-                assert abs(brute_force_q(spec, j, j_prime) - enumerate_q(n, beta, j, j_prime)) < 1e-12
+        oracle = brute_force_q(spec)
+        assert oracle.shape == (n + 1, n + 1)
+        for i, j in enumerate(spec.labels):
+            for k, j_prime in enumerate(spec.labels):
+                assert abs(oracle[i, k] - enumerate_q(n, beta, j, j_prime)) < 1e-12
 
 
 def test_rows_are_probability_distributions():
@@ -158,11 +130,9 @@ def test_rows_are_probability_distributions():
 def test_negating_both_outcomes_preserves_q():
     # relabeling up<->down swaps the roles of the two branch formulas
     for n in (2, 5, 8):
-        spec = QubitChainSpec(n_qubits=n, beta=1.1)
-        for j in spec.labels:
-            for j_prime in spec.labels:
-                negated = q_formula(spec, HalfInt(-j.twice), HalfInt(-j_prime.twice))
-                assert abs(q_formula(spec, j, j_prime) - negated) < 1e-12
+        formula = q_formula(QubitChainSpec(n_qubits=n, beta=1.1))
+        # labels descend, so negating both outcomes reverses rows and columns
+        assert np.abs(formula - formula[::-1, ::-1]).max() < 1e-12
 
 
 def test_stretched_row_is_binomial():
@@ -170,12 +140,10 @@ def test_stretched_row_is_binomial():
     n = 6
     beta = 1.9
     p = flip_probability(beta)
-    spec = QubitChainSpec(n_qubits=n, beta=beta)
-    top = HalfInt(n)
+    top_row = q_formula(QubitChainSpec(n_qubits=n, beta=beta))[0]
     for k in range(n + 1):
-        j_prime = HalfInt(n - 2 * k)
         expected = math.comb(n, k) * p**k * (1.0 - p) ** (n - k)
-        assert abs(q_formula(spec, top, j_prime) - expected) < 1e-12
+        assert abs(top_row[k] - expected) < 1e-12
 
 
 @pytest.mark.parametrize("beta", [0.3, 0.9, math.pi / 2.0, 2.7])
@@ -188,16 +156,16 @@ def test_single_qubit_equals_spin_half_chain(beta):
 
 def test_range_limits():
     with pytest.raises(RangeLimitError):
-        q_formula(QubitChainSpec(n_qubits=N_MAX_FORMULA + 1, beta=1.0), HalfInt(1), HalfInt(1))
+        q_formula(QubitChainSpec(n_qubits=N_MAX_FORMULA + 1, beta=1.0))
     with pytest.raises(RangeLimitError):
         qubit_transition_matrix(QubitChainSpec(n_qubits=N_MAX_FORMULA + 1, beta=1.0))
     with pytest.raises(RangeLimitError):
-        brute_force_q(
-            QubitChainSpec(n_qubits=N_MAX_BRUTE_FORCE + 1, beta=1.0), HalfInt(1), HalfInt(1)
-        )
+        brute_force_q(QubitChainSpec(n_qubits=N_MAX_BRUTE_FORCE + 1, beta=1.0))
     # the closed form still works where enumeration cannot go
-    wide = QubitChainSpec(n_qubits=N_MAX_FORMULA, beta=0.8)
-    assert 0.0 <= q_formula(wide, HalfInt(0), HalfInt(2)) <= 1.0
+    wide = q_formula(QubitChainSpec(n_qubits=N_MAX_FORMULA, beta=0.8))
+    assert wide.shape == (N_MAX_FORMULA + 1, N_MAX_FORMULA + 1)
+    # row j = 0, column j' = 1: the cell the per-pair form checked
+    assert 0.0 <= wide[N_MAX_FORMULA // 2, N_MAX_FORMULA // 2 - 1] <= 1.0
 
 
 def test_simulate_register_shapes_and_determinism():
