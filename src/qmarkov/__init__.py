@@ -70,8 +70,6 @@ from .stats import (
 )
 from .wigner import (
     TWICE_S_MAX,
-    BigDMatrix,
-    EulerAngles,
     SmallDMatrix,
     big_D,
     small_d,
@@ -82,14 +80,12 @@ __version__ = "0.1.0"
 __all__ = [
     "AXIS_N",
     "AXIS_Z",
-    "BigDMatrix",
     "CHI2_CRIT_999",
     "ChiSquareResult",
     "ConvergenceError",
     "DimensionMismatchError",
     "Distribution",
     "EmpiricalMatrix",
-    "EulerAngles",
     "FORMAT_VERSION",
     "FormatError",
     "HalfInt",

@@ -120,8 +120,7 @@ def _chain(args) -> tuple:
         text = Path(args.file).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
         raise InvalidArgumentError(f"{args.file}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
-    matrix, _meta = matrix_from_json(text)
-    return matrix, {"kind": "matrix-file", "file": str(args.file)}, None
+    return matrix_from_json(text), {"kind": "matrix-file", "file": str(args.file)}, None
 
 
 def cmd_matrix(args) -> int:
@@ -237,30 +236,30 @@ def _verify_sweep(n_max: int, betas: list) -> tuple:
             except InternalConsistencyError as exc:
                 failures.append({"check": "branch_seam", "n": n, "beta": beta, "detail": str(exc)})
                 continue
-            checks += len(labels)  # seam agreement verified per diagonal entry
             rows = qubit_transition_matrix(spec).rows
             oracle = brute_force_q(spec)
-            for i, j in enumerate(labels):
-                checks += 1
-                row_sum = float(rows[i].sum())
-                if abs(row_sum - 1.0) > 1e-9:
-                    failures.append(
-                        {"check": "row_sum", "n": n, "beta": beta, "j": str(j), "sum": row_sum}
-                    )
-                for k, j_prime in enumerate(labels):
-                    candidates = (("formula_vs_oracle", formula[i, k]), ("matrix_vs_oracle", rows[i, k]))
-                    for check, value in candidates:
-                        checks += 1
-                        diff = abs(value - oracle[i, k])
-                        if diff > 1e-10:
+            # per (N, beta): one seam check per diagonal entry, then per
+            # row one sum check and two cell checks per column
+            checks += 2 * (n + 1) * (n + 2)
+            row_sums = rows.sum(axis=1)
+            bad_sums = np.abs(row_sums - 1.0) > 1e-9
+            diffs = {"formula_vs_oracle": np.abs(formula - oracle), "matrix_vs_oracle": np.abs(rows - oracle)}
+            bad_cells = (diffs["formula_vs_oracle"] > 1e-10) | (diffs["matrix_vs_oracle"] > 1e-10)
+            for i in np.flatnonzero(bad_sums | bad_cells.any(axis=1)):
+                j = str(labels[i])
+                if bad_sums[i]:
+                    failures.append({"check": "row_sum", "n": n, "beta": beta, "j": j, "sum": float(row_sums[i])})
+                for k in np.flatnonzero(bad_cells[i]):
+                    for check, diff in diffs.items():
+                        if diff[i, k] > 1e-10:
                             failures.append(
                                 {
                                     "check": check,
                                     "n": n,
                                     "beta": beta,
-                                    "j": str(j),
-                                    "j_prime": str(j_prime),
-                                    "diff": diff,
+                                    "j": j,
+                                    "j_prime": str(labels[k]),
+                                    "diff": float(diff[i, k]),
                                 }
                             )
             if n == 1:

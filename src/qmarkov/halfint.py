@@ -41,9 +41,6 @@ class HalfInt:
             raise InvalidArgumentError(f"half-integer string too long: {len(text)} characters") from None
         return cls(value if match.group(2) else 2 * value)
 
-    def as_float(self) -> float:
-        return self.twice / 2.0
-
     def __str__(self) -> str:
         if self.twice % 2 == 0:
             return str(self.twice // 2)

@@ -119,7 +119,7 @@ class StochasticMatrix:
 
 @dataclass(frozen=True, eq=False)
 class Trajectory:
-    """A realized outcome sequence: states[n] indexes labels; length steps + 1.
+    """A realized outcome sequence: states[n] indexes labels; steps + 1 states.
 
     States are stored in the narrowest unsigned dtype that holds every
     label index: one byte per step for up to 256 labels.
@@ -128,24 +128,24 @@ class Trajectory:
     labels: tuple
     states: np.ndarray
     seed: int
-    steps: int
 
     def __post_init__(self):
-        check_int("steps", self.steps, 0)
         arr = np.asarray(self.states)
         if not np.issubdtype(arr.dtype, np.integer):
             raise InvalidArgumentError("trajectory states must be integer indices")
         labels = _labels(self.labels)
-        if arr.ndim != 1 or arr.size != self.steps + 1:
-            raise InvalidArgumentError(
-                f"expected {self.steps + 1} states for {self.steps} steps, got {arr.size}"
-            )
-        if arr.size and (arr.min() < 0 or arr.max() >= len(labels)):
+        if arr.ndim != 1 or arr.size == 0:
+            raise InvalidArgumentError(f"expected a non-empty 1-d array of states, got shape {arr.shape}")
+        if arr.min() < 0 or arr.max() >= len(labels):
             raise InvalidArgumentError("trajectory contains an out-of-range outcome index")
         arr = arr.astype(_state_dtype(len(labels)), copy=False)
         arr.flags.writeable = False
         object.__setattr__(self, "states", arr)
         object.__setattr__(self, "labels", labels)
+
+    @property
+    def steps(self) -> int:
+        return self.states.size - 1
 
 
 @dataclass(frozen=True)
@@ -261,7 +261,7 @@ def _realize(initial: Distribution, rows: tuple, steps: int, rng: RngState) -> T
     states = np.empty(steps + 1, dtype=_state_dtype(initial.dim))
     states[0] = sample(initial, rng)
     _walk(tuple(map(_cumulative, rows)), int(states[0]), states[1:], rng)
-    return Trajectory(labels=initial.labels, states=states, seed=rng.seed, steps=steps)
+    return Trajectory(labels=initial.labels, states=states, seed=rng.seed)
 
 
 def simulate_chain(P: StochasticMatrix, initial: Distribution, steps: int, rng: RngState) -> Trajectory:

@@ -240,4 +240,4 @@ def simulate_register(
             append(n - ups)
         states[done + 1 : done + count + 1] = np.fromiter(path, dtype=states.dtype, count=count)
         done += count
-    return Trajectory(labels=labels, states=states, seed=rng.seed, steps=steps)
+    return Trajectory(labels=labels, states=states, seed=rng.seed)

@@ -32,12 +32,13 @@ def matrix_to_json(m: StochasticMatrix, kind: str = "generic", params: dict | No
     return json.dumps(payload) + "\n"
 
 
-def matrix_from_json(text: str) -> tuple[StochasticMatrix, dict]:
-    """Parse a matrix rendered by matrix_to_json.
+def matrix_from_json(text: str) -> StochasticMatrix:
+    """Parse a matrix rendered by matrix_to_json; labels become plain strings.
 
-    Returns the matrix (labels become plain strings) and the metadata
-    (kind, params, version).  Structural violations raise FormatError;
-    probability violations surface from the matrix constructor.
+    kind, params and version are checked but not returned.  A label may
+    not hold a line break, since a trajectory file gives each label one
+    line.  Structural violations raise FormatError; probability
+    violations surface from the matrix constructor.
     """
     try:
         payload = json.loads(text)
@@ -57,6 +58,9 @@ def matrix_from_json(text: str) -> tuple[StochasticMatrix, dict]:
         raise FormatError("missing or non-string 'kind'")
     if not isinstance(labels, list) or not all(isinstance(x, str) for x in labels):
         raise FormatError("'labels' must be a list of strings")
+    for label in labels:
+        if "\n" in label or "\r" in label:
+            raise FormatError(f"label {label!r} contains a line break")
     if not isinstance(rows, list) or not all(
         isinstance(r, list) and all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in r)
         for r in rows
@@ -71,8 +75,7 @@ def matrix_from_json(text: str) -> tuple[StochasticMatrix, dict]:
         rows = np.array(rows, dtype=float)
     except OverflowError:
         raise FormatError("'rows' entries must fit in a double") from None
-    matrix = StochasticMatrix(labels=tuple(labels), rows=rows)
-    return matrix, {"kind": kind, "params": params, "version": version}
+    return StochasticMatrix(labels=tuple(labels), rows=rows)
 
 
 def matrix_to_csv(m: StochasticMatrix) -> str:
@@ -173,5 +176,5 @@ def trajectory_from_text(text: str) -> tuple[Trajectory, dict]:
             raise FormatError(f"unknown outcome label {words[bad]!r}", line=done + bad + 2) from None
         done += len(codes)
         body = cut + 1
-    trajectory = Trajectory(labels=labels, states=states, seed=seed, steps=steps)
+    trajectory = Trajectory(labels=labels, states=states, seed=seed)
     return trajectory, header

@@ -29,7 +29,7 @@ from .errors import (
 from .halfint import HalfInt, m_values
 from .markov import Distribution, StochasticMatrix, Trajectory, _realize
 from .rng import RngState
-from .wigner import EulerAngles, big_D
+from .wigner import big_D
 
 AXIS_Z = "z"
 AXIS_N = "n"
@@ -86,7 +86,7 @@ def _overlap_squared(spec: SpinChainSpec) -> np.ndarray:
     cross-basis transition between outcomes m_a and m_b; the two readings
     agree because squared magnitudes kill the phases.
     """
-    entries = big_D(spec.s, EulerAngles(0.0, spec.beta, 0.0)).entries
+    entries = big_D(spec.s, 0.0, spec.beta, 0.0)
     return np.square(entries.real) + np.square(entries.imag)
 
 

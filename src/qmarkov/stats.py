@@ -55,10 +55,6 @@ class TransitionCounts:
         object.__setattr__(self, "counts", arr)
         object.__setattr__(self, "labels", labels)
 
-    @property
-    def row_visits(self) -> np.ndarray:
-        return self.counts.sum(axis=1)
-
 
 @dataclass(frozen=True, eq=False)
 class EmpiricalMatrix:

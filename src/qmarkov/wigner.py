@@ -15,6 +15,11 @@ It forms no factorials and no long alternating sums, so no digits are
 lost to cancellation (measured worst orthogonality defect 7.5e-15 over
 random beta for all 2s <= 50).
 
+small_d returns d^s(beta) in a SmallDMatrix; big_D(s, alpha, beta, gamma)
+takes three float angles and returns the complex D^s as a bare read-only
+array.  A measurement chain needs only beta: alpha and gamma multiply
+the entries by phases, which cancel in |D^s|^2.
+
 Spins above s = 25, beyond the verified range, are rejected.
 """
 
@@ -24,39 +29,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidArgumentError, RangeLimitError, check_real
-from .halfint import HalfInt, m_values
+from .halfint import HalfInt
 
 TWICE_S_MAX = 50
 
 
 @dataclass(frozen=True)
-class EulerAngles:
-    """Rotation angles (alpha, beta, gamma) about z, y, z in radians."""
-
-    alpha: float
-    beta: float
-    gamma: float
-
-    def __post_init__(self):
-        for name in ("alpha", "beta", "gamma"):
-            check_real(name, getattr(self, name))
-
-
-@dataclass(frozen=True)
 class SmallDMatrix:
-    """Real rotation matrix d^s(beta), indexed by descending m2 (rows), m1 (cols)."""
+    """Real rotation matrix d^s(beta): entries indexed by descending m2 (rows), m1 (cols)."""
 
-    s: HalfInt
-    beta: float
-    entries: np.ndarray
-
-
-@dataclass(frozen=True)
-class BigDMatrix:
-    """Complex rotation matrix D^s(alpha, beta, gamma), same indexing as SmallDMatrix."""
-
-    s: HalfInt
-    angles: EulerAngles
     entries: np.ndarray
 
 
@@ -121,18 +102,21 @@ def small_d(s: HalfInt, beta: float) -> SmallDMatrix:
     else:
         entries = _risbo(s.twice, beta)
     entries.flags.writeable = False
-    return SmallDMatrix(s=s, beta=beta, entries=entries)
+    return SmallDMatrix(entries=entries)
 
 
-def big_D(s: HalfInt, angles: EulerAngles) -> BigDMatrix:
-    """Full rotation matrix D^s = e^{-i m2 alpha} d^s(beta) e^{-i m1 gamma}."""
-    _check_spin(s)
-    if not isinstance(angles, EulerAngles):
-        angles = EulerAngles(*angles)
-    d = small_d(s, angles.beta)
-    ms = np.array([m.as_float() for m in m_values(s)])
-    row_phase = np.exp(-1j * ms * angles.alpha)
-    col_phase = np.exp(-1j * ms * angles.gamma)
+def big_D(s: HalfInt, alpha: float, beta: float, gamma: float) -> np.ndarray:
+    """Full rotation matrix D^s = e^{-i m2 alpha} d^s(beta) e^{-i m1 gamma}, read-only.
+
+    Rows and columns are indexed as in small_d; alpha and gamma are the
+    z-rotations after and before the y-rotation through beta.
+    """
+    alpha = check_real("alpha", alpha)
+    gamma = check_real("gamma", gamma)
+    d = small_d(s, beta)  # checks s and beta
+    ms = (s.twice - 2 * np.arange(s.twice + 1)) / 2.0
+    row_phase = np.exp(-1j * ms * alpha)
+    col_phase = np.exp(-1j * ms * gamma)
     entries = row_phase[:, None] * d.entries * col_phase[None, :]
     entries.flags.writeable = False
-    return BigDMatrix(s=s, angles=angles, entries=entries)
+    return entries

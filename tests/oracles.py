@@ -138,5 +138,5 @@ def oracle_trajectory_from_text(text: str) -> tuple[Trajectory, dict]:
         if i is None:
             raise FormatError(f"unknown outcome label {line!r}", line=offset + 2)
         states[offset] = i
-    trajectory = Trajectory(labels=labels, states=states, seed=seed, steps=steps)
+    trajectory = Trajectory(labels=labels, states=states, seed=seed)
     return trajectory, header

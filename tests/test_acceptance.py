@@ -132,10 +132,10 @@ def test_criterion_5_single_qubit_is_the_spin_half_chain(capsys):
 
 
 def _closure_case(name, theory, trajectory, elapsed):
-    counts = transition_counts(trajectory)
-    tvs = per_row_tv(empirical_matrix(counts), theory)
+    empirical = empirical_matrix(transition_counts(trajectory))
+    tvs = per_row_tv(empirical, theory)
     checked = [
-        tv for tv, visits in zip(tvs, counts.row_visits) if visits >= 10_000 and tv is not None
+        tv for tv, visits in zip(tvs, empirical.row_visits) if visits >= 10_000 and tv is not None
     ]
     worst = max(checked)
     return f"{name}: {len(checked)} rows with >=1e4 visits, worst TV {worst:.4f}, {elapsed:.2f} s", (

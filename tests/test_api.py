@@ -1,5 +1,6 @@
 """The package's public names: what `from qmarkov import *` gives, and the README example that uses them."""
 
+import dataclasses
 from pathlib import Path
 
 import qmarkov
@@ -14,16 +15,23 @@ REMOVED = (
     "QuantumState",
     "initial_distribution",
     "InvalidStateError",
+    "EulerAngles",
+    "BigDMatrix",
 )
 REMOVED_MEMBERS = (
     (qmarkov.RngState, ("spawn", "stream")),
-    (qmarkov.HalfInt, ("from_int", "is_integer", "__add__", "__sub__", "__lt__", "__neg__")),
+    (qmarkov.HalfInt, ("from_int", "is_integer", "__add__", "__sub__", "__lt__", "__neg__", "as_float")),
     (qmarkov.StochasticMatrix, ("row_distribution",)),
     (qmarkov.Trajectory, ("outcomes",)),
     (qmarkov.SmallDMatrix, ("labels", "dim")),
-    (qmarkov.BigDMatrix, ("labels", "dim")),
-    (qmarkov.TransitionCounts, ("total",)),
+    (qmarkov.TransitionCounts, ("total", "row_visits")),
     (qmarkov.SpinChainSpec, ("alpha", "gamma", "angles")),
+)
+# dataclass fields without a default live in dataclasses.fields, not in
+# vars(owner); Trajectory.steps stays as a property computed from states
+REMOVED_FIELDS = (
+    (qmarkov.SmallDMatrix, ("s", "beta")),
+    (qmarkov.Trajectory, ("steps",)),
 )
 
 
@@ -40,6 +48,10 @@ def test_public_api():
     for owner, members in REMOVED_MEMBERS:
         for member in members:
             assert member not in vars(owner), f"{owner.__name__}.{member}"
+    for owner, members in REMOVED_FIELDS:
+        fields = {field.name for field in dataclasses.fields(owner)}
+        for member in members:
+            assert member not in fields, f"{owner.__name__}.{member}"
 
 
 def test_readme_library_example_runs(capsys):

@@ -227,8 +227,9 @@ def test_unwritable_out_fails_before_the_work(capsys, monkeypatch, tmp_path, arg
 
 
 # matrix files past the parser's limits (not UTF-8, nesting, integer
-# digits, double range); an argv entry "@name" stands for the path of a
-# file holding BAD_MATRIX_FILES[name]
+# digits, double range) or with a label that a trajectory file cannot
+# hold on one line; an argv entry "@name" stands for the path of a file
+# holding BAD_MATRIX_FILES[name]
 _TWO_STATES = json.dumps({"kind": "generic", "labels": ["a", "b"], "rows": [[0.5, 0.5], [0.5, 0.5]],
                           "params": {}, "version": 1})
 BAD_MATRIX_FILES = {
@@ -236,6 +237,7 @@ BAD_MATRIX_FILES = {
     "nested": b"[" * 10**5 + b"]" * 10**5,
     "digits": _TWO_STATES.replace("0.5,", "1" + "0" * 5000 + ",", 1).encode(),
     "overflow": _TWO_STATES.replace("0.5,", "1" + "0" * 400 + ",", 1).encode(),
+    "line-break": _TWO_STATES.replace('"a"', '"a\\r\\nb"', 1).encode(),
 }
 LONG_DIGITS = "1" * 5000
 

@@ -8,7 +8,6 @@ import pytest
 from qmarkov import (
     DimensionMismatchError,
     Distribution,
-    EulerAngles,
     FormatError,
     HalfInt,
     InvalidArgumentError,
@@ -20,6 +19,7 @@ from qmarkov import (
     StochasticMatrix,
     Trajectory,
     TransitionCounts,
+    big_D,
     coin_toss_stream,
     flip_probability,
     simulate_chain,
@@ -109,11 +109,12 @@ def test_other_integer_arguments(build):
     "holder",
     [
         lambda x: small_d(HALF, x),
-        lambda x: EulerAngles(0.0, 0.0, x),
+        lambda x: big_D(HALF, 0.0, 0.0, x),
         lambda x: SpinChainSpec(s=HALF, beta=x),
         lambda x: QubitChainSpec(n_qubits=1, beta=x),
         lambda x: flip_probability(x),
         lambda x: stationary(_chain(), tol=x),
+        lambda x: big_D(HALF, x, 0.0, 0.0),
     ],
 )
 def test_real_arguments(holder, value):
@@ -126,7 +127,7 @@ def test_real_arguments(holder, value):
     [
         lambda labels: Distribution(labels, [0.5, 0.5]),
         lambda labels: StochasticMatrix(labels, np.eye(2)),
-        lambda labels: Trajectory(labels=labels, states=np.array([0, 1]), seed=0, steps=1),
+        lambda labels: Trajectory(labels=labels, states=np.array([0, 1]), seed=0),
         lambda labels: TransitionCounts(labels, np.zeros((2, 2), dtype=int)),
     ],
 )

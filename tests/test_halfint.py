@@ -5,8 +5,8 @@ from qmarkov import HalfInt, InvalidArgumentError, m_values
 
 def test_construction_stores_twice_the_value():
     assert HalfInt(3).twice == 3
-    assert HalfInt(0).as_float() == 0.0
-    assert HalfInt(-5).as_float() == -2.5
+    assert HalfInt(0).twice == 0
+    assert HalfInt(-5).twice == -5
 
 
 def test_twice_must_be_an_integer():

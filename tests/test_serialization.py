@@ -36,10 +36,9 @@ def spin_matrix():
 def test_matrix_json_round_trip_is_exact():
     m = spin_matrix()
     text = matrix_to_json(m, kind="spin", params={"s": "3/2", "beta": 1.234})
-    parsed, meta = matrix_from_json(text)
+    parsed = matrix_from_json(text)
     assert np.array_equal(parsed.rows, m.rows)  # repr round-trips doubles
     assert parsed.labels == ("3/2", "1/2", "-1/2", "-3/2")
-    assert meta == {"kind": "spin", "params": {"s": "3/2", "beta": 1.234}, "version": FORMAT_VERSION}
 
 
 def test_matrix_json_is_one_deterministic_line():
@@ -66,6 +65,9 @@ def test_matrix_json_is_one_deterministic_line():
         lambda p: p.update(rows=[[True, False], [False, True]]),
         lambda p: p.update(labels=["a", "b"], rows=[[1.0], [0.5, 0.5]]),  # ragged
         lambda p: p.update(params=[1]),
+        # a trajectory file gives each label one line
+        lambda p: p.update(labels=["3/2", "1/2\n", "-1/2", "-3/2"]),
+        lambda p: p.update(labels=["3/2", "1/2", "-1\r/2", "-3/2"]),
     ],
 )
 def test_matrix_json_structural_errors(mutate):
@@ -101,7 +103,7 @@ def test_matrix_json_past_the_parser_limits(text):
 
 
 def test_trajectory_header_past_the_parser_limits():
-    t = Trajectory(labels=("a", "b"), states=np.array([0, 1]), seed=7, steps=1)
+    t = Trajectory(labels=("a", "b"), states=np.array([0, 1]), seed=7)
     header, *body = trajectory_text(t).splitlines()
     assert '"seed": 7' in header
     # seeds past 64 bits are refused, as RngState refuses them
@@ -174,7 +176,7 @@ def test_trajectory_round_trip():
 
 
 def test_trajectory_file_layout():
-    t = Trajectory(labels=("1/2", "-1/2"), states=np.array([0, 1, 1]), seed=7, steps=2)
+    t = Trajectory(labels=("1/2", "-1/2"), states=np.array([0, 1, 1]), seed=7)
     text = trajectory_text(t)
     lines = text.splitlines()
     assert len(lines) == 4
@@ -205,7 +207,7 @@ def test_trajectory_header_errors_point_at_line_one():
     ],
 )
 def test_trajectory_header_field_errors(field, value):
-    t = Trajectory(labels=("a", "b"), states=np.array([0, 1]), seed=1, steps=1)
+    t = Trajectory(labels=("a", "b"), states=np.array([0, 1]), seed=1)
     lines = trajectory_text(t).splitlines()
     header = json.loads(lines[0])
     header[field] = value
@@ -215,7 +217,7 @@ def test_trajectory_header_field_errors(field, value):
 
 
 def test_trajectory_unknown_label_reports_its_line():
-    t = Trajectory(labels=("a", "b"), states=np.array([0, 1, 0]), seed=1, steps=2)
+    t = Trajectory(labels=("a", "b"), states=np.array([0, 1, 0]), seed=1)
     lines = trajectory_text(t).splitlines()
     lines[2] = "zzz"  # second outcome, file line 3
     with pytest.raises(FormatError) as info:
@@ -224,7 +226,7 @@ def test_trajectory_unknown_label_reports_its_line():
 
 
 def test_trajectory_length_mismatch_is_an_error():
-    t = Trajectory(labels=("a", "b"), states=np.array([0, 1, 0]), seed=1, steps=2)
+    t = Trajectory(labels=("a", "b"), states=np.array([0, 1, 0]), seed=1)
     lines = trajectory_text(t).splitlines()
     with pytest.raises(FormatError):
         trajectory_from_text("\n".join(lines[:-1]) + "\n")
@@ -293,7 +295,7 @@ def test_trajectory_parser_matches_the_oracle(block, monkeypatch):
 def test_trajectory_parse_allocates_at_most_8_bytes_per_line():
     steps = 10**6
     states = np.random.default_rng(6).integers(0, 3, steps + 1)
-    text = trajectory_text(Trajectory(labels=("1", "0", "-1"), states=states, seed=0, steps=steps))
+    text = trajectory_text(Trajectory(labels=("1", "0", "-1"), states=states, seed=0))
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]

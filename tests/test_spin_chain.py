@@ -19,6 +19,7 @@ from qmarkov import (
     m_values,
     per_row_tv,
     simulate_measurements,
+    small_d,
     spin_transition_matrix,
     transition_counts,
 )
@@ -64,6 +65,16 @@ def test_matrix_is_transposed_squared_rotation():
         m = spin_transition_matrix(SpinChainSpec(s=HalfInt(twice), beta=beta))
         d = oracle_small_d(twice, beta)
         assert np.abs(m.rows - (d * d).T).max() < 1e-10
+
+
+def test_matrix_is_bit_for_bit_the_transposed_square_of_small_d():
+    # the phases of big_D at alpha = gamma = 0 change no bit of |D|^2, so
+    # the chain could square small_d directly with the same matrix digests
+    betas = (0.0, -0.0, 0.3, 1.0, math.pi / 2.0, 2.2, 2.7, math.pi, 7.0, -0.9)
+    for twice in range(1, 51):
+        for beta in betas:
+            m = spin_transition_matrix(SpinChainSpec(s=HalfInt(twice), beta=beta))
+            assert np.array_equal(m.rows, np.square(small_d(HalfInt(twice), beta).entries).T), (twice, beta)
 
 
 @pytest.mark.parametrize("twice", [1, 2, 3, 5, 9])

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from qmarkov import (
-    EulerAngles,
     HalfInt,
     InvalidArgumentError,
     RangeLimitError,
@@ -43,7 +42,7 @@ def test_spin_one_quarter_turn_matches_frozen_values():
 
 
 def test_big_d_quarter_turns_matches_frozen_values():
-    D = big_D(HALF, EulerAngles(math.pi / 2.0, math.pi / 2.0, 0.0)).entries
+    D = big_D(HALF, math.pi / 2.0, math.pi / 2.0, 0.0)
     expected = np.array([[0.5 - 0.5j, -0.5 + 0.5j], [0.5 + 0.5j, 0.5 + 0.5j]])
     assert np.abs(D - expected).max() < 1e-12
 
@@ -82,9 +81,8 @@ def test_exact_core_matches_oracle_at_large_spin(twice):
 
 
 def test_big_d_matches_oracle_with_all_three_angles():
-    angles = EulerAngles(0.6, 1.3, -0.9)
     for twice in (1, 2, 5):
-        D = big_D(HalfInt(twice), angles).entries
+        D = big_D(HalfInt(twice), 0.6, 1.3, -0.9)
         assert np.abs(D - oracle_big_D(twice, 0.6, 1.3, -0.9)).max() < 1e-9
 
 
@@ -110,9 +108,8 @@ def test_index_swap_symmetry(twice):
 
 
 def test_big_d_is_unitary():
-    angles = EulerAngles(1.0, 0.8, 2.2)
     for twice in (1, 3, 8):
-        D = big_D(HalfInt(twice), angles).entries
+        D = big_D(HalfInt(twice), 1.0, 0.8, 2.2)
         assert np.abs(D @ D.conj().T - np.eye(twice + 1)).max() < 1e-10
 
 
@@ -138,14 +135,17 @@ def test_argument_validation():
         small_d(0.5, 1.0)  # must be a HalfInt
     with pytest.raises(InvalidArgumentError):
         small_d(HALF, float("nan"))
+    for angles in ((float("inf"), 1.0, 0.0), (0.0, float("inf"), 0.0), (0.0, 1.0, float("nan"))):
+        with pytest.raises(InvalidArgumentError):
+            big_D(HALF, *angles)
     with pytest.raises(InvalidArgumentError):
-        EulerAngles(0.0, float("inf"), 0.0)
+        big_D(HalfInt(-1), 0.0, 1.0, 0.0)
 
 
 def test_other_euler_angles_do_not_change_the_chain():
     # alpha and gamma only multiply entries by phases, so a spin chain is (s, beta)
     for twice in (1, 3, 10, 50):
-        D = big_D(HalfInt(twice), EulerAngles(1.3, 1.1, -0.4)).entries
+        D = big_D(HalfInt(twice), 1.3, 1.1, -0.4)
         d = small_d(HalfInt(twice), 1.1).entries
         assert np.abs(np.abs(D) ** 2 - d**2).max() <= 1e-15
 
@@ -154,6 +154,6 @@ def test_entries_are_read_only():
     d = small_d(ONE, 1.0)
     with pytest.raises(ValueError):
         d.entries[0, 0] = 2.0
-    D = big_D(ONE, EulerAngles(0.1, 1.0, 0.2))
+    D = big_D(ONE, 0.1, 1.0, 0.2)
     with pytest.raises(ValueError):
-        D.entries[0, 0] = 2.0
+        D[0, 0] = 2.0
