@@ -180,9 +180,9 @@ def cmd_simulate(args) -> int:
             default = "uniform"
     initial = default if index is None else str(labels[index])
     config = {"command": "simulate", **source, "initial": initial, "steps": steps, "seed": rng.seed}
-    with open(args.out, "w") if args.out is not None else nullcontext() as stream:
+    with _opened(args.out) as stream:
         trajectory = draw()
-        if stream is not None:
+        if args.out is not None:
             write_trajectory(trajectory, stream, config=config)
 
     counts = transition_counts(trajectory)
@@ -350,12 +350,13 @@ def _fair_coin_chi_square(ones: int, count: int):
         result = chi_square(np.array([ones, count - ones], dtype=float), fair)
     except UndefinedTestError:
         return None
-    critical = CHI2_CRIT_999.get(result.dof)
+    # two cells with equal expected counts: dof 1, or UndefinedTestError
+    critical = CHI2_CRIT_999[result.dof]
     return {
         "statistic": result.statistic,
         "dof": result.dof,
         "critical_999": critical,
-        "pass": bool(critical is not None and result.statistic < critical),
+        "pass": bool(result.statistic < critical),
     }
 
 

@@ -60,13 +60,12 @@ class UndefinedTestError(QmarkovError):
 class FormatError(InvalidArgumentError):
     """A serialized artifact violates its file format.
 
-    ``line`` is the 1-based offending line number when known; the
-    message then ends with " (line N)".
+    When the 1-based offending line number is known, the message ends
+    with " (line N)".
     """
 
     def __init__(self, message, line=None):
         super().__init__(message if line is None else f"{message} (line {line})")
-        self.line = line
 
 
 def check_int(name: str, value, minimum: int | None = None) -> int:

@@ -2,9 +2,10 @@
 
 A chain is specified by a row-stochastic matrix over a fixed ordered
 label set plus an initial distribution; trajectories store outcome
-indices into that label order.  Validation never renormalizes: a vector
-that fails the probability axioms is reported, not repaired, because the
-stochasticity of quantum-derived matrices is a correctness signal.
+indices into that label order.  Distributions and matrix rows pass one
+probability check, which never renormalizes: a vector that fails it is
+reported, not repaired, because the stochasticity of quantum-derived
+matrices is a correctness signal.
 """
 
 import math
@@ -43,17 +44,27 @@ def _labels(labels) -> tuple:
     return labels
 
 
-def _as_prob_vector(probs) -> np.ndarray:
-    arr = np.asarray(probs, dtype=float)
-    if arr.ndim != 1 or arr.size == 0:
-        raise InvalidDistributionError(f"expected a non-empty 1-d vector, got shape {arr.shape}")
+def _probabilities(values, labels: tuple, ndim: int) -> np.ndarray:
+    """Distribution.probs (ndim 1) or StochasticMatrix.rows (ndim 2), checked, as a read-only array.
+
+    In order: len(labels) entries along each axis, finite and non-negative
+    entries, and each vector along the last axis summing to 1 within SUM_TOL.
+    """
+    arr = np.asarray(values, dtype=float)
+    n = len(labels)
+    if arr.shape != (n,) * ndim:
+        raise DimensionMismatchError(f"expected shape {(n,) * ndim} for {n} labels, got {arr.shape}")
     if not np.all(np.isfinite(arr)):
         raise InvalidDistributionError("probabilities must be finite")
     if np.any(arr < 0.0):
         raise InvalidDistributionError(f"negative probability: min entry {arr.min()}")
-    total = float(arr.sum())
-    if abs(total - 1.0) > SUM_TOL:
-        raise InvalidDistributionError(f"probabilities sum to {total!r}, not 1 within {SUM_TOL}")
+    sums = arr.sum(axis=-1).reshape(-1)
+    errors = np.abs(sums - 1.0)
+    if np.any(errors > SUM_TOL):
+        i = int(np.argmax(errors))
+        where = f" in row {i}" if ndim == 2 else ""
+        raise InvalidDistributionError(f"probabilities{where} sum to {float(sums[i])!r}, not 1 within {SUM_TOL}")
+    arr.flags.writeable = False
     return arr
 
 
@@ -65,14 +76,8 @@ class Distribution:
     probs: np.ndarray
 
     def __post_init__(self):
-        arr = _as_prob_vector(self.probs)
         labels = _labels(self.labels)
-        if len(labels) != arr.size:
-            raise DimensionMismatchError(
-                f"{len(labels)} labels for {arr.size} probabilities"
-            )
-        arr.flags.writeable = False
-        object.__setattr__(self, "probs", arr)
+        object.__setattr__(self, "probs", _probabilities(self.probs, labels, 1))
         object.__setattr__(self, "labels", labels)
 
     @property
@@ -88,28 +93,8 @@ class StochasticMatrix:
     rows: np.ndarray
 
     def __post_init__(self):
-        arr = np.asarray(self.rows, dtype=float)
         labels = _labels(self.labels)
-        n = len(labels)
-        if arr.shape != (n, n):
-            raise DimensionMismatchError(
-                f"expected a {n}x{n} matrix for {n} labels, got shape {arr.shape}"
-            )
-        if not np.all(np.isfinite(arr)):
-            raise InvalidDistributionError("matrix entries must be finite")
-        if np.any(arr < 0.0):
-            raise InvalidDistributionError(f"negative entry: min {arr.min()}")
-        if np.any(arr > 1.0 + SUM_TOL):
-            raise InvalidDistributionError(f"entry above 1: max {arr.max()}")
-        sums = arr.sum(axis=1)
-        bad = np.abs(sums - 1.0) > SUM_TOL
-        if np.any(bad):
-            i = int(np.argmax(np.abs(sums - 1.0)))
-            raise InvalidDistributionError(
-                f"row {i} sums to {sums[i]!r}, not 1 within {SUM_TOL}"
-            )
-        arr.flags.writeable = False
-        object.__setattr__(self, "rows", arr)
+        object.__setattr__(self, "rows", _probabilities(self.rows, labels, 2))
         object.__setattr__(self, "labels", labels)
 
     @property

@@ -61,18 +61,6 @@ def flip_probability(beta: float) -> float:
     return sh * sh
 
 
-def _check_outcome(n_qubits: int, j: HalfInt) -> int:
-    """Validate initial_j as an outcome label for N qubits; returns twice j."""
-    if not isinstance(j, HalfInt):
-        raise InvalidArgumentError(f"initial_j must be a HalfInt, got {j!r}")
-    if abs(j.twice) > n_qubits or (j.twice - n_qubits) % 2 != 0:
-        raise InvalidArgumentError(
-            f"initial_j={j} is not an outcome for {n_qubits} qubits "
-            f"(need |j| <= N/2 with j - N/2 integral)"
-        )
-    return j.twice
-
-
 def _check_formula_range(spec: QubitChainSpec) -> int:
     """The register size, if the closed forms cover it."""
     n = spec.n_qubits
@@ -209,7 +197,7 @@ def simulate_register(
     steps: int,
     rng: RngState,
 ) -> Trajectory:
-    """Realize the chain at the per-qubit level.
+    """Realize the chain at the per-qubit level from initial_j, one of spec.labels.
 
     Each step draws one uniform per qubit and flips it when the draw
     falls below sin^2(beta/2); the recorded outcome is the resulting up
@@ -220,11 +208,15 @@ def simulate_register(
     """
     n = spec.n_qubits
     check_int("steps", steps, 0)
-    ups = (_check_outcome(n, initial_j) + n) // 2
-    p = flip_probability(spec.beta)
     labels = spec.labels
+    try:
+        start = labels.index(initial_j)
+    except ValueError:
+        raise InvalidArgumentError(f"initial_j={initial_j!r} is not an outcome label for {n} qubits") from None
+    ups = n - start  # labels descend, so index = N - ups
+    p = flip_probability(spec.beta)
     states = np.empty(steps + 1, dtype=markov._state_dtype(n + 1))
-    states[0] = n - ups  # labels descend, so index = N - ups
+    states[0] = start
     # up_mask[u] selects the u up qubits, bits 0..u-1, of a step's flip word
     up_mask = [(1 << u) - 1 for u in range(n + 1)]
     block_steps = max(1, markov._BLOCK // n)

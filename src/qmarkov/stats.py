@@ -74,8 +74,6 @@ class EmpiricalMatrix:
 class ChiSquareResult:
     statistic: float
     dof: int
-    cells: int
-    pooled: int
 
 
 def transition_counts(t: Trajectory) -> TransitionCounts:
@@ -167,4 +165,4 @@ def chi_square(observed, expected: Distribution) -> ChiSquareResult:
         raise UndefinedTestError(
             f"only {cells} effective cell(s) after pooling below {_MIN_EXPECTED}"
         )
-    return ChiSquareResult(statistic=float(statistic), dof=cells - 1, cells=cells, pooled=pooled)
+    return ChiSquareResult(statistic=float(statistic), dof=cells - 1)

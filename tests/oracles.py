@@ -2,7 +2,8 @@
 
 Everything here deliberately avoids the code paths under test: rotation
 matrices come from an eigendecomposition of the angular momentum
-operator rather than a closed-form sum, and register transition
+operator, or exactly in rational arithmetic from Wigner's explicit sum,
+rather than from the library's recursion, and register transition
 probabilities come from enumerating every flip pattern of every qubit.
 The register matrix oracle is the exception: it repeats the builder's
 float arithmetic with binomials from math.comb, to pin the builder's
@@ -14,6 +15,7 @@ label up on its own.  Slow is fine; different is the point.
 import itertools
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -47,6 +49,39 @@ def oracle_big_D(twice_s: int, alpha: float, beta: float, gamma: float) -> np.nd
     d = oracle_small_d(twice_s, beta)
     ms = np.array([(twice_s - 2 * i) / 2.0 for i in range(twice_s + 1)])
     return np.exp(-1j * ms * alpha)[:, None] * d * np.exp(-1j * ms * gamma)[None, :]
+
+
+def exact_small_d_squared(twice_s: int, t: Fraction) -> list:
+    """|d^s_{m'm}|^2 as exact Fractions at cos(beta/2) = (1-t^2)/(1+t^2), sin(beta/2) = 2t/(1+t^2).
+
+    Rows m' and columns m run s..-s.  Wigner's explicit sum gives
+    d^s_{m'm} = sqrt((s+m')!(s-m')!(s+m)!(s-m)!) times
+    sum_q (-1)^(q-m+m') c^(2s-2q+m-m') s^(2q-m+m') / ((s+m-q)! q! (s-m'-q)! (q-m+m')!).
+    Squaring removes the root, and c^2 + s^2 = 1 holds exactly at these
+    Pythagorean points, so every entry and every row sum is exact.
+    With row i and column k, s+m' = n-i, s-m' = i, s+m = n-k, s-m = k
+    for n = 2s; every term has total power n, so c^a s^b is an integer
+    over (1+t^2)^n, kept as numerators cos_num^a sin_num^b.
+    """
+    n = twice_s
+    cos_num = t.denominator**2 - t.numerator**2
+    sin_num = 2 * t.numerator * t.denominator
+    scale = Fraction(1, (t.denominator**2 + t.numerator**2) ** n)
+    fact = [math.factorial(k) for k in range(n + 1)]
+    rows = []
+    for i in range(n + 1):
+        row = []
+        for k in range(n + 1):
+            amplitude = Fraction(0)
+            for q in range(max(0, i - k), min(n - k, i) + 1):
+                term = Fraction(
+                    cos_num ** (n - 2 * q + i - k) * sin_num ** (2 * q + k - i),
+                    fact[n - k - q] * fact[q] * fact[i - q] * fact[q + k - i],
+                )
+                amplitude += -term if q % 2 else term
+            row.append(fact[n - i] * fact[i] * fact[n - k] * fact[k] * (amplitude * scale) ** 2)
+        rows.append(row)
+    return rows
 
 
 def enumerate_q(n_qubits: int, beta: float, j: HalfInt, j_prime: HalfInt) -> float:

@@ -61,6 +61,9 @@ def test_validate_distribution_rejects_bad_vectors(probs):
 def test_distribution_label_length_must_match():
     with pytest.raises(DimensionMismatchError):
         Distribution(labels=("a",), probs=np.array([0.5, 0.5]))
+    # the shape is checked against the labels before any entry
+    with pytest.raises(DimensionMismatchError):
+        Distribution(labels=("a", "b"), probs=np.array([[0.5, 0.5]]))
 
 
 def test_stochastic_matrix_validation():
@@ -68,6 +71,9 @@ def test_stochastic_matrix_validation():
         StochasticMatrix(labels=("a", "b"), rows=np.array([[0.5, 0.6], [0.5, 0.5]]))
     with pytest.raises(DimensionMismatchError):
         StochasticMatrix(labels=("a", "b"), rows=np.array([[1.0, 0.0]]))
+    # an entry above 1 next to non-negative entries fails its row's sum
+    with pytest.raises(InvalidDistributionError, match=r"in row 0 sum to 1\.5,"):
+        StochasticMatrix(labels=("a", "b"), rows=np.array([[1.5, 0.0], [0.5, 0.5]]))
     m = coin_matrix()
     assert m.dim == 2
     assert m.labels == ("h", "t")

@@ -69,6 +69,11 @@ def test_outcome_validation():
         simulate_register(spec, HalfInt(-5), 10, RngState(0))
     with pytest.raises(InvalidArgumentError):
         simulate_register(spec, 1.5, 10, RngState(0))  # not a HalfInt
+    with pytest.raises(InvalidArgumentError):
+        simulate_register(spec, "1/2", 10, RngState(0))  # a label's text, not the label
+    # every label starts the trajectory at its own index
+    for index, label in enumerate(spec.labels):
+        assert simulate_register(spec, label, 0, RngState(0)).states[0] == index
 
 
 def test_matches_frozen_enumeration_values():

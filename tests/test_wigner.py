@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from qmarkov import (
     small_d,
 )
 
-from oracles import oracle_big_D, oracle_small_d
+from oracles import exact_small_d_squared, oracle_big_D, oracle_small_d
 
 HALF = HalfInt(1)
 ONE = HalfInt(2)
@@ -78,6 +79,32 @@ def test_exact_core_matches_oracle_at_large_spin(twice):
     for beta in (0.4, 2.0):
         d = small_d(HalfInt(twice), beta).entries
         assert np.abs(d - oracle_small_d(twice, beta)).max() < 1e-9
+
+
+@pytest.mark.parametrize(
+    "t,twices",
+    [
+        (Fraction(1, 3), (*range(1, 21), 50)),
+        (Fraction(1, 2), tuple(range(1, 21))),
+        (Fraction(2, 7), tuple(range(1, 21))),
+    ],
+)
+def test_squares_match_the_exact_rational_oracle(t, twices):
+    # the chain matrix is |d|^2; at cos(beta/2), sin(beta/2) rational with
+    # c^2 + s^2 = 1 exactly, Wigner's sum gives it in Fractions.  The bound
+    # is absolute: tiny entries are off by up to ~4e5 ulps of their own
+    # value, so a per-entry ulp budget does not hold.
+    c = (1 - t * t) / (1 + t * t)
+    s = 2 * t / (1 + t * t)
+    beta = 2.0 * math.atan2(float(s), float(c))
+    bound = Fraction(1e-15)
+    for twice in twices:
+        exact = exact_small_d_squared(twice, t)
+        assert all(sum(row) == 1 for row in exact)
+        squares = np.square(small_d(HalfInt(twice), beta).entries).tolist()
+        for got_row, exact_row in zip(squares, exact):
+            for got, want in zip(got_row, exact_row):
+                assert abs(Fraction(got) - want) <= bound, (twice, got, float(want))
 
 
 def test_big_d_matches_oracle_with_all_three_angles():
