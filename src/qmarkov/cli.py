@@ -28,6 +28,7 @@ from .errors import (
     ConvergenceError,
     InternalConsistencyError,
     InvalidArgumentError,
+    InvalidDistributionError,
     UndefinedTestError,
     check_int,
     check_real,
@@ -233,35 +234,23 @@ def _verify_sweep(n_max: int, betas: list) -> tuple:
             labels = spec.labels
             try:
                 formula = q_formula(spec)
+                rows = qubit_transition_matrix(spec).rows
             except InternalConsistencyError as exc:
                 failures.append({"check": "branch_seam", "n": n, "beta": beta, "detail": str(exc)})
                 continue
-            rows = qubit_transition_matrix(spec).rows
+            except InvalidDistributionError as exc:
+                failures.append({"check": "row_sum", "n": n, "beta": beta, "detail": str(exc)})
+                continue
             oracle = brute_force_q(spec)
             # per (N, beta): one seam check per diagonal entry, then per
-            # row one sum check and two cell checks per column
+            # row one sum check (made by StochasticMatrix) and two cell
+            # checks per column
             checks += 2 * (n + 1) * (n + 2)
-            row_sums = rows.sum(axis=1)
-            bad_sums = np.abs(row_sums - 1.0) > 1e-9
-            diffs = {"formula_vs_oracle": np.abs(formula - oracle), "matrix_vs_oracle": np.abs(rows - oracle)}
-            bad_cells = (diffs["formula_vs_oracle"] > 1e-10) | (diffs["matrix_vs_oracle"] > 1e-10)
-            for i in np.flatnonzero(bad_sums | bad_cells.any(axis=1)):
-                j = str(labels[i])
-                if bad_sums[i]:
-                    failures.append({"check": "row_sum", "n": n, "beta": beta, "j": j, "sum": float(row_sums[i])})
-                for k in np.flatnonzero(bad_cells[i]):
-                    for check, diff in diffs.items():
-                        if diff[i, k] > 1e-10:
-                            failures.append(
-                                {
-                                    "check": check,
-                                    "n": n,
-                                    "beta": beta,
-                                    "j": j,
-                                    "j_prime": str(labels[k]),
-                                    "diff": float(diff[i, k]),
-                                }
-                            )
+            for check, route in (("formula_vs_oracle", formula), ("matrix_vs_oracle", rows)):
+                diff = np.abs(route - oracle)
+                for i, k in np.argwhere(diff > 1e-10):
+                    cell = {"j": str(labels[i]), "j_prime": str(labels[k]), "diff": float(diff[i, k])}
+                    failures.append({"check": check, "n": n, "beta": beta, **cell})
             if n == 1:
                 checks += 1
                 spin = spin_transition_matrix(SpinChainSpec(s=HalfInt(1), beta=beta))

@@ -45,12 +45,12 @@ def _labels(labels) -> tuple:
 
 
 def _probabilities(values, labels: tuple, ndim: int) -> np.ndarray:
-    """Distribution.probs (ndim 1) or StochasticMatrix.rows (ndim 2), checked, as a read-only array.
+    """Distribution.probs (ndim 1) or StochasticMatrix.rows (ndim 2), checked, as a read-only copy.
 
     In order: len(labels) entries along each axis, finite and non-negative
     entries, and each vector along the last axis summing to 1 within SUM_TOL.
     """
-    arr = np.asarray(values, dtype=float)
+    arr = np.array(values, dtype=float)
     n = len(labels)
     if arr.shape != (n,) * ndim:
         raise DimensionMismatchError(f"expected shape {(n,) * ndim} for {n} labels, got {arr.shape}")
@@ -123,7 +123,8 @@ class Trajectory:
             raise InvalidArgumentError(f"expected a non-empty 1-d array of states, got shape {arr.shape}")
         if arr.min() < 0 or arr.max() >= len(labels):
             raise InvalidArgumentError("trajectory contains an out-of-range outcome index")
-        arr = arr.astype(_state_dtype(len(labels)), copy=False)
+        # a read-only view: the caller's array stays writable, and no copy is made
+        arr = arr.astype(_state_dtype(len(labels)), copy=False).view()
         arr.flags.writeable = False
         object.__setattr__(self, "states", arr)
         object.__setattr__(self, "labels", labels)
@@ -268,6 +269,9 @@ def stationary(P: StochasticMatrix, tol: float = 1e-10, max_iters: int = 100_000
     The start vector is a deterministic descending ramp rather than the
     uniform vector: uniform is exactly fixed by every doubly stochastic
     matrix, which would mask non-convergence of periodic chains.
+    ConvergenceError is raised when max_iters pass without reaching tol,
+    and when the iterate that reaches it fails the probability check:
+    rows that each pass SUM_TOL can still carry its mass past it.
     """
     _check_tol(tol)
     check_int("max_iters", max_iters, 1)
@@ -279,11 +283,16 @@ def stationary(P: StochasticMatrix, tol: float = 1e-10, max_iters: int = 100_000
         nxt = curr @ P.rows
         residual = 0.5 * float(np.abs(nxt - curr).sum())
         if residual <= tol:
-            return StationaryResult(
-                distribution=Distribution(P.labels, curr),
-                iterations=iteration,
-                residual=residual,
-            )
+            try:
+                distribution = Distribution(P.labels, curr)
+            except InvalidDistributionError as exc:
+                raise ConvergenceError(
+                    f"the iterate converged (residual {residual:.3e}) but is not a distribution: {exc}",
+                    last_iterate=curr,
+                    residual=residual,
+                    iterations=iteration,
+                ) from None
+            return StationaryResult(distribution=distribution, iterations=iteration, residual=residual)
         curr = nxt
     raise ConvergenceError(
         f"no stationary distribution within {max_iters} iterations "

@@ -4,7 +4,8 @@ Everything here deliberately avoids the code paths under test: rotation
 matrices come from an eigendecomposition of the angular momentum
 operator, or exactly in rational arithmetic from Wigner's explicit sum,
 rather than from the library's recursion, and register transition
-probabilities come from enumerating every flip pattern of every qubit.
+probabilities come from enumerating every flip pattern of every qubit,
+or exactly in rational arithmetic as a convolution of two binomial laws.
 The register matrix oracle is the exception: it repeats the builder's
 float arithmetic with binomials from math.comb, to pin the builder's
 output bit for bit.
@@ -82,6 +83,27 @@ def exact_small_d_squared(twice_s: int, t: Fraction) -> list:
             row.append(fact[n - i] * fact[i] * fact[n - k] * fact[k] * (amplitude * scale) ** 2)
         rows.append(row)
     return rows
+
+
+def exact_register_row(n_qubits: int, ups: int, t: Fraction) -> list:
+    """Row ups of the register matrix as exact Fractions, at the Pythagorean point of t.
+
+    With c = cos(beta/2) = (1-t^2)/(1+t^2) and s = sin(beta/2) = 2t/(1+t^2),
+    the next up count is the sum of Binomial(ups, c^2), the ups that stay
+    up, and Binomial(N - ups, s^2), the downs that flip up; the row is the
+    convolution of the two laws, listed for next up counts N..0 so that
+    labels descend.  c^2 + s^2 = 1 exactly, so the row sums to exactly 1.
+    """
+    downs = n_qubits - ups
+    stay = ((1 - t * t) / (1 + t * t)) ** 2
+    flip = (2 * t / (1 + t * t)) ** 2
+    stay_up = [math.comb(ups, k) * stay**k * flip ** (ups - k) for k in range(ups + 1)]
+    flip_up = [math.comb(downs, k) * flip**k * stay ** (downs - k) for k in range(downs + 1)]
+    row = [Fraction(0)] * (n_qubits + 1)
+    for a, weight_a in enumerate(stay_up):
+        for b, weight_b in enumerate(flip_up):
+            row[a + b] += weight_a * weight_b
+    return row[::-1]
 
 
 def enumerate_q(n_qubits: int, beta: float, j: HalfInt, j_prime: HalfInt) -> float:

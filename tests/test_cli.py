@@ -460,6 +460,32 @@ def test_verify_reports_a_branch_seam_break(capsys, monkeypatch):
     assert payload["failures"][1]["detail"].startswith("branch formulas disagree at j=j'=1 for N=2")
 
 
+def test_verify_reports_a_builder_row_sum_defect(capsys, monkeypatch):
+    import qmarkov.cli as cli
+    from qmarkov import StochasticMatrix
+
+    builder = cli.qubit_transition_matrix
+
+    def excess(spec):
+        matrix = builder(spec)
+        rows = matrix.rows.copy()
+        rows[0, 0] += 2e-9
+        return StochasticMatrix(matrix.labels, rows)
+
+    monkeypatch.setattr(cli, "qubit_transition_matrix", excess)
+    code = main(["verify", "--n-max", "2", "--beta", "0.7"])
+    captured = capsys.readouterr()
+    assert code == 4
+    assert captured.err == ""
+    payload = json.loads(captured.out)
+    assert payload["pass"] is False
+    assert [(f["check"], f["n"], f["beta"]) for f in payload["failures"]] == [
+        ("row_sum", 1, 0.7),
+        ("row_sum", 2, 0.7),
+    ]
+    assert all(f["detail"].startswith("probabilities in row 0 sum to 1.000000002") for f in payload["failures"])
+
+
 def test_verify_range_check(capsys):
     code, _ = run(capsys, "verify", "--n-max", "30")
     assert code == 2
@@ -494,6 +520,24 @@ def test_stationary_two_cycle_exits_3(capsys, tmp_path):
     assert payload["converged"] is False
     assert payload["iterations"] == 200
     assert abs(sum(payload["last_iterate"]) - 1.0) < 1e-9
+
+
+def test_stationary_on_a_near_stochastic_file_exits_3(capsys, tmp_path):
+    # rows inside SUM_TOL whose converged iterate is not: a computed
+    # result, reported as non-convergence with its payload, not as an input error
+    near = tmp_path / "near.json"
+    rows = [[0.3 + 4e-10, 0.7 + 4e-10], [0.6 + 4e-10, 0.4 + 4e-10]]
+    near.write_text(json.dumps({"kind": "generic", "labels": ["a", "b"], "rows": rows, "params": {}, "version": 1}))
+    out = tmp_path / "out.json"
+    argv = ["stationary", "--kind", "matrix-file", "--file", str(near), "--tol", "1e-6", "--out", str(out)]
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == "" and captured.err == ""
+    payload = json.loads(out.read_text())
+    assert payload["converged"] is False
+    assert payload["residual"] <= 1e-6
+    assert len(payload["last_iterate"]) == 2
 
 
 def test_reruns_are_byte_identical(capsys, tmp_path):

