@@ -29,6 +29,17 @@ SUM_TOL = 1e-9
 # uniforms per block draw, shared by every simulator; block draws equal
 # one-at-a-time draws, so the size changes no trajectory
 _BLOCK = 1 << 16
+# steps per lockstep segment; even, so all segments share each step's phase
+_SEGMENT = 256
+# a fix-up pass tests every this many steps whether all segments have met
+_MEET_CHECK = 8
+# a block of fewer segments, and the rest of a walk that fails to
+# couple, is walked by bisect
+_MIN_SEGMENTS = 128
+# guide cells per lookup-table breakpoint, rounded up to a power of two
+_GUIDE_CELLS = 16
+# lookup-table entries per phase; a larger chain is walked by bisect
+_LUT_CAP = 1 << 20
 
 
 def _state_dtype(dim: int) -> np.dtype:
@@ -162,34 +173,68 @@ def _walk(tables: tuple, state: int, out: np.ndarray, rng: RngState) -> None:
     Step k leaves `state` through tables[(k - 1) % p][state], for a period
     p of 1 (a plain chain) or 2 (alternating measurement axes).  Uniforms
     come in blocks of _BLOCK; each block's tables follow from the global
-    step index, so any block length keeps the phase.
+    step index, so any block length keeps the phase.  Every walker below
+    gives the states `bisect_right` gives, bit for bit.
 
-    With more than two states every step is a bisect in Python.  A
-    two-state chain is scanned with numpy instead, with the same result
-    bit for bit: the table [c_r, inf] of row r sends a uniform u to
-    u >= c_r, so with a = u >= c_0 and b = u >= c_1 each uniform maps the
-    state by one of four maps: constant a when a == b, the identity when
-    a < b, a swap when a > b.  Either non-constant map sends x to x ^ a.
-    So a state is the value of the last constant draw XOR the running
-    parity of a since then, and both come from array scans.
+    A two-state chain is scanned with numpy: the table [c_r, inf] of row r
+    sends a uniform u to u >= c_r, so with a = u >= c_0 and b = u >= c_1
+    each uniform maps the state by one of four maps: constant a when
+    a == b, the identity when a < b, a swap when a > b.  Either
+    non-constant map sends x to x ^ a.  So a state is the value of the
+    last constant draw XOR the running parity of a since then, and both
+    come from array scans.
+
+    A chain of three or more states is walked in lockstep with numpy.
+    Each phase gets a lookup table, built once per walk: its breakpoints
+    are the finite entries of all its rows, sorted, and lut[b, x] is
+    bisect_right(tables[x], breaks[b - 1]), the next state from x for
+    every uniform u in bucket b, the number of breakpoints at or below u.
+    Since every table entry is a breakpoint, the lookup is exact.  The
+    bucket comes from a guide of equal cells over [0, 1): a cell holding
+    no breakpoint has one bucket, and only uniforms in the other cells
+    are searched for.  A block is cut into segments of _SEGMENT steps,
+    walked side by side with one gather per step, every segment but the
+    first from a guessed start.  Each fix-up pass walks the segments
+    again from their true starts (the end of the segment before), until
+    every one has met its stored path; passes repeat until no start
+    changes.  That is cheap because the maps of successive uniforms
+    coalesce: walks started from different states meet within a few
+    steps, the coupling behind Propp and Wilson's exact sampling.  A chain
+    that does not coalesce (a permutation, the identity started off 0)
+    leaves most of the first pass's segments unmet; then the block is
+    finished by bisect from the first segment not yet resolved, and so is
+    the rest of the walk.  Blocks of fewer than _MIN_SEGMENTS segments,
+    and chains whose table would pass _LUT_CAP entries (about 101 states),
+    are walked by bisect alone, so memory stays bounded for any chain.
     """
-    walk_block = _scan_block if len(tables[0]) == 2 else _bisect_block
+    dim = len(tables[0])
+    luts = _lookup_tables(tables) if dim > 2 and out.size >= _MIN_SEGMENTS * _SEGMENT else None
     steps = out.size
     done = 0
     while done < steps:
         count = min(_BLOCK, steps - done)
-        state = walk_block(tables, done, state, rng, out[done : done + count])
+        part = out[done : done + count]
+        # each walker holds the only reference to its block, so _bisect_block
+        # frees the array once it has listed it
+        if dim == 2:
+            state = _scan_block(tables, done, state, rng.random_block(count), part)
+        elif luts is None or count < _MIN_SEGMENTS * _SEGMENT:
+            state = _bisect_block(tables, done, state, rng.random_block(count), part)
+        else:
+            state, coupled = _lockstep_block(tables, luts, done, state, rng.random_block(count), part)
+            if not coupled:
+                luts = None
         done += count
 
 
-def _bisect_block(tables: tuple, done: int, state: int, rng: RngState, out: np.ndarray) -> int:
+def _bisect_block(tables: tuple, done: int, state: int, block: np.ndarray, out: np.ndarray) -> int:
     """Steps done + 1..done + out.size by bisect, into out; returns the last state.
 
     Uniforms are read in pairs, the first through the tables of step done + 1.
     """
     period = len(tables)
     bisect = bisect_right
-    block = rng.random_block(out.size).tolist()
+    block = block.tolist()
     first = tables[done % period]
     second = tables[(done + 1) % period]
     path = []
@@ -207,14 +252,125 @@ def _bisect_block(tables: tuple, done: int, state: int, rng: RngState, out: np.n
     return state
 
 
-def _scan_block(tables: tuple, done: int, state: int, rng: RngState, out: np.ndarray) -> int:
+def _lookup_tables(tables: tuple) -> list | None:
+    """Per table, (breaks, guide, lut) for _lockstep_block; None if a lut would pass _LUT_CAP entries.
+
+    lut is the (len(breaks) + 1, dim) table of next states, raveled, in
+    the state dtype: an entry table[x][j] equal to breaks[r] is at or
+    below every uniform of bucket r + 1 and above, so counting entries
+    per row by bucket and summing down the buckets gives bisect_right.
+    guide cuts [0, 1) into a power of two of equal cells, at least
+    _GUIDE_CELLS per breakpoint: a cell that holds no breakpoint has one
+    bucket, stored as its lut offset (bucket * dim), and a cell that
+    holds one stores -1.
+    """
+    dim = len(tables[0])
+    luts = []
+    for table in tables:
+        # gathered row by row, so a wide chain stops at the cap and not
+        # after a pass over all dim**2 entries
+        breaks = set()
+        for row in table:
+            breaks.update(row[:-1])
+            if (len(breaks) + 1) * dim > _LUT_CAP:
+                return None
+        breaks = np.array(sorted(breaks))
+        entries = np.array(table)[:, :-1]
+        lut = np.zeros((breaks.size + 1, dim), dtype=_state_dtype(dim))
+        np.add.at(lut, (np.searchsorted(breaks, entries) + 1, np.arange(dim)[:, None]), 1)
+        np.add.accumulate(lut, axis=0, out=lut)
+        cells = 1 << (_GUIDE_CELLS * breaks.size).bit_length()
+        # each breakpoint's cell: b * cells is exact, as cells is a power of
+        # two, and a breakpoint at or above 1 is above every uniform
+        cell = (breaks * cells).astype(np.intp)
+        cell = cell[cell < cells]
+        guide = np.zeros(cells, dtype=np.int32)
+        np.add.at(guide, cell[cell + 1 < cells] + 1, dim)
+        np.add.accumulate(guide, out=guide)
+        guide[cell] = -1
+        luts.append((breaks, guide, lut.ravel()))
+    return luts
+
+
+def _lut_offsets(luts: list, done: int, dim: int, uniforms: np.ndarray) -> np.ndarray:
+    """keys[phase, j, s]: the lut offset of uniforms[phase + j * period, s].
+
+    Row k of uniforms holds the uniforms of step done + 1 + k (mod
+    period) of every segment, so it goes through that step's tables.
+    """
+    period = len(luts)
+    keys = np.empty((period, uniforms.shape[0] // period, uniforms.shape[1]), dtype=np.int32)
+    cells = np.empty(keys.shape[1:], dtype=np.intp)
+    for phase, phase_keys in enumerate(keys):
+        breaks, guide, _ = luts[(done + phase) % period]
+        phase_uniforms = uniforms[phase::period]
+        # u * guide.size is exact, so the cast, a floor, is u's cell
+        np.multiply(phase_uniforms, guide.size, out=cells, casting="unsafe")
+        guide.take(cells, out=phase_keys, mode="clip")
+        busy = np.nonzero(phase_keys < 0)
+        phase_keys[busy] = np.searchsorted(breaks, phase_uniforms[busy], side="right") * dim
+    return keys
+
+
+def _lockstep_block(tables: tuple, luts: list, done: int, state: int, block: np.ndarray, out: np.ndarray) -> tuple:
+    """Steps done + 1..done + out.size in lockstep segments; returns (last state, coupled).
+
+    Step k of segment s (block step s * _SEGMENT + k) leaves through
+    keys[k % period, k // period, s], its lut offset, and path[k, s] is
+    the state after it.  coupled is False when the first fix-up pass left
+    most of its segments unmet; the block is then finished by
+    _bisect_block from the first segment not yet resolved, as is the tail
+    past the last whole segment in any case.
+    """
+    period, dim, seg = len(tables), len(tables[0]), _SEGMENT
+    count = out.size // seg
+    keys = _lut_offsets(luts, done, dim, block[: count * seg].reshape(count, seg).T)
+    step_keys = [keys[k % period, k // period] for k in range(seg)]
+    step_luts = [luts[(done + k) % period][2] for k in range(period)] * (seg // period)
+    path = np.empty((seg, count), dtype=_state_dtype(dim))
+    starts = np.zeros(count, dtype=path.dtype)
+    starts[0] = state
+    index = np.empty(count, dtype=np.intp)
+    states = starts
+    for k in range(seg):
+        states = step_luts[k].take(np.add(step_keys[k], states, out=index), out=path[k], mode="clip")
+    # a fix-up pass walks every segment again from the end of the one
+    # before it; a segment whose start did not change repeats its path
+    fresh = np.empty_like(path)
+    first_pass = coupled = True
+    while True:
+        wrong = np.flatnonzero(path[-1, :-1] != starts[1:]) + 1
+        if not wrong.size or not coupled:
+            break
+        starts[1:] = path[-1, :-1]
+        states = starts
+        for k in range(seg):
+            states = step_luts[k].take(np.add(step_keys[k], states, out=index), out=fresh[k], mode="clip")
+            if k % _MEET_CHECK == _MEET_CHECK - 1 and (states == path[k]).all():
+                # every segment has met its stored path
+                path[:k] = fresh[:k]
+                break
+        else:
+            unmet = np.count_nonzero(fresh[-1] != path[-1])
+            path, fresh = fresh, path
+            coupled = not first_pass or 2 * unmet <= wrong.size
+        first_pass = False
+    first = int(wrong[0]) if wrong.size else count
+    out[: first * seg].reshape(first, seg)[:] = path[:, :first].T
+    state = int(path[-1, first - 1])
+    # free the lockstep arrays before a fallback lists its uniforms
+    del keys, step_keys, path, fresh
+    start = first * seg
+    return _bisect_block(tables, done + start, state, block[start:], out[start:]), coupled
+
+
+def _scan_block(tables: tuple, done: int, state: int, block: np.ndarray, out: np.ndarray) -> int:
     """Steps done + 1..done + out.size of a two-state chain by scans; as _bisect_block.
 
     Index 0 of the scans stands for the start state, taken as a constant
     draw; index k >= 1 is the block's step k, which is step done + k.
     """
     period = len(tables)
-    block = rng.random_block(out.size)
     a = np.empty(block.size + 1, dtype=bool)
     b = np.empty(block.size + 1, dtype=bool)
     a[0] = b[0] = state

@@ -111,8 +111,11 @@ def test_simulate_spin_initial_label(capsys):
     assert payload["config"]["initial"] == "-1"
     with pytest.raises(SystemExit):
         main(["simulate", "--kind", "spin", "--s", "1", "--beta", "0.4", "--steps"])
-    code, _ = run(capsys, "simulate", "--kind", "spin", "--s", "1", "--beta", "0.4", "--steps", "5", "--initial", "1/2")
-    assert code == 2  # half-integer outcome for an integer spin
+    capsys.readouterr()  # argparse's usage message
+    # half-integer outcome for an integer spin
+    argv = ["simulate", "--kind", "spin", "--s", "1", "--beta", "0.4", "--steps", "5", "--initial", "1/2"]
+    assert main(argv) == 2
+    assert_one_error_line(capsys)
 
 
 def test_simulate_matrix_file_round_trip(capsys, tmp_path):
@@ -134,9 +137,9 @@ def test_simulate_matrix_file_round_trip(capsys, tmp_path):
     )
     assert code == 0
     assert payload["config"]["initial"] == "0"
-    code, _ = run(capsys, "simulate", "--kind", "matrix-file", "--file", str(target),
-                  "--steps", "10", "--initial", "bogus")
-    assert code == 2
+    argv = ["simulate", "--kind", "matrix-file", "--file", str(target), "--steps", "10", "--initial", "bogus"]
+    assert main(argv) == 2
+    assert_one_error_line(capsys)
 
 
 def never(name):
@@ -153,17 +156,15 @@ def assert_one_error_line(capsys):
 
 
 def test_simulate_usage_errors(capsys, tmp_path):
-    code, _ = run(capsys, "simulate", "--kind", "spin", "--beta", "1.0", "--steps", "5")
-    assert code == 2  # missing --s
-    code, _ = run(capsys, "simulate", "--kind", "spin", "--s", "1/2", "--steps", "5")
-    assert code == 2  # missing beta
-    code, _ = run(capsys, "simulate", "--kind", "matrix-file", "--steps", "5")
-    assert code == 2  # missing --file
-    code, _ = run(capsys, "simulate", "--kind", "matrix-file", "--file", "/nonexistent.json", "--steps", "5")
-    assert code == 2
-    code, _ = run(capsys, "simulate", "--kind", "spin", "--s", "1/2", "--beta", "1.0",
-                  "--steps", str(10**8 + 1))
-    assert code == 2  # step cap
+    for argv in (
+        ("simulate", "--kind", "spin", "--beta", "1.0", "--steps", "5"),  # missing --s
+        ("simulate", "--kind", "spin", "--s", "1/2", "--steps", "5"),  # missing beta
+        ("simulate", "--kind", "matrix-file", "--steps", "5"),  # missing --file
+        ("simulate", "--kind", "matrix-file", "--file", "/nonexistent.json", "--steps", "5"),
+        ("simulate", "--kind", "spin", "--s", "1/2", "--beta", "1.0", "--steps", str(10**8 + 1)),  # step cap
+    ):
+        assert main(list(argv)) == 2, argv
+        assert_one_error_line(capsys)
     unwritable = str(tmp_path / "missing" / "out")
     for argv in (
         ("spin-matrix", "--s", "1", "--beta", "1", "--out", unwritable),
@@ -177,8 +178,8 @@ def test_qubit_register_above_the_cap_fails_before_simulating(capsys, monkeypatc
     import qmarkov.cli as cli
 
     monkeypatch.setattr(cli, "simulate_register", never("simulate_register"))
-    code, _ = run(capsys, "simulate", "--kind", "qubit", "--n", "65", "--beta", "1.0", "--steps", str(10**8))
-    assert code == 2
+    assert main(["simulate", "--kind", "qubit", "--n", "65", "--beta", "1.0", "--steps", str(10**8)]) == 2
+    assert_one_error_line(capsys)
 
 
 def test_qubit_draws_at_the_cap_reach_the_simulator(capsys, monkeypatch):
@@ -346,10 +347,8 @@ def test_ragged_matrix_file_is_a_usage_error(capsys, tmp_path):
 def test_malformed_matrix_file_is_a_usage_error(capsys, tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text('{"kind": "generic", "version": 1}\n')
-    code, _ = run(capsys, "simulate", "--kind", "matrix-file", "--file", str(bad), "--steps", "5")
-    assert code == 2
-    err = capsys.readouterr().err
-    assert err == ""  # stderr was already drained by run()
+    assert main(["simulate", "--kind", "matrix-file", "--file", str(bad), "--steps", "5"]) == 2
+    assert_one_error_line(capsys)
 
 
 def test_seed_resolution(capsys, monkeypatch):
@@ -487,8 +486,8 @@ def test_verify_reports_a_builder_row_sum_defect(capsys, monkeypatch):
 
 
 def test_verify_range_check(capsys):
-    code, _ = run(capsys, "verify", "--n-max", "30")
-    assert code == 2
+    assert main(["verify", "--n-max", "30"]) == 2
+    assert_one_error_line(capsys)
 
 
 def test_stationary_spin_coin(capsys):

@@ -1,4 +1,7 @@
+import itertools
+import json
 import math
+import tracemalloc
 from bisect import bisect_right
 
 import numpy as np
@@ -287,10 +290,11 @@ TWO_STATE = {
 
 def bisect_loop(matrices, start, uniforms):
     """States after each uniform by the clamped inverse CDF, step k using matrices[k % p]."""
+    cums = [np.cumsum(m, axis=1).tolist() for m in matrices]
     state, path = start, []
     for k, u in enumerate(uniforms):
-        row = matrices[k % len(matrices)][state]
-        state = clamped_pick(np.cumsum(row).tolist(), u, len(row))
+        row = cums[k % len(cums)][state]
+        state = clamped_pick(row, u, len(row))
         path.append(state)
     return path
 
@@ -371,3 +375,168 @@ def test_block_size_changes_no_trajectory(monkeypatch):
         assert len(default) == len(small)
         for a, b in zip(default, small):
             assert np.array_equal(a, b)
+
+
+def _spin_rows(twice_s, beta):
+    overlap = _overlap_squared(SpinChainSpec(s=HalfInt(twice_s), beta=beta))
+    return [overlap, overlap.T]
+
+
+def _random_rows(dim, seed):
+    rows = np.random.default_rng(seed).random((dim, dim)) + 0.05
+    return [rows / rows.sum(axis=1, keepdims=True)]
+
+
+def _zero_pattern_rows():
+    from test_byte_identity import _matrix_text
+
+    return [np.array(json.loads(_matrix_text())["rows"])]
+
+
+def _cycle(dim, stay):
+    shift = np.roll(np.eye(dim), 1, axis=1)
+    return [stay * shift + (1.0 - stay) / dim]
+
+
+THREE_STATE = np.array([[0.2, 0.5, 0.3], [0.6, 0.0, 0.4], [0.1, 0.1, 0.8]])
+# chains whose walks coalesce; all but SLOW couple within the tests' 16-step segments
+COUPLING = {
+    "spin1-0.3": _spin_rows(2, 0.3),
+    "spin1-0.9": _spin_rows(2, 0.9),
+    "spin1-1.5": _spin_rows(2, 1.5),
+    "spin1-2.84": _spin_rows(2, 2.84),
+    "spin4-0.9": _spin_rows(8, 0.9),
+    "spin4-2.2": _spin_rows(8, 2.2),
+    "spin25-1.0": _spin_rows(50, 1.0),
+    "spin25-2.2": _spin_rows(50, 2.2),
+    "random-9": _random_rows(9, 1),
+    "random-51": _random_rows(51, 2),
+    "zero-pattern-9": _zero_pattern_rows(),
+    "two-tables": [THREE_STATE, THREE_STATE[::-1]],
+}
+# near the identity and near a permutation: a block may give up
+SLOW = {"spin1-0.3", "spin1-2.84"}
+# chains whose walks never meet: the first fix-up pass gives up; (rows, start)
+NON_COUPLING = {
+    "identity-from-1": ([np.eye(3)], 1),
+    "cycle-5": (_cycle(5, 1.0), 0),
+    "near-cycle-5": (_cycle(5, 0.999), 0),
+    "spin1-pi": (_spin_rows(2, math.pi), 1),
+}
+
+# lockstep in tier-1 time: segments of 16 steps, and odd blocks of 160
+# segments and a tail, so blocks after the first start on either phase
+SEGMENT = 16
+BLOCK = 160 * SEGMENT + 7
+
+
+def _edge_uniforms(matrices, steps, seed):
+    """Uniforms from RngState(seed), every third one a cumulative entry or its neighbour 1 ulp away.
+
+    The edges are taken in order, and repeat when all fit; a 51-state
+    chain has more of them than the walk has slots.
+    """
+    edges = {0.0, 1.0 - 2.0**-53}
+    for c in np.cumsum(np.concatenate(matrices), axis=1).ravel().tolist():
+        edges |= {math.nextafter(c, -math.inf), c, math.nextafter(c, math.inf)}
+    edges = sorted(u for u in edges if 0.0 <= u < 1.0)
+    uniforms = RngState(seed).random_block(steps).tolist()
+    uniforms[::3] = itertools.islice(itertools.cycle(edges), len(uniforms[::3]))
+    return uniforms
+
+
+def _record_lockstep(monkeypatch):
+    """The coupled flag of each block _lockstep_block walks from now on, in order."""
+    lockstep, coupled = markov._lockstep_block, []
+
+    def recording(*args):
+        state, flag = lockstep(*args)
+        coupled.append(flag)
+        return state, flag
+
+    monkeypatch.setattr(markov, "_lockstep_block", recording)
+    return coupled
+
+
+def _recorded_walk(monkeypatch, matrices, start, uniforms):
+    """_walk over uniforms with small blocks; returns (states, coupled flag of each lockstep block, bisect offsets)."""
+    monkeypatch.setattr(markov, "_SEGMENT", SEGMENT)
+    monkeypatch.setattr(markov, "_BLOCK", BLOCK)
+    coupled = _record_lockstep(monkeypatch)
+    bisect, offsets = markov._bisect_block, []
+
+    def recording_bisect(tables, done, *args):
+        offsets.append(done)
+        return bisect(tables, done, *args)
+
+    monkeypatch.setattr(markov, "_bisect_block", recording_bisect)
+    out = np.empty(len(uniforms), dtype=np.int64)
+    _walk(tuple(_cumulative(m) for m in matrices), start, out, StubRng(uniforms))
+    return out.tolist(), coupled, offsets
+
+
+# two whole blocks and a partial one of 130 segments and a tail, and the
+# same with a last block too short for lockstep
+LENGTHS = (2 * BLOCK + 130 * SEGMENT + 5, 2 * BLOCK + 127 * SEGMENT + 3)
+
+
+@pytest.mark.parametrize("edges", [False, True], ids=["random", "edges"])
+@pytest.mark.parametrize("name", list(COUPLING))
+def test_lockstep_matches_the_bisect_loop(monkeypatch, name, edges):
+    matrices = COUPLING[name]
+    for steps, lockstep_blocks in zip(LENGTHS, (3, 2)):
+        uniforms = _edge_uniforms(matrices, steps, steps) if edges else RngState(steps).random_block(steps).tolist()
+        for start in (0, len(matrices[0]) - 1):
+            states, coupled, _ = _recorded_walk(monkeypatch, matrices, start, uniforms)
+            assert states == bisect_loop(matrices, start, uniforms), (steps, start)
+            if name in SLOW:
+                assert coupled
+            else:
+                assert coupled == [True] * lockstep_blocks
+
+
+@pytest.mark.parametrize("name", list(NON_COUPLING))
+def test_a_walk_that_never_meets_falls_back_to_bisect(monkeypatch, name):
+    matrices, start = NON_COUPLING[name]
+    steps = LENGTHS[0]
+    uniforms = RngState(3).random_block(steps).tolist()
+    states, coupled, offsets = _recorded_walk(monkeypatch, matrices, start, uniforms)
+    assert states == bisect_loop(matrices, start, uniforms)
+    # the first block gives up and is finished by bisect from a segment
+    # inside it; every later block is walked by bisect alone
+    assert coupled == [False]
+    assert offsets[0] % SEGMENT == 0 and 0 < offsets[0] < BLOCK
+    assert offsets[1:] == [BLOCK, 2 * BLOCK]
+
+
+def test_a_chain_over_the_lookup_cap_is_walked_by_bisect(monkeypatch):
+    matrices = _random_rows(110, 3)
+    tables = (_cumulative(matrices[0]),)
+    assert markov._lookup_tables(tables) is None  # 110 * (110 * 109 + 1) entries pass 2**20
+    assert markov._lookup_tables(tuple(_cumulative(m) for m in _random_rows(101, 3))) is not None
+    uniforms = RngState(4).random_block(LENGTHS[0]).tolist()
+    states, coupled, offsets = _recorded_walk(monkeypatch, matrices, 0, uniforms)
+    assert states == bisect_loop(matrices, 0, uniforms)
+    assert coupled == [] and offsets == [0, BLOCK, 2 * BLOCK]
+
+
+def test_lockstep_memory_is_bounded_by_the_block(monkeypatch):
+    # no per-step list and no table that grows with the walk: the peak of
+    # a 4-block walk and of an 8-block one stay under a fixed multiple of
+    # one block of uniforms (a listed block alone takes 4 of them)
+    tables = tuple(_cumulative(m) for m in _spin_rows(50, 1.0))
+    block_bytes = 8 * markov._BLOCK
+    coupled = _record_lockstep(monkeypatch)
+    peaks = []
+    for blocks in (4, 8):
+        out = np.empty(blocks * markov._BLOCK, dtype=np.uint8)
+        rng = RngState(blocks)  # the first generator imports numpy.random's modules
+        tracemalloc.start()
+        try:
+            _walk(tables, 0, out, rng)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert coupled == [True] * 12
+    assert max(peaks) < 4.5 * block_bytes, peaks
+    assert abs(peaks[1] - peaks[0]) < 0.1 * block_bytes, peaks
