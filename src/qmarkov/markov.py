@@ -209,22 +209,17 @@ def _walk(tables: tuple, state: int, out: np.ndarray, rng: RngState) -> None:
     """
     dim = len(tables[0])
     luts = _lookup_tables(tables) if dim > 2 and out.size >= _MIN_SEGMENTS * _SEGMENT else None
-    steps = out.size
-    done = 0
-    while done < steps:
-        count = min(_BLOCK, steps - done)
-        part = out[done : done + count]
-        # each walker holds the only reference to its block, so _bisect_block
-        # frees the array once it has listed it
+    for done in range(0, out.size, _BLOCK):
+        block = rng.random_block(min(_BLOCK, out.size - done))
+        part = out[done : done + block.size]
         if dim == 2:
-            state = _scan_block(tables, done, state, rng.random_block(count), part)
-        elif luts is None or count < _MIN_SEGMENTS * _SEGMENT:
-            state = _bisect_block(tables, done, state, rng.random_block(count), part)
+            state = _scan_block(tables, done, state, block, part)
+        elif luts is None or block.size < _MIN_SEGMENTS * _SEGMENT:
+            state = _bisect_block(tables, done, state, block, part)
         else:
-            state, coupled = _lockstep_block(tables, luts, done, state, rng.random_block(count), part)
+            state, coupled = _lockstep_block(tables, luts, done, state, block, part)
             if not coupled:
                 luts = None
-        done += count
 
 
 def _bisect_block(tables: tuple, done: int, state: int, block: np.ndarray, out: np.ndarray) -> int:
@@ -234,19 +229,19 @@ def _bisect_block(tables: tuple, done: int, state: int, block: np.ndarray, out: 
     """
     period = len(tables)
     bisect = bisect_right
-    block = block.tolist()
+    view = memoryview(block)
     first = tables[done % period]
     second = tables[(done + 1) % period]
     path = []
     append = path.append
-    pairs = iter(block)
+    pairs = iter(view)
     for u, v in zip(pairs, pairs):
         state = bisect(first[state], u)
         append(state)
         state = bisect(second[state], v)
         append(state)
     if out.size % 2:
-        state = bisect(first[state], block[-1])
+        state = bisect(first[state], view[-1])
         append(state)
     out[:] = np.fromiter(path, dtype=out.dtype, count=out.size)
     return state
@@ -358,8 +353,6 @@ def _lockstep_block(tables: tuple, luts: list, done: int, state: int, block: np.
     first = int(wrong[0]) if wrong.size else count
     out[: first * seg].reshape(first, seg)[:] = path[:, :first].T
     state = int(path[-1, first - 1])
-    # free the lockstep arrays before a fallback lists its uniforms
-    del keys, step_keys, path, fresh
     start = first * seg
     return _bisect_block(tables, done + start, state, block[start:], out[start:]), coupled
 

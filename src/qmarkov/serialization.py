@@ -6,7 +6,9 @@ All formats are deterministic: the same object always renders to the
 same bytes, so outputs can be compared byte for byte.
 
 A trajectory file is one JSON header line followed by one outcome label
-per line.  Labels are exact strings ("1/2", "-3/2", "0"), never floats.
+per line, so no label may hold a line break: matrix files, written
+trajectories and trajectory headers all refuse one.  Labels are exact
+strings ("1/2", "-3/2", "0"), never floats.
 """
 
 import json
@@ -18,6 +20,15 @@ from .markov import _BLOCK, StochasticMatrix, Trajectory, _labels, _state_dtype
 from .rng import _SEED_MAX, RNG_ALGORITHM
 
 FORMAT_VERSION = 1
+
+
+def _label_lines(labels, error=InvalidArgumentError) -> list:
+    """The labels as strings; error if one holds a line break, since a trajectory file gives each label one line."""
+    strings = [str(label) for label in labels]
+    for label in strings:
+        if "\n" in label or "\r" in label:
+            raise error(f"label {label!r} contains a line break")
+    return strings
 
 
 def matrix_to_json(m: StochasticMatrix, kind: str = "generic", params: dict | None = None) -> str:
@@ -36,9 +47,8 @@ def matrix_from_json(text: str) -> StochasticMatrix:
     """Parse a matrix rendered by matrix_to_json; labels become plain strings.
 
     kind, params and version are checked but not returned.  A label may
-    not hold a line break, since a trajectory file gives each label one
-    line.  Structural violations raise FormatError; probability
-    violations surface from the matrix constructor.
+    not hold a line break.  Structural violations raise FormatError;
+    probability violations surface from the matrix constructor.
     """
     try:
         payload = json.loads(text)
@@ -58,9 +68,7 @@ def matrix_from_json(text: str) -> StochasticMatrix:
         raise FormatError("missing or non-string 'kind'")
     if not isinstance(labels, list) or not all(isinstance(x, str) for x in labels):
         raise FormatError("'labels' must be a list of strings")
-    for label in labels:
-        if "\n" in label or "\r" in label:
-            raise FormatError(f"label {label!r} contains a line break")
+    _label_lines(labels, FormatError)
     if not isinstance(rows, list) or not all(
         isinstance(r, list) and all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in r)
         for r in rows
@@ -99,9 +107,13 @@ def matrix_to_table(m: StochasticMatrix) -> str:
 
 
 def write_trajectory(t: Trajectory, stream, config: dict | None = None) -> None:
-    """Write the header line and outcome labels to a text stream."""
+    """Write the header line and outcome labels to a text stream.
+
+    A label that holds a line break is refused before anything is written.
+    """
+    labels = _label_lines(t.labels)
     header = {
-        "labels": [str(label) for label in t.labels],
+        "labels": labels,
         "seed": t.seed,
         "steps": t.steps,
         "rng": RNG_ALGORITHM,
@@ -111,7 +123,7 @@ def write_trajectory(t: Trajectory, stream, config: dict | None = None) -> None:
         header["config"] = config
     stream.write(json.dumps(header))
     stream.write("\n")
-    label_strings = np.array([str(label) for label in t.labels], dtype=object)
+    label_strings = np.array(labels, dtype=object)
     # one step kernel block per join keeps memory flat for long trajectories
     states = t.states
     for start in range(0, states.size, _BLOCK):
@@ -142,7 +154,7 @@ def trajectory_from_text(text: str) -> tuple[Trajectory, dict]:
     if not isinstance(labels, list) or not labels or not all(isinstance(x, str) for x in labels):
         raise FormatError("header 'labels' must be a non-empty list of strings", line=1)
     try:
-        labels = _labels(labels)
+        labels = _labels(_label_lines(labels))
         if check_int("header 'seed'", seed, 0) > _SEED_MAX:
             raise InvalidArgumentError(f"header 'seed' must fit in 64 bits, got {seed}")
         check_int("header 'steps'", steps, 0)

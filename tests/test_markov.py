@@ -520,23 +520,45 @@ def test_a_chain_over_the_lookup_cap_is_walked_by_bisect(monkeypatch):
     assert coupled == [] and offsets == [0, BLOCK, 2 * BLOCK]
 
 
+def _walk_peak(tables, start, steps, seed):
+    """The tracemalloc peak of a _walk of steps from start, in blocks of uniforms."""
+    out = np.empty(steps, dtype=np.uint8)
+    rng = RngState(seed)  # the first generator imports numpy.random's modules
+    tracemalloc.start()
+    try:
+        _walk(tables, start, out, rng)
+        return tracemalloc.get_traced_memory()[1] / (8 * markov._BLOCK)
+    finally:
+        tracemalloc.stop()
+
+
 def test_lockstep_memory_is_bounded_by_the_block(monkeypatch):
     # no per-step list and no table that grows with the walk: the peak of
-    # a 4-block walk and of an 8-block one stay under a fixed multiple of
-    # one block of uniforms (a listed block alone takes 4 of them)
+    # a 4-block walk and of an 8-block one, the block with its lookup
+    # offsets and segment paths, stay under a fixed multiple of one block
+    # of uniforms
     tables = tuple(_cumulative(m) for m in _spin_rows(50, 1.0))
-    block_bytes = 8 * markov._BLOCK
     coupled = _record_lockstep(monkeypatch)
-    peaks = []
-    for blocks in (4, 8):
-        out = np.empty(blocks * markov._BLOCK, dtype=np.uint8)
-        rng = RngState(blocks)  # the first generator imports numpy.random's modules
-        tracemalloc.start()
-        try:
-            _walk(tables, 0, out, rng)
-            peaks.append(tracemalloc.get_traced_memory()[1])
-        finally:
-            tracemalloc.stop()
+    peaks = [_walk_peak(tables, 0, blocks * markov._BLOCK, blocks) for blocks in (4, 8)]
     assert coupled == [True] * 12
-    assert max(peaks) < 4.5 * block_bytes, peaks
-    assert abs(peaks[1] - peaks[0]) < 0.1 * block_bytes, peaks
+    assert max(peaks) < 4.5, peaks
+    assert abs(peaks[1] - peaks[0]) < 0.1, peaks
+
+
+# (rows, start, steps, bound in blocks of uniforms) of walks that bisect reads
+BISECT_WALKS = {
+    "over-the-cap": (_random_rows(110, 3), 0, 4 * markov._BLOCK, 2.5),
+    "fallback": (*NON_COUPLING["spin1-pi"], 4 * markov._BLOCK, 3.5),
+    "short": (_spin_rows(2, 0.8), 0, 20001, 1.0),
+}
+
+
+@pytest.mark.parametrize("name", list(BISECT_WALKS))
+def test_bisect_walks_read_their_block_in_place(monkeypatch, name):
+    matrices, start, steps, bound = BISECT_WALKS[name]
+    # bisect reads its block of uniforms in place; a listed block alone
+    # takes about 4 blocks of uniforms
+    tables = tuple(_cumulative(m) for m in matrices)
+    coupled = _record_lockstep(monkeypatch)
+    assert _walk_peak(tables, start, steps, 5) < bound
+    assert coupled == ([False] if name == "fallback" else [])

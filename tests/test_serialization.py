@@ -10,6 +10,7 @@ from qmarkov import (
     Distribution,
     FormatError,
     HalfInt,
+    InvalidArgumentError,
     RngState,
     SpinChainSpec,
     StochasticMatrix,
@@ -213,6 +214,20 @@ def test_trajectory_header_field_errors(field, value):
     header[field] = value
     with pytest.raises(FormatError) as info:
         trajectory_from_text("\n".join([json.dumps(header)] + lines[1:]) + "\n")
+    assert str(info.value).endswith(" (line 1)")
+
+
+@pytest.mark.parametrize("label", ["a\nb", "a\rb", "a\r\nb"])
+def test_a_label_with_a_line_break_is_refused_on_both_sides(label):
+    # written, such a label would break the one-label-per-line body
+    t = Trajectory(labels=(label, "c"), states=np.array([0, 1]), seed=3)
+    buffer = io.StringIO()
+    with pytest.raises(InvalidArgumentError, match="line break"):
+        write_trajectory(t, buffer)
+    assert buffer.getvalue() == ""
+    header = json.dumps({"labels": [label, "c"], "seed": 3, "steps": 1, "rng": "pcg64", "version": FORMAT_VERSION})
+    with pytest.raises(FormatError, match="line break") as info:
+        trajectory_from_text(f"{header}\n{label}\nc\n")
     assert str(info.value).endswith(" (line 1)")
 
 
