@@ -194,14 +194,15 @@ def _walk(tables: tuple, state: int, out: np.ndarray, rng: RngState) -> None:
     no breakpoint has one bucket, and only uniforms in the other cells
     are searched for.  A block is cut into segments of _SEGMENT steps,
     walked side by side with one gather per step, every segment but the
-    first from a guessed start.  Each fix-up pass walks the segments
-    again from their true starts (the end of the segment before), until
-    every one has met its stored path; passes repeat until no start
-    changes.  That is cheap because the maps of successive uniforms
-    coalesce: walks started from different states meet within a few
-    steps, the coupling behind Propp and Wilson's exact sampling.  A chain
-    that does not coalesce (a permutation, the identity started off 0)
-    leaves most of the first pass's segments unmet; then the block is
+    first from a guessed start, into one path.  Each fix-up pass walks
+    the segments again from their true starts (the end of the segment
+    before), rewriting the path in place until every one is back on its
+    stored path; passes repeat until no start changes.  That is cheap
+    because the maps of successive uniforms coalesce: walks started from
+    different states meet within a few steps, the coupling behind Propp
+    and Wilson's exact sampling.  A chain that does not coalesce (a
+    permutation, the identity started off 0) leaves most of the segments
+    that the first pass started wrong still wrong; then the block is
     finished by bisect from the first segment not yet resolved, and so is
     the rest of the walk.  Blocks of fewer than _MIN_SEGMENTS segments,
     and chains whose table would pass _LUT_CAP entries (about 101 states),
@@ -288,16 +289,13 @@ def _lookup_tables(tables: tuple) -> list | None:
 
 
 def _lut_offsets(luts: list, done: int, dim: int, uniforms: np.ndarray) -> np.ndarray:
-    """keys[phase, j, s]: the lut offset of uniforms[phase + j * period, s].
-
-    Row k of uniforms holds the uniforms of step done + 1 + k (mod
-    period) of every segment, so it goes through that step's tables.
-    """
+    """keys[k, s]: the lut offset of uniforms[k, s], which goes through the tables of step done + 1 + k."""
     period = len(luts)
-    keys = np.empty((period, uniforms.shape[0] // period, uniforms.shape[1]), dtype=np.int32)
-    cells = np.empty(keys.shape[1:], dtype=np.intp)
-    for phase, phase_keys in enumerate(keys):
+    keys = np.empty(uniforms.shape, dtype=np.int32)
+    cells = np.empty((uniforms.shape[0] // period, uniforms.shape[1]), dtype=np.intp)
+    for phase in range(period):
         breaks, guide, _ = luts[(done + phase) % period]
+        phase_keys = keys[phase::period]
         phase_uniforms = uniforms[phase::period]
         # u * guide.size is exact, so the cast, a floor, is u's cell
         np.multiply(phase_uniforms, guide.size, out=cells, casting="unsafe")
@@ -311,16 +309,15 @@ def _lockstep_block(tables: tuple, luts: list, done: int, state: int, block: np.
     """Steps done + 1..done + out.size in lockstep segments; returns (last state, coupled).
 
     Step k of segment s (block step s * _SEGMENT + k) leaves through
-    keys[k % period, k // period, s], its lut offset, and path[k, s] is
-    the state after it.  coupled is False when the first fix-up pass left
-    most of its segments unmet; the block is then finished by
-    _bisect_block from the first segment not yet resolved, as is the tail
-    past the last whole segment in any case.
+    keys[k, s], its lut offset, and path[k, s] is the state after it.
+    coupled is False when the first fix-up pass left more than half of
+    the segments it started wrong still wrong; the block is then finished
+    by _bisect_block from the first segment not yet resolved, as is the
+    tail past the last whole segment in any case.
     """
     period, dim, seg = len(tables), len(tables[0]), _SEGMENT
     count = out.size // seg
     keys = _lut_offsets(luts, done, dim, block[: count * seg].reshape(count, seg).T)
-    step_keys = [keys[k % period, k // period] for k in range(seg)]
     step_luts = [luts[(done + k) % period][2] for k in range(period)] * (seg // period)
     path = np.empty((seg, count), dtype=_state_dtype(dim))
     starts = np.zeros(count, dtype=path.dtype)
@@ -328,27 +325,25 @@ def _lockstep_block(tables: tuple, luts: list, done: int, state: int, block: np.
     index = np.empty(count, dtype=np.intp)
     states = starts
     for k in range(seg):
-        states = step_luts[k].take(np.add(step_keys[k], states, out=index), out=path[k], mode="clip")
-    # a fix-up pass walks every segment again from the end of the one
-    # before it; a segment whose start did not change repeats its path
-    fresh = np.empty_like(path)
+        states = step_luts[k].take(np.add(keys[k], states, out=index), out=path[k], mode="clip")
+    # a fix-up pass rewrites path in place, walking every segment again
+    # from the end of the one before it; once every segment is back on
+    # its stored path, it repeats that path to the end
+    stored = np.empty(count, dtype=path.dtype)
+    wrong = np.flatnonzero(path[-1, :-1] != starts[1:]) + 1
     first_pass = coupled = True
-    while True:
-        wrong = np.flatnonzero(path[-1, :-1] != starts[1:]) + 1
-        if not wrong.size or not coupled:
-            break
+    while wrong.size and coupled:
         starts[1:] = path[-1, :-1]
         states = starts
         for k in range(seg):
-            states = step_luts[k].take(np.add(step_keys[k], states, out=index), out=fresh[k], mode="clip")
-            if k % _MEET_CHECK == _MEET_CHECK - 1 and (states == path[k]).all():
-                # every segment has met its stored path
-                path[:k] = fresh[:k]
+            check = k % _MEET_CHECK == _MEET_CHECK - 1
+            if check:
+                stored[:] = path[k]
+            states = step_luts[k].take(np.add(keys[k], states, out=index), out=path[k], mode="clip")
+            if check and (states == stored).all():
                 break
-        else:
-            unmet = np.count_nonzero(fresh[-1] != path[-1])
-            path, fresh = fresh, path
-            coupled = not first_pass or 2 * unmet <= wrong.size
+        before, wrong = wrong.size, np.flatnonzero(path[-1, :-1] != starts[1:]) + 1
+        coupled = not first_pass or 2 * wrong.size <= before
         first_pass = False
     first = int(wrong[0]) if wrong.size else count
     out[: first * seg].reshape(first, seg)[:] = path[:, :first].T

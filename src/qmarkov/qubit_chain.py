@@ -140,9 +140,9 @@ def qubit_transition_matrix(spec: QubitChainSpec) -> StochasticMatrix:
     # then equal the spin-1/2 rows bit for bit
     stay_pow = np.cumprod([1.0] + [ch * ch] * n)
     flip_pow = np.cumprod([1.0] + [sh * sh] * n)
-    # Pascal's triangle, row m = C(m, 0..m), exact in int64 because
-    # C(64, 32) < 2^63 at N_MAX_FORMULA; each float is float(math.comb(m, k))
-    binom = np.zeros((n + 1, n + 1), dtype=np.int64)
+    # Pascal's triangle, row m = C(m, 0..m), in Python integers, so exact
+    # at any N; each float is float(math.comb(m, k)), correctly rounded
+    binom = np.zeros((n + 1, n + 1), dtype=object)
     binom[:, 0] = 1
     for m in range(1, n + 1):
         binom[m, 1:] = binom[m - 1, 1:] + binom[m - 1, :-1]

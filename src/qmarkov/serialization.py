@@ -6,9 +6,10 @@ All formats are deterministic: the same object always renders to the
 same bytes, so outputs can be compared byte for byte.
 
 A trajectory file is one JSON header line followed by one outcome label
-per line, so no label may hold a line break: matrix files, written
-trajectories and trajectory headers all refuse one.  Labels are exact
-strings ("1/2", "-3/2", "0"), never floats.
+per line, so no label may hold a line break, and labels are read back
+as strings, so no two may render alike: matrix files, trajectory files
+and their writers all refuse both.  Labels are exact strings ("1/2",
+"-3/2", "0"), never floats.
 """
 
 import json
@@ -16,26 +17,31 @@ import json
 import numpy as np
 
 from .errors import FormatError, InvalidArgumentError, check_int
-from .markov import _BLOCK, StochasticMatrix, Trajectory, _labels, _state_dtype
+from .markov import _BLOCK, StochasticMatrix, Trajectory, _state_dtype
 from .rng import _SEED_MAX, RNG_ALGORITHM
 
 FORMAT_VERSION = 1
 
 
 def _label_lines(labels, error=InvalidArgumentError) -> list:
-    """The labels as strings; error if one holds a line break, since a trajectory file gives each label one line."""
+    """The labels as strings; error if one holds a line break or two are the same string, as a file gives each its own line."""
     strings = [str(label) for label in labels]
     for label in strings:
         if "\n" in label or "\r" in label:
             raise error(f"label {label!r} contains a line break")
+    if len(set(strings)) != len(strings):
+        raise error(f"outcome labels must be distinct, got {tuple(strings)!r}")
     return strings
 
 
 def matrix_to_json(m: StochasticMatrix, kind: str = "generic", params: dict | None = None) -> str:
-    """Render a matrix as one JSON object with full float precision."""
+    """Render a matrix as one JSON object with full float precision.
+
+    Labels that matrix_from_json would refuse are refused here first.
+    """
     payload = {
         "kind": kind,
-        "labels": [str(label) for label in m.labels],
+        "labels": _label_lines(m.labels),
         "rows": m.rows.tolist(),
         "params": dict(params or {}),
         "version": FORMAT_VERSION,
@@ -109,7 +115,8 @@ def matrix_to_table(m: StochasticMatrix) -> str:
 def write_trajectory(t: Trajectory, stream, config: dict | None = None) -> None:
     """Write the header line and outcome labels to a text stream.
 
-    A label that holds a line break is refused before anything is written.
+    A label that holds a line break, or two labels with the same string,
+    are refused before anything is written.
     """
     labels = _label_lines(t.labels)
     header = {
@@ -154,7 +161,7 @@ def trajectory_from_text(text: str) -> tuple[Trajectory, dict]:
     if not isinstance(labels, list) or not labels or not all(isinstance(x, str) for x in labels):
         raise FormatError("header 'labels' must be a non-empty list of strings", line=1)
     try:
-        labels = _labels(_label_lines(labels))
+        labels = tuple(_label_lines(labels))
         if check_int("header 'seed'", seed, 0) > _SEED_MAX:
             raise InvalidArgumentError(f"header 'seed' must fit in 64 bits, got {seed}")
         check_int("header 'steps'", steps, 0)

@@ -143,8 +143,9 @@ def chi_square(observed, expected: Distribution) -> ChiSquareResult:
     if total <= 0:
         raise InvalidArgumentError("chi-square needs at least one observation")
     expected_counts = expected.probs * total
-    # zero-mass cells are always pooled so no kept cell can divide by zero
-    keep = (expected_counts >= _MIN_EXPECTED) & (expected_counts > 0.0)
+    # a zero-mass cell is below _MIN_EXPECTED, so it is pooled and no kept
+    # cell can divide by zero
+    keep = expected_counts >= _MIN_EXPECTED
     statistic = 0.0
     cells = 0
     for o, e in zip(counts[keep], expected_counts[keep]):

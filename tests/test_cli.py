@@ -160,6 +160,7 @@ def test_simulate_usage_errors(capsys, tmp_path):
         ("simulate", "--kind", "spin", "--beta", "1.0", "--steps", "5"),  # missing --s
         ("simulate", "--kind", "spin", "--s", "1/2", "--steps", "5"),  # missing beta
         ("simulate", "--kind", "matrix-file", "--steps", "5"),  # missing --file
+        ("simulate", "--kind", "qubit", "--beta", "1", "--steps", "3"),  # missing --n
         ("simulate", "--kind", "matrix-file", "--file", "/nonexistent.json", "--steps", "5"),
         ("simulate", "--kind", "spin", "--s", "1/2", "--beta", "1.0", "--steps", str(10**8 + 1)),  # step cap
     ):
@@ -410,6 +411,11 @@ def test_coin_toss_output(capsys):
     code, payload = run_json(capsys, "coin-toss", "--count", "5", "--seed", "1")
     assert code == 0
     assert payload["chi_square"] is None
+    # seed 4 draws three zeros: the centred bits are all zero, so no autocorrelation
+    code, payload = run_json(capsys, "coin-toss", "--count", "3", "--seed", "4")
+    assert code == 0
+    assert payload["bits"] == "000"
+    assert payload["lag1_autocorrelation"] is None
 
 
 def test_verify_passes_and_reports_counts(capsys):
@@ -483,6 +489,26 @@ def test_verify_reports_a_builder_row_sum_defect(capsys, monkeypatch):
         ("row_sum", 2, 0.7),
     ]
     assert all(f["detail"].startswith("probabilities in row 0 sum to 1.000000002") for f in payload["failures"])
+
+
+def test_verify_reports_a_spin_identity_defect(capsys, monkeypatch):
+    import qmarkov.cli as cli
+    from qmarkov import StochasticMatrix
+
+    builder = cli.spin_transition_matrix
+
+    def shifted(spec):
+        matrix = builder(spec)
+        rows = matrix.rows.copy()
+        rows[0] += [1e-9, -1e-9]  # row 0 still sums to 1
+        return StochasticMatrix(matrix.labels, rows)
+
+    monkeypatch.setattr(cli, "spin_transition_matrix", shifted)
+    code, payload = run_json(capsys, "verify", "--n-max", "2", "--beta", "0.7")
+    assert code == 4
+    assert payload["pass"] is False
+    assert [(f["check"], f["n"], f["beta"]) for f in payload["failures"]] == [("spin_identity", 1, 0.7)]
+    assert abs(payload["failures"][0]["diff"] - 1e-9) < 1e-12
 
 
 def test_verify_range_check(capsys):

@@ -114,6 +114,17 @@ def test_builder_equals_the_math_comb_oracle_bit_for_bit(beta):
         assert rows.tobytes() == expected.tobytes(), n  # signed zeros too
 
 
+@pytest.mark.parametrize("n", [67, 100])
+def test_builder_binomials_stay_exact_past_int64(monkeypatch, n):
+    # C(67, 33) > 2^63: a Pascal table in int64 wraps and gives negative entries
+    import qmarkov.qubit_chain as qubit_chain
+
+    monkeypatch.setattr(qubit_chain, "N_MAX_FORMULA", 128)
+    for beta in (0.4, 1.0, 2.5):
+        rows = qubit_transition_matrix(QubitChainSpec(n_qubits=n, beta=beta)).rows
+        assert rows.tobytes() == oracle_register_matrix(n, beta).tobytes(), beta
+
+
 @pytest.mark.parametrize(
     "t,rows",
     [

@@ -231,6 +231,18 @@ def test_a_label_with_a_line_break_is_refused_on_both_sides(label):
     assert str(info.value).endswith(" (line 1)")
 
 
+@pytest.mark.parametrize("labels,match", [((HalfInt(2), 1), "distinct"), (("a\nb", "c"), "line break")])
+def test_writers_refuse_labels_that_their_readers_refuse(labels, match):
+    # HalfInt(2) and 1 are distinct labels that both render as "1"
+    m = StochasticMatrix(labels=labels, rows=np.eye(2))
+    with pytest.raises(InvalidArgumentError, match=match):
+        matrix_to_json(m)
+    buffer = io.StringIO()
+    with pytest.raises(InvalidArgumentError, match=match):
+        write_trajectory(Trajectory(labels=labels, states=np.array([0, 1]), seed=1), buffer)
+    assert buffer.getvalue() == ""
+
+
 def test_trajectory_unknown_label_reports_its_line():
     t = Trajectory(labels=("a", "b"), states=np.array([0, 1, 0]), seed=1)
     lines = trajectory_text(t).splitlines()

@@ -10,6 +10,7 @@ from qmarkov import (
     DimensionMismatchError,
     Distribution,
     HalfInt,
+    InternalConsistencyError,
     InvalidArgumentError,
     MeasurementRecord,
     RngState,
@@ -84,6 +85,15 @@ def test_doubly_stochastic(twice):
         m = spin_transition_matrix(SpinChainSpec(s=HalfInt(twice), beta=float(beta)))
         assert np.abs(m.rows.sum(axis=1) - 1.0).max() < 1e-10
         assert np.abs(m.rows.sum(axis=0) - 1.0).max() < 1e-10
+
+
+def test_a_matrix_that_is_not_doubly_stochastic_is_an_internal_error(monkeypatch):
+    from qmarkov import spin_chain
+
+    # rows [[0.5, 0.5], [0.2, 0.8]] pass as a chain, but columns sum to 0.7 and 1.3
+    monkeypatch.setattr(spin_chain, "_overlap_squared", lambda spec: np.array([[0.5, 0.2], [0.5, 0.8]]))
+    with pytest.raises(InternalConsistencyError, match="column defect 3.000e-01"):
+        spin_transition_matrix(SpinChainSpec(s=HalfInt(1), beta=1.0))
 
 
 def test_matrix_is_symmetric():

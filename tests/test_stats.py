@@ -14,6 +14,7 @@ from qmarkov import (
     SpinChainSpec,
     StochasticMatrix,
     Trajectory,
+    TransitionCounts,
     UndefinedTestError,
     chi_square,
     empirical_matrix,
@@ -96,6 +97,26 @@ def test_per_row_tv_reports_unvisited_rows_as_none():
     assert tvs[0] == 0.5
 
 
+@pytest.mark.parametrize(
+    "counts,error,match",
+    [
+        (np.zeros((2, 3), dtype=int), DimensionMismatchError, "2x2"),
+        (np.ones((2, 2)), InvalidArgumentError, "integers"),
+        (np.array([[1, 0], [-1, 2]]), InvalidArgumentError, "non-negative"),
+    ],
+)
+def test_transition_counts_validation(counts, error, match):
+    with pytest.raises(error, match=match):
+        TransitionCounts(labels=("a", "b"), counts=counts)
+
+
+def test_per_row_tv_refuses_mismatched_labels():
+    theory = StochasticMatrix(("a", "c"), np.array([[0.5, 0.5], [0.5, 0.5]]))
+    e = empirical_matrix(transition_counts(make_trajectory([0, 1, 0])))
+    with pytest.raises(DimensionMismatchError, match="different labels"):
+        per_row_tv(e, theory)
+
+
 def test_chi_square_fair_coin_by_hand():
     fair = Distribution((1, 0), np.array([0.5, 0.5]))
     r = chi_square(np.array([60.0, 40.0]), fair)
@@ -131,6 +152,8 @@ def test_chi_square_validates_observations():
         chi_square(np.array([1.0, -2.0]), fair)
     with pytest.raises(DimensionMismatchError):
         chi_square(np.array([1.0, 2.0, 3.0]), fair)
+    with pytest.raises(InvalidArgumentError, match="at least one observation"):
+        chi_square(np.array([0.0, 0.0]), fair)
 
 
 def test_chi_square_critical_values_table():
