@@ -156,17 +156,6 @@ def qubit_transition_matrix(spec: QubitChainSpec) -> StochasticMatrix:
     return StochasticMatrix(labels=spec.labels, rows=rows)
 
 
-def _flip_words(flips: np.ndarray) -> list:
-    """One int per row of a boolean flip array, with bit q set when qubit q flips."""
-    packed = np.packbits(flips, axis=1, bitorder="little")
-    words = np.pad(packed, ((0, 0), (0, -packed.shape[1] % 8))).view("<u8")
-    rows = words[:, -1].tolist()
-    # fold wider registers in 64-bit limbs, most significant first
-    for limb in range(words.shape[1] - 2, -1, -1):
-        rows = [(high << 64) | low for high, low in zip(rows, words[:, limb].tolist())]
-    return rows
-
-
 def brute_force_q(spec: QubitChainSpec) -> np.ndarray:
     """The chain matrix by enumerating flip counts directly; rows and columns as q_formula.
 
@@ -203,33 +192,45 @@ def simulate_register(
     falls below sin^2(beta/2); the recorded outcome is the resulting up
     count minus N/2.  Which qubits are up never matters because the
     flips are i.i.d., which is exactly why the aggregate is Markov in j;
-    the simulator therefore tracks only the count, with the up qubits
-    notionally listed first.
+    the simulator therefore tracks only the label index i = N - ups, with
+    the up qubits notionally listed first and the i down qubits last.
+
+    A step's flips form an N-bit word w, bit q set when qubit q flips.
+    A qubit is up after the step exactly when it was up and did not
+    flip, or was down and flipped, so the qubits down after it are the
+    set bits of w ^ top[i], where top[i] masks the top i of the N bits:
+    the next index is popcount(w ^ top[i]).
     """
     n = spec.n_qubits
     check_int("steps", steps, 0)
     labels = spec.labels
     try:
-        start = labels.index(initial_j)
+        index = labels.index(initial_j)
     except ValueError:
         raise InvalidArgumentError(f"initial_j={initial_j!r} is not an outcome label for {n} qubits") from None
-    ups = n - start  # labels descend, so index = N - ups
     p = flip_probability(spec.beta)
     states = np.empty(steps + 1, dtype=markov._state_dtype(n + 1))
-    states[0] = start
-    # up_mask[u] selects the u up qubits, bits 0..u-1, of a step's flip word
-    up_mask = [(1 << u) - 1 for u in range(n + 1)]
-    block_steps = max(1, markov._BLOCK // n)
-    done = 0
-    while done < steps:
+    states[0] = index
+    top = [((1 << i) - 1) << (n - i) for i in range(n + 1)]
+    # a step's flips are padded with zeros to whole bytes, and its bytes
+    # to whole 64-bit limbs; a block's padded bools fill at most _BLOCK
+    # bytes, however much padding each step takes
+    step_bytes = -(-n // 8)
+    limbs = -(-step_bytes // 8)
+    block_steps = max(1, min(steps, markov._BLOCK // (8 * step_bytes)))
+    bits = np.zeros((block_steps, 8 * step_bytes), dtype=bool)
+    packed = np.zeros((block_steps, 8 * limbs), dtype=np.uint8)
+    bit_count = int.bit_count
+    for done in range(0, steps, block_steps):
         count = min(block_steps, steps - done)
-        flips = rng.random_block(count * n).reshape(count, n) < p
-        path = []
-        append = path.append
-        for word in _flip_words(flips):
-            # each up qubit that flips goes down, each other flip goes up
-            ups += word.bit_count() - 2 * (word & up_mask[ups]).bit_count()
-            append(n - ups)
-        states[done + 1 : done + count + 1] = np.fromiter(path, dtype=states.dtype, count=count)
-        done += count
+        np.less(rng.random_block(count * n).reshape(count, n), p, out=bits[:count, :n])
+        packed[:count, :step_bytes] = np.packbits(bits[:count], bitorder="little").reshape(count, step_bytes)
+        words = packed[:count].view("<u8")
+        flips = words[:, -1].tolist()
+        # fold wider registers in 64-bit limbs, most significant first
+        for limb in range(limbs - 2, -1, -1):
+            flips = [(high << 64) | low for high, low in zip(flips, words[:, limb].tolist())]
+        states[done + 1 : done + count + 1] = np.fromiter(
+            [index := bit_count(w ^ top[index]) for w in flips], dtype=states.dtype, count=count
+        )
     return Trajectory(labels=labels, states=states, seed=rng.seed)

@@ -8,8 +8,9 @@ same bytes, so outputs can be compared byte for byte.
 A trajectory file is one JSON header line followed by one outcome label
 per line, so no label may hold a line break, and labels are read back
 as strings, so no two may render alike: matrix files, trajectory files
-and their writers all refuse both.  Labels are exact strings ("1/2",
-"-3/2", "0"), never floats.
+and every writer of them refuse both.  CSV quotes a label that is empty
+or holds a comma or a quote.  Labels are exact strings ("1/2", "-3/2",
+"0"), never floats.
 """
 
 import json
@@ -92,17 +93,33 @@ def matrix_from_json(text: str) -> StochasticMatrix:
     return StochasticMatrix(labels=tuple(labels), rows=rows)
 
 
+def _csv_field(text: str) -> str:
+    """text as one RFC 4180 field: in quotes, each quote doubled, if it is empty or holds a comma or a quote."""
+    if not text or "," in text or '"' in text:
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
 def matrix_to_csv(m: StochasticMatrix) -> str:
-    """Label header row, then one row of full-precision entries per line."""
-    lines = [",".join(str(label) for label in m.labels)]
+    """Label header row, then one row of full-precision entries per line.
+
+    A label that is empty or holds a comma or a quote is quoted as RFC
+    4180 says, so csv.reader reads back one column per label.  A label
+    with a line break, or two labels that render alike, are refused.
+    Entries are float reprs, which never need quoting.
+    """
+    lines = [",".join(_csv_field(label) for label in _label_lines(m.labels))]
     for row in m.rows.tolist():
         lines.append(",".join(map(repr, row)))
     return "\n".join(lines) + "\n"
 
 
 def matrix_to_table(m: StochasticMatrix) -> str:
-    """Aligned human-readable table; not meant to be parsed back."""
-    labels = [str(label) for label in m.labels]
+    """Aligned human-readable table; not meant to be parsed back.
+
+    Labels are refused as matrix_to_csv refuses them.
+    """
+    labels = _label_lines(m.labels)
     width = max(max(len(x) for x in labels), 9)
     header = " " * (width + 2) + "  ".join(f"{x:>{width}}" for x in labels)
     lines = [header]

@@ -8,7 +8,10 @@ These run 100001 steps, two blocks of uniforms, each walked in lockstep
 up to a tail walked by bisect; the walk that never couples is finished
 by bisect from inside its first block.  The digests were recorded before the
 bisect walker read its block in place.  A wrapper around the lockstep
-kernel checks that it ran, and whether each of its blocks coupled.
+kernel checks that it ran, and whether each of its blocks coupled.  The
+register walks never reach it; they cross 13 blocks of flips at N = 8
+and 98 at N = 64, and their digests were recorded before the register
+simulator packed each block of flips at once.
 """
 
 import hashlib
@@ -31,10 +34,19 @@ CASES = {
     # at beta = pi the spin-1 chain maps m to -m, so the walk from m = 0
     # stays there while the segments guessed to start at m = 1 never meet it
     "spin-1-pi": ("--kind", "spin", "--s", "1", "--beta", "3.141592653589793", "--initial", "0"),
+    "qubit-8": ("--kind", "qubit", "--n", "8", "--beta", "1.0"),
+    "qubit-64": ("--kind", "qubit", "--n", "64", "--beta", "0.7"),
 }
 
 # whether the lockstep kernel couples on each block it walks
-COUPLED = {"spin-1": [True, True], "spin-25": [True, True], "matrix-9": [True, True], "spin-1-pi": [False]}
+COUPLED = {
+    "spin-1": [True, True],
+    "spin-25": [True, True],
+    "matrix-9": [True, True],
+    "spin-1-pi": [False],
+    "qubit-8": [],
+    "qubit-64": [],
+}
 
 DIGESTS = {
     "spin-1": "1a2b8e3e7d1059bc357f8887045aa2474712c41c72b9bb77073e1b2dd5c0e95b",
@@ -45,6 +57,10 @@ DIGESTS = {
     "matrix-9:out": "14708c4824e3733b71c6d99aaf12348ab4ce210725e54be675a1d22e4759a8b6",
     "spin-1-pi": "72bc1cbf077e4d1b6f9f59bd0f2986ccd17bf5a10d52fa866f224c1490123bb7",
     "spin-1-pi:out": "308c816cb946398ee9d70dbfa7025278fb9e094e1d1d9ded82585d6f26902594",
+    "qubit-8": "84a6a5376c7f038fbe7e88a6368acbbc88b8f01d51a7769e3d34778aa6adb63c",
+    "qubit-8:out": "ef4468271cdf9d854350e0f06769e2f9f01f8a0dde90f077af590e42325b0eec",
+    "qubit-64": "f2edc549e398c5d4a879b681069ae409d04118b663ce0f778d99d070e9e6f8f6",
+    "qubit-64:out": "b617ca981609ace5cd1a36bfd8a0d095f8b469d72700e48748970c2471a92cf7",
 }
 
 

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -16,6 +17,7 @@ from qmarkov import (
     brute_force_q,
     empirical_matrix,
     flip_probability,
+    markov,
     per_row_tv,
     q_formula,
     qubit_transition_matrix,
@@ -250,17 +252,48 @@ def _reference_register(n, p, ups, steps, rng):
     # the per-step prefix count of flips among the up qubits, listed first
     states = [n - ups]
     flips = rng.random_block(steps * n).reshape(steps, n) < p
-    for row in flips:
-        down_flips = int(row[:ups].sum())
-        ups += int(row.sum()) - 2 * down_flips
+    # prefix[step][k] counts the flips among qubits 0..k-1
+    prefix = np.concatenate([np.zeros((steps, 1), dtype=int), np.cumsum(flips, axis=1)], axis=1).tolist()
+    for row in prefix:
+        ups += row[n] - 2 * row[ups]
         states.append(n - ups)
     return states
 
 
-@pytest.mark.parametrize("n", [1, 8, 63, 64, 65, 130])
+@pytest.mark.parametrize("n", [1, 7, 8, 9, 63, 64, 65, 130])
 def test_simulate_register_matches_a_per_qubit_reference(n):
-    spec = QubitChainSpec(n_qubits=n, beta=1.3)
-    initial = HalfInt(n - 2 * (n // 3))  # n // 3 qubits start down
-    t = simulate_register(spec, initial, 300, RngState(n))
-    expected = _reference_register(n, flip_probability(spec.beta), n - n // 3, 300, RngState(n))
-    assert t.states.tolist() == expected
+    # walks inside one block of uniforms and across more than two blocks,
+    # ending partway into one; flip probabilities 0, 1 and in between,
+    # from the first, a middle and the last label
+    for beta in (1.3, 0.0, math.pi):
+        spec = QubitChainSpec(n_qubits=n, beta=beta)
+        p = flip_probability(beta)
+        for steps in (300, 2 * (markov._BLOCK // n) + 3):
+            for ups in (n, n - n // 3, 0):
+                t = simulate_register(spec, HalfInt(2 * ups - n), steps, RngState(n))
+                expected = _reference_register(n, p, ups, steps, RngState(n))
+                assert t.states.tolist() == expected, (beta, steps, ups)
+
+
+def _register_peak(n, blocks):
+    """The tracemalloc peak of a register walk of blocks * (_BLOCK // n) steps, less its states, in blocks of uniforms."""
+    spec = QubitChainSpec(n_qubits=n, beta=1.0)
+    rng = RngState(n)  # the first generator imports numpy.random's modules
+    tracemalloc.start()
+    try:
+        t = simulate_register(spec, spec.labels[0], blocks * (markov._BLOCK // n), rng)
+        return (tracemalloc.get_traced_memory()[1] - t.states.nbytes) / (8 * markov._BLOCK)
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("n", [1, 8, 64])
+def test_register_memory_is_bounded_by_the_block(n):
+    # the block of uniforms, its flips padded to whole bytes and 64-bit
+    # words, and the listed flip words stay under a fixed multiple of one
+    # block of uniforms however long the walk: 1.38 blocks at n = 8 and
+    # 0.52 at n = 1; flips padded to 64 bools a step would add 0.88 blocks
+    # at n = 8, and blocks of _BLOCK // n steps 3.7 blocks at n = 1
+    peaks = [_register_peak(n, blocks) for blocks in (4, 8)]
+    assert max(peaks) < 1.6, peaks
+    assert abs(peaks[1] - peaks[0]) < 0.1, peaks

@@ -1,3 +1,4 @@
+import csv
 import io
 import json
 import tracemalloc
@@ -132,6 +133,23 @@ def test_matrix_csv_parses_back():
     assert lines[0] == "3/2,1/2,-1/2,-3/2"
     parsed = np.array([[float(x) for x in line.split(",")] for line in lines[1:]])
     assert np.array_equal(parsed, m.rows)
+
+
+@pytest.mark.parametrize("labels", [("a,b", 'say "c"', "d"), ("",), ("", "e")])
+def test_matrix_csv_quotes_labels_that_are_empty_or_hold_a_comma_or_a_quote(labels):
+    rows = np.full((len(labels), len(labels)), 1.0 / len(labels))
+    m = StochasticMatrix(labels=labels, rows=rows)
+    parsed = list(csv.reader(io.StringIO(matrix_to_csv(m))))
+    assert parsed[0] == list(labels)
+    assert np.array_equal(np.array(parsed[1:], dtype=float), m.rows)
+
+
+@pytest.mark.parametrize("render", [matrix_to_csv, matrix_to_table])
+@pytest.mark.parametrize("label", ["a\nb", "a\rb"])
+def test_matrix_csv_and_table_refuse_a_label_with_a_line_break(render, label):
+    m = StochasticMatrix(labels=(label, "c"), rows=np.eye(2))
+    with pytest.raises(InvalidArgumentError, match="line break"):
+        render(m)
 
 
 def test_matrix_table_is_aligned_text():

@@ -62,7 +62,9 @@ def test_each_step_is_run_or_named_as_skipped():
             "Installed entry point reports a near-stochastic file's iterate as exit 3",
             "Installed entry point sweeps the whole oracle range",
         ],
-        "memory-smoke": ["Peak RSS of a 10^7-step simulate, of parsing its file and of 10^7 coin tosses"],
+        "memory-smoke": [
+            "Peak RSS of a 10^7-step simulate, of parsing its file, of a 10^7-draw register walk and of 10^7 coin tosses"
+        ],
     }
 
 
