@@ -313,22 +313,28 @@ def cmd_coin_toss(args) -> int:
             "bits": (bits + ord("0")).tobytes().decode("ascii"),
             "ones": ones,
             "mean": ones / count if count else None,
-            "lag1_autocorrelation": _lag1_autocorrelation(bits),
+            "lag1_autocorrelation": _lag1_autocorrelation(bits, ones),
             "chi_square": _fair_coin_chi_square(ones, count),
         }
         stream.write(json.dumps(payload) + "\n")
     return EXIT_OK
 
 
-def _lag1_autocorrelation(bits) -> float | None:
-    if bits.size < 2:
+def _lag1_autocorrelation(bits, ones: int) -> float | None:
+    """The lag-1 autocorrelation of the bits, from integer counts, rounded once.
+
+    With n bits, k ones, c11 adjacent pairs of ones and end bits b0 and
+    bl, the centred sums are n^2 c11 - n k (2k - b0 - bl) + (n - 1) k^2
+    over n k (n - k), so Python's int true division gives the value
+    correctly rounded, whatever order a float dot product would sum in.
+    None when every bit is the same.
+    """
+    n, k = bits.size, ones
+    if k * (n - k) == 0:
         return None
-    x = bits.astype(float)
-    x -= x.mean()
-    denom = float(np.dot(x, x))
-    if denom == 0.0:
-        return None
-    return float(np.dot(x[:-1], x[1:]) / denom)
+    pairs = int(np.count_nonzero(bits[:-1] & bits[1:]))
+    ends = int(bits[0]) + int(bits[-1])
+    return (n * n * pairs - n * k * (2 * k - ends) + (n - 1) * k * k) / (n * k * (n - k))
 
 
 def _fair_coin_chi_square(ones: int, count: int):

@@ -34,7 +34,7 @@ _SEGMENT = 256
 # a fix-up pass tests every this many steps whether all segments have met
 _MEET_CHECK = 8
 # a block of fewer segments, and the rest of a walk that fails to
-# couple, is walked by bisect
+# couple, is walked one step at a time
 _MIN_SEGMENTS = 128
 # guide cells per lookup-table breakpoint, rounded up to a power of two
 _GUIDE_CELLS = 16
@@ -193,18 +193,19 @@ def _walk(tables: tuple, state: int, out: np.ndarray, rng: RngState) -> None:
     bucket comes from a guide of equal cells over [0, 1): a cell holding
     no breakpoint has one bucket, and only uniforms in the other cells
     are searched for.  A block is cut into segments of _SEGMENT steps,
-    walked side by side with one gather per step, every segment but the
-    first from a guessed start, into one path.  Each fix-up pass walks
-    the segments again from their true starts (the end of the segment
-    before), rewriting the path in place until every one is back on its
-    stored path; passes repeat until no start changes.  That is cheap
-    because the maps of successive uniforms coalesce: walks started from
-    different states meet within a few steps, the coupling behind Propp
-    and Wilson's exact sampling.  A chain that does not coalesce (a
-    permutation, the identity started off 0) leaves most of the segments
-    that the first pass started wrong still wrong; then the block is
-    finished by bisect from the first segment not yet resolved, and so is
-    the rest of the walk.  Blocks of fewer than _MIN_SEGMENTS segments,
+    walked side by side by _couple with one gather per step, every
+    segment but the first from a guessed start, into one path.  Each
+    fix-up pass walks the segments again from their true starts (the end
+    of the segment before), rewriting the path in place until every one
+    is back on its stored path; passes repeat until no start changes.
+    That is cheap because the maps of successive uniforms coalesce:
+    walks started from different states meet within a few steps, the
+    coupling behind Propp and Wilson's exact sampling; the register
+    simulator walks its flips through the same _couple.  A chain that
+    does not coalesce (a permutation, the identity started off 0) leaves
+    most of the segments that the first pass started wrong still wrong;
+    then the block is finished by bisect from the first segment not yet
+    resolved, and so is the rest of the walk.  Blocks of fewer than _MIN_SEGMENTS segments,
     and chains whose table would pass _LUT_CAP entries (about 101 states),
     are walked by bisect alone, so memory stays bounded for any chain.
     """
@@ -305,13 +306,50 @@ def _lut_offsets(luts: list, done: int, dim: int, uniforms: np.ndarray) -> np.nd
     return keys
 
 
+def _couple(advance, path: np.ndarray, starts: np.ndarray) -> tuple:
+    """Walk the columns of path, segments of path.shape[0] steps, side by side; returns (first, coupled).
+
+    advance(k, states, into) writes into `into`, and returns, the states
+    after step k of every segment from states.  Segment 0 starts at
+    starts[0] and every other one at its guess starts[s], which the
+    passes overwrite; path[k, s] is the state after step k of segment
+    s.  Each fix-up pass walks the segments again from the end of the
+    one before, rewriting path in place, and stops once every segment
+    is back on its stored path; passes repeat until no start changes.  first is the first segment
+    whose path is not yet right.  coupled is False when the first fix-up
+    pass left more than half of the segments it started wrong still
+    wrong; the passes then stop, and the caller walks the segments from
+    first on one step at a time.
+    """
+    seg, count = path.shape
+    states = starts
+    for k in range(seg):
+        states = advance(k, states, path[k])
+    stored = np.empty(count, dtype=path.dtype)
+    wrong = np.flatnonzero(path[-1, :-1] != starts[1:]) + 1
+    first_pass = coupled = True
+    while wrong.size and coupled:
+        starts[1:] = path[-1, :-1]
+        states = starts
+        for k in range(seg):
+            check = k % _MEET_CHECK == _MEET_CHECK - 1
+            if check:
+                stored[:] = path[k]
+            states = advance(k, states, path[k])
+            if check and (states == stored).all():
+                break
+        before, wrong = wrong.size, np.flatnonzero(path[-1, :-1] != starts[1:]) + 1
+        coupled = not first_pass or 2 * wrong.size <= before
+        first_pass = False
+    return (int(wrong[0]) if wrong.size else count), coupled
+
+
 def _lockstep_block(tables: tuple, luts: list, done: int, state: int, block: np.ndarray, out: np.ndarray) -> tuple:
     """Steps done + 1..done + out.size in lockstep segments; returns (last state, coupled).
 
     Step k of segment s (block step s * _SEGMENT + k) leaves through
-    keys[k, s], its lut offset, and path[k, s] is the state after it.
-    coupled is False when the first fix-up pass left more than half of
-    the segments it started wrong still wrong; the block is then finished
+    keys[k, s], its lut offset; every segment but the first is guessed
+    to start at state 0.  When _couple gives up, the block is finished
     by _bisect_block from the first segment not yet resolved, as is the
     tail past the last whole segment in any case.
     """
@@ -323,29 +361,11 @@ def _lockstep_block(tables: tuple, luts: list, done: int, state: int, block: np.
     starts = np.zeros(count, dtype=path.dtype)
     starts[0] = state
     index = np.empty(count, dtype=np.intp)
-    states = starts
-    for k in range(seg):
-        states = step_luts[k].take(np.add(keys[k], states, out=index), out=path[k], mode="clip")
-    # a fix-up pass rewrites path in place, walking every segment again
-    # from the end of the one before it; once every segment is back on
-    # its stored path, it repeats that path to the end
-    stored = np.empty(count, dtype=path.dtype)
-    wrong = np.flatnonzero(path[-1, :-1] != starts[1:]) + 1
-    first_pass = coupled = True
-    while wrong.size and coupled:
-        starts[1:] = path[-1, :-1]
-        states = starts
-        for k in range(seg):
-            check = k % _MEET_CHECK == _MEET_CHECK - 1
-            if check:
-                stored[:] = path[k]
-            states = step_luts[k].take(np.add(keys[k], states, out=index), out=path[k], mode="clip")
-            if check and (states == stored).all():
-                break
-        before, wrong = wrong.size, np.flatnonzero(path[-1, :-1] != starts[1:]) + 1
-        coupled = not first_pass or 2 * wrong.size <= before
-        first_pass = False
-    first = int(wrong[0]) if wrong.size else count
+
+    def advance(k, states, into):
+        return step_luts[k].take(np.add(keys[k], states, out=index), out=into, mode="clip")
+
+    first, coupled = _couple(advance, path, starts)
     out[: first * seg].reshape(first, seg)[:] = path[:, :first].T
     state = int(path[-1, first - 1])
     start = first * seg

@@ -200,6 +200,19 @@ def simulate_register(
     flip, or was down and flipped, so the qubits down after it are the
     set bits of w ^ top[i], where top[i] masks the top i of the N bits:
     the next index is popcount(w ^ top[i]).
+
+    Up to 64 qubits, each step's word is one unsigned integer, and
+    batches of markov._BLOCK steps, cut into segments of markov._SEGMENT
+    steps, are walked side by side by markov._couple, one gather of top
+    and one popcount per segment-step.  Walks of different parity never meet,
+    since i' = i + popcount(w) (mod 2); so each segment is guessed to
+    start at the index nearest N/2 with the parity that the flips before
+    it give, and at N = 1 every guess is right.  The walk goes one step
+    at a time, in Python, one draw of flips at a time: past 64 qubits,
+    in batches of fewer than markov._MIN_SEGMENTS segments, in the tail
+    after the last whole segment, and in the rest of a walk once a batch
+    fails to couple (beta = 0 keeps every index, and beta = pi maps i to
+    N - i, so no guessed start ever meets the true one).
     """
     n = spec.n_qubits
     check_int("steps", steps, 0)
@@ -208,29 +221,82 @@ def simulate_register(
         index = labels.index(initial_j)
     except ValueError:
         raise InvalidArgumentError(f"initial_j={initial_j!r} is not an outcome label for {n} qubits") from None
-    p = flip_probability(spec.beta)
     states = np.empty(steps + 1, dtype=markov._state_dtype(n + 1))
     states[0] = index
-    top = [((1 << i) - 1) << (n - i) for i in range(n + 1)]
+    _walk_register(n, flip_probability(spec.beta), index, states[1:], rng)
+    return Trajectory(labels=labels, states=states, seed=rng.seed)
+
+
+def _walk_register(n: int, p: float, index: int, out: np.ndarray, rng: RngState) -> None:
+    """Write the label indices after steps 1..out.size of an n-qubit walk from index into out."""
+    seg = markov._SEGMENT
     # a step's flips are padded with zeros to whole bytes, and its bytes
-    # to whole 64-bit limbs; a block's padded bools fill at most _BLOCK
-    # bytes, however much padding each step takes
+    # to one word of 1, 2, 4 or 8 bytes, or past 64 qubits to whole
+    # 64-bit limbs
     step_bytes = -(-n // 8)
-    limbs = -(-step_bytes // 8)
-    block_steps = max(1, min(steps, markov._BLOCK // (8 * step_bytes)))
-    bits = np.zeros((block_steps, 8 * step_bytes), dtype=bool)
-    packed = np.zeros((block_steps, 8 * limbs), dtype=np.uint8)
+    word_bytes = min(8, 1 << (step_bytes - 1).bit_length())
+    limbs = -(-step_bytes // word_bytes)
+    word = np.dtype(f"<u{word_bytes}")
+    # a draw is about _BLOCK // 4 uniforms, in whole segments up to 64 qubits
+    draw_steps = max(1, markov._BLOCK // 4 // n)
+    if draw_steps >= seg:
+        draw_steps -= draw_steps % seg
+    rows = min(draw_steps, out.size)
+    bits = np.zeros((rows, 8 * step_bytes), dtype=bool)
+    packed = np.zeros((rows, limbs * word_bytes), dtype=np.uint8)
+    top = [((1 << i) - 1) << (n - i) for i in range(n + 1)]
     bit_count = int.bit_count
-    for done in range(0, steps, block_steps):
-        count = min(block_steps, steps - done)
+
+    def draw(count: int) -> np.ndarray:
+        """The flip words of the next count steps, shape (count, limbs)."""
         np.less(rng.random_block(count * n).reshape(count, n), p, out=bits[:count, :n])
         packed[:count, :step_bytes] = np.packbits(bits[:count], bitorder="little").reshape(count, step_bytes)
-        words = packed[:count].view("<u8")
+        return packed[:count].view(word)
+
+    def walk(words: np.ndarray, index: int, into: np.ndarray) -> int:
+        """Walk the flip words (count, limbs) from index one step at a time into `into`; returns the last index."""
         flips = words[:, -1].tolist()
         # fold wider registers in 64-bit limbs, most significant first
         for limb in range(limbs - 2, -1, -1):
             flips = [(high << 64) | low for high, low in zip(flips, words[:, limb].tolist())]
-        states[done + 1 : done + count + 1] = np.fromiter(
-            [index := bit_count(w ^ top[index]) for w in flips], dtype=states.dtype, count=count
-        )
-    return Trajectory(labels=labels, states=states, seed=rng.seed)
+        into[:] = np.fromiter([index := bit_count(w ^ top[index]) for w in flips], dtype=into.dtype, count=into.size)
+        return index
+
+    done = 0
+    if n <= 64 and out.size >= markov._MIN_SEGMENTS * seg:
+        # words[k, s]: the flips of step k of segment s
+        batch_segments = markov._BLOCK // seg
+        words = np.empty((seg, batch_segments), dtype=word)
+        path = np.empty((seg, batch_segments), dtype=out.dtype)
+        top_words = np.array(top, dtype=word)
+        gathered = np.empty(batch_segments, dtype=word)
+        draw_segments = draw_steps // seg
+        half = n // 2
+        coupled = True
+        while coupled and out.size - done >= markov._MIN_SEGMENTS * seg:
+            count = min(batch_segments, (out.size - done) // seg)
+            for s in range(0, count, draw_segments):
+                chunk = min(draw_segments, count - s)
+                words[:, s : s + chunk] = draw(chunk * seg).reshape(chunk, seg).T
+            batch = words[:, :count]
+            # the parity of the flips before each segment fixes the parity
+            # of its start
+            parity = np.bitwise_count(np.bitwise_xor.reduce(batch, axis=0)) & 1
+            np.bitwise_xor.accumulate(parity, out=parity)
+            starts = np.empty(count, dtype=out.dtype)
+            starts[0] = index
+            starts[1:] = half + ((half + index + parity[:-1]) & 1)
+
+            def advance(k, states, into):
+                flips = np.take(top_words, states, out=gathered[:count], mode="clip")
+                return np.bitwise_count(np.bitwise_xor(batch[k], flips, out=flips), out=into)
+
+            first, coupled = markov._couple(advance, path[:, :count], starts)
+            out[done : done + first * seg].reshape(first, seg)[:] = path[:, :first].T
+            index = int(path[-1, first - 1])
+            for s in range(first, count):
+                index = walk(batch[:, s : s + 1], index, out[done + s * seg : done + (s + 1) * seg])
+            done += count * seg
+    for start in range(done, out.size, draw_steps):
+        count = min(draw_steps, out.size - start)
+        index = walk(draw(count), index, out[start : start + count])

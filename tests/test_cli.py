@@ -4,6 +4,7 @@ import os
 import shlex
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -181,6 +182,16 @@ def test_qubit_register_above_the_cap_fails_before_simulating(capsys, monkeypatc
     monkeypatch.setattr(cli, "simulate_register", never("simulate_register"))
     assert main(["simulate", "--kind", "qubit", "--n", "65", "--beta", "1.0", "--steps", str(10**8)]) == 2
     assert_one_error_line(capsys)
+
+
+def test_qubit_register_past_the_closed_form_fails_before_simulating(capsys, monkeypatch):
+    # the draws are under the cap, but the matrix is built first, so a
+    # register past N_MAX_FORMULA never reaches the simulator
+    import qmarkov.cli as cli
+
+    monkeypatch.setattr(cli, "simulate_register", never("simulate_register"))
+    assert main(["simulate", "--kind", "qubit", "--n", "100000", "--beta", "1.0", "--steps", "1000"]) == 2
+    assert "closed form limited to N <= 64" in assert_one_error_line(capsys)
 
 
 def test_qubit_draws_at_the_cap_reach_the_simulator(capsys, monkeypatch):
@@ -418,6 +429,31 @@ def test_coin_toss_output(capsys):
     assert payload["lag1_autocorrelation"] is None
 
 
+def _exact_lag1(bits):
+    """The lag-1 autocorrelation of the bits in exact rationals, as the sums of centred bits define it."""
+    n = len(bits)
+    mean = Fraction(sum(bits), n)
+    x = [b - mean for b in bits]
+    return sum(a * b for a, b in zip(x, x[1:])) / sum(a * a for a in x)
+
+
+def test_coin_toss_lag1_is_the_correctly_rounded_exact_value(capsys):
+    for count, seed in ((2, 1), (3, 2), (7, 3), (1000, 4), (20001, 5), (20001, 20260)):
+        code, payload = run_json(capsys, "coin-toss", "--count", str(count), "--seed", str(seed))
+        assert code == 0
+        bits = [int(b) for b in payload["bits"]]
+        expected = None if len(set(bits)) == 1 else float(_exact_lag1(bits))
+        assert payload["lag1_autocorrelation"] == expected, (count, seed)
+
+
+def test_coin_toss_output_does_not_depend_on_the_blas_threads():
+    argv = ("-m", "qmarkov.cli", "coin-toss", "--count", "250000", "--seed", "1")
+    one = fresh_interpreter(*argv, OPENBLAS_NUM_THREADS="1")
+    two = fresh_interpreter(*argv, OPENBLAS_NUM_THREADS="2")
+    assert one[0] == 0
+    assert one == two
+
+
 def test_verify_passes_and_reports_counts(capsys):
     code, payload = run_json(capsys, "verify", "--n-max", "3", "--beta", "0.7")
     assert code == 0
@@ -589,9 +625,9 @@ def test_reruns_are_byte_identical(capsys, tmp_path):
     assert file_a.read_bytes() == file_b.read_bytes()
 
 
-def fresh_interpreter(*args):
-    """(exit code, stdout) of python ARGS in a new process importing this qmarkov."""
-    env = dict(os.environ)
+def fresh_interpreter(*args, **environ):
+    """(exit code, stdout) of python ARGS in a new process importing this qmarkov, with environ set."""
+    env = dict(os.environ, **environ)
     src = str(Path(qmarkov.__file__).resolve().parent.parent)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     done = subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True, timeout=120)

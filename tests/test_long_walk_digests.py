@@ -8,10 +8,13 @@ These run 100001 steps, two blocks of uniforms, each walked in lockstep
 up to a tail walked by bisect; the walk that never couples is finished
 by bisect from inside its first block.  The digests were recorded before the
 bisect walker read its block in place.  A wrapper around the lockstep
-kernel checks that it ran, and whether each of its blocks coupled.  The
-register walks never reach it; they cross 13 blocks of flips at N = 8
-and 98 at N = 64, and their digests were recorded before the register
-simulator packed each block of flips at once.
+driver, markov._couple, checks that it ran, and whether each of its
+blocks coupled.  The register walks cross two lockstep batches, one of
+256 segments and one of 134, each followed by its tail walked one step
+at a time; at beta = 0 and beta = pi the first batch never couples and
+the rest of the walk goes one step at a time.  Their digests were
+recorded before the register simulator walked in lockstep: qubit-8 and
+qubit-64 before it packed each block of flips at once.
 """
 
 import hashlib
@@ -36,16 +39,30 @@ CASES = {
     "spin-1-pi": ("--kind", "spin", "--s", "1", "--beta", "3.141592653589793", "--initial", "0"),
     "qubit-8": ("--kind", "qubit", "--n", "8", "--beta", "1.0"),
     "qubit-64": ("--kind", "qubit", "--n", "64", "--beta", "0.7"),
+    "qubit-1": ("--kind", "qubit", "--n", "1", "--beta", "0.4"),
+    "qubit-2": ("--kind", "qubit", "--n", "2", "--beta", "2.6"),
+    "qubit-9": ("--kind", "qubit", "--n", "9", "--beta", "1.7"),
+    "qubit-63": ("--kind", "qubit", "--n", "63", "--beta", "2.2"),
+    # beta = 0 keeps every index and beta = pi maps i to N - i, so the
+    # walk from all qubits up never meets a segment guessed to start near N/2
+    "qubit-8-0": ("--kind", "qubit", "--n", "8", "--beta", "0"),
+    "qubit-64-pi": ("--kind", "qubit", "--n", "64", "--beta", "3.141592653589793"),
 }
 
-# whether the lockstep kernel couples on each block it walks
+# whether the lockstep driver couples on each block or batch it walks
 COUPLED = {
     "spin-1": [True, True],
     "spin-25": [True, True],
     "matrix-9": [True, True],
     "spin-1-pi": [False],
-    "qubit-8": [],
-    "qubit-64": [],
+    "qubit-8": [True, True],
+    "qubit-64": [True, True],
+    "qubit-1": [True, True],
+    "qubit-2": [True, True],
+    "qubit-9": [True, True],
+    "qubit-63": [True, True],
+    "qubit-8-0": [False],
+    "qubit-64-pi": [False],
 }
 
 DIGESTS = {
@@ -61,6 +78,18 @@ DIGESTS = {
     "qubit-8:out": "ef4468271cdf9d854350e0f06769e2f9f01f8a0dde90f077af590e42325b0eec",
     "qubit-64": "f2edc549e398c5d4a879b681069ae409d04118b663ce0f778d99d070e9e6f8f6",
     "qubit-64:out": "b617ca981609ace5cd1a36bfd8a0d095f8b469d72700e48748970c2471a92cf7",
+    "qubit-1": "352a2637b23a38f7584de54df45d58cdbdf246a7b3af39e8078e74d1400931bd",
+    "qubit-1:out": "76d5276530df2e4c6112cc81979e279c5a6657f020feddf8026067493fd52e91",
+    "qubit-2": "42dda3e5e1d525b4eefb409729ff41dc07deb5f4f7bcf269bb1677bbbdd51029",
+    "qubit-2:out": "ad7b123d91facd16686bab51c336169775686ec24354275f0366458d227d7228",
+    "qubit-9": "75a422e5ee8dce07ba633f8ab2ae1d2e255c688abee927e77e8d7ad2aae04b67",
+    "qubit-9:out": "209f310cfb2afba9914f609f2dff41c689260b171bac44cec079e056e460dbbc",
+    "qubit-63": "9550a5c4cb93c18a884d8c2f4b244a778691acb97d67da39f918b9d914403a92",
+    "qubit-63:out": "b382904441586c80b36d96f2035a9cfd4f44cecee232490aa0163bc2c0699e19",
+    "qubit-8-0": "42856e4d59a745f063b838ad31b1eaf1394c2777cb7d3692839b04a6a27d9254",
+    "qubit-8-0:out": "f6a09223a080b84fdb584b57942948bb0d2954988de4920d096f865773bc1ba0",
+    "qubit-64-pi": "35861cd59296b5a06cb0f77c6b58c9cb5f5926087f569af6f60310b9f3238cb1",
+    "qubit-64-pi:out": "9c5f06d24d12c2020064d0b5a7de49b3295686146b0f32e4ceeb99d105a6fdcb",
 }
 
 

@@ -446,15 +446,15 @@ def _edge_uniforms(matrices, steps, seed):
 
 
 def _record_lockstep(monkeypatch):
-    """The coupled flag of each block _lockstep_block walks from now on, in order."""
-    lockstep, coupled = markov._lockstep_block, []
+    """The coupled flag of each block or batch the lockstep driver walks from now on, in order."""
+    couple, coupled = markov._couple, []
 
     def recording(*args):
-        state, flag = lockstep(*args)
+        first, flag = couple(*args)
         coupled.append(flag)
-        return state, flag
+        return first, flag
 
-    monkeypatch.setattr(markov, "_lockstep_block", recording)
+    monkeypatch.setattr(markov, "_couple", recording)
     return coupled
 
 

@@ -27,6 +27,7 @@ from qmarkov import (
 )
 
 from oracles import enumerate_q, exact_register_row, oracle_register_matrix
+from test_markov import _record_lockstep
 
 # q_{j'j} for N=3, beta=0.7, rows j = 3/2..-3/2, frozen from the
 # bitmask-enumeration oracle
@@ -275,16 +276,21 @@ def test_simulate_register_matches_a_per_qubit_reference(n):
                 assert t.states.tolist() == expected, (beta, steps, ups)
 
 
-def _register_peak(n, blocks):
-    """The tracemalloc peak of a register walk of blocks * (_BLOCK // n) steps, less its states, in blocks of uniforms."""
+def _walk_peak(n, steps):
+    """The tracemalloc peak of a register walk of steps, less its states, in blocks of uniforms."""
     spec = QubitChainSpec(n_qubits=n, beta=1.0)
     rng = RngState(n)  # the first generator imports numpy.random's modules
     tracemalloc.start()
     try:
-        t = simulate_register(spec, spec.labels[0], blocks * (markov._BLOCK // n), rng)
+        t = simulate_register(spec, spec.labels[0], steps, rng)
         return (tracemalloc.get_traced_memory()[1] - t.states.nbytes) / (8 * markov._BLOCK)
     finally:
         tracemalloc.stop()
+
+
+def _register_peak(n, blocks):
+    """The tracemalloc peak of a register walk of blocks * (_BLOCK // n) steps, less its states, in blocks of uniforms."""
+    return _walk_peak(n, blocks * (markov._BLOCK // n))
 
 
 @pytest.mark.parametrize("n", [1, 8, 64])
@@ -295,5 +301,18 @@ def test_register_memory_is_bounded_by_the_block(n):
     # 0.52 at n = 1; flips padded to 64 bools a step would add 0.88 blocks
     # at n = 8, and blocks of _BLOCK // n steps 3.7 blocks at n = 1
     peaks = [_register_peak(n, blocks) for blocks in (4, 8)]
+    assert max(peaks) < 1.6, peaks
+    assert abs(peaks[1] - peaks[0]) < 0.1, peaks
+
+
+@pytest.mark.parametrize("n", [1, 8, 64])
+def test_lockstep_register_memory_is_bounded_by_the_block(monkeypatch, n):
+    # walks of 4 and 8 lockstep batches of _BLOCK steps: the batch of
+    # flip words and its segment paths, one draw of uniforms and its
+    # flips stay under the same bound, however many batches the walk
+    # crosses; 0.79, 0.55 and 1.44 blocks at n = 1, 8 and 64
+    coupled = _record_lockstep(monkeypatch)
+    peaks = [_walk_peak(n, batches * markov._BLOCK) for batches in (4, 8)]
+    assert coupled == [True] * 12
     assert max(peaks) < 1.6, peaks
     assert abs(peaks[1] - peaks[0]) < 0.1, peaks
