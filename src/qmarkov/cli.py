@@ -88,12 +88,13 @@ def _check_bounded(what: str, value: int, minimum: int, maximum: int) -> int:
 
 
 def _opened(out):
-    """--out opened for writing, or stdout when it is None, as a context manager.
+    """--out opened for writing in UTF-8, or stdout when it is None, as a context manager.
 
     Commands open it after their inputs are checked and before the work,
-    so a bad path is reported before anything is computed.
+    so a bad path is reported before anything is computed.  The file is
+    UTF-8 whatever the locale, as matrix files are read.
     """
-    return open(out, "w") if out is not None else nullcontext(sys.stdout)
+    return open(out, "w", encoding="utf-8") if out is not None else nullcontext(sys.stdout)
 
 
 def _chain(args) -> tuple:

@@ -23,6 +23,15 @@ from .rng import _SEED_MAX, RNG_ALGORITHM
 
 FORMAT_VERSION = 1
 
+# characters of trajectory body parsed at a time; each slice is cut at a newline
+_SLICE = _BLOCK // 4
+# most slots in the table that maps a line's key to a label
+_SLOTS_MAX = 1 << 16
+# odd multiplier that mixes a line's words into its key
+_MIX = np.uint64(0x9E3779B97F4A7C15)
+# _MASKS[r] keeps the low r bytes of a word, all eight at r = 8
+_MASKS = np.array([(1 << 8 * r) - 1 for r in range(9)], dtype=np.uint64)
+
 
 def _label_lines(labels, error=InvalidArgumentError) -> list:
     """The labels as strings; error if one holds a line break or two are the same string, as a file gives each its own line."""
@@ -155,12 +164,102 @@ def write_trajectory(t: Trajectory, stream, config: dict | None = None) -> None:
         stream.write("\n")
 
 
+def _lines(data: bytes, cap: int) -> tuple:
+    """The lines of data, split at b"\\n", each with its start, length, words and key.
+
+    Word k of a line is its bytes 8k to 8k + 8 read as one little-endian
+    uint64, zeroed past the line's end.  A line has ceil(length / 8)
+    words, at least one and at most cap.  Every line's first word is in
+    `head`; the later words of lines over 8 bytes come flat, rest[i]
+    being word k[i] of line at[i], so no array grows with the longest
+    line.  A line's key sums (word ^ remaining length) * _MIX over its
+    words, where word k's remaining length is the length less 8k.
+    """
+    raw = np.frombuffer(data + bytes(8), np.uint8)
+    ends = np.flatnonzero(raw[: len(data)] == 10)
+    starts = np.concatenate(([0], ends + 1))
+    lengths = np.append(ends, len(data)) - starts
+    # the uint64 at every byte offset, through a stride of one byte, so each
+    # word is one gather (an index, as take would copy the whole view first)
+    view = np.ndarray(len(data) + 1, "<u8", raw, 0, (1,))
+    head = view[starts] & _MASKS.take(np.minimum(lengths, 8))
+    keys = (head ^ lengths.astype(np.uint64)) * _MIX
+    long = np.flatnonzero(lengths > 8)
+    more = np.minimum((lengths[long] - 1) >> 3, cap - 1)
+    at = np.repeat(long, more)
+    k = np.arange(1, at.size + 1) - np.repeat(np.cumsum(more) - more, more)
+    remaining = lengths[at] - 8 * k
+    rest = view[starts[at] + 8 * k] & _MASKS.take(np.minimum(remaining, 8))
+    np.add.at(keys, at, (rest ^ remaining.astype(np.uint64)) * _MIX)
+    return starts, lengths, head, keys, at, k, rest
+
+
+def _matcher(labels: tuple) -> tuple:
+    """What _codes needs of the labels: the slot table, its shift, their lengths and words, and the word cap.
+
+    The table has the fewest slots, a power of two and at least 16 a
+    label, at which no two label keys share a slot, but no more than
+    _SLOTS_MAX.  A slot holds the one label whose key's top bits name
+    it.  An empty slot, or one that labels still share at the cap, holds
+    len(labels), whose length of -1 no line has.  Label i's first word
+    is head[i] and its word k > 0 is rest[offset[i] + k].
+    """
+    data = "\n".join(labels).encode("utf-8", "surrogatepass")
+    _, lengths, head, keys, at, _, rest = _lines(data, len(data) // 8 + 1)
+    top = _SLOTS_MAX.bit_length() - 1
+    for bits in range(min((16 * len(labels) - 1).bit_length(), top), top + 1):
+        slots = (keys >> (64 - bits)).astype(np.intp)
+        if np.bincount(slots).max() == 1:
+            break
+    alone = np.bincount(slots)[slots] == 1
+    table = np.full(1 << bits, len(labels), dtype=_state_dtype(len(labels) + 1))
+    table[slots[alone]] = np.flatnonzero(alone)
+    # label i's word 1 is the first entry of rest whose line is i or later
+    offset = np.searchsorted(at, np.arange(len(labels) + 1)) - 1
+    cap = (int(lengths.max()) + 7) // 8 or 1
+    return table, 64 - bits, np.append(lengths, -1), np.append(head, np.uint64(0)), offset, rest, cap
+
+
+def _codes(data: bytes, matcher: tuple, index: dict, line: int) -> np.ndarray:
+    """The label index of each line of data, whose first line is file line `line`.
+
+    A line's key picks a candidate label from the slot table, and the
+    candidate stands only if its length and every word equal the line's.
+    Any other line is decoded and looked up in index, so the result is
+    exact for every label set.  The first line in neither raises
+    FormatError.
+    """
+    table, shift, label_lengths, label_head, label_offset, label_rest, cap = matcher
+    # a line longer than every label keeps only the words a label can have
+    starts, lengths, head, keys, at, k, rest = _lines(data, cap)
+    codes = table.take(keys >> shift)
+    confirmed = (label_lengths.take(codes) == lengths) & (label_head.take(codes) == head)
+    expected = label_rest.take(label_offset.take(codes[at]) + k, mode="clip")
+    confirmed[at[rest != expected]] = False
+    for i in np.flatnonzero(~confirmed).tolist():
+        start = starts[i]
+        label = data[start : start + lengths[i]].decode("utf-8", "surrogatepass")
+        code = index.get(label)
+        if code is None:
+            raise FormatError(f"unknown outcome label {label!r}", line=line + i)
+        codes[i] = code
+    return codes
+
+
 def trajectory_from_text(text: str) -> tuple[Trajectory, dict]:
     """Parse a trajectory file; FormatError carries the offending line number.
 
-    The body is read in slices of about _BLOCK characters, each cut at a
-    newline, so the parse holds one slice's lines at a time besides the
-    text and the states.
+    The body is read in slices of about _SLICE characters, each cut at a
+    newline and encoded to UTF-8, so the parse holds one slice's arrays
+    at a time besides the text and the states.  Each slice is matched
+    with numpy (see _codes): every line gets one integer key from its
+    length and its 8-byte words, the key's top bits pick a candidate
+    label from a small slot table, and the candidate stands only if the
+    line's length and every word equal the label's.  A line that no
+    label confirms, an unknown label or one whose slot other labels
+    share, is decoded on its own and looked up in a dict, so the result
+    is exact for every label set and the first unknown label is
+    reported at its line.
     """
     if not text:
         raise FormatError("empty trajectory file", line=1)
@@ -197,20 +296,16 @@ def trajectory_from_text(text: str) -> tuple[Trajectory, dict]:
             line=line_count,
         )
     index = {label: i for i, label in enumerate(labels)}
+    matcher = _matcher(labels)
     states = np.empty(steps + 1, dtype=_state_dtype(len(labels)))
     done = 0
     # body..end holds exactly steps + 1 lines, so the slices fill states
     while done < states.size:
-        cut = text.find("\n", body + _BLOCK, end)
+        cut = text.find("\n", body + _SLICE, end)
         cut = end if cut < 0 else cut
-        words = text[body:cut].split("\n")
-        codes = list(map(index.get, words))
-        try:
-            states[done : done + len(codes)] = codes
-        except TypeError:
-            bad = codes.index(None)
-            raise FormatError(f"unknown outcome label {words[bad]!r}", line=done + bad + 2) from None
-        done += len(codes)
+        codes = _codes(text[body:cut].encode("utf-8", "surrogatepass"), matcher, index, done + 2)
+        states[done : done + codes.size] = codes
+        done += codes.size
         body = cut + 1
     trajectory = Trajectory(labels=labels, states=states, seed=seed)
     return trajectory, header

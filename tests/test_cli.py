@@ -143,6 +143,28 @@ def test_simulate_matrix_file_round_trip(capsys, tmp_path):
     assert_one_error_line(capsys)
 
 
+def test_simulate_out_is_utf8_under_the_c_locale(tmp_path):
+    # under the C locale, with coercion and UTF-8 mode off, Python's default file encoding is ASCII
+    matrix = tmp_path / "m.json"
+    rows = [[0.3, 0.7], [0.6, 0.4]]
+    matrix.write_text(json.dumps({"kind": "generic", "labels": ["α", "b"], "rows": rows, "version": 1}), "utf-8")
+    env = {key: value for key, value in os.environ.items() if key not in ("PYTHONIOENCODING", "PYTHONUTF8")}
+    src = str(Path(qmarkov.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    c_locale = dict(env, LC_ALL="C", PYTHONCOERCECLOCALE="0")
+    argv = ["-m", "qmarkov.cli", "simulate", "--kind", "matrix-file", "--file", str(matrix), "--steps", "300"]
+    runs = {}
+    for name, flags, environ in (("c", ["-X", "utf8=0"], c_locale), ("default", [], env)):
+        out = tmp_path / f"{name}.txt"
+        argv_out = [sys.executable, *flags, *argv, "--seed", "4", "--out", str(out)]
+        done = subprocess.run(argv_out, env=environ, capture_output=True, timeout=120)
+        assert done.returncode == 0, done.stderr.decode(errors="replace")
+        trajectory, _ = trajectory_from_text(out.read_bytes().decode("utf-8"))
+        runs[name] = (done.stdout, trajectory.labels, trajectory.states.tolist())
+    assert runs["c"] == runs["default"]
+    assert runs["c"][1] == ("α", "b")
+
+
 def never(name):
     def fail(*args, **kwargs):
         raise AssertionError(f"{name} ran before an input error was reported")

@@ -297,9 +297,10 @@ def _register_peak(n, blocks):
 def test_register_memory_is_bounded_by_the_block(n):
     # the block of uniforms, its flips padded to whole bytes and 64-bit
     # words, and the listed flip words stay under a fixed multiple of one
-    # block of uniforms however long the walk: 1.38 blocks at n = 8 and
-    # 0.52 at n = 1; flips padded to 64 bools a step would add 0.88 blocks
-    # at n = 8, and blocks of _BLOCK // n steps 3.7 blocks at n = 1
+    # block of uniforms however long the walk: 0.79-0.81 blocks at n = 1,
+    # 0.54 at n = 8 and 0.31 at n = 64; flips padded to 64 bools a step
+    # would add 0.88 blocks at n = 8, and blocks of _BLOCK // n steps 3.7
+    # blocks at n = 1
     peaks = [_register_peak(n, blocks) for blocks in (4, 8)]
     assert max(peaks) < 1.6, peaks
     assert abs(peaks[1] - peaks[0]) < 0.1, peaks

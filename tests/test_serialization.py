@@ -325,22 +325,128 @@ def parser_corpus(block):
     cases["seed past 64 bits"] = text.replace('"seed": 2,', f'"seed": {2**64},', 1)
     cases["header only"] = header + "\n"
     cases["header only, no final newline"] = header
+    cases["a body line longer than every label"] = join(body[:middle] + ["-1" * 20] + body[middle + 1 :])
+    for name, labels in MATCHER_LABEL_SETS.items():
+        states = np.random.default_rng(len(labels)).integers(0, len(labels), 3000)
+        text = trajectory_text(Trajectory(labels=labels, states=states, seed=1))
+        cases[name] = text
+        # the longest label with its last character moved on by one
+        longest = max(labels, key=len)
+        near = longest[:-1] + chr(ord(longest[-1]) + 1)
+        header, *body = text.splitlines()
+        cases[f"{name}, with {near!r} in the middle"] = join(body[:middle] + [near] + body[middle + 1 :])
     return cases
 
 
-@pytest.mark.parametrize("block", [None, 7], ids=["default-block", "block-7"])
-def test_trajectory_parser_matches_the_oracle(block, monkeypatch):
-    if block is not None:
-        monkeypatch.setattr(serialization, "_BLOCK", block)
-    for name, text in parser_corpus(serialization._BLOCK).items():
+# label sets that the parser's word keys and slot table could confuse
+MATCHER_LABEL_SETS = {
+    "the empty label": ("", "a", "bb"),
+    "labels of 8, 9, 16 and 17 bytes": ("a" * 8, "a" * 9, "b" * 16, "b" * 17),
+    "two labels that share their first 8 bytes": ("prefix--one", "prefix--two", "prefix--"),
+    "multi-byte UTF-8 labels": ("α", "½", "-½"),
+    "a and a NUL after it": ("a", "a\x00"),
+    "a lone surrogate": ("\ud800", "x", "\ud800y"),
+}
+
+
+# one slot sends every line of a file with two or more labels to the dict
+@pytest.mark.parametrize(
+    "patch", [{}, {"_SLICE": 7}, {"_SLOTS_MAX": 1}], ids=["default-block", "block-7", "one-slot"]
+)
+def test_trajectory_parser_matches_the_oracle(patch, monkeypatch):
+    for name, value in patch.items():
+        monkeypatch.setattr(serialization, name, value)
+    for name, text in parser_corpus(serialization._SLICE).items():
         expected = parse_outcome(oracle_trajectory_from_text, text)
         assert parse_outcome(trajectory_from_text, text) == expected, name
+
+
+def test_a_slot_holds_a_label_only_when_no_other_label_shares_it(monkeypatch):
+    monkeypatch.setattr(serialization, "_SLOTS_MAX", 1)
+    for labels in MATCHER_LABEL_SETS.values():
+        assert serialization._matcher(labels)[0].tolist() == [len(labels)]
+        assert serialization._matcher(labels[:1])[0].tolist() == [0]
+
+
+def near_misses(label):
+    """Strings close to label: cut short, run on, and with each character in turn moved on by one."""
+    changed = [label[:i] + chr(ord(label[i]) + 1) + label[i + 1 :] for i in range(len(label))]
+    return [label[:-1], label + "a", label + "\x00", *changed]
+
+
+def test_one_label_in_one_slot_leaves_near_misses_to_the_confirmation(monkeypatch):
+    # the one slot holds the one label, so every line is its candidate
+    monkeypatch.setattr(serialization, "_SLOTS_MAX", 1)
+    for label in {label for labels in MATCHER_LABEL_SETS.values() for label in labels}:
+        for near in near_misses(label):
+            text = trajectory_text(Trajectory(labels=(label,), states=np.zeros(4, dtype=int), seed=1))
+            header, *body = text.splitlines()
+            body[2] = near
+            text = "\n".join([header, *body]) + "\n"
+            expected = parse_outcome(oracle_trajectory_from_text, text)
+            assert parse_outcome(trajectory_from_text, text) == expected, (label, near)
+
+
+def test_the_matcher_confirms_every_label_without_the_dict():
+    # an empty dict raises on any line that the keys and words did not confirm
+    for labels in MATCHER_LABEL_SETS.values():
+        data = "\n".join(labels * 3).encode("utf-8", "surrogatepass")
+        codes = serialization._codes(data, serialization._matcher(labels), {}, 2)
+        assert codes.tolist() == list(range(len(labels))) * 3
+
+
+def random_label(rng):
+    """Up to 20 characters from a few that UTF-8 encodes in 1 to 4 bytes, NUL and a lone surrogate among them."""
+    alphabet = ["a", "b", "0", "-", "/", "\x00", "é", "½", "α", "€", "😀", "\udc80"]
+    return "".join(rng.choice(alphabet, size=rng.integers(0, 21)))
+
+
+@pytest.mark.parametrize("block", [None, 7], ids=["default-block", "block-7"])
+def test_trajectory_parser_matches_the_oracle_on_random_label_sets(block, monkeypatch):
+    if block is not None:
+        monkeypatch.setattr(serialization, "_SLICE", block)
+    rng = np.random.default_rng(21)
+    for case in range(200):
+        labels = tuple(dict.fromkeys(random_label(rng) for _ in range(rng.integers(1, 7))))
+        if rng.random() < 0.5:
+            # labels that share a long prefix and differ in a late word
+            labels = tuple(dict.fromkeys(labels[0] * 3 + label for label in labels))
+        states = rng.integers(0, len(labels), rng.integers(1, 400))
+        text = trajectory_text(Trajectory(labels=labels, states=states, seed=case))
+        header, *body = text.splitlines()
+        # one line corrupted: a label cut short, run on, or with one character changed, or a fresh string
+        where = int(rng.integers(0, len(body)))
+        line = body[where]
+        body[where] = [
+            line[:-1],
+            line + random_label(rng)[:1],
+            line[:-1] + random_label(rng)[:1],
+            random_label(rng),
+        ][rng.integers(0, 4)]
+        text = "\n".join([header, *body]) + "\n"
+        expected = parse_outcome(oracle_trajectory_from_text, text)
+        assert parse_outcome(trajectory_from_text, text) == expected, (case, labels, body[where])
 
 
 def test_trajectory_parse_allocates_at_most_8_bytes_per_line():
     steps = 10**6
     states = np.random.default_rng(6).integers(0, 3, steps + 1)
     text = trajectory_text(Trajectory(labels=("1", "0", "-1"), states=states, seed=0))
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        trajectory_from_text(text)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak / (steps + 1) <= 8.0
+
+
+def test_trajectory_parse_memory_does_not_grow_with_the_longest_label():
+    steps = 10**6
+    states = np.random.default_rng(7).integers(1, 3, steps + 1)
+    text = trajectory_text(Trajectory(labels=("x" * 4096, "1", "0"), states=states, seed=0))
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]

@@ -59,6 +59,7 @@ def test_each_step_is_run_or_named_as_skipped():
         "install-path": [
             "Installed entry point",
             "Installed entry point turns a malformed file into exit 2",
+            "Installed entry point writes --out in UTF-8 under the C locale",
             "Installed entry point reports a near-stochastic file's iterate as exit 3",
             "Installed entry point sweeps the whole oracle range",
         ],
