@@ -12,10 +12,17 @@ formulas as printed (two branches, j >= j' and j <= j'), the matrix
 builder (each row a convolution of two binomial distributions), a
 brute-force double-sum enumeration over flip counts, and a per-qubit
 simulator.  The first three each return the whole (N+1)x(N+1) matrix,
-row j and column j' with labels descending, in one call.  Tests close
-the loops between them and against the spin-1/2 chain at N = 1.
+row j and column j' with labels descending, in one call, and each is a
+few whole-array numpy passes with no loop over cells: the single sums
+and the enumeration form all their terms in one array each and add
+them into their cells with np.bincount, and the builder forms every
+row's two binomial laws in one product each, with binomials from a
+float table built once per process, then convolves each pair.  Tests
+close the loops between them, against their scalar forms one term at
+a time, and against the spin-1/2 chain at N = 1.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -69,21 +76,52 @@ def _check_formula_range(spec: QubitChainSpec) -> int:
     return n
 
 
-def _branch_sum(start_count: int, other_count: int, delta: int, cpow: list, spow: list) -> float:
-    """One printed branch: sum over m of C(start_count, m) C(other_count, K - m) terms.
+@functools.lru_cache(maxsize=1)
+def _binomials(size: int) -> np.ndarray:
+    """The read-only float table C(m, k) for m and k in 0..size, zero for k > m.
 
-    start_count qubits can make the "toward j'" flip, delta of which are
-    forced; the cos/sin exponents count unflipped and flipped qubits.
-    K = other_count + delta is the printed upper limit of m; terms above
-    min(K, start_count) carry a zero binomial and are skipped so the
-    power tables are never indexed negatively.
+    Each entry is float(math.comb(m, k)), the correctly rounded binomial,
+    so the table is exact wherever a double holds C(m, k).  The routes
+    ask for size N_MAX_FORMULA, which covers every N they accept, so it
+    is built once per process.
     """
-    n = start_count + other_count
-    total = 0.0
-    for m in range(delta, min(other_count + delta, start_count) + 1):
-        coeff = math.comb(start_count, m) * math.comb(other_count, other_count + delta - m)
-        total += coeff * cpow[n + delta - 2 * m] * spow[2 * m - delta]
-    return total
+    table = np.zeros((size + 1, size + 1))
+    # one row of Python integers at a time keeps few of them alive at once
+    for m in range(size + 1):
+        table[m, : m + 1] = [math.comb(m, k) for k in range(m + 1)]
+    table.flags.writeable = False
+    return table
+
+
+def _power_tables(n: int, beta: float) -> tuple:
+    """cos^2(beta/2) and sin^2(beta/2) to the powers 0..n, each a running product."""
+    ch = math.cos(beta / 2.0)
+    sh = math.sin(beta / 2.0)
+    powers = np.empty((n + 1, 2))
+    powers[0] = 1.0
+    powers[1:] = ch * ch, sh * sh
+    powers = np.cumprod(powers, axis=0)
+    return powers[:, 0], powers[:, 1]
+
+
+def _branch_sums(start: np.ndarray, other: np.ndarray, delta: np.ndarray, cpow: np.ndarray, spow: np.ndarray) -> np.ndarray:
+    """One printed branch per cell: the sum over m of C(start, m) C(other, K - m) terms.
+
+    Cell c has start[c] qubits that can make the "toward j'" flip,
+    delta[c] of which are forced; the cos/sin exponents count unflipped
+    and flipped qubits.  K = other + delta is the printed upper limit of
+    m; only m from delta to min(K, start) is formed, where every binomial
+    and power index is in range, and each cell's terms are summed in
+    order of m.
+    """
+    n = cpow.size - 1
+    binom = _binomials(N_MAX_FORMULA)
+    count = np.minimum(other, start - delta) + 1
+    cell = np.repeat(np.arange(count.size), count)
+    m = np.arange(cell.size) - (np.cumsum(count) - count - delta)[cell]
+    start, other, delta = start[cell], other[cell], delta[cell]
+    terms = binom[start, m] * binom[other, other + delta - m] * cpow[n + delta - 2 * m] * spow[2 * m - delta]
+    return np.bincount(cell, weights=terms, minlength=count.size)
 
 
 def q_formula(spec: QubitChainSpec) -> np.ndarray:
@@ -94,34 +132,26 @@ def q_formula(spec: QubitChainSpec) -> np.ndarray:
     standing tripwire for transcription errors in either formula.
     """
     n = _check_formula_range(spec)
-    ch = math.cos(spec.beta / 2.0)
-    sh = math.sin(spec.beta / 2.0)
-    cc = ch * ch
-    ss = sh * sh
-    cpow = [1.0]
-    spow = [1.0]
-    for _ in range(n):
-        cpow.append(cpow[-1] * cc)
-        spow.append(spow[-1] * ss)
+    cpow, spow = _power_tables(n, spec.beta)
+    # labels descend, so row i starts from n - i up qubits and i down;
+    # where j >= j' (i <= k), m counts up qubits that flip down
+    r = np.arange(n + 1)
+    i, k = np.nonzero(r[:, None] <= r)
+    values = _branch_sums(n - i, i, k - i, cpow, spow)
+    # where j <= j', m counts down qubits that flip up: the branch at
+    # (n - i, n - k) takes the same start, other and delta as at (i, k)
     q = np.empty((n + 1, n + 1))
-    for i in range(n + 1):
-        # labels descend, so row i starts from n - i up qubits
-        ups = n - i
-        downs = i
-        for k in range(n + 1):
-            if i < k:
-                q[i, k] = _branch_sum(ups, downs, k - i, cpow, spow)
-            elif i > k:
-                q[i, k] = _branch_sum(downs, ups, i - k, cpow, spow)
-            else:
-                value_high = _branch_sum(ups, downs, 0, cpow, spow)
-                value_low = _branch_sum(downs, ups, 0, cpow, spow)
-                if abs(value_high - value_low) > _BRANCH_SEAM_TOL:
-                    raise InternalConsistencyError(
-                        f"branch formulas disagree at j=j'={spec.labels[i]} for N={n}, beta={spec.beta}: "
-                        f"{value_high!r} vs {value_low!r}"
-                    )
-                q[i, k] = value_high
+    q[n - i, n - k] = values
+    value_low = q.diagonal().copy()
+    q[i, k] = values
+    value_high = q.diagonal()
+    seam = np.flatnonzero(np.abs(value_high - value_low) > _BRANCH_SEAM_TOL)
+    if seam.size:
+        i = int(seam[0])
+        raise InternalConsistencyError(
+            f"branch formulas disagree at j=j'={spec.labels[i]} for N={n}, beta={spec.beta}: "
+            f"{float(value_high[i])!r} vs {float(value_low[i])!r}"
+        )
     return q
 
 
@@ -134,26 +164,22 @@ def qubit_transition_matrix(spec: QubitChainSpec) -> StochasticMatrix:
     reversed because labels descend.
     """
     n = _check_formula_range(spec)
-    ch = math.cos(spec.beta / 2.0)
-    sh = math.sin(spec.beta / 2.0)
     # cos^2 and sin^2 as q_formula forms them, not 1 - p: the N = 1 rows
     # then equal the spin-1/2 rows bit for bit
-    stay_pow = np.cumprod([1.0] + [ch * ch] * n)
-    flip_pow = np.cumprod([1.0] + [sh * sh] * n)
-    # Pascal's triangle, row m = C(m, 0..m), in Python integers, so exact
-    # at any N; each float is float(math.comb(m, k)), correctly rounded
-    binom = np.zeros((n + 1, n + 1), dtype=object)
-    binom[:, 0] = 1
-    for m in range(1, n + 1):
-        binom[m, 1:] = binom[m - 1, 1:] + binom[m - 1, :-1]
-    binom = binom.astype(float)
-    rows = np.empty((n + 1, n + 1))
-    for ups in range(n + 1):
-        downs = n - ups
-        stay_up = binom[ups, : ups + 1] * stay_pow[: ups + 1] * flip_pow[ups::-1]
-        flip_up = binom[downs, : downs + 1] * flip_pow[: downs + 1] * stay_pow[downs::-1]
-        rows[downs] = np.convolve(stay_up, flip_up)[::-1]
-    return StochasticMatrix(labels=spec.labels, rows=rows)
+    stay_pow, flip_pow = _power_tables(n, spec.beta)
+    binom = _binomials(N_MAX_FORMULA)[: n + 1, : n + 1]
+    # lag[u, k] = u - k, the qubits of u that do not do what k of them do;
+    # entries past k = u have a zero binomial and are never read
+    k = np.arange(n + 1)
+    lag = np.maximum(k[:, None] - k, 0)
+    # stay_up[u, k]: the chance that k of u up qubits stay up, and
+    # flip_up[u, k] that k of u down qubits flip up
+    stay_up = binom * stay_pow * flip_pow[lag]
+    flip_up = binom * flip_pow * stay_pow[lag]
+    # row ups of `ups_after` is the law of the next up count, 0..n
+    ups_after = np.array([np.convolve(stay_up[ups, : ups + 1], flip_up[n - ups, : n - ups + 1]) for ups in range(n + 1)])
+    # labels descend, so rows and columns run from n up qubits down to 0
+    return StochasticMatrix(labels=spec.labels, rows=ups_after[::-1, ::-1])
 
 
 def brute_force_q(spec: QubitChainSpec) -> np.ndarray:
@@ -162,22 +188,22 @@ def brute_force_q(spec: QubitChainSpec) -> np.ndarray:
     Starting from ups up qubits, a of them flip down and b of the downs
     flip up, each qubit independently with probability p; every (a, b)
     adds C(ups,a) C(downs,b) p^(a+b) (1-p)^(N-a-b) to the cell of
-    ups' = ups - a + b.  Deliberately shares no structure with the
-    single-sum closed form; kept within exact enumeration range.
+    ups' = ups - a + b, in order of ups, then a, then b.  Deliberately
+    shares no structure with the single-sum closed form; kept within
+    exact enumeration range.
     """
     n = spec.n_qubits
     if n > N_MAX_BRUTE_FORCE:
         raise RangeLimitError(f"enumeration limited to N <= {N_MAX_BRUTE_FORCE}, got N={n}")
     p = flip_probability(spec.beta)
-    q = 1.0 - p
-    rows = [[0.0] * (n + 1) for _ in range(n + 1)]
-    for ups in range(n + 1):
-        downs = n - ups
-        row = rows[n - ups]
-        for a in range(ups + 1):
-            for b in range(downs + 1):
-                row[n - (ups - a + b)] += math.comb(ups, a) * math.comb(downs, b) * p ** (a + b) * q ** (n - a - b)
-    return np.array(rows)
+    k = np.arange(n + 1)
+    # every (ups, a, b) with a <= ups and b <= downs, and only those, so
+    # no power below takes a negative exponent
+    ups, a, b = np.nonzero((k[:, None, None] >= k[:, None]) & (k[:, None, None] + k <= n))
+    binom = _binomials(N_MAX_FORMULA)
+    weights = binom[ups, a] * binom[n - ups, b] * p ** (a + b) * (1.0 - p) ** (n - a - b)
+    cells = (n - ups) * (n + 1) + n - (ups - a + b)
+    return np.bincount(cells, weights=weights, minlength=(n + 1) ** 2).reshape(n + 1, n + 1)
 
 
 def simulate_register(

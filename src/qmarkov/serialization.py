@@ -31,6 +31,8 @@ _SLOTS_MAX = 1 << 16
 _MIX = np.uint64(0x9E3779B97F4A7C15)
 # _MASKS[r] keeps the low r bytes of a word, all eight at r = 8
 _MASKS = np.array([(1 << 8 * r) - 1 for r in range(9)], dtype=np.uint64)
+# the later words of a slice whose lines all fit in one word
+_NO_WORDS = np.empty(0, dtype=np.uint64)
 
 
 def _label_lines(labels, error=InvalidArgumentError) -> list:
@@ -173,7 +175,9 @@ def _lines(data: bytes, cap: int) -> tuple:
     `head`; the later words of lines over 8 bytes come flat, rest[i]
     being word k[i] of line at[i], so no array grows with the longest
     line.  A line's key sums (word ^ remaining length) * _MIX over its
-    words, where word k's remaining length is the length less 8k.
+    words, where word k's remaining length is the length less 8k.  When
+    no line is over 8 bytes, as in every spin and register file, the
+    later words are not looked for.
     """
     raw = np.frombuffer(data + bytes(8), np.uint8)
     ends = np.flatnonzero(raw[: len(data)] == 10)
@@ -185,6 +189,8 @@ def _lines(data: bytes, cap: int) -> tuple:
     head = view[starts] & _MASKS.take(np.minimum(lengths, 8))
     keys = (head ^ lengths.astype(np.uint64)) * _MIX
     long = np.flatnonzero(lengths > 8)
+    if not long.size:
+        return starts, lengths, head, keys, long, long, _NO_WORDS
     more = np.minimum((lengths[long] - 1) >> 3, cap - 1)
     at = np.repeat(long, more)
     k = np.arange(1, at.size + 1) - np.repeat(np.cumsum(more) - more, more)
@@ -234,8 +240,9 @@ def _codes(data: bytes, matcher: tuple, index: dict, line: int) -> np.ndarray:
     starts, lengths, head, keys, at, k, rest = _lines(data, cap)
     codes = table.take(keys >> shift)
     confirmed = (label_lengths.take(codes) == lengths) & (label_head.take(codes) == head)
-    expected = label_rest.take(label_offset.take(codes[at]) + k, mode="clip")
-    confirmed[at[rest != expected]] = False
+    if at.size:
+        expected = label_rest.take(label_offset.take(codes[at]) + k, mode="clip")
+        confirmed[at[rest != expected]] = False
     for i in np.flatnonzero(~confirmed).tolist():
         start = starts[i]
         label = data[start : start + lengths[i]].decode("utf-8", "surrogatepass")

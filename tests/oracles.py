@@ -8,7 +8,9 @@ probabilities come from enumerating every flip pattern of every qubit,
 or exactly in rational arithmetic as a convolution of two binomial laws.
 The register matrix oracle is the exception: it repeats the builder's
 float arithmetic with binomials from math.comb, to pin the builder's
-output bit for bit.
+output bit for bit.  The library's closed-form sums and flip-count
+enumeration are whole-array passes; their scalar forms live here, one
+cell and one term at a time with exact integer binomials.
 The trajectory parser splits the whole file into lines and looks each
 label up on its own.  Slow is fine; different is the point.
 """
@@ -127,6 +129,64 @@ def enumerate_q(n_qubits: int, beta: float, j: HalfInt, j_prime: HalfInt) -> flo
         if 2 * ups_after - n_qubits == j_prime.twice:
             total += weight
     return total
+
+
+def _branch_sum(start_count: int, other_count: int, delta: int, cpow: list, spow: list) -> float:
+    """One printed branch: sum over m of C(start_count, m) C(other_count, K - m) terms.
+
+    start_count qubits can make the "toward j'" flip, delta of which are
+    forced; K = other_count + delta is the printed upper limit of m, and
+    terms above min(K, start_count) carry a zero binomial.
+    """
+    n = start_count + other_count
+    total = 0.0
+    for m in range(delta, min(other_count + delta, start_count) + 1):
+        coeff = math.comb(start_count, m) * math.comb(other_count, other_count + delta - m)
+        total += coeff * cpow[n + delta - 2 * m] * spow[2 * m - delta]
+    return total
+
+
+def scalar_q_formula(n_qubits: int, beta: float) -> np.ndarray:
+    """The printed single sums one cell at a time, rows j and columns j' descending.
+
+    Each cell takes the branch for the sign of j - j', the one for j > j'
+    on the diagonal.
+    """
+    n = n_qubits
+    ch = math.cos(beta / 2.0)
+    sh = math.sin(beta / 2.0)
+    cc = ch * ch
+    ss = sh * sh
+    cpow = [1.0]
+    spow = [1.0]
+    for _ in range(n):
+        cpow.append(cpow[-1] * cc)
+        spow.append(spow[-1] * ss)
+    q = np.empty((n + 1, n + 1))
+    for i in range(n + 1):
+        ups, downs = n - i, i
+        for k in range(n + 1):
+            if i <= k:
+                q[i, k] = _branch_sum(ups, downs, k - i, cpow, spow)
+            else:
+                q[i, k] = _branch_sum(downs, ups, i - k, cpow, spow)
+    return q
+
+
+def scalar_brute_force_q(n_qubits: int, beta: float) -> np.ndarray:
+    """Every (ups, a, b) flip count one term at a time, in exact integer binomials; rows and columns as q_formula."""
+    n = n_qubits
+    sh = math.sin(beta / 2.0)
+    p = sh * sh
+    q = 1.0 - p
+    rows = [[0.0] * (n + 1) for _ in range(n + 1)]
+    for ups in range(n + 1):
+        downs = n - ups
+        row = rows[n - ups]
+        for a in range(ups + 1):
+            for b in range(downs + 1):
+                row[n - (ups - a + b)] += math.comb(ups, a) * math.comb(downs, b) * p ** (a + b) * q ** (n - a - b)
+    return np.array(rows)
 
 
 def oracle_register_matrix(n_qubits: int, beta: float) -> np.ndarray:

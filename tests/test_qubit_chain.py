@@ -1,5 +1,7 @@
+import json
 import math
 import tracemalloc
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -25,8 +27,15 @@ from qmarkov import (
     spin_transition_matrix,
     transition_counts,
 )
+from qmarkov.cli import main
 
-from oracles import enumerate_q, exact_register_row, oracle_register_matrix
+from oracles import (
+    enumerate_q,
+    exact_register_row,
+    oracle_register_matrix,
+    scalar_brute_force_q,
+    scalar_q_formula,
+)
 from test_markov import _record_lockstep
 
 # q_{j'j} for N=3, beta=0.7, rows j = 3/2..-3/2, frozen from the
@@ -169,6 +178,31 @@ def test_binomial_oracle_matches_bitmask_enumeration(n):
         for i, j in enumerate(spec.labels):
             for k, j_prime in enumerate(spec.labels):
                 assert abs(oracle[i, k] - enumerate_q(n, beta, j, j_prime)) < 1e-12
+
+
+@pytest.mark.parametrize("n", [*range(1, N_MAX_BRUTE_FORCE + 1), 33, N_MAX_FORMULA])
+def test_array_sums_equal_their_scalar_forms(n):
+    # the closed form and the enumeration, one cell and one term at a time
+    for beta in BETAS:
+        spec = QubitChainSpec(n_qubits=n, beta=beta)
+        assert np.abs(q_formula(spec) - scalar_q_formula(n, beta)).max() <= 1e-15, beta
+        if n <= N_MAX_BRUTE_FORCE:
+            assert np.abs(brute_force_q(spec) - scalar_brute_force_q(n, beta)).max() <= 1e-15, beta
+
+
+def test_edge_angles_give_the_identity_and_the_anti_identity(capsys):
+    # the flip probability is 0 or 1, so the sums meet 0.0 ** 0 and powers
+    # that vanish, and no cell outside the sums' ranges may take a power
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for n in range(1, N_MAX_BRUTE_FORCE + 1):
+            for beta, expected in ((0.0, np.eye(n + 1)), (math.pi, np.eye(n + 1)[::-1])):
+                spec = QubitChainSpec(n_qubits=n, beta=beta)
+                assert np.abs(q_formula(spec) - expected).max() < 1e-12, (n, beta)
+                assert np.abs(brute_force_q(spec) - expected).max() < 1e-12, (n, beta)
+        code = main(["verify", "--n-max", str(N_MAX_BRUTE_FORCE), "--beta", "0", "--beta", repr(math.pi)])
+    assert code == 0
+    assert json.loads(capsys.readouterr().out)["pass"] is True
 
 
 def test_rows_are_probability_distributions():

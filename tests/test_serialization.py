@@ -395,6 +395,32 @@ def test_the_matcher_confirms_every_label_without_the_dict():
         assert codes.tolist() == list(range(len(labels))) * 3
 
 
+@pytest.mark.parametrize("block", [None, 7], ids=["default-block", "block-7"])
+def test_a_slice_with_one_long_line_matches_its_later_words(block, monkeypatch):
+    # a slice's later words are matched only when a line in it is over 8
+    # bytes; here one line is, among lines of one byte
+    if block is not None:
+        monkeypatch.setattr(serialization, "_SLICE", block)
+    labels = ("0", "a-label-of-17-bytes")
+    matcher = serialization._matcher(labels)
+    data = "\n".join(["0", labels[1], "0"]).encode()
+    assert serialization._codes(data, matcher, {}, 2).tolist() == [0, 1, 0]
+    with pytest.raises(FormatError, match="line 3"):
+        serialization._codes(data[:-3] + b"X\n0", matcher, {}, 2)
+    for line in (labels[1], labels[1][:-1] + "X", labels[1][:8], "0" * 9):
+        text = trajectory_text(Trajectory(labels=labels, states=np.zeros(60, dtype=int), seed=1))
+        header, *body = text.splitlines()
+        body[30] = line
+        text = "\n".join([header, *body]) + "\n"
+        expected = parse_outcome(oracle_trajectory_from_text, text)
+        assert parse_outcome(trajectory_from_text, text) == expected, line
+    # one label in one slot is every line's candidate, so only the later
+    # words turn away a line that differs from it past byte 8
+    monkeypatch.setattr(serialization, "_SLOTS_MAX", 1)
+    with pytest.raises(FormatError, match="line 2"):
+        serialization._codes(labels[1][:-1].encode() + b"X", serialization._matcher(labels[1:]), {}, 2)
+
+
 def random_label(rng):
     """Up to 20 characters from a few that UTF-8 encodes in 1 to 4 bytes, NUL and a lone surrogate among them."""
     alphabet = ["a", "b", "0", "-", "/", "\x00", "é", "½", "α", "€", "😀", "\udc80"]
