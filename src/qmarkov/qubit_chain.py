@@ -227,20 +227,22 @@ def simulate_register(
     set bits of w ^ top[i], where top[i] masks the top i of the N bits:
     the next index is popcount(w ^ top[i]).
 
-    Up to 64 qubits, each step's word is one unsigned integer, and
-    batches of markov._BLOCK steps, cut into segments of markov._SEGMENT
-    steps, are walked side by side by markov._couple, one gather of top
-    and one popcount per segment-step.  Walks of different parity never meet,
-    since i' = i + popcount(w) (mod 2); so each segment is guessed to
-    start at the index nearest N/2 with the parity that the flips before
-    it give, and at N = 1 every guess is right.  The walk goes one step
-    at a time, in Python, one draw of flips at a time: past 64 qubits,
-    in batches of fewer than markov._MIN_SEGMENTS segments, in the tail
-    after the last whole segment, and in the rest of a walk once a batch
-    fails to couple (beta = 0 keeps every index, and beta = pi maps i to
-    N - i, so no guessed start ever meets the true one).
+    Registers of more than N_MAX_FORMULA = 64 qubits are refused with
+    RangeLimitError, as the closed forms and the builder refuse them,
+    before anything is allocated.  Each step's word is one unsigned
+    integer, and batches of markov._BLOCK steps, cut into segments of
+    markov._SEGMENT steps, are walked side by side by markov._couple, one
+    gather of top and one popcount per segment-step.  Walks of different
+    parity never meet, since i' = i + popcount(w) (mod 2); so each
+    segment is guessed to start at the index nearest N/2 with the parity
+    that the flips before it give, and at N = 1 every guess is right.
+    The walk goes one step at a time, in Python, one draw of flips at a
+    time: in batches of fewer than markov._MIN_SEGMENTS segments, in the
+    tail after the last whole segment, and in the rest of a walk once a
+    batch fails to couple (beta = 0 keeps every index, and beta = pi maps
+    i to N - i, so no guessed start ever meets the true one).
     """
-    n = spec.n_qubits
+    n = _check_formula_range(spec)
     check_int("steps", steps, 0)
     labels = spec.labels
     try:
@@ -256,40 +258,29 @@ def simulate_register(
 def _walk_register(n: int, p: float, index: int, out: np.ndarray, rng: RngState) -> None:
     """Write the label indices after steps 1..out.size of an n-qubit walk from index into out."""
     seg = markov._SEGMENT
-    # a step's flips are padded with zeros to whole bytes, and its bytes
-    # to one word of 1, 2, 4 or 8 bytes, or past 64 qubits to whole
-    # 64-bit limbs
-    step_bytes = -(-n // 8)
-    word_bytes = min(8, 1 << (step_bytes - 1).bit_length())
-    limbs = -(-step_bytes // word_bytes)
-    word = np.dtype(f"<u{word_bytes}")
-    # a draw is about _BLOCK // 4 uniforms, in whole segments up to 64 qubits
+    # a step's flips are padded with zeros to one word of 1, 2, 4 or 8 bytes
+    word = np.dtype(f"<u{1 << (-(-n // 8) - 1).bit_length()}")
+    # a draw is about _BLOCK // 4 uniforms, in whole segments
     draw_steps = max(1, markov._BLOCK // 4 // n)
     if draw_steps >= seg:
         draw_steps -= draw_steps % seg
-    rows = min(draw_steps, out.size)
-    bits = np.zeros((rows, 8 * step_bytes), dtype=bool)
-    packed = np.zeros((rows, limbs * word_bytes), dtype=np.uint8)
+    bits = np.zeros((min(draw_steps, out.size), 8 * word.itemsize), dtype=bool)
     top = [((1 << i) - 1) << (n - i) for i in range(n + 1)]
     bit_count = int.bit_count
 
     def draw(count: int) -> np.ndarray:
-        """The flip words of the next count steps, shape (count, limbs)."""
+        """The flip words of the next count steps."""
         np.less(rng.random_block(count * n).reshape(count, n), p, out=bits[:count, :n])
-        packed[:count, :step_bytes] = np.packbits(bits[:count], bitorder="little").reshape(count, step_bytes)
-        return packed[:count].view(word)
+        return np.packbits(bits[:count], bitorder="little").view(word)
 
-    def walk(words: np.ndarray, index: int, into: np.ndarray) -> int:
-        """Walk the flip words (count, limbs) from index one step at a time into `into`; returns the last index."""
-        flips = words[:, -1].tolist()
-        # fold wider registers in 64-bit limbs, most significant first
-        for limb in range(limbs - 2, -1, -1):
-            flips = [(high << 64) | low for high, low in zip(flips, words[:, limb].tolist())]
-        into[:] = np.fromiter([index := bit_count(w ^ top[index]) for w in flips], dtype=into.dtype, count=into.size)
+    def walk(flips: np.ndarray, index: int, into: np.ndarray) -> int:
+        """Walk the flip words from index one step at a time into `into`; returns the last index."""
+        # at most 65 labels, so every index is one byte
+        into[:] = np.frombuffer(bytes([index := bit_count(w ^ top[index]) for w in flips.tolist()]), np.uint8)
         return index
 
     done = 0
-    if n <= 64 and out.size >= markov._MIN_SEGMENTS * seg:
+    if out.size >= markov._MIN_SEGMENTS * seg:
         # words[k, s]: the flips of step k of segment s
         batch_segments = markov._BLOCK // seg
         words = np.empty((seg, batch_segments), dtype=word)
@@ -321,7 +312,7 @@ def _walk_register(n: int, p: float, index: int, out: np.ndarray, rng: RngState)
             out[done : done + first * seg].reshape(first, seg)[:] = path[:, :first].T
             index = int(path[-1, first - 1])
             for s in range(first, count):
-                index = walk(batch[:, s : s + 1], index, out[done + s * seg : done + (s + 1) * seg])
+                index = walk(batch[:, s], index, out[done + s * seg : done + (s + 1) * seg])
             done += count * seg
     for start in range(done, out.size, draw_steps):
         count = min(draw_steps, out.size - start)

@@ -295,7 +295,21 @@ def _reference_register(n, p, ups, steps, rng):
     return states
 
 
-@pytest.mark.parametrize("n", [1, 7, 8, 9, 63, 64, 65, 130])
+def test_simulate_register_refuses_registers_past_the_closed_form():
+    spec = QubitChainSpec(n_qubits=N_MAX_FORMULA + 1, beta=1.0)
+    with pytest.raises(RangeLimitError) as builder:
+        qubit_transition_matrix(spec)
+    # 10**15 steps of states would be a MemoryError, so the refusal comes
+    # before anything is allocated
+    for steps in (10, 10**15):
+        with pytest.raises(RangeLimitError) as walker:
+            simulate_register(spec, spec.labels[0], steps, RngState(0))
+        assert str(walker.value) == str(builder.value)
+
+
+# 17 and 24 qubits take 3 bytes a step, padded to a 4-byte word, and 40
+# take 5, padded to an 8-byte word
+@pytest.mark.parametrize("n", [1, 7, 8, 9, 17, 24, 40, 63, 64])
 def test_simulate_register_matches_a_per_qubit_reference(n):
     # walks inside one block of uniforms and across more than two blocks,
     # ending partway into one; flip probabilities 0, 1 and in between,
@@ -327,14 +341,15 @@ def _register_peak(n, blocks):
     return _walk_peak(n, blocks * (markov._BLOCK // n))
 
 
-@pytest.mark.parametrize("n", [1, 8, 64])
+@pytest.mark.parametrize("n", [1, 8, 24, 64])
 def test_register_memory_is_bounded_by_the_block(n):
-    # the block of uniforms, its flips padded to whole bytes and 64-bit
-    # words, and the listed flip words stay under a fixed multiple of one
-    # block of uniforms however long the walk: 0.79-0.81 blocks at n = 1,
-    # 0.54 at n = 8 and 0.31 at n = 64; flips padded to 64 bools a step
-    # would add 0.88 blocks at n = 8, and blocks of _BLOCK // n steps 3.7
-    # blocks at n = 1
+    # the block of uniforms, each step's flips padded to one word of 1, 2,
+    # 4 or 8 bytes, and the listed flip words stay under a fixed multiple
+    # of one block of uniforms however long the walk: 0.76-0.77 blocks at
+    # n = 1, 0.54 at n = 8, 0.25 at n = 24 (a 3-byte step in a 4-byte
+    # word) and 0.30 at n = 64; flips padded to 64 bools a step would add
+    # 0.88 blocks at n = 8, and blocks of _BLOCK // n steps 3.7 blocks at
+    # n = 1
     peaks = [_register_peak(n, blocks) for blocks in (4, 8)]
     assert max(peaks) < 1.6, peaks
     assert abs(peaks[1] - peaks[0]) < 0.1, peaks
@@ -345,7 +360,7 @@ def test_lockstep_register_memory_is_bounded_by_the_block(monkeypatch, n):
     # walks of 4 and 8 lockstep batches of _BLOCK steps: the batch of
     # flip words and its segment paths, one draw of uniforms and its
     # flips stay under the same bound, however many batches the walk
-    # crosses; 0.79, 0.55 and 1.44 blocks at n = 1, 8 and 64
+    # crosses; 0.76, 0.54 and 1.44 blocks at n = 1, 8 and 64
     coupled = _record_lockstep(monkeypatch)
     peaks = [_walk_peak(n, batches * markov._BLOCK) for batches in (4, 8)]
     assert coupled == [True] * 12
