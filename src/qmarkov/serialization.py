@@ -27,12 +27,10 @@ FORMAT_VERSION = 1
 _SLICE = _BLOCK // 4
 # most slots in the table that maps a line's key to a label
 _SLOTS_MAX = 1 << 16
-# odd multiplier that mixes a line's words into its key
+# odd multiplier that mixes a line's length and first word into its key
 _MIX = np.uint64(0x9E3779B97F4A7C15)
 # _MASKS[r] keeps the low r bytes of a word, all eight at r = 8
 _MASKS = np.array([(1 << 8 * r) - 1 for r in range(9)], dtype=np.uint64)
-# the later words of a slice whose lines all fit in one word
-_NO_WORDS = np.empty(0, dtype=np.uint64)
 
 
 def _label_lines(labels, error=InvalidArgumentError) -> list:
@@ -166,52 +164,34 @@ def write_trajectory(t: Trajectory, stream, config: dict | None = None) -> None:
         stream.write("\n")
 
 
-def _lines(data: bytes, cap: int) -> tuple:
-    """The lines of data, split at b"\\n", each with its start, length, words and key.
+def _lines(data: bytes) -> tuple:
+    """Each line of data, split at b"\\n": its length, its first word and its key.
 
-    Word k of a line is its bytes 8k to 8k + 8 read as one little-endian
-    uint64, zeroed past the line's end.  A line has ceil(length / 8)
-    words, at least one and at most cap.  Every line's first word is in
-    `head`; the later words of lines over 8 bytes come flat, rest[i]
-    being word k[i] of line at[i], so no array grows with the longest
-    line.  A line's key sums (word ^ remaining length) * _MIX over its
-    words, where word k's remaining length is the length less 8k.  When
-    no line is over 8 bytes, as in every spin and register file, the
-    later words are not looked for.
+    A line's first word is its bytes 0 to 8 read as one little-endian
+    uint64, zeroed past the line's end, and its key is (word ^ length) *
+    _MIX.  A line of at most 8 bytes is its length and its first word.
     """
     raw = np.frombuffer(data + bytes(8), np.uint8)
     ends = np.flatnonzero(raw[: len(data)] == 10)
     starts = np.concatenate(([0], ends + 1))
     lengths = np.append(ends, len(data)) - starts
-    # the uint64 at every byte offset, through a stride of one byte, so each
-    # word is one gather (an index, as take would copy the whole view first)
+    # the uint64 at every byte offset, through a stride of one byte, so the
+    # first words are one gather (an index, as take would copy the whole view first)
     view = np.ndarray(len(data) + 1, "<u8", raw, 0, (1,))
     head = view[starts] & _MASKS.take(np.minimum(lengths, 8))
-    keys = (head ^ lengths.astype(np.uint64)) * _MIX
-    long = np.flatnonzero(lengths > 8)
-    if not long.size:
-        return starts, lengths, head, keys, long, long, _NO_WORDS
-    more = np.minimum((lengths[long] - 1) >> 3, cap - 1)
-    at = np.repeat(long, more)
-    k = np.arange(1, at.size + 1) - np.repeat(np.cumsum(more) - more, more)
-    remaining = lengths[at] - 8 * k
-    rest = view[starts[at] + 8 * k] & _MASKS.take(np.minimum(remaining, 8))
-    np.add.at(keys, at, (rest ^ remaining.astype(np.uint64)) * _MIX)
-    return starts, lengths, head, keys, at, k, rest
+    return lengths, head, (head ^ lengths.astype(np.uint64)) * _MIX
 
 
 def _matcher(labels: tuple) -> tuple:
-    """What _codes needs of the labels: the slot table, its shift, their lengths and words, and the word cap.
+    """What _codes needs of labels of at most 8 UTF-8 bytes each: the slot table, its shift, their lengths and words.
 
     The table has the fewest slots, a power of two and at least 16 a
     label, at which no two label keys share a slot, but no more than
     _SLOTS_MAX.  A slot holds the one label whose key's top bits name
     it.  An empty slot, or one that labels still share at the cap, holds
-    len(labels), whose length of -1 no line has.  Label i's first word
-    is head[i] and its word k > 0 is rest[offset[i] + k].
+    len(labels), whose length of -1 no line has.
     """
-    data = "\n".join(labels).encode("utf-8", "surrogatepass")
-    _, lengths, head, keys, at, _, rest = _lines(data, len(data) // 8 + 1)
+    lengths, head, keys = _lines("\n".join(labels).encode("utf-8", "surrogatepass"))
     top = _SLOTS_MAX.bit_length() - 1
     for bits in range(min((16 * len(labels) - 1).bit_length(), top), top + 1):
         slots = (keys >> (64 - bits)).astype(np.intp)
@@ -220,53 +200,51 @@ def _matcher(labels: tuple) -> tuple:
     alone = np.bincount(slots)[slots] == 1
     table = np.full(1 << bits, len(labels), dtype=_state_dtype(len(labels) + 1))
     table[slots[alone]] = np.flatnonzero(alone)
-    # label i's word 1 is the first entry of rest whose line is i or later
-    offset = np.searchsorted(at, np.arange(len(labels) + 1)) - 1
-    cap = (int(lengths.max()) + 7) // 8 or 1
-    return table, 64 - bits, np.append(lengths, -1), np.append(head, np.uint64(0)), offset, rest, cap
+    return table, 64 - bits, np.append(lengths, -1), np.append(head, np.uint64(0))
 
 
-def _codes(data: bytes, matcher: tuple, index: dict, line: int) -> np.ndarray:
-    """The label index of each line of data, whose first line is file line `line`.
+def _codes(data: bytes, matcher: tuple) -> np.ndarray | None:
+    """The label index of each line of data, or None unless every line is confirmed.
 
     A line's key picks a candidate label from the slot table, and the
-    candidate stands only if its length and every word equal the line's.
-    Any other line is decoded and looked up in index, so the result is
-    exact for every label set.  The first line in neither raises
-    FormatError.
+    candidate stands only if its length and its one word equal the
+    line's, which for labels of at most 8 bytes is an exact match.
     """
-    table, shift, label_lengths, label_head, label_offset, label_rest, cap = matcher
-    # a line longer than every label keeps only the words a label can have
-    starts, lengths, head, keys, at, k, rest = _lines(data, cap)
+    table, shift, label_lengths, label_head = matcher
+    lengths, head, keys = _lines(data)
     codes = table.take(keys >> shift)
-    confirmed = (label_lengths.take(codes) == lengths) & (label_head.take(codes) == head)
-    if at.size:
-        expected = label_rest.take(label_offset.take(codes[at]) + k, mode="clip")
-        confirmed[at[rest != expected]] = False
-    for i in np.flatnonzero(~confirmed).tolist():
-        start = starts[i]
-        label = data[start : start + lengths[i]].decode("utf-8", "surrogatepass")
-        code = index.get(label)
-        if code is None:
-            raise FormatError(f"unknown outcome label {label!r}", line=line + i)
-        codes[i] = code
-    return codes
+    if (label_lengths.take(codes) == lengths).all() and (label_head.take(codes) == head).all():
+        return codes
+    return None
+
+
+def _split_codes(text: str, index: dict, line: int) -> np.ndarray:
+    """The label index of each line of text, whose first line is file line `line`, looked up in index.
+
+    The first line that is not a label raises FormatError.
+    """
+    lines = text.split("\n")
+    try:
+        return np.fromiter(map(index.__getitem__, lines), np.intp, len(lines))
+    except KeyError:
+        i, label = next((i, label) for i, label in enumerate(lines) if label not in index)
+        raise FormatError(f"unknown outcome label {label!r}", line=line + i) from None
 
 
 def trajectory_from_text(text: str) -> tuple[Trajectory, dict]:
     """Parse a trajectory file; FormatError carries the offending line number.
 
     The body is read in slices of about _SLICE characters, each cut at a
-    newline and encoded to UTF-8, so the parse holds one slice's arrays
-    at a time besides the text and the states.  Each slice is matched
-    with numpy (see _codes): every line gets one integer key from its
-    length and its 8-byte words, the key's top bits pick a candidate
-    label from a small slot table, and the candidate stands only if the
-    line's length and every word equal the label's.  A line that no
-    label confirms, an unknown label or one whose slot other labels
-    share, is decoded on its own and looked up in a dict, so the result
-    is exact for every label set and the first unknown label is
-    reported at its line.
+    newline, so the parse holds one slice's arrays at a time besides the
+    text and the states.  When every label is at most 8 UTF-8 bytes, as
+    in every spin and register file, each slice is encoded and matched
+    with numpy (see _codes): a line's key, from its length and its one
+    8-byte word, picks a candidate label from a small slot table, and
+    the candidate stands only if the line's length and word equal the
+    label's.  A slice with a line that no label confirms, and every
+    slice of a file with a longer label, is split into lines and looked
+    up in a dict (see _split_codes), which reports the first unknown
+    label at its line.
     """
     if not text:
         raise FormatError("empty trajectory file", line=1)
@@ -303,14 +281,18 @@ def trajectory_from_text(text: str) -> tuple[Trajectory, dict]:
             line=line_count,
         )
     index = {label: i for i, label in enumerate(labels)}
-    matcher = _matcher(labels)
+    one_word = all(len(label.encode("utf-8", "surrogatepass")) <= 8 for label in labels)
+    matcher = _matcher(labels) if one_word else None
     states = np.empty(steps + 1, dtype=_state_dtype(len(labels)))
     done = 0
     # body..end holds exactly steps + 1 lines, so the slices fill states
     while done < states.size:
         cut = text.find("\n", body + _SLICE, end)
         cut = end if cut < 0 else cut
-        codes = _codes(text[body:cut].encode("utf-8", "surrogatepass"), matcher, index, done + 2)
+        piece = text[body:cut]
+        codes = None if matcher is None else _codes(piece.encode("utf-8", "surrogatepass"), matcher)
+        if codes is None:
+            codes = _split_codes(piece, index, done + 2)
         states[done : done + codes.size] = codes
         done += codes.size
         body = cut + 1

@@ -342,14 +342,16 @@ def _register_peak(n, blocks):
 
 
 @pytest.mark.parametrize("n", [1, 8, 24, 64])
-def test_register_memory_is_bounded_by_the_block(n):
-    # the block of uniforms, each step's flips padded to one word of 1, 2,
-    # 4 or 8 bytes, and the listed flip words stay under a fixed multiple
-    # of one block of uniforms however long the walk: 0.76-0.77 blocks at
-    # n = 1, 0.54 at n = 8, 0.25 at n = 24 (a 3-byte step in a 4-byte
-    # word) and 0.30 at n = 64; flips padded to 64 bools a step would add
-    # 0.88 blocks at n = 8, and blocks of _BLOCK // n steps 3.7 blocks at
-    # n = 1
+def test_register_memory_is_bounded_by_the_block(monkeypatch, n):
+    # the per-step walk: with _MIN_SEGMENTS above any of these walks'
+    # segment counts, no batch goes to the lockstep; the block of uniforms,
+    # each step's flips padded to one word of 1, 2, 4 or 8 bytes, and the
+    # listed flip words stay under a fixed multiple of one block of
+    # uniforms however long the walk: 0.80 blocks at n = 1, 0.29 at n = 8,
+    # 0.25 at n = 24 (a 3-byte step in a 4-byte word) and 0.30 at n = 64;
+    # flips padded to 64 bools a step would add 0.88 blocks at n = 8, and
+    # blocks of _BLOCK // n steps 3.7 blocks at n = 1
+    monkeypatch.setattr(markov, "_MIN_SEGMENTS", 8 * markov._BLOCK // markov._SEGMENT + 1)
     peaks = [_register_peak(n, blocks) for blocks in (4, 8)]
     assert max(peaks) < 1.6, peaks
     assert abs(peaks[1] - peaks[0]) < 0.1, peaks

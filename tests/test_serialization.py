@@ -388,25 +388,33 @@ def test_one_label_in_one_slot_leaves_near_misses_to_the_confirmation(monkeypatc
 
 
 def test_the_matcher_confirms_every_label_without_the_dict():
-    # an empty dict raises on any line that the keys and words did not confirm
-    for labels in MATCHER_LABEL_SETS.values():
-        data = "\n".join(labels * 3).encode("utf-8", "surrogatepass")
-        codes = serialization._codes(data, serialization._matcher(labels), {}, 2)
-        assert codes.tolist() == list(range(len(labels))) * 3
+    # _codes has no dict: a slice of labels of at most 8 bytes is confirmed
+    # by each line's key, length and word alone, and a slice with one line
+    # that is not a label is turned down whole
+    short = [
+        labels
+        for labels in MATCHER_LABEL_SETS.values()
+        if all(len(label.encode("utf-8", "surrogatepass")) <= 8 for label in labels)
+    ]
+    assert len(short) == 4
+    for labels in short:
+        matcher = serialization._matcher(labels)
+        lines = list(labels) * 3
+        data = "\n".join(lines).encode("utf-8", "surrogatepass")
+        assert serialization._codes(data, matcher).tolist() == list(range(len(labels))) * 3
+        for near in {near for label in labels for near in near_misses(label)} - set(labels):
+            lines[len(labels)] = near
+            data = "\n".join(lines).encode("utf-8", "surrogatepass")
+            assert serialization._codes(data, matcher) is None, (labels, near)
 
 
 @pytest.mark.parametrize("block", [None, 7], ids=["default-block", "block-7"])
 def test_a_slice_with_one_long_line_matches_its_later_words(block, monkeypatch):
-    # a slice's later words are matched only when a line in it is over 8
-    # bytes; here one line is, among lines of one byte
+    # a file with a label over 8 bytes is split into lines slice by slice;
+    # here one line is that label, or close to it, among lines of one byte
     if block is not None:
         monkeypatch.setattr(serialization, "_SLICE", block)
     labels = ("0", "a-label-of-17-bytes")
-    matcher = serialization._matcher(labels)
-    data = "\n".join(["0", labels[1], "0"]).encode()
-    assert serialization._codes(data, matcher, {}, 2).tolist() == [0, 1, 0]
-    with pytest.raises(FormatError, match="line 3"):
-        serialization._codes(data[:-3] + b"X\n0", matcher, {}, 2)
     for line in (labels[1], labels[1][:-1] + "X", labels[1][:8], "0" * 9):
         text = trajectory_text(Trajectory(labels=labels, states=np.zeros(60, dtype=int), seed=1))
         header, *body = text.splitlines()
@@ -414,11 +422,35 @@ def test_a_slice_with_one_long_line_matches_its_later_words(block, monkeypatch):
         text = "\n".join([header, *body]) + "\n"
         expected = parse_outcome(oracle_trajectory_from_text, text)
         assert parse_outcome(trajectory_from_text, text) == expected, line
-    # one label in one slot is every line's candidate, so only the later
-    # words turn away a line that differs from it past byte 8
-    monkeypatch.setattr(serialization, "_SLOTS_MAX", 1)
-    with pytest.raises(FormatError, match="line 2"):
-        serialization._codes(labels[1][:-1].encode() + b"X", serialization._matcher(labels[1:]), {}, 2)
+
+
+def refuse(*args):
+    raise AssertionError("this reader was not to be called")
+
+
+@pytest.mark.parametrize("block", [None, 7], ids=["default-block", "block-7"])
+def test_the_labels_choose_the_reader_of_every_slice(block, monkeypatch):
+    if block is not None:
+        monkeypatch.setattr(serialization, "_SLICE", block)
+    # labels of at most 8 bytes: every slice of a spin-25 file is matched
+    # with numpy, none is split
+    spec = SpinChainSpec(s=HalfInt(50), beta=1.0)
+    spin, _ = simulate_measurements(spec, Distribution(spec.labels, np.eye(51)[0]), 10_000, RngState(3))
+    text = trajectory_text(spin)
+    with monkeypatch.context() as patched:
+        patched.setattr(serialization, "_split_codes", refuse)
+        assert np.array_equal(trajectory_from_text(text)[0].states, spin.states)
+    # a 9-byte label: every slice is split, and no matcher is built
+    monkeypatch.setattr(serialization, "_matcher", refuse)
+    monkeypatch.setattr(serialization, "_codes", refuse)
+    labels = ("a" * 9, "1", "0")
+    states = np.random.default_rng(9).integers(0, 3, 3000)
+    text = trajectory_text(Trajectory(labels=labels, states=states, seed=1))
+    header, *body = text.splitlines()
+    unknown = "\n".join([header, *body[:1500], "a" * 8, *body[1501:]]) + "\n"
+    for case in (text, unknown):
+        expected = parse_outcome(oracle_trajectory_from_text, case)
+        assert parse_outcome(trajectory_from_text, case) == expected
 
 
 def random_label(rng):
