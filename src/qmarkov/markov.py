@@ -33,7 +33,7 @@ _BLOCK = 1 << 16
 _SEGMENT = 256
 # a fix-up pass tests every this many steps whether all segments have met
 _MEET_CHECK = 8
-# a block of fewer segments, and the rest of a walk that fails to
+# a batch of fewer segments, and the rest of a walk that fails to
 # couple, is walked one step at a time
 _MIN_SEGMENTS = 128
 # guide cells per lookup-table breakpoint, rounded up to a power of two
@@ -45,6 +45,16 @@ _LUT_CAP = 1 << 20
 def _state_dtype(dim: int) -> np.dtype:
     """The narrowest unsigned dtype that holds every index of dim labels."""
     return np.min_scalar_type(dim - 1)
+
+
+def _batch_segments(step_bytes: int) -> int:
+    """Segments in one lockstep batch whose per-step arrays take step_bytes a segment-step.
+
+    A batch holds as many segments as fit 8 * _BLOCK bytes, the size of
+    one block of uniforms, and never fewer than _BLOCK // _SEGMENT: each
+    numpy step of _couple then walks more segments for the same cost.
+    """
+    return max(_BLOCK // _SEGMENT, 8 * _BLOCK // (_SEGMENT * step_bytes))
 
 
 def _labels(labels) -> tuple:
@@ -192,36 +202,41 @@ def _walk(tables: tuple, state: int, out: np.ndarray, rng: RngState) -> None:
     Since every table entry is a breakpoint, the lookup is exact.  The
     bucket comes from a guide of equal cells over [0, 1): a cell holding
     no breakpoint has one bucket, and only uniforms in the other cells
-    are searched for.  A block is cut into segments of _SEGMENT steps,
-    walked side by side by _couple with one gather per step, every
-    segment but the first from a guessed start, into one path.  Each
-    fix-up pass walks the segments again from their true starts (the end
-    of the segment before), rewriting the path in place until every one
-    is back on its stored path; passes repeat until no start changes.
-    That is cheap because the maps of successive uniforms coalesce:
-    walks started from different states meet within a few steps, the
-    coupling behind Propp and Wilson's exact sampling; the register
-    simulator walks its flips through the same _couple.  A chain that
-    does not coalesce (a permutation, the identity started off 0) leaves
-    most of the segments that the first pass started wrong still wrong;
-    then the block is finished by bisect from the first segment not yet
-    resolved, and so is the rest of the walk.  Blocks of fewer than _MIN_SEGMENTS segments,
-    and chains whose table would pass _LUT_CAP entries (about 101 states),
-    are walked by bisect alone, so memory stays bounded for any chain.
+    are searched for.  Each uniform's lut offset is stored in the
+    narrowest unsigned dtype of the lut's size, and a batch holds as
+    many whole blocks as _batch_segments allows for those offsets and
+    the path: 4 blocks at 3 states, 2 at 9 and 1 at 51.  A batch is cut
+    into segments of _SEGMENT steps, walked side by side by _couple with
+    one gather per step, every segment but the first from a guessed
+    start, into one path.  Each fix-up pass walks the segments again
+    from their true starts (the end of the segment before), rewriting
+    the path in place until every one is back on its stored path;
+    passes repeat until no start changes.  That is cheap because the
+    maps of successive uniforms coalesce: walks started from different
+    states meet within a few steps, the coupling behind Propp and
+    Wilson's exact sampling; the register simulator walks its flips
+    through the same _couple.  A chain that does not coalesce (a
+    permutation, the identity started off 0) leaves most of the segments
+    that the first pass started wrong still wrong; then the batch is
+    finished one step at a time from the first segment not yet resolved,
+    and the rest of the walk by bisect.  Batches of fewer than
+    _MIN_SEGMENTS segments, and chains whose table would pass _LUT_CAP
+    entries (about 101 states), are walked by bisect alone, so memory
+    stays bounded for any chain.
     """
     dim = len(tables[0])
-    luts = _lookup_tables(tables) if dim > 2 and out.size >= _MIN_SEGMENTS * _SEGMENT else None
-    for done in range(0, out.size, _BLOCK):
-        block = rng.random_block(min(_BLOCK, out.size - done))
-        part = out[done : done + block.size]
+    done = 0
+    if dim > 2 and out.size >= _MIN_SEGMENTS * _SEGMENT:
+        luts = _lookup_tables(tables)
+        if luts is not None:
+            done, state = _lockstep(tables, luts, state, out, rng)
+    for start in range(done, out.size, _BLOCK):
+        block = rng.random_block(min(_BLOCK, out.size - start))
+        part = out[start : start + block.size]
         if dim == 2:
-            state = _scan_block(tables, done, state, block, part)
-        elif luts is None or block.size < _MIN_SEGMENTS * _SEGMENT:
-            state = _bisect_block(tables, done, state, block, part)
+            state = _scan_block(tables, start, state, block, part)
         else:
-            state, coupled = _lockstep_block(tables, luts, done, state, block, part)
-            if not coupled:
-                luts = None
+            state = _bisect_block(tables, start, state, block, part)
 
 
 def _bisect_block(tables: tuple, done: int, state: int, block: np.ndarray, out: np.ndarray) -> int:
@@ -250,7 +265,7 @@ def _bisect_block(tables: tuple, done: int, state: int, block: np.ndarray, out: 
 
 
 def _lookup_tables(tables: tuple) -> list | None:
-    """Per table, (breaks, guide, lut) for _lockstep_block; None if a lut would pass _LUT_CAP entries.
+    """Per table, (breaks, guide, lut) for _lockstep; None if a lut would pass _LUT_CAP entries.
 
     lut is the (len(breaks) + 1, dim) table of next states, raveled, in
     the state dtype: an entry table[x][j] equal to breaks[r] is at or
@@ -259,10 +274,12 @@ def _lookup_tables(tables: tuple) -> list | None:
     guide cuts [0, 1) into a power of two of equal cells, at least
     _GUIDE_CELLS per breakpoint: a cell that holds no breakpoint has one
     bucket, stored as its lut offset (bucket * dim), and a cell that
-    holds one stores -1.
+    holds one stores the dtype's largest value.  Every guide takes the
+    narrowest unsigned dtype of the largest lut's size, which holds each
+    offset and stays above them all.
     """
     dim = len(tables[0])
-    luts = []
+    parts = []
     for table in tables:
         # gathered row by row, so a wide chain stops at the cap and not
         # after a pass over all dim**2 entries
@@ -276,34 +293,41 @@ def _lookup_tables(tables: tuple) -> list | None:
         lut = np.zeros((breaks.size + 1, dim), dtype=_state_dtype(dim))
         np.add.at(lut, (np.searchsorted(breaks, entries) + 1, np.arange(dim)[:, None]), 1)
         np.add.accumulate(lut, axis=0, out=lut)
+        parts.append((breaks, lut.ravel()))
+    key = _state_dtype(max(lut.size for _, lut in parts))
+    luts = []
+    for breaks, lut in parts:
         cells = 1 << (_GUIDE_CELLS * breaks.size).bit_length()
         # each breakpoint's cell: b * cells is exact, as cells is a power of
         # two, and a breakpoint at or above 1 is above every uniform
         cell = (breaks * cells).astype(np.intp)
         cell = cell[cell < cells]
-        guide = np.zeros(cells, dtype=np.int32)
+        guide = np.zeros(cells, dtype=key)
         np.add.at(guide, cell[cell + 1 < cells] + 1, dim)
         np.add.accumulate(guide, out=guide)
-        guide[cell] = -1
-        luts.append((breaks, guide, lut.ravel()))
+        guide[cell] = np.iinfo(key).max
+        luts.append((breaks, guide, lut))
     return luts
 
 
-def _lut_offsets(luts: list, done: int, dim: int, uniforms: np.ndarray) -> np.ndarray:
-    """keys[k, s]: the lut offset of uniforms[k, s], which goes through the tables of step done + 1 + k."""
-    period = len(luts)
-    keys = np.empty(uniforms.shape, dtype=np.int32)
-    cells = np.empty((uniforms.shape[0] // period, uniforms.shape[1]), dtype=np.intp)
+def _lut_offsets(luts: list, done: int, dim: int, uniforms: np.ndarray, keys: np.ndarray) -> None:
+    """Write into keys[k, s] the lut offset of uniforms[s * seg + k], for segments of seg = keys.shape[0] steps.
+
+    uniforms[j] goes through the tables of step done + 1 + j.  Each
+    phase's offsets are found in the order of the uniforms and written
+    into their rows of keys in one transposed copy.
+    """
+    period, seg = len(luts), keys.shape[0]
+    cells = np.empty(uniforms.size // period, dtype=np.intp)
     for phase in range(period):
         breaks, guide, _ = luts[(done + phase) % period]
-        phase_keys = keys[phase::period]
         phase_uniforms = uniforms[phase::period]
         # u * guide.size is exact, so the cast, a floor, is u's cell
         np.multiply(phase_uniforms, guide.size, out=cells, casting="unsafe")
-        guide.take(cells, out=phase_keys, mode="clip")
-        busy = np.nonzero(phase_keys < 0)
+        phase_keys = guide.take(cells, mode="clip")
+        busy = np.flatnonzero(phase_keys == np.iinfo(guide.dtype).max)
         phase_keys[busy] = np.searchsorted(breaks, phase_uniforms[busy], side="right") * dim
-    return keys
+        keys[phase::period] = phase_keys.reshape(keys.shape[1], seg // period).T
 
 
 def _couple(advance, path: np.ndarray, starts: np.ndarray) -> tuple:
@@ -313,13 +337,14 @@ def _couple(advance, path: np.ndarray, starts: np.ndarray) -> tuple:
     after step k of every segment from states.  Segment 0 starts at
     starts[0] and every other one at its guess starts[s], which the
     passes overwrite; path[k, s] is the state after step k of segment
-    s.  Each fix-up pass walks the segments again from the end of the
-    one before, rewriting path in place, and stops once every segment
-    is back on its stored path; passes repeat until no start changes.  first is the first segment
-    whose path is not yet right.  coupled is False when the first fix-up
-    pass left more than half of the segments it started wrong still
-    wrong; the passes then stop, and the caller walks the segments from
-    first on one step at a time.
+    s.  A batch is as many segments as _batch_segments allows for its
+    per-step arrays.  Each fix-up pass walks the segments again from the
+    end of the one before, rewriting path in place, and stops once every
+    segment is back on its stored path; passes repeat until no start
+    changes.  first is the first segment whose path is not yet right.
+    coupled is False when the first fix-up pass left more than half of
+    the segments it started wrong still wrong; the passes then stop, and
+    the caller walks the segments from first on one step at a time.
     """
     seg, count = path.shape
     states = starts
@@ -344,32 +369,82 @@ def _couple(advance, path: np.ndarray, starts: np.ndarray) -> tuple:
     return (int(wrong[0]) if wrong.size else count), coupled
 
 
-def _lockstep_block(tables: tuple, luts: list, done: int, state: int, block: np.ndarray, out: np.ndarray) -> tuple:
-    """Steps done + 1..done + out.size in lockstep segments; returns (last state, coupled).
+def _lockstep(tables: tuple, luts: list, state: int, out: np.ndarray, rng: RngState) -> tuple:
+    """Walk out from its start in lockstep batches of whole blocks; returns (steps walked, last state).
 
-    Step k of segment s (block step s * _SEGMENT + k) leaves through
-    keys[k, s], its lut offset; every segment but the first is guessed
-    to start at state 0.  When _couple gives up, the block is finished
-    by _bisect_block from the first segment not yet resolved, as is the
-    tail past the last whole segment in any case.
+    Step k of segment s of a batch from step done, step
+    done + s * _SEGMENT + k + 1, leaves through keys[k, s], its lut
+    offset; every segment but the first is guessed to start at state 0.
+    A block's part of a segment that runs past it is carried into the
+    next block of its batch, and the tail past the batch's last whole
+    segment is walked by _bisect_block.  The walk stops before a batch
+    of fewer than _MIN_SEGMENTS segments, and after one that _couple
+    gives up on: that batch is finished one step at a time from the
+    first segment not yet resolved, through the luts at its stored
+    offsets, since the uniforms of its earlier blocks are gone.  The
+    steps walked are whole blocks, up to the end of out.
     """
     period, dim, seg = len(tables), len(tables[0]), _SEGMENT
-    count = out.size // seg
-    keys = _lut_offsets(luts, done, dim, block[: count * seg].reshape(count, seg).T)
-    step_luts = [luts[(done + k) % period][2] for k in range(period)] * (seg // period)
-    path = np.empty((seg, count), dtype=_state_dtype(dim))
-    starts = np.zeros(count, dtype=path.dtype)
-    starts[0] = state
-    index = np.empty(count, dtype=np.intp)
+    key, state_type = luts[0][1].dtype, luts[0][2].dtype
+    size = max(1, _batch_segments(key.itemsize + state_type.itemsize) * seg // _BLOCK) * _BLOCK
+    keys = np.empty((seg, size // seg), dtype=key)
+    path = np.empty(keys.shape, dtype=state_type)
+    index = np.empty(keys.shape[1], dtype=np.intp)
+    done, coupled = 0, True
+    while coupled and min(size, out.size - done) >= _MIN_SEGMENTS * seg:
+        end = min(done + size, out.size)
+        count, rest = 0, np.empty(0)
+        for start in range(done, end, _BLOCK):
+            block = rng.random_block(min(_BLOCK, end - start))
+            if rest.size:
+                block = np.concatenate((rest, block))
+            whole = block.size // seg
+            _lut_offsets(luts, done + count * seg, dim, block[: whole * seg], keys[:, count : count + whole])
+            count += whole
+            # copied, and the block let go, so a batch holds one block at a time
+            rest = block[whole * seg :].copy()
+            del block
+        step_luts = [luts[(done + k) % period][2] for k in range(period)] * (seg // period)
+        batch_keys, batch_path, batch_index = keys[:, :count], path[:, :count], index[:count]
 
-    def advance(k, states, into):
-        return step_luts[k].take(np.add(keys[k], states, out=index), out=into, mode="clip")
+        def advance(k, states, into):
+            # the sum is formed in the key dtype, which holds every lut index
+            offsets = np.add(batch_keys[k], states, out=batch_index)
+            return step_luts[k].take(offsets, out=into, mode="clip")
 
-    first, coupled = _couple(advance, path, starts)
-    out[: first * seg].reshape(first, seg)[:] = path[:, :first].T
-    state = int(path[-1, first - 1])
-    start = first * seg
-    return _bisect_block(tables, done + start, state, block[start:], out[start:]), coupled
+        starts = np.zeros(count, dtype=state_type)
+        starts[0] = state
+        first, coupled = _couple(advance, batch_path, starts)
+        out[done : done + first * seg].reshape(first, seg)[:] = batch_path[:, :first].T
+        state = int(batch_path[-1, first - 1])
+        if first < count:
+            state = _walk_offsets(step_luts[:period], state, batch_keys[:, first:], out[done + first * seg :])
+        done += count * seg
+        if rest.size:
+            state = _bisect_block(tables, done, state, rest, out[done:end])
+        done = end
+    return done, state
+
+
+def _walk_offsets(luts: list, state: int, keys: np.ndarray, out: np.ndarray) -> int:
+    """The segments keys[:, s] in turn, one step at a time from state, into out; returns the last state.
+
+    Step k of each segment goes from x to luts[k % len(luts)][keys[k, s] + x];
+    segments are even, so each starts on the phase of luts[0].
+    """
+    seg = keys.shape[0]
+    first, second = memoryview(luts[0]), memoryview(luts[-1])
+    for s in range(keys.shape[1]):
+        path = []
+        append = path.append
+        pairs = iter(keys[:, s].tolist())
+        for a, b in zip(pairs, pairs):
+            state = first[a + state]
+            append(state)
+            state = second[b + state]
+            append(state)
+        out[s * seg : (s + 1) * seg] = path
+    return state
 
 
 def _scan_block(tables: tuple, done: int, state: int, block: np.ndarray, out: np.ndarray) -> int:

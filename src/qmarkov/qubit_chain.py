@@ -51,9 +51,9 @@ class QubitChainSpec:
         check_int("n_qubits", self.n_qubits, 1)
         check_real("beta", self.beta)
 
-    @property
+    @functools.cached_property
     def labels(self) -> tuple[HalfInt, ...]:
-        """Outcome labels N/2, N/2-1, ..., -N/2 (N+1 of them)."""
+        """Outcome labels N/2, N/2-1, ..., -N/2 (N+1 of them), built once per spec."""
         return m_values(HalfInt(self.n_qubits))
 
 
@@ -230,12 +230,14 @@ def simulate_register(
     Registers of more than N_MAX_FORMULA = 64 qubits are refused with
     RangeLimitError, as the closed forms and the builder refuse them,
     before anything is allocated.  Each step's word is one unsigned
-    integer, and batches of markov._BLOCK steps, cut into segments of
-    markov._SEGMENT steps, are walked side by side by markov._couple, one
-    gather of top and one popcount per segment-step.  Walks of different
-    parity never meet, since i' = i + popcount(w) (mod 2); so each
-    segment is guessed to start at the index nearest N/2 with the parity
-    that the flips before it give, and at N = 1 every guess is right.
+    integer, and batches of segments of markov._SEGMENT steps, as many
+    as markov._batch_segments allows for the words and the path (1024 at
+    N <= 8, 682 at N <= 16, 409 at N <= 32 and 256 at N <= 64), are
+    walked side by side by markov._couple, one gather of top and one
+    popcount per segment-step.  Walks of different parity never meet,
+    since i' = i + popcount(w) (mod 2); so each segment is guessed to
+    start at the index nearest N/2 with the parity that the flips before
+    it give, and at N = 1 every guess is right.
     The walk goes one step at a time, in Python, one draw of flips at a
     time: in batches of fewer than markov._MIN_SEGMENTS segments, in the
     tail after the last whole segment, and in the rest of a walk once a
@@ -282,7 +284,7 @@ def _walk_register(n: int, p: float, index: int, out: np.ndarray, rng: RngState)
     done = 0
     if out.size >= markov._MIN_SEGMENTS * seg:
         # words[k, s]: the flips of step k of segment s
-        batch_segments = markov._BLOCK // seg
+        batch_segments = markov._batch_segments(word.itemsize + out.itemsize)
         words = np.empty((seg, batch_segments), dtype=word)
         path = np.empty((seg, batch_segments), dtype=out.dtype)
         top_words = np.array(top, dtype=word)
@@ -305,7 +307,7 @@ def _walk_register(n: int, p: float, index: int, out: np.ndarray, rng: RngState)
             starts[1:] = half + ((half + index + parity[:-1]) & 1)
 
             def advance(k, states, into):
-                flips = np.take(top_words, states, out=gathered[:count], mode="clip")
+                flips = top_words.take(states, out=gathered[:count], mode="clip")
                 return np.bitwise_count(np.bitwise_xor(batch[k], flips, out=flips), out=into)
 
             first, coupled = markov._couple(advance, path[:, :count], starts)

@@ -12,6 +12,7 @@ matrix, and a simulator that tracks the collapse measurement by
 measurement.  Tests close the loop between them.
 """
 
+import functools
 import math
 import operator
 from collections.abc import Sequence
@@ -57,7 +58,7 @@ class SpinChainSpec:
             raise InvalidArgumentError(f"spin must be at least 1/2, got s={self.s}")
         check_real("beta", self.beta)
 
-    @property
+    @functools.cached_property
     def labels(self) -> tuple[HalfInt, ...]:
         return m_values(self.s)
 
@@ -78,16 +79,23 @@ class MeasurementRecord:
             )
 
 
+@functools.lru_cache(maxsize=1)
 def _overlap_squared(spec: SpinChainSpec) -> np.ndarray:
-    """Matrix O with O[a, b] = |<m_a| R |m_b>|^2 for the spec's rotation R.
+    """Read-only matrix O with O[a, b] = |<m_a| R |m_b>|^2 for the spec's rotation R.
 
     Row a indexes the z-basis outcome, column b the rotated-basis outcome,
     both in descending-m order.  O[a, b] is the probability of either
     cross-basis transition between outcomes m_a and m_b; the two readings
-    agree because squared magnitudes kill the phases.
+    agree because squared magnitudes kill the phases.  The last spec's
+    matrix is kept, so a command that builds the transition matrix and
+    then simulates the same chain evaluates d^s once; equal specs give
+    the same matrix bit for bit, as beta = -0.0 and 0.0 differ at most in
+    the sign of a zero entry, which the squares drop.
     """
     entries = big_D(spec.s, 0.0, spec.beta, 0.0)
-    return np.square(entries.real) + np.square(entries.imag)
+    overlap = np.square(entries.real) + np.square(entries.imag)
+    overlap.flags.writeable = False
+    return overlap
 
 
 def spin_transition_matrix(spec: SpinChainSpec) -> StochasticMatrix:

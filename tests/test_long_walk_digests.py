@@ -4,17 +4,21 @@ The digests in test_byte_identity run 20001 steps, under the length at
 which a chain of three or more states is walked in lockstep, so they
 never reach markov._lockstep_block, its bisect fallback partway through
 a walk, or the block loops of write_trajectory and transition_counts.
-These run 100001 steps, two blocks of uniforms, each walked in lockstep
-up to a tail walked by bisect; the walk that never couples is finished
-by bisect from inside its first block.  The digests were recorded before the
-bisect walker read its block in place.  A wrapper around the lockstep
-driver, markov._couple, checks that it ran, and whether each of its
-blocks coupled.  The register walks cross two lockstep batches, one of
-256 segments and one of 134, each followed by its tail walked one step
-at a time; at beta = 0 and beta = pi the first batch never couples and
-the rest of the walk goes one step at a time.  Their digests were
-recorded before the register simulator walked in lockstep: qubit-8 and
-qubit-64 before it packed each block of flips at once.
+These run 100001 steps, two blocks of uniforms, walked in lockstep
+batches up to a tail walked by bisect: one batch of two blocks at 3 and
+9 states, whose lut offsets take one or two bytes, and one batch per
+block at 51 states.  The walk that never couples is finished one step at
+a time from inside its batch, through its stored offsets, and by bisect
+after it.  The digests were recorded while each block was its own batch,
+before the bisect walker read its block in place.  A wrapper around the
+lockstep driver, markov._couple, checks that it ran, and whether each of
+its batches coupled.  The register walks go in one batch of 390 segments
+at up to 16 qubits, and in two, of 256 and 134, at 63 and 64, each
+followed by its tail walked one step at a time; at beta = 0 and beta =
+pi the first batch never couples and the rest of the walk goes one step
+at a time.  Their digests were recorded before the register simulator
+walked in lockstep: qubit-8 and qubit-64 before it packed each block of
+flips at once.
 """
 
 import hashlib
@@ -49,17 +53,17 @@ CASES = {
     "qubit-64-pi": ("--kind", "qubit", "--n", "64", "--beta", "3.141592653589793"),
 }
 
-# whether the lockstep driver couples on each block or batch it walks
+# whether the lockstep driver couples on each batch it walks
 COUPLED = {
-    "spin-1": [True, True],
+    "spin-1": [True],
     "spin-25": [True, True],
-    "matrix-9": [True, True],
+    "matrix-9": [True],
     "spin-1-pi": [False],
-    "qubit-8": [True, True],
+    "qubit-8": [True],
     "qubit-64": [True, True],
-    "qubit-1": [True, True],
-    "qubit-2": [True, True],
-    "qubit-9": [True, True],
+    "qubit-1": [True],
+    "qubit-2": [True],
+    "qubit-9": [True],
     "qubit-63": [True, True],
     "qubit-8-0": [False],
     "qubit-64-pi": [False],

@@ -478,13 +478,22 @@ def _recorded_walk(monkeypatch, matrices, start, uniforms):
 # two whole blocks and a partial one of 130 segments and a tail, and the
 # same with a last block too short for lockstep
 LENGTHS = (2 * BLOCK + 130 * SEGMENT + 5, 2 * BLOCK + 127 * SEGMENT + 3)
+# lockstep batches of the walks of LENGTHS, by the bytes of a lut offset:
+# 3 blocks a batch at 1 byte (3 states), 2 at 2 (9) and 1 at 4 (51); a
+# batch starts at a block, and its segments run across the blocks in it
+LOCKSTEP_BATCHES = {1: (1, 1), 2: (2, 1), 4: (3, 2)}
+
+
+def _key_bytes(matrices):
+    """The bytes of one lut offset of the chain's lockstep walk."""
+    return markov._lookup_tables(tuple(_cumulative(m) for m in matrices))[0][1].itemsize
 
 
 @pytest.mark.parametrize("edges", [False, True], ids=["random", "edges"])
 @pytest.mark.parametrize("name", list(COUPLING))
 def test_lockstep_matches_the_bisect_loop(monkeypatch, name, edges):
     matrices = COUPLING[name]
-    for steps, lockstep_blocks in zip(LENGTHS, (3, 2)):
+    for steps, batches in zip(LENGTHS, LOCKSTEP_BATCHES[_key_bytes(matrices)]):
         uniforms = _edge_uniforms(matrices, steps, steps) if edges else RngState(steps).random_block(steps).tolist()
         for start in (0, len(matrices[0]) - 1):
             states, coupled, _ = _recorded_walk(monkeypatch, matrices, start, uniforms)
@@ -492,21 +501,31 @@ def test_lockstep_matches_the_bisect_loop(monkeypatch, name, edges):
             if name in SLOW:
                 assert coupled
             else:
-                assert coupled == [True] * lockstep_blocks
+                assert coupled == [True] * batches
 
 
 @pytest.mark.parametrize("name", list(NON_COUPLING))
 def test_a_walk_that_never_meets_falls_back_to_bisect(monkeypatch, name):
     matrices, start = NON_COUPLING[name]
-    steps = LENGTHS[0]
+    assert _key_bytes(matrices) == 1  # batches of 3 blocks
+    steps = 3 * BLOCK + 130 * SEGMENT + 5
     uniforms = RngState(3).random_block(steps).tolist()
+    walk_offsets, resumed = markov._walk_offsets, []
+
+    def recording(luts, state, keys, out):
+        resumed.append(keys.shape[1])
+        return walk_offsets(luts, state, keys, out)
+
+    monkeypatch.setattr(markov, "_walk_offsets", recording)
     states, coupled, offsets = _recorded_walk(monkeypatch, matrices, start, uniforms)
     assert states == bisect_loop(matrices, start, uniforms)
-    # the first block gives up and is finished by bisect from a segment
-    # inside it; every later block is walked by bisect alone
+    # the first batch gives up and is finished one step at a time through
+    # its stored offsets from a segment inside it; bisect walks its tail
+    # past the last whole segment, and every later block
+    segments = 3 * BLOCK // SEGMENT
     assert coupled == [False]
-    assert offsets[0] % SEGMENT == 0 and 0 < offsets[0] < BLOCK
-    assert offsets[1:] == [BLOCK, 2 * BLOCK]
+    assert len(resumed) == 1 and 0 < resumed[0] < segments
+    assert offsets == [segments * SEGMENT, 3 * BLOCK]
 
 
 def test_a_chain_over_the_lookup_cap_is_walked_by_bisect(monkeypatch):
@@ -532,20 +551,32 @@ def _walk_peak(tables, start, steps, seed):
         tracemalloc.stop()
 
 
+# (rows, lockstep batches of the 4-block and the 8-block walk): batches
+# of 1 block at 51 states, 2 at 9 and 4 at 3
+LOCKSTEP_MEMORY = {
+    "spin25": (_spin_rows(50, 1.0), 12),
+    "random-9": (_random_rows(9, 1), 6),
+    "spin1": (_spin_rows(2, 1.0), 3),
+}
+
+
 def test_lockstep_memory_is_bounded_by_the_block(monkeypatch):
     # no per-step list and no table that grows with the walk: the peak of
-    # a 4-block walk and of an 8-block one, the block with its lookup
-    # offsets and segment paths, stay under a fixed multiple of one block
-    # of uniforms
-    tables = tuple(_cumulative(m) for m in _spin_rows(50, 1.0))
-    coupled = _record_lockstep(monkeypatch)
-    peaks = [_walk_peak(tables, 0, blocks * markov._BLOCK, blocks) for blocks in (4, 8)]
-    assert coupled == [True] * 12
-    assert max(peaks) < 4.5, peaks
-    assert abs(peaks[1] - peaks[0]) < 0.1, peaks
+    # a 4-block walk and of an 8-block one, the block with its batch's
+    # lookup offsets and segment paths, stay under a fixed multiple of one
+    # block of uniforms; 4.22, 3.19 and 2.74 blocks at 51, 9 and 3 states
+    for name, (rows, batches) in LOCKSTEP_MEMORY.items():
+        tables = tuple(_cumulative(m) for m in rows)
+        coupled = _record_lockstep(monkeypatch)
+        peaks = [_walk_peak(tables, 0, blocks * markov._BLOCK, blocks) for blocks in (4, 8)]
+        assert coupled == [True] * batches, name
+        assert max(peaks) < 4.5, (name, peaks)
+        assert abs(peaks[1] - peaks[0]) < 0.1, (name, peaks)
 
 
-# (rows, start, steps, bound in blocks of uniforms) of walks that bisect reads
+# (rows, start, steps, bound in blocks of uniforms) of walks that bisect
+# reads; the fallback's one batch gives up and is finished from its
+# stored lut offsets, whose walk keeps one segment's list at a time
 BISECT_WALKS = {
     "over-the-cap": (_random_rows(110, 3), 0, 4 * markov._BLOCK, 2.5),
     "fallback": (*NON_COUPLING["spin1-pi"], 4 * markov._BLOCK, 3.5),
@@ -562,3 +593,124 @@ def test_bisect_walks_read_their_block_in_place(monkeypatch, name):
     coupled = _record_lockstep(monkeypatch)
     assert _walk_peak(tables, start, steps, 5) < bound
     assert coupled == ([False] if name == "fallback" else [])
+
+
+BATCH_SEGMENTS = markov._batch_segments
+
+
+def _one_block_batches(step_bytes):
+    """Batches of _BLOCK // _SEGMENT segments whatever their arrays take: one block of a chain's steps."""
+    return markov._BLOCK // markov._SEGMENT
+
+
+def _alternating(rows):
+    """Two distinct tables, so a step walked through the wrong one shows."""
+    return [rows, rows[::-1]]
+
+
+# (rows, blocks in one batch) at 3, 9 and 51 states, at periods 1 and 2:
+# lut offsets of 1, 2 and 4 bytes and a one-byte path make batches of
+# 4, 2 and 1 blocks
+BATCH_CHAINS = {
+    "3": ([THREE_STATE], 4),
+    "3-alternating": (_alternating(THREE_STATE), 4),
+    "9": (_random_rows(9, 1), 2),
+    "9-alternating": (_alternating(_random_rows(9, 1)[0]), 2),
+    "51": (_random_rows(51, 2), 1),
+    "51-alternating": (_alternating(_random_rows(51, 2)[0]), 1),
+}
+
+
+def _batch_edges(batch):
+    """Walk lengths around the end of the first batch of `batch` steps, and two batches and a tail."""
+    short = markov._MIN_SEGMENTS * markov._SEGMENT
+    return (batch - 1, batch, batch + 1, batch + short - 1, batch + short + 3, 2 * batch + 5)
+
+
+@pytest.mark.parametrize("name", list(BATCH_CHAINS))
+def test_batch_width_changes_no_chain_walk(monkeypatch, name):
+    matrices, blocks = BATCH_CHAINS[name]
+    tables = tuple(_cumulative(m) for m in matrices)
+    batch = blocks * markov._BLOCK
+    for steps in _batch_edges(batch):
+        uniforms = RngState(steps).random_block(steps)
+        walks = []
+        for width in (BATCH_SEGMENTS, _one_block_batches):
+            monkeypatch.setattr(markov, "_batch_segments", width)
+            coupled = _record_lockstep(monkeypatch)
+            out = np.empty(steps, dtype=np.uint8)
+            _walk(tables, 1, out, StubRng(uniforms))
+            walks.append((out, len(coupled)))
+        (wide, wide_batches), (narrow, narrow_batches) = walks
+        assert np.array_equal(wide, narrow), steps
+        if steps == 2 * batch + 5:
+            # the budget is in effect: two batches against 2 * blocks; and
+            # the states are the bisect walker's, so no lut offset wrapped
+            assert (wide_batches, narrow_batches) == (2, 2 * blocks)
+            reference = np.empty(steps, dtype=np.uint8)
+            markov._bisect_block(tables, 0, 1, uniforms, reference)
+            assert np.array_equal(wide, reference)
+
+
+# n: segments in one register batch, 1024 at n <= 8, 682 at n <= 16, 409
+# at n <= 32 and 256 at n <= 64
+REGISTER_BATCHES = {1: 1024, 8: 1024, 9: 682, 16: 682, 17: 409, 33: 256, 64: 256}
+
+
+@pytest.mark.parametrize("n", list(REGISTER_BATCHES))
+def test_batch_width_changes_no_register_walk(monkeypatch, n):
+    spec = QubitChainSpec(n_qubits=n, beta=1.0)
+    batch = REGISTER_BATCHES[n] * markov._SEGMENT
+    for steps in _batch_edges(batch)[1:]:
+        walks = []
+        for width in (BATCH_SEGMENTS, _one_block_batches):
+            monkeypatch.setattr(markov, "_batch_segments", width)
+            coupled = _record_lockstep(monkeypatch)
+            walks.append((simulate_register(spec, spec.labels[n // 3], steps, RngState(n)).states, len(coupled)))
+        (wide, wide_batches), (narrow, narrow_batches) = walks
+        assert np.array_equal(wide, narrow), steps
+        if steps == 2 * batch + 5:
+            assert (wide_batches, narrow_batches) == (2, 2 * batch // markov._BLOCK)
+
+
+def _give_up_on_the_second_batch(monkeypatch):
+    """Make _couple report coupled=False on its second call, with segments from 3 on unresolved."""
+    couple, calls = markov._couple, []
+
+    def second_gives_up(*args):
+        first, coupled = couple(*args)
+        calls.append(coupled)
+        if len(calls) == 2:
+            # the passes' path of segments 0..2 is right; the rest is walked again
+            return min(first, 3), False
+        return first, coupled
+
+    monkeypatch.setattr(markov, "_couple", second_gives_up)
+    return calls
+
+
+def test_a_batch_that_gives_up_is_finished_from_what_it_stores(monkeypatch):
+    # the second 4-block batch of a 3-state walk is finished one step at a
+    # time through its stored lut offsets, and the rest by bisect
+    matrices = _alternating(THREE_STATE)
+    tables = tuple(_cumulative(m) for m in matrices)
+    steps = 9 * markov._BLOCK + 1001
+    uniforms = RngState(12).random_block(steps)
+    reference = np.empty(steps, dtype=np.uint8)
+    markov._bisect_block(tables, 0, 2, uniforms, reference)
+    calls = _give_up_on_the_second_batch(monkeypatch)
+    out = np.empty(steps, dtype=np.uint8)
+    _walk(tables, 2, out, StubRng(uniforms))
+    assert calls == [True, True]
+    assert np.array_equal(out, reference)
+    assert out.tolist()[:20001] == bisect_loop(matrices, 2, uniforms[:20001].tolist())
+    # an 8-qubit register goes one step at a time from its stored flip
+    # words, then one draw at a time; with _MIN_SEGMENTS past every batch
+    # the whole walk goes one step at a time
+    calls.clear()
+    spec = QubitChainSpec(n_qubits=8, beta=1.0)
+    steps = 3 * 1024 * markov._SEGMENT + 1001
+    given_up = simulate_register(spec, HalfInt(2), steps, RngState(13)).states
+    assert calls == [True, True]
+    monkeypatch.setattr(markov, "_MIN_SEGMENTS", steps)
+    assert np.array_equal(given_up, simulate_register(spec, HalfInt(2), steps, RngState(13)).states)

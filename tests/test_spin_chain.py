@@ -25,6 +25,9 @@ from qmarkov import (
     transition_counts,
 )
 
+from qmarkov import spin_chain
+from qmarkov.cli import main
+
 from oracles import oracle_small_d
 
 HALF = HalfInt(1)
@@ -88,8 +91,6 @@ def test_doubly_stochastic(twice):
 
 
 def test_a_matrix_that_is_not_doubly_stochastic_is_an_internal_error(monkeypatch):
-    from qmarkov import spin_chain
-
     # rows [[0.5, 0.5], [0.2, 0.8]] pass as a chain, but columns sum to 0.7 and 1.3
     monkeypatch.setattr(spin_chain, "_overlap_squared", lambda spec: np.array([[0.5, 0.2], [0.5, 0.8]]))
     with pytest.raises(InternalConsistencyError, match="column defect 3.000e-01"):
@@ -110,6 +111,35 @@ def test_spec_validation():
         SpinChainSpec(s=HALF, beta=float("nan"))
     with pytest.raises(InvalidArgumentError):
         SpinChainSpec(s=0.5, beta=1.0)
+
+
+def test_spec_labels_are_built_once():
+    # labels is computed on first access and kept; equality, hashing and
+    # repr read only the fields, before and after
+    spec, twin = SpinChainSpec(s=HalfInt(3), beta=0.5), SpinChainSpec(s=HalfInt(3), beta=0.5)
+    before = (repr(spec), hash(spec))
+    assert spec.labels is spec.labels
+    assert spec.labels == m_values(HalfInt(3))
+    assert (repr(spec), hash(spec)) == before == ("SpinChainSpec(s=HalfInt(3), beta=0.5)", hash(twin))
+    assert spec == twin
+
+
+def test_simulate_spin_builds_the_overlap_once(monkeypatch, capsys):
+    # simulate --kind spin builds the transition matrix, then simulates the
+    # same chain: d^s is evaluated once, and the kept matrix is read-only
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return big_D(*args)
+
+    big_D = spin_chain.big_D
+    monkeypatch.setattr(spin_chain, "big_D", counting)
+    spin_chain._overlap_squared.cache_clear()
+    assert main(["simulate", "--kind", "spin", "--s", "7/2", "--beta", "0.9", "--steps", "100", "--seed", "1"]) == 0
+    assert len(calls) == 1
+    overlap = spin_chain._overlap_squared(SpinChainSpec(s=HalfInt(7), beta=0.9))
+    assert len(calls) == 1 and not overlap.flags.writeable
 
 
 def test_start_law_must_share_the_chain_labels():
