@@ -29,7 +29,7 @@ SUM_TOL = 1e-9
 # uniforms per block draw, shared by every simulator; block draws equal
 # one-at-a-time draws, so the size changes no trajectory
 _BLOCK = 1 << 16
-# steps per lockstep segment; even, so all segments share each step's phase
+# steps per lockstep segment
 _SEGMENT = 256
 # a fix-up pass tests every this many steps whether all segments have met
 _MEET_CHECK = 8
@@ -38,7 +38,7 @@ _MEET_CHECK = 8
 _MIN_SEGMENTS = 128
 # guide cells per lookup-table breakpoint, rounded up to a power of two
 _GUIDE_CELLS = 16
-# lookup-table entries per phase; a larger chain is walked by bisect
+# lookup-table entries; a larger chain is walked by bisect
 _LUT_CAP = 1 << 20
 
 
@@ -177,13 +177,12 @@ def _cumulative(rows) -> list:
     return tables
 
 
-def _walk(tables: tuple, state: int, out: np.ndarray, rng: RngState) -> None:
+def _walk(table: list, state: int, out: np.ndarray, rng: RngState) -> None:
     """Write the states after steps 1..out.size into out, one uniform per step.
 
-    Step k leaves `state` through tables[(k - 1) % p][state], for a period
-    p of 1 (a plain chain) or 2 (alternating measurement axes).  Uniforms
-    come in blocks of _BLOCK; each block's tables follow from the global
-    step index, so any block length keeps the phase.  Every walker below
+    out takes the chain's state dtype, _state_dtype(len(table)).  Every
+    step leaves `state` through table[state], the running sums of its
+    row.  Uniforms come in blocks of _BLOCK, and every walker below
     gives the states `bisect_right` gives, bit for bit.
 
     A two-state chain is scanned with numpy: the table [c_r, inf] of row r
@@ -195,77 +194,51 @@ def _walk(tables: tuple, state: int, out: np.ndarray, rng: RngState) -> None:
     come from array scans.
 
     A chain of three or more states is walked in lockstep with numpy.
-    Each phase gets a lookup table, built once per walk: its breakpoints
-    are the finite entries of all its rows, sorted, and lut[b, x] is
-    bisect_right(tables[x], breaks[b - 1]), the next state from x for
-    every uniform u in bucket b, the number of breakpoints at or below u.
-    Since every table entry is a breakpoint, the lookup is exact.  The
-    bucket comes from a guide of equal cells over [0, 1): a cell holding
-    no breakpoint has one bucket, and only uniforms in the other cells
-    are searched for.  Each uniform's lut offset is stored in the
-    narrowest unsigned dtype of the lut's size, and a batch holds as
-    many whole blocks as _batch_segments allows for those offsets and
-    the path: 4 blocks at 3 states, 2 at 9 and 1 at 51.  A batch is cut
-    into segments of _SEGMENT steps, walked side by side by _couple with
-    one gather per step, every segment but the first from a guessed
-    start, into one path.  Each fix-up pass walks the segments again
-    from their true starts (the end of the segment before), rewriting
-    the path in place until every one is back on its stored path;
-    passes repeat until no start changes.  That is cheap because the
-    maps of successive uniforms coalesce: walks started from different
-    states meet within a few steps, the coupling behind Propp and
-    Wilson's exact sampling; the register simulator walks its flips
-    through the same _couple.  A chain that does not coalesce (a
-    permutation, the identity started off 0) leaves most of the segments
-    that the first pass started wrong still wrong; then the batch is
-    finished one step at a time from the first segment not yet resolved,
-    and the rest of the walk by bisect.  Batches of fewer than
-    _MIN_SEGMENTS segments, and chains whose table would pass _LUT_CAP
-    entries (about 101 states), are walked by bisect alone, so memory
-    stays bounded for any chain.
+    The table becomes a lookup table, built once per walk: its
+    breakpoints are the finite entries of all its rows, sorted, and
+    lut[b, x] is bisect_right(table[x], breaks[b - 1]), the next state
+    from x for every uniform u in bucket b, the number of breakpoints at
+    or below u.  Since every table entry is a breakpoint, the lookup is
+    exact.  The bucket comes from a guide of equal cells over [0, 1): a
+    cell holding no breakpoint has one bucket, and only uniforms in the
+    other cells are searched for.  Each uniform's lut offset is stored
+    in the narrowest unsigned dtype of the lut's size, and a batch holds
+    as many whole blocks as _batch_segments allows for those offsets and
+    the path: 4 blocks at 3 states, 2 at 9 and 1 at 51.  Its offsets are
+    found a quarter block of uniforms at a time, in whole segments, and
+    _lockstep walks the batch with one gather per step.  It stops before
+    a batch of fewer than _MIN_SEGMENTS segments, or after one that gives
+    up, and bisect walks the rest.  Walks shorter than _MIN_SEGMENTS
+    segments, and chains whose lut would pass _LUT_CAP entries (about
+    101 states), are walked by bisect alone, so memory stays bounded for
+    any chain.
     """
-    dim = len(tables[0])
+    dim = len(table)
     done = 0
     if dim > 2 and out.size >= _MIN_SEGMENTS * _SEGMENT:
-        luts = _lookup_tables(tables)
-        if luts is not None:
-            done, state = _lockstep(tables, luts, state, out, rng)
+        lookup = _lookup_table(table)
+        if lookup is not None:
+            done, state = _lockstep(out, state, *_chain_parts(lookup, dim, rng))
+    walker = _scan_block if dim == 2 else _bisect_block
     for start in range(done, out.size, _BLOCK):
         block = rng.random_block(min(_BLOCK, out.size - start))
-        part = out[start : start + block.size]
-        if dim == 2:
-            state = _scan_block(tables, start, state, block, part)
-        else:
-            state = _bisect_block(tables, start, state, block, part)
+        state = walker(table, state, block, out[start : start + block.size])
 
 
-def _bisect_block(tables: tuple, done: int, state: int, block: np.ndarray, out: np.ndarray) -> int:
-    """Steps done + 1..done + out.size by bisect, into out; returns the last state.
-
-    Uniforms are read in pairs, the first through the tables of step done + 1.
-    """
-    period = len(tables)
+def _bisect_block(table: list, state: int, block: np.ndarray, out: np.ndarray) -> int:
+    """The state after each uniform of block by bisect, from state, into out; returns the last state."""
     bisect = bisect_right
-    view = memoryview(block)
-    first = tables[done % period]
-    second = tables[(done + 1) % period]
     path = []
     append = path.append
-    pairs = iter(view)
-    for u, v in zip(pairs, pairs):
-        state = bisect(first[state], u)
-        append(state)
-        state = bisect(second[state], v)
-        append(state)
-    if out.size % 2:
-        state = bisect(first[state], view[-1])
+    for u in memoryview(block):
+        state = bisect(table[state], u)
         append(state)
     out[:] = np.fromiter(path, dtype=out.dtype, count=out.size)
     return state
 
 
-def _lookup_tables(tables: tuple) -> list | None:
-    """Per table, (breaks, guide, lut) for _lockstep; None if a lut would pass _LUT_CAP entries.
+def _lookup_table(table: list) -> tuple | None:
+    """(breaks, guide, lut) for the lockstep walk; None if the lut would pass _LUT_CAP entries.
 
     lut is the (len(breaks) + 1, dim) table of next states, raveled, in
     the state dtype: an entry table[x][j] equal to breaks[r] is at or
@@ -274,60 +247,87 @@ def _lookup_tables(tables: tuple) -> list | None:
     guide cuts [0, 1) into a power of two of equal cells, at least
     _GUIDE_CELLS per breakpoint: a cell that holds no breakpoint has one
     bucket, stored as its lut offset (bucket * dim), and a cell that
-    holds one stores the dtype's largest value.  Every guide takes the
-    narrowest unsigned dtype of the largest lut's size, which holds each
-    offset and stays above them all.
+    holds one stores the dtype's largest value.  The guide takes the
+    narrowest unsigned dtype of the lut's size, which holds each offset
+    and stays above them all.
     """
-    dim = len(tables[0])
-    parts = []
-    for table in tables:
-        # gathered row by row, so a wide chain stops at the cap and not
-        # after a pass over all dim**2 entries
-        breaks = set()
-        for row in table:
-            breaks.update(row[:-1])
-            if (len(breaks) + 1) * dim > _LUT_CAP:
-                return None
-        breaks = np.array(sorted(breaks))
-        entries = np.array(table)[:, :-1]
-        lut = np.zeros((breaks.size + 1, dim), dtype=_state_dtype(dim))
-        np.add.at(lut, (np.searchsorted(breaks, entries) + 1, np.arange(dim)[:, None]), 1)
-        np.add.accumulate(lut, axis=0, out=lut)
-        parts.append((breaks, lut.ravel()))
-    key = _state_dtype(max(lut.size for _, lut in parts))
-    luts = []
-    for breaks, lut in parts:
-        cells = 1 << (_GUIDE_CELLS * breaks.size).bit_length()
-        # each breakpoint's cell: b * cells is exact, as cells is a power of
-        # two, and a breakpoint at or above 1 is above every uniform
-        cell = (breaks * cells).astype(np.intp)
-        cell = cell[cell < cells]
-        guide = np.zeros(cells, dtype=key)
-        np.add.at(guide, cell[cell + 1 < cells] + 1, dim)
-        np.add.accumulate(guide, out=guide)
-        guide[cell] = np.iinfo(key).max
-        luts.append((breaks, guide, lut))
-    return luts
+    dim = len(table)
+    # gathered row by row, so a wide chain stops at the cap and not after
+    # a pass over all dim**2 entries
+    breaks = set()
+    for row in table:
+        breaks.update(row[:-1])
+        if (len(breaks) + 1) * dim > _LUT_CAP:
+            return None
+    breaks = np.array(sorted(breaks))
+    entries = np.array(table)[:, :-1]
+    lut = np.zeros((breaks.size + 1, dim), dtype=_state_dtype(dim))
+    np.add.at(lut, (np.searchsorted(breaks, entries) + 1, np.arange(dim)[:, None]), 1)
+    np.add.accumulate(lut, axis=0, out=lut)
+    key = _state_dtype(lut.size)
+    cells = 1 << (_GUIDE_CELLS * breaks.size).bit_length()
+    # each breakpoint's cell: b * cells is exact, as cells is a power of
+    # two, and a breakpoint at or above 1 is above every uniform
+    cell = (breaks * cells).astype(np.intp)
+    cell = cell[cell < cells]
+    guide = np.zeros(cells, dtype=key)
+    np.add.at(guide, cell[cell + 1 < cells] + 1, dim)
+    np.add.accumulate(guide, out=guide)
+    guide[cell] = np.iinfo(key).max
+    return breaks, guide, lut.ravel()
 
 
-def _lut_offsets(luts: list, done: int, dim: int, uniforms: np.ndarray, keys: np.ndarray) -> None:
+def _lut_offsets(breaks: np.ndarray, guide: np.ndarray, dim: int, uniforms: np.ndarray, keys: np.ndarray) -> None:
     """Write into keys[k, s] the lut offset of uniforms[s * seg + k], for segments of seg = keys.shape[0] steps.
 
-    uniforms[j] goes through the tables of step done + 1 + j.  Each
-    phase's offsets are found in the order of the uniforms and written
-    into their rows of keys in one transposed copy.
+    The offsets are found in the order of the uniforms and written into
+    keys in one transposed copy.
     """
-    period, seg = len(luts), keys.shape[0]
-    cells = np.empty(uniforms.size // period, dtype=np.intp)
-    for phase in range(period):
-        breaks, guide, _ = luts[(done + phase) % period]
-        phase_uniforms = uniforms[phase::period]
-        # u * guide.size is exact, so the cast, a floor, is u's cell
-        np.multiply(phase_uniforms, guide.size, out=cells, casting="unsafe")
-        phase_keys = guide.take(cells, mode="clip")
-        busy = np.flatnonzero(phase_keys == np.iinfo(guide.dtype).max)
-        phase_keys[busy] = np.searchsorted(breaks, phase_uniforms[busy], side="right") * dim
-        keys[phase::period] = phase_keys.reshape(keys.shape[1], seg // period).T
+    cells = np.empty(uniforms.size, dtype=np.intp)
+    # u * guide.size is exact, so the cast, a floor, is u's cell
+    np.multiply(uniforms, guide.size, out=cells, casting="unsafe")
+    offsets = guide.take(cells, mode="clip")
+    busy = np.flatnonzero(offsets == np.iinfo(guide.dtype).max)
+    offsets[busy] = np.searchsorted(breaks, uniforms[busy], side="right") * dim
+    keys[:] = offsets.reshape(keys.shape[1], keys.shape[0]).T
+
+
+def _chain_parts(lookup: tuple, dim: int, rng: RngState) -> tuple:
+    """_lockstep's width, chunk, fill, guess and finish for a chain of dim states and the lookup table `lookup`.
+
+    Step k of segment s of a batch leaves through lut at keys[k, s], its
+    lut offset; every segment but the first is guessed to start at
+    state 0.  A segment that _couple leaves unresolved is walked one step
+    at a time through the lut at its stored offsets.
+    """
+    breaks, guide, lut = lookup
+    seg = _SEGMENT
+    blocks = max(1, _batch_segments(guide.itemsize + lut.itemsize) * seg // _BLOCK)
+    width = blocks * _BLOCK // seg
+    keys = np.empty((seg, width), dtype=guide.dtype)
+    index = np.empty(width, dtype=np.intp)
+
+    def fill(s, count):
+        _lut_offsets(breaks, guide, dim, rng.random_block(count * seg), keys[:, s : s + count])
+
+    def guess(state, count):
+        batch_keys, batch_index = keys[:, :count], index[:count]
+
+        def advance(k, states, into):
+            # the sum is formed in the key dtype, which holds every lut index
+            offsets = np.add(batch_keys[k], states, out=batch_index)
+            return lut.take(offsets, out=into, mode="clip")
+
+        starts = np.zeros(count, dtype=lut.dtype)
+        starts[0] = state
+        return starts, advance
+
+    def finish(s, state, into):
+        return _walk_offsets(lut, state, keys[:, s], into)
+
+    # a quarter block of uniforms a fill, like a register draw: fills of
+    # half or a whole block, with their cells, walked slower
+    return width, _BLOCK // 4 // seg, fill, guess, finish
 
 
 def _couple(advance, path: np.ndarray, starts: np.ndarray) -> tuple:
@@ -337,14 +337,13 @@ def _couple(advance, path: np.ndarray, starts: np.ndarray) -> tuple:
     after step k of every segment from states.  Segment 0 starts at
     starts[0] and every other one at its guess starts[s], which the
     passes overwrite; path[k, s] is the state after step k of segment
-    s.  A batch is as many segments as _batch_segments allows for its
-    per-step arrays.  Each fix-up pass walks the segments again from the
-    end of the one before, rewriting path in place, and stops once every
-    segment is back on its stored path; passes repeat until no start
-    changes.  first is the first segment whose path is not yet right.
-    coupled is False when the first fix-up pass left more than half of
-    the segments it started wrong still wrong; the passes then stop, and
-    the caller walks the segments from first on one step at a time.
+    s.  Each fix-up pass walks the segments again from the end of the
+    one before, rewriting path in place, and stops once every segment is
+    back on its stored path; passes repeat until no start changes.
+    first is the first segment whose path is not yet right.  coupled is
+    False when the first fix-up pass left more than half of the segments
+    it started wrong still wrong; the passes then stop, and _lockstep
+    walks the segments from first on one step at a time.
     """
     seg, count = path.shape
     states = starts
@@ -369,98 +368,62 @@ def _couple(advance, path: np.ndarray, starts: np.ndarray) -> tuple:
     return (int(wrong[0]) if wrong.size else count), coupled
 
 
-def _lockstep(tables: tuple, luts: list, state: int, out: np.ndarray, rng: RngState) -> tuple:
-    """Walk out from its start in lockstep batches of whole blocks; returns (steps walked, last state).
+def _lockstep(out: np.ndarray, state: int, width: int, chunk: int, fill, guess, finish) -> tuple:
+    """Walk out from state in lockstep batches of up to width segments; returns (steps walked, last state).
 
-    Step k of segment s of a batch from step done, step
-    done + s * _SEGMENT + k + 1, leaves through keys[k, s], its lut
-    offset; every segment but the first is guessed to start at state 0.
-    A block's part of a segment that runs past it is carried into the
-    next block of its batch, and the tail past the batch's last whole
-    segment is walked by _bisect_block.  The walk stops before a batch
-    of fewer than _MIN_SEGMENTS segments, and after one that _couple
-    gives up on: that batch is finished one step at a time from the
-    first segment not yet resolved, through the luts at its stored
-    offsets, since the uniforms of its earlier blocks are gone.  The
-    steps walked are whole blocks, up to the end of out.
+    The one batch loop of the chain and register walkers, which supply
+    the parts:
+    - fill(s, count) draws the uniforms of segments s..s + count - 1 of
+      the batch into the walker's per-step arrays, at most chunk
+      segments a call;
+    - guess(state, count) returns the starts of a batch of count
+      segments, the first at state and the rest guessed, and the advance
+      that _couple walks them by;
+    - finish(s, state, into) walks segment s of the batch one step at a
+      time from state into `into`, from what the per-step arrays store,
+      and returns the last state.
+    A batch is cut into segments of _SEGMENT steps and walked by _couple,
+    whose coupled prefix is copied into out.  The walk stops before a
+    batch of fewer than _MIN_SEGMENTS segments, and after one that
+    _couple gives up on: that batch is finished by finish from the first
+    segment not yet resolved, since its uniforms are gone.  The steps
+    walked are whole segments; the caller walks the rest of out.
     """
-    period, dim, seg = len(tables), len(tables[0]), _SEGMENT
-    key, state_type = luts[0][1].dtype, luts[0][2].dtype
-    size = max(1, _batch_segments(key.itemsize + state_type.itemsize) * seg // _BLOCK) * _BLOCK
-    keys = np.empty((seg, size // seg), dtype=key)
-    path = np.empty(keys.shape, dtype=state_type)
-    index = np.empty(keys.shape[1], dtype=np.intp)
+    seg = _SEGMENT
+    path = np.empty((seg, width), dtype=out.dtype)
     done, coupled = 0, True
-    while coupled and min(size, out.size - done) >= _MIN_SEGMENTS * seg:
-        end = min(done + size, out.size)
-        count, rest = 0, np.empty(0)
-        for start in range(done, end, _BLOCK):
-            block = rng.random_block(min(_BLOCK, end - start))
-            if rest.size:
-                block = np.concatenate((rest, block))
-            whole = block.size // seg
-            _lut_offsets(luts, done + count * seg, dim, block[: whole * seg], keys[:, count : count + whole])
-            count += whole
-            # copied, and the block let go, so a batch holds one block at a time
-            rest = block[whole * seg :].copy()
-            del block
-        step_luts = [luts[(done + k) % period][2] for k in range(period)] * (seg // period)
-        batch_keys, batch_path, batch_index = keys[:, :count], path[:, :count], index[:count]
-
-        def advance(k, states, into):
-            # the sum is formed in the key dtype, which holds every lut index
-            offsets = np.add(batch_keys[k], states, out=batch_index)
-            return step_luts[k].take(offsets, out=into, mode="clip")
-
-        starts = np.zeros(count, dtype=state_type)
-        starts[0] = state
-        first, coupled = _couple(advance, batch_path, starts)
-        out[done : done + first * seg].reshape(first, seg)[:] = batch_path[:, :first].T
-        state = int(batch_path[-1, first - 1])
-        if first < count:
-            state = _walk_offsets(step_luts[:period], state, batch_keys[:, first:], out[done + first * seg :])
+    while coupled and (count := min(width, (out.size - done) // seg)) >= _MIN_SEGMENTS:
+        for s in range(0, count, chunk):
+            fill(s, min(chunk, count - s))
+        starts, advance = guess(state, count)
+        first, coupled = _couple(advance, path[:, :count], starts)
+        walked = out[done : done + count * seg].reshape(count, seg)
+        walked[:first] = path[:, :first].T
+        state = int(path[-1, first - 1])
+        for s in range(first, count):
+            state = finish(s, state, walked[s])
         done += count * seg
-        if rest.size:
-            state = _bisect_block(tables, done, state, rest, out[done:end])
-        done = end
     return done, state
 
 
-def _walk_offsets(luts: list, state: int, keys: np.ndarray, out: np.ndarray) -> int:
-    """The segments keys[:, s] in turn, one step at a time from state, into out; returns the last state.
-
-    Step k of each segment goes from x to luts[k % len(luts)][keys[k, s] + x];
-    segments are even, so each starts on the phase of luts[0].
-    """
-    seg = keys.shape[0]
-    first, second = memoryview(luts[0]), memoryview(luts[-1])
-    for s in range(keys.shape[1]):
-        path = []
-        append = path.append
-        pairs = iter(keys[:, s].tolist())
-        for a, b in zip(pairs, pairs):
-            state = first[a + state]
-            append(state)
-            state = second[b + state]
-            append(state)
-        out[s * seg : (s + 1) * seg] = path
+def _walk_offsets(lut: np.ndarray, state: int, offsets: np.ndarray, out: np.ndarray) -> int:
+    """One step from x to lut[offset + x] per offset, from state, into out; returns the last state."""
+    lut = memoryview(lut)
+    out[:] = [state := lut[offset + state] for offset in offsets.tolist()]
     return state
 
 
-def _scan_block(tables: tuple, done: int, state: int, block: np.ndarray, out: np.ndarray) -> int:
-    """Steps done + 1..done + out.size of a two-state chain by scans; as _bisect_block.
+def _scan_block(table: list, state: int, block: np.ndarray, out: np.ndarray) -> int:
+    """The states of a two-state chain after each uniform of block by scans; as _bisect_block.
 
     Index 0 of the scans stands for the start state, taken as a constant
-    draw; index k >= 1 is the block's step k, which is step done + k.
+    draw; index k >= 1 is the block's step k.
     """
-    period = len(tables)
     a = np.empty(block.size + 1, dtype=bool)
     b = np.empty(block.size + 1, dtype=bool)
     a[0] = b[0] = state
-    for phase in range(period):
-        table = tables[(done + phase) % period]
-        np.greater_equal(block[phase::period], table[0][0], out=a[1 + phase :: period])
-        np.greater_equal(block[phase::period], table[1][0], out=b[1 + phase :: period])
+    np.greater_equal(block, table[0][0], out=a[1:])
+    np.greater_equal(block, table[1][0], out=b[1:])
     constant = np.equal(a, b, out=b)
     # last[k]: index of the last constant draw at or before k
     last = np.arange(block.size + 1, dtype=np.int32)
@@ -480,12 +443,12 @@ def sample(dist: Distribution, rng: RngState) -> int:
     return bisect_right(_cumulative([dist.probs])[0], rng.random())
 
 
-def _realize(initial: Distribution, rows: tuple, steps: int, rng: RngState) -> Trajectory:
-    """steps transitions from a start drawn from initial; step k walks rows[(k - 1) % len(rows)]."""
+def _realize(initial: Distribution, rows: np.ndarray, steps: int, rng: RngState) -> Trajectory:
+    """steps transitions through the chain of rows from a start drawn from initial."""
     check_int("steps", steps, 0)
     states = np.empty(steps + 1, dtype=_state_dtype(initial.dim))
     states[0] = sample(initial, rng)
-    _walk(tuple(map(_cumulative, rows)), int(states[0]), states[1:], rng)
+    _walk(_cumulative(rows), int(states[0]), states[1:], rng)
     return Trajectory(labels=initial.labels, states=states, seed=rng.seed)
 
 
@@ -493,7 +456,7 @@ def simulate_chain(P: StochasticMatrix, initial: Distribution, steps: int, rng: 
     """Realize steps transitions of the chain; states[0] is drawn from initial."""
     if P.labels != initial.labels:
         raise DimensionMismatchError("matrix and initial distribution have different labels")
-    return _realize(initial, (P.rows,), steps, rng)
+    return _realize(initial, P.rows, steps, rng)
 
 
 def _check_tol(tol) -> None:

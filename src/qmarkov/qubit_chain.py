@@ -230,19 +230,21 @@ def simulate_register(
     Registers of more than N_MAX_FORMULA = 64 qubits are refused with
     RangeLimitError, as the closed forms and the builder refuse them,
     before anything is allocated.  Each step's word is one unsigned
-    integer, and batches of segments of markov._SEGMENT steps, as many
-    as markov._batch_segments allows for the words and the path (1024 at
-    N <= 8, 682 at N <= 16, 409 at N <= 32 and 256 at N <= 64), are
-    walked side by side by markov._couple, one gather of top and one
-    popcount per segment-step.  Walks of different parity never meet,
-    since i' = i + popcount(w) (mod 2); so each segment is guessed to
-    start at the index nearest N/2 with the parity that the flips before
-    it give, and at N = 1 every guess is right.
-    The walk goes one step at a time, in Python, one draw of flips at a
-    time: in batches of fewer than markov._MIN_SEGMENTS segments, in the
-    tail after the last whole segment, and in the rest of a walk once a
-    batch fails to couple (beta = 0 keeps every index, and beta = pi maps
-    i to N - i, so no guessed start ever meets the true one).
+    integer, and the walk goes through markov._lockstep, the batch loop
+    of the chain walkers too: batches of segments of markov._SEGMENT
+    steps, as many as markov._batch_segments allows for the words and
+    the path (1024 at N <= 8, 682 at N <= 16, 409 at N <= 32 and 256 at
+    N <= 64), are walked side by side by markov._couple, one gather of
+    top and one popcount per segment-step.  Walks of different parity
+    never meet, since i' = i + popcount(w) (mod 2); so each segment is
+    guessed to start at the index nearest N/2 with the parity that the
+    flips before it give, and at N = 1 every guess is right.
+    The walk goes one step at a time, in Python: through the stored flip
+    words of a batch that fails to couple (beta = 0 keeps every index,
+    and beta = pi maps i to N - i, so no guessed start ever meets the
+    true one), and one draw of flips at a time in walks of fewer than
+    markov._MIN_SEGMENTS segments, in the tail after the last whole
+    segment, and in the rest of a walk after a batch that failed.
     """
     n = _check_formula_range(spec)
     check_int("steps", steps, 0)
@@ -283,21 +285,18 @@ def _walk_register(n: int, p: float, index: int, out: np.ndarray, rng: RngState)
 
     done = 0
     if out.size >= markov._MIN_SEGMENTS * seg:
+        width = markov._batch_segments(word.itemsize + out.itemsize)
         # words[k, s]: the flips of step k of segment s
-        batch_segments = markov._batch_segments(word.itemsize + out.itemsize)
-        words = np.empty((seg, batch_segments), dtype=word)
-        path = np.empty((seg, batch_segments), dtype=out.dtype)
+        words = np.empty((seg, width), dtype=word)
         top_words = np.array(top, dtype=word)
-        gathered = np.empty(batch_segments, dtype=word)
-        draw_segments = draw_steps // seg
+        gathered = np.empty(width, dtype=word)
         half = n // 2
-        coupled = True
-        while coupled and out.size - done >= markov._MIN_SEGMENTS * seg:
-            count = min(batch_segments, (out.size - done) // seg)
-            for s in range(0, count, draw_segments):
-                chunk = min(draw_segments, count - s)
-                words[:, s : s + chunk] = draw(chunk * seg).reshape(chunk, seg).T
-            batch = words[:, :count]
+
+        def fill(s, count):
+            words[:, s : s + count] = draw(count * seg).reshape(count, seg).T
+
+        def guess(index, count):
+            batch, flips = words[:, :count], gathered[:count]
             # the parity of the flips before each segment fixes the parity
             # of its start
             parity = np.bitwise_count(np.bitwise_xor.reduce(batch, axis=0)) & 1
@@ -307,15 +306,15 @@ def _walk_register(n: int, p: float, index: int, out: np.ndarray, rng: RngState)
             starts[1:] = half + ((half + index + parity[:-1]) & 1)
 
             def advance(k, states, into):
-                flips = top_words.take(states, out=gathered[:count], mode="clip")
+                top_words.take(states, out=flips, mode="clip")
                 return np.bitwise_count(np.bitwise_xor(batch[k], flips, out=flips), out=into)
 
-            first, coupled = markov._couple(advance, path[:, :count], starts)
-            out[done : done + first * seg].reshape(first, seg)[:] = path[:, :first].T
-            index = int(path[-1, first - 1])
-            for s in range(first, count):
-                index = walk(batch[:, s], index, out[done + s * seg : done + (s + 1) * seg])
-            done += count * seg
+            return starts, advance
+
+        def finish(s, index, into):
+            return walk(words[:, s], index, into)
+
+        done, index = markov._lockstep(out, index, width, draw_steps // seg, fill, guess, finish)
     for start in range(done, out.size, draw_steps):
         count = min(draw_steps, out.size - start)
         index = walk(draw(count), index, out[start : start + count])

@@ -86,14 +86,20 @@ def _overlap_squared(spec: SpinChainSpec) -> np.ndarray:
     Row a indexes the z-basis outcome, column b the rotated-basis outcome,
     both in descending-m order.  O[a, b] is the probability of either
     cross-basis transition between outcomes m_a and m_b; the two readings
-    agree because squared magnitudes kill the phases.  The last spec's
-    matrix is kept, so a command that builds the transition matrix and
-    then simulates the same chain evaluates d^s once; equal specs give
-    the same matrix bit for bit, as beta = -0.0 and 0.0 differ at most in
-    the sign of a zero entry, which the squares drop.
+    agree because squared magnitudes kill the phases.  O is symmetric:
+    d^s_{m'm} = (-1)^(m - m') d^s_{mm'} (Edmonds, Angular Momentum in
+    Quantum Mechanics, 1957), so |d^s|^2 equals its transpose.  The
+    floats of the two triangles can differ in their last bits, so the
+    upper triangle (a <= b) is copied into the lower one and O == O.T
+    holds bit for bit.  The last spec's matrix is kept, so a command
+    that builds the transition matrix and then simulates the same chain
+    evaluates d^s once; equal specs give the same matrix bit for bit, as
+    beta = -0.0 and 0.0 differ at most in the sign of a zero entry,
+    which the squares drop.
     """
     entries = big_D(spec.s, 0.0, spec.beta, 0.0)
     overlap = np.square(entries.real) + np.square(entries.imag)
+    np.copyto(overlap, overlap.T, where=np.tri(len(overlap), k=-1, dtype=bool))
     overlap.flags.writeable = False
     return overlap
 
@@ -158,19 +164,19 @@ def simulate_measurements(
     axis just measured, so only (axis, outcome) is tracked.  Outcome
     probabilities at every later step are squared overlaps between the
     current basis vector and the next axis's basis: from a z-outcome the
-    overlap matrix is read along its row, from an n-outcome along its
-    column.  No transition matrix is consulted; the chain law is
-    emergent and is what the tests verify.
+    overlap matrix O is read along its row, from an n-outcome along its
+    column.  |<m_a| R |m_b>| = |<m_b| R |m_a>|, as d^s_{m'm} and d^s_{mm'}
+    differ only in sign, so the column of O through an outcome is the
+    same law as its row; O is built symmetric bit for bit, and every
+    step walks the rows of O.  No transition matrix is consulted; the
+    chain law is emergent and is what the tests verify.
 
     The records are a lazy view derived from the trajectory, so the
     simulation stores one integer per step and nothing else.
     """
     if initial.labels != spec.labels:
         raise DimensionMismatchError("spin chain and initial distribution have different labels")
-    overlap = _overlap_squared(spec)
-    # odd steps read n from a z basis vector (a row of the overlap), even
-    # steps read z from an n basis vector (a column)
-    trajectory = _realize(initial, (overlap, overlap.T), steps, rng)
+    trajectory = _realize(initial, _overlap_squared(spec), steps, rng)
     return trajectory, MeasurementRecords(trajectory)
 
 

@@ -6,9 +6,15 @@ digests before the shared step kernel, the matrix, stationary and
 verify digests before the CLI's one chain-source resolver.  The
 coin-toss digest was recorded when its lag-1 autocorrelation became an
 exact ratio of integer counts, rounded once, so it no longer depends on
-the order in which a BLAS dot product sums.  Any change to a draw, a
-state, a key order or a rendered byte fails here.  Step counts are odd
-so the last step reads the n-axis.
+the order in which a BLAS dot product sums.  The spin-25,
+spin-matrix-json and spin-matrix-csv digests were recorded again when
+the spin overlap |d^s|^2 became symmetric bit for bit, its upper
+triangle copied into the lower one: the matrix outputs moved in the last
+bits of entries below the diagonal, and spin-25 only in its row_tv,
+which compares the counts with the theory rows.  Its trajectory file,
+spin-25:out, kept its digest.  Any change to a draw, a state, a key
+order or a rendered byte fails here.  Step counts are odd so the last
+step reads the n-axis.
 """
 
 import hashlib
@@ -61,13 +67,13 @@ DIGESTS = {
     "spin-1/2:out": "cf15d7fe8ec75f11a80747139003befa3729eee539613652de09d840703ec9bf",
     "spin-1": "6a60156ace60bf16a8238af1d60e0987c0a0a3316883a57a3356e82364d475a2",
     "spin-1:out": "9019e7d0966cd5d76b62671addd93cee3b1eba58150827e9022b9a42f8efb2c0",
-    "spin-25": "02c7d483d8d603147991a4bcfdd56d402703641b9ed0bba362f7cb158becb156",
+    "spin-25": "f07a0e73459addf03979225e813565246faca34138ccf01950a45117734ec522",
     "spin-25:out": "eec886cd3e6b751d9d489839a7661cddb36817d949629c273ba112cb7a97d7b6",
     "qubit-8": "0a2a1ce566979f9f4bf9070e020a55f9ee94447df7cebbcbd9017448d62083ad",
     "qubit-64": "d8689c066736dc8734f5bdedf86def15c95089f7c87dd77de98d158c5b4cbc00",
     "matrix-9": "9ad2fc97072197e796ebb556f22ea0ad9eda16c41fbb29ddf9ec1afc2a0534a7",
-    "spin-matrix-json": "ac232de94a4521c95b08ab21b8650dceb2e87e5174ead5e3941debda725694d9",
-    "spin-matrix-csv": "62d2bab38600729d108c8a9a76e3049f133936dc82fa35c3d43f8ac995063031",
+    "spin-matrix-json": "02825b8fcecca44360db11810b340132d57166df066de6f0e1ce9dc90eeefc0e",
+    "spin-matrix-csv": "2d052aeff25520a9946703e560c57e9eb2365edaa32984f1d3339f3d868558fc",
     "spin-matrix-table": "cdb580a6a2f218ba94b4ff0e8158e77b94059effde342f3a2b255f9ffa844ebc",
     "qubit-matrix-json": "c33bed335effc73801b3b6c2ff8f4b645a7e8ecfc9cf7f7f3b82fdac55ce8e7d",
     "qubit-matrix-csv": "4cf2a9fc31e195f174d0b19656890648ea099ee434589d06f54809d74e4ac6e7",

@@ -2,23 +2,29 @@
 
 The digests in test_byte_identity run 20001 steps, under the length at
 which a chain of three or more states is walked in lockstep, so they
-never reach markov._lockstep_block, its bisect fallback partway through
-a walk, or the block loops of write_trajectory and transition_counts.
-These run 100001 steps, two blocks of uniforms, walked in lockstep
-batches up to a tail walked by bisect: one batch of two blocks at 3 and
-9 states, whose lut offsets take one or two bytes, and one batch per
-block at 51 states.  The walk that never couples is finished one step at
-a time from inside its batch, through its stored offsets, and by bisect
-after it.  The digests were recorded while each block was its own batch,
-before the bisect walker read its block in place.  A wrapper around the
-lockstep driver, markov._couple, checks that it ran, and whether each of
-its batches coupled.  The register walks go in one batch of 390 segments
-at up to 16 qubits, and in two, of 256 and 134, at 63 and 64, each
-followed by its tail walked one step at a time; at beta = 0 and beta =
-pi the first batch never couples and the rest of the walk goes one step
-at a time.  Their digests were recorded before the register simulator
-walked in lockstep: qubit-8 and qubit-64 before it packed each block of
-flips at once.
+never reach markov._lockstep, the one lockstep driver of the chain and
+register walkers, its bisect fallback partway through a walk, or the
+block loops of write_trajectory and transition_counts.  These run
+100001 steps, two blocks of uniforms, walked in lockstep batches of
+whole segments up to a tail walked by bisect: one batch of 390 segments
+at 3 and 9 states, whose lut offsets take one or two bytes, and batches
+of 256 and 134 at 51 states.  The walk that never couples is finished
+one step at a time from inside its batch, through its stored offsets,
+and by bisect after it.  The digests were recorded while each block was
+its own batch, before the bisect walker read its block in place, and,
+for spin-25, while the spin walk read the overlap's rows and columns in
+turn.  A wrapper around markov._couple, which the driver calls on each
+batch, checks that the driver ran, and whether each of its batches
+coupled.  The register walks go in one batch of 390 segments at up to
+16 qubits, and in two, of 256 and 134, at 63 and 64, each followed by
+its tail walked one step at a time; at beta = 0 and beta = pi the first
+batch never couples and the rest of the walk goes one step at a time.
+Their digests were recorded before the register simulator walked in
+lockstep: qubit-8 and qubit-64 before it packed each block of flips at
+once.  The spin-25 stdout digest was recorded again when the spin
+overlap became symmetric bit for bit, its upper triangle copied into the
+lower one: only its row_tv moved, which compares the counts with the
+theory rows; spin-25:out and every COUPLED list stayed as they were.
 """
 
 import hashlib
@@ -72,7 +78,7 @@ COUPLED = {
 DIGESTS = {
     "spin-1": "1a2b8e3e7d1059bc357f8887045aa2474712c41c72b9bb77073e1b2dd5c0e95b",
     "spin-1:out": "e5796cbf6ff83b5d95b10d34e302f9c13da7a470c23a0366fad456f71a033ec4",
-    "spin-25": "c11568c13a10f6801d6b6aded4dd08a0bca2c2d57218e3962ad895ff9e151ba6",
+    "spin-25": "e27b09583e6cd79c6ffaf63a23fc02f64512333ff20acdd01959374120a010db",
     "spin-25:out": "3560cd482dc156915c4cf75991b2a518ef06a7fe791bb755487dcc50ea7a449d",
     "matrix-9": "e7d70bb875c8ef1ddef8643c186de3328a81fc202c13916ef11ab1081458bc6f",
     "matrix-9:out": "14708c4824e3733b71c6d99aaf12348ab4ce210725e54be675a1d22e4759a8b6",

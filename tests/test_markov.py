@@ -261,7 +261,7 @@ def test_inf_sentinel_picks_what_the_clamp_picks(row):
     expected = [clamped_pick(cum, u, dim) for u in uniforms]
     # equal rows: every step draws from `row` whatever the current state
     states = np.empty(len(uniforms), dtype=np.int64)
-    _walk((_cumulative([row] * dim),), 0, states, StubRng(uniforms))
+    _walk(_cumulative([row] * dim), 0, states, StubRng(uniforms))
     assert states.tolist() == expected
     dist = Distribution(tuple(range(dim)), np.array(row))
     stub = StubRng(uniforms)
@@ -288,39 +288,36 @@ TWO_STATE = {
 }
 
 
-def bisect_loop(matrices, start, uniforms):
-    """States after each uniform by the clamped inverse CDF, step k using matrices[k % p]."""
-    cums = [np.cumsum(m, axis=1).tolist() for m in matrices]
+def bisect_loop(matrix, start, uniforms):
+    """States after each uniform by the clamped inverse CDF of the current state's row."""
+    cums = np.cumsum(matrix, axis=1).tolist()
     state, path = start, []
-    for k, u in enumerate(uniforms):
-        row = cums[k % len(cums)][state]
-        state = clamped_pick(row, u, len(row))
+    for u in uniforms:
+        state = clamped_pick(cums[state], u, len(cums))
         path.append(state)
     return path
 
 
-@pytest.mark.parametrize("period", [1, 2])
-@pytest.mark.parametrize("first", list(TWO_STATE))
-def test_two_state_scan_matches_the_bisect_loop(monkeypatch, first, period):
+@pytest.mark.parametrize("start", [0, 1])
+@pytest.mark.parametrize("name", list(TWO_STATE))
+def test_two_state_scan_matches_the_bisect_loop(monkeypatch, name, start):
     default_block = markov._BLOCK
-    for second in list(TWO_STATE) if period == 2 else [None]:
-        matrices = [TWO_STATE[first]] if second is None else [TWO_STATE[first], TWO_STATE[second]]
-        # every cumulative entry and its neighbours, where the maps change
-        edges = {0.0, 1.0 - 2.0**-53}
-        for c in np.cumsum(np.concatenate(matrices), axis=1).ravel().tolist():
-            edges |= {math.nextafter(c, -math.inf), c, math.nextafter(c, math.inf)}
-        edges = sorted(u for u in edges if 0.0 <= u < 1.0)
-        tables = tuple(_cumulative(m) for m in matrices)
-        for steps in (0, 1, 2, 3, 7, 8, 1000):
-            uniforms = RngState(steps).random_block(steps).tolist()
-            uniforms[::3] = (edges * steps)[: len(uniforms[::3])]
-            for start in (0, 1):
-                expected = bisect_loop(matrices, start, uniforms)
-                for block in (default_block, 3):
-                    monkeypatch.setattr(markov, "_BLOCK", block)
-                    out = np.empty(steps, dtype=np.int64)
-                    _walk(tables, start, out, StubRng(uniforms))
-                    assert out.tolist() == expected, (second, steps, start, block)
+    matrix = TWO_STATE[name]
+    # every cumulative entry and its neighbours, where the maps change
+    edges = {0.0, 1.0 - 2.0**-53}
+    for c in np.cumsum(matrix, axis=1).ravel().tolist():
+        edges |= {math.nextafter(c, -math.inf), c, math.nextafter(c, math.inf)}
+    edges = sorted(u for u in edges if 0.0 <= u < 1.0)
+    table = _cumulative(matrix)
+    for steps in (0, 1, 2, 3, 7, 8, 1000):
+        uniforms = RngState(steps).random_block(steps).tolist()
+        uniforms[::3] = (edges * steps)[: len(uniforms[::3])]
+        expected = bisect_loop(matrix, start, uniforms)
+        for block in (default_block, 3):
+            monkeypatch.setattr(markov, "_BLOCK", block)
+            out = np.empty(steps, dtype=np.int64)
+            _walk(table, start, out, StubRng(uniforms))
+            assert out.tolist() == expected, (steps, block)
 
 
 def test_block_size_changes_no_trajectory(monkeypatch):
@@ -333,18 +330,9 @@ def test_block_size_changes_no_trajectory(monkeypatch):
     start = Distribution(chain.labels, np.full(3, 1.0 / 3.0))
     pair = StochasticMatrix(labels=("a", "b"), rows=np.array([[0.3, 0.7], [0.6, 0.4]]))
     pair_start = Distribution(pair.labels, np.array([0.5, 0.5]))
-    # the spin chain's two tables are transposes of a symmetric matrix, so
-    # only distinct tables show which one a step used
-    rows = (chain.rows, chain.rows[::-1])
-
-    def alternating(steps):
-        out = np.empty(steps, dtype=np.int64)
-        _walk(tuple(_cumulative(r) for r in rows), 0, out, RngState(9))
-        return out
 
     def trajectories():
-        out = [alternating(steps) for steps in (100, 101)]
-        out += [simulate_measurements(spin, spin_start, steps, RngState(5))[0].states for steps in (100, 101)]
+        out = [simulate_measurements(spin, spin_start, steps, RngState(5))[0].states for steps in (100, 101)]
         out += [simulate_measurements(spin_half, half_start, steps, RngState(5))[0].states for steps in (100, 101)]
         out.append(simulate_chain(chain, start, 101, RngState(6)).states)
         out.append(simulate_chain(pair, pair_start, 101, RngState(6)).states)
@@ -354,11 +342,6 @@ def test_block_size_changes_no_trajectory(monkeypatch):
         return out
 
     default = trajectories()
-    scalar, state, expected = RngState(9), 0, []
-    for k in range(101):
-        state = clamped_pick(np.cumsum(rows[k % 2][state]).tolist(), scalar.random(), 3)
-        expected.append(state)
-    assert default[1].tolist() == expected
     sizes = []
     random_block = RngState.random_block
 
@@ -378,24 +361,23 @@ def test_block_size_changes_no_trajectory(monkeypatch):
 
 
 def _spin_rows(twice_s, beta):
-    overlap = _overlap_squared(SpinChainSpec(s=HalfInt(twice_s), beta=beta))
-    return [overlap, overlap.T]
+    return _overlap_squared(SpinChainSpec(s=HalfInt(twice_s), beta=beta))
 
 
 def _random_rows(dim, seed):
     rows = np.random.default_rng(seed).random((dim, dim)) + 0.05
-    return [rows / rows.sum(axis=1, keepdims=True)]
+    return rows / rows.sum(axis=1, keepdims=True)
 
 
 def _zero_pattern_rows():
     from test_byte_identity import _matrix_text
 
-    return [np.array(json.loads(_matrix_text())["rows"])]
+    return np.array(json.loads(_matrix_text())["rows"])
 
 
 def _cycle(dim, stay):
     shift = np.roll(np.eye(dim), 1, axis=1)
-    return [stay * shift + (1.0 - stay) / dim]
+    return stay * shift + (1.0 - stay) / dim
 
 
 THREE_STATE = np.array([[0.2, 0.5, 0.3], [0.6, 0.0, 0.4], [0.1, 0.1, 0.8]])
@@ -412,32 +394,31 @@ COUPLING = {
     "random-9": _random_rows(9, 1),
     "random-51": _random_rows(51, 2),
     "zero-pattern-9": _zero_pattern_rows(),
-    "two-tables": [THREE_STATE, THREE_STATE[::-1]],
 }
 # near the identity and near a permutation: a block may give up
 SLOW = {"spin1-0.3", "spin1-2.84"}
 # chains whose walks never meet: the first fix-up pass gives up; (rows, start)
 NON_COUPLING = {
-    "identity-from-1": ([np.eye(3)], 1),
+    "identity-from-1": (np.eye(3), 1),
     "cycle-5": (_cycle(5, 1.0), 0),
     "near-cycle-5": (_cycle(5, 0.999), 0),
     "spin1-pi": (_spin_rows(2, math.pi), 1),
 }
 
 # lockstep in tier-1 time: segments of 16 steps, and odd blocks of 160
-# segments and a tail, so blocks after the first start on either phase
+# segments and a tail, so blocks and batches do not share their edges
 SEGMENT = 16
 BLOCK = 160 * SEGMENT + 7
 
 
-def _edge_uniforms(matrices, steps, seed):
+def _edge_uniforms(matrix, steps, seed):
     """Uniforms from RngState(seed), every third one a cumulative entry or its neighbour 1 ulp away.
 
     The edges are taken in order, and repeat when all fit; a 51-state
     chain has more of them than the walk has slots.
     """
     edges = {0.0, 1.0 - 2.0**-53}
-    for c in np.cumsum(np.concatenate(matrices), axis=1).ravel().tolist():
+    for c in np.cumsum(matrix, axis=1).ravel().tolist():
         edges |= {math.nextafter(c, -math.inf), c, math.nextafter(c, math.inf)}
     edges = sorted(u for u in edges if 0.0 <= u < 1.0)
     uniforms = RngState(seed).random_block(steps).tolist()
@@ -458,46 +439,47 @@ def _record_lockstep(monkeypatch):
     return coupled
 
 
-def _recorded_walk(monkeypatch, matrices, start, uniforms):
-    """_walk over uniforms with small blocks; returns (states, coupled flag of each lockstep block, bisect offsets)."""
+def _recorded_walk(monkeypatch, matrix, start, uniforms):
+    """_walk over uniforms with small blocks; returns (states, coupled flag of each lockstep batch, bisect offsets)."""
     monkeypatch.setattr(markov, "_SEGMENT", SEGMENT)
     monkeypatch.setattr(markov, "_BLOCK", BLOCK)
     coupled = _record_lockstep(monkeypatch)
+    out = np.empty(len(uniforms), dtype=markov._state_dtype(len(matrix)))
     bisect, offsets = markov._bisect_block, []
 
-    def recording_bisect(tables, done, *args):
-        offsets.append(done)
-        return bisect(tables, done, *args)
+    def recording_bisect(table, state, block, part):
+        # the step of the walk at which part starts
+        offsets.append((part.ctypes.data - out.ctypes.data) // out.itemsize)
+        return bisect(table, state, block, part)
 
     monkeypatch.setattr(markov, "_bisect_block", recording_bisect)
-    out = np.empty(len(uniforms), dtype=np.int64)
-    _walk(tuple(_cumulative(m) for m in matrices), start, out, StubRng(uniforms))
+    _walk(_cumulative(matrix), start, out, StubRng(uniforms))
     return out.tolist(), coupled, offsets
 
 
-# two whole blocks and a partial one of 130 segments and a tail, and the
-# same with a last block too short for lockstep
+# walks of 451 and 448 whole segments and a tail
 LENGTHS = (2 * BLOCK + 130 * SEGMENT + 5, 2 * BLOCK + 127 * SEGMENT + 3)
 # lockstep batches of the walks of LENGTHS, by the bytes of a lut offset:
-# 3 blocks a batch at 1 byte (3 states), 2 at 2 (9) and 1 at 4 (51); a
-# batch starts at a block, and its segments run across the blocks in it
-LOCKSTEP_BATCHES = {1: (1, 1), 2: (2, 1), 4: (3, 2)}
+# 3 blocks of whole segments a batch at 1 byte (3 states, 481 segments),
+# 2 at 2 (9, 320) and 1 at 4 (51, 160); there the last batches are 131
+# and 128 segments, the shortest batch lockstep walks (_MIN_SEGMENTS)
+LOCKSTEP_BATCHES = {1: (1, 1), 2: (2, 2), 4: (3, 3)}
 
 
-def _key_bytes(matrices):
+def _key_bytes(matrix):
     """The bytes of one lut offset of the chain's lockstep walk."""
-    return markov._lookup_tables(tuple(_cumulative(m) for m in matrices))[0][1].itemsize
+    return markov._lookup_table(_cumulative(matrix))[1].itemsize
 
 
 @pytest.mark.parametrize("edges", [False, True], ids=["random", "edges"])
 @pytest.mark.parametrize("name", list(COUPLING))
 def test_lockstep_matches_the_bisect_loop(monkeypatch, name, edges):
-    matrices = COUPLING[name]
-    for steps, batches in zip(LENGTHS, LOCKSTEP_BATCHES[_key_bytes(matrices)]):
-        uniforms = _edge_uniforms(matrices, steps, steps) if edges else RngState(steps).random_block(steps).tolist()
-        for start in (0, len(matrices[0]) - 1):
-            states, coupled, _ = _recorded_walk(monkeypatch, matrices, start, uniforms)
-            assert states == bisect_loop(matrices, start, uniforms), (steps, start)
+    matrix = COUPLING[name]
+    for steps, batches in zip(LENGTHS, LOCKSTEP_BATCHES[_key_bytes(matrix)]):
+        uniforms = _edge_uniforms(matrix, steps, steps) if edges else RngState(steps).random_block(steps).tolist()
+        for start in (0, len(matrix) - 1):
+            states, coupled, _ = _recorded_walk(monkeypatch, matrix, start, uniforms)
+            assert states == bisect_loop(matrix, start, uniforms), (steps, start)
             if name in SLOW:
                 assert coupled
             else:
@@ -506,46 +488,45 @@ def test_lockstep_matches_the_bisect_loop(monkeypatch, name, edges):
 
 @pytest.mark.parametrize("name", list(NON_COUPLING))
 def test_a_walk_that_never_meets_falls_back_to_bisect(monkeypatch, name):
-    matrices, start = NON_COUPLING[name]
-    assert _key_bytes(matrices) == 1  # batches of 3 blocks
+    matrix, start = NON_COUPLING[name]
+    assert _key_bytes(matrix) == 1  # batches of 3 blocks of whole segments
     steps = 3 * BLOCK + 130 * SEGMENT + 5
     uniforms = RngState(3).random_block(steps).tolist()
     walk_offsets, resumed = markov._walk_offsets, []
 
-    def recording(luts, state, keys, out):
-        resumed.append(keys.shape[1])
-        return walk_offsets(luts, state, keys, out)
+    def recording(lut, state, offsets, out):
+        resumed.append(offsets.size)
+        return walk_offsets(lut, state, offsets, out)
 
     monkeypatch.setattr(markov, "_walk_offsets", recording)
-    states, coupled, offsets = _recorded_walk(monkeypatch, matrices, start, uniforms)
-    assert states == bisect_loop(matrices, start, uniforms)
-    # the first batch gives up and is finished one step at a time through
-    # its stored offsets from a segment inside it; bisect walks its tail
-    # past the last whole segment, and every later block
+    states, coupled, offsets = _recorded_walk(monkeypatch, matrix, start, uniforms)
+    assert states == bisect_loop(matrix, start, uniforms)
+    # the first batch gives up and is finished one segment at a time
+    # through its stored offsets from a segment inside it; bisect walks the
+    # rest of the walk from the batch's end
     segments = 3 * BLOCK // SEGMENT
     assert coupled == [False]
-    assert len(resumed) == 1 and 0 < resumed[0] < segments
-    assert offsets == [segments * SEGMENT, 3 * BLOCK]
+    assert 0 < len(resumed) < segments and set(resumed) == {SEGMENT}
+    assert offsets == [segments * SEGMENT]
 
 
 def test_a_chain_over_the_lookup_cap_is_walked_by_bisect(monkeypatch):
-    matrices = _random_rows(110, 3)
-    tables = (_cumulative(matrices[0]),)
-    assert markov._lookup_tables(tables) is None  # 110 * (110 * 109 + 1) entries pass 2**20
-    assert markov._lookup_tables(tuple(_cumulative(m) for m in _random_rows(101, 3))) is not None
+    matrix = _random_rows(110, 3)
+    assert markov._lookup_table(_cumulative(matrix)) is None  # 110 * (110 * 109 + 1) entries pass 2**20
+    assert markov._lookup_table(_cumulative(_random_rows(101, 3))) is not None
     uniforms = RngState(4).random_block(LENGTHS[0]).tolist()
-    states, coupled, offsets = _recorded_walk(monkeypatch, matrices, 0, uniforms)
-    assert states == bisect_loop(matrices, 0, uniforms)
+    states, coupled, offsets = _recorded_walk(monkeypatch, matrix, 0, uniforms)
+    assert states == bisect_loop(matrix, 0, uniforms)
     assert coupled == [] and offsets == [0, BLOCK, 2 * BLOCK]
 
 
-def _walk_peak(tables, start, steps, seed):
+def _walk_peak(table, start, steps, seed):
     """The tracemalloc peak of a _walk of steps from start, in blocks of uniforms."""
     out = np.empty(steps, dtype=np.uint8)
     rng = RngState(seed)  # the first generator imports numpy.random's modules
     tracemalloc.start()
     try:
-        _walk(tables, start, out, rng)
+        _walk(table, start, out, rng)
         return tracemalloc.get_traced_memory()[1] / (8 * markov._BLOCK)
     finally:
         tracemalloc.stop()
@@ -562,13 +543,14 @@ LOCKSTEP_MEMORY = {
 
 def test_lockstep_memory_is_bounded_by_the_block(monkeypatch):
     # no per-step list and no table that grows with the walk: the peak of
-    # a 4-block walk and of an 8-block one, the block with its batch's
-    # lookup offsets and segment paths, stay under a fixed multiple of one
-    # block of uniforms; 4.22, 3.19 and 2.74 blocks at 51, 9 and 3 states
+    # a 4-block walk and of an 8-block one, one fill's uniforms with its
+    # batch's lookup offsets and segment paths, stay under a fixed multiple
+    # of one block of uniforms; 2.08, 1.40 and 1.65 blocks at 51, 9 and 3
+    # states
     for name, (rows, batches) in LOCKSTEP_MEMORY.items():
-        tables = tuple(_cumulative(m) for m in rows)
+        table = _cumulative(rows)
         coupled = _record_lockstep(monkeypatch)
-        peaks = [_walk_peak(tables, 0, blocks * markov._BLOCK, blocks) for blocks in (4, 8)]
+        peaks = [_walk_peak(table, 0, blocks * markov._BLOCK, blocks) for blocks in (4, 8)]
         assert coupled == [True] * batches, name
         assert max(peaks) < 4.5, (name, peaks)
         assert abs(peaks[1] - peaks[0]) < 0.1, (name, peaks)
@@ -586,12 +568,11 @@ BISECT_WALKS = {
 
 @pytest.mark.parametrize("name", list(BISECT_WALKS))
 def test_bisect_walks_read_their_block_in_place(monkeypatch, name):
-    matrices, start, steps, bound = BISECT_WALKS[name]
+    matrix, start, steps, bound = BISECT_WALKS[name]
     # bisect reads its block of uniforms in place; a listed block alone
     # takes about 4 blocks of uniforms
-    tables = tuple(_cumulative(m) for m in matrices)
     coupled = _record_lockstep(monkeypatch)
-    assert _walk_peak(tables, start, steps, 5) < bound
+    assert _walk_peak(_cumulative(matrix), start, steps, 5) < bound
     assert coupled == ([False] if name == "fallback" else [])
 
 
@@ -603,21 +584,12 @@ def _one_block_batches(step_bytes):
     return markov._BLOCK // markov._SEGMENT
 
 
-def _alternating(rows):
-    """Two distinct tables, so a step walked through the wrong one shows."""
-    return [rows, rows[::-1]]
-
-
-# (rows, blocks in one batch) at 3, 9 and 51 states, at periods 1 and 2:
-# lut offsets of 1, 2 and 4 bytes and a one-byte path make batches of
-# 4, 2 and 1 blocks
+# (rows, blocks in one batch) at 3, 9 and 51 states: lut offsets of 1, 2
+# and 4 bytes and a one-byte path make batches of 4, 2 and 1 blocks
 BATCH_CHAINS = {
-    "3": ([THREE_STATE], 4),
-    "3-alternating": (_alternating(THREE_STATE), 4),
+    "3": (THREE_STATE, 4),
     "9": (_random_rows(9, 1), 2),
-    "9-alternating": (_alternating(_random_rows(9, 1)[0]), 2),
     "51": (_random_rows(51, 2), 1),
-    "51-alternating": (_alternating(_random_rows(51, 2)[0]), 1),
 }
 
 
@@ -629,8 +601,8 @@ def _batch_edges(batch):
 
 @pytest.mark.parametrize("name", list(BATCH_CHAINS))
 def test_batch_width_changes_no_chain_walk(monkeypatch, name):
-    matrices, blocks = BATCH_CHAINS[name]
-    tables = tuple(_cumulative(m) for m in matrices)
+    matrix, blocks = BATCH_CHAINS[name]
+    table = _cumulative(matrix)
     batch = blocks * markov._BLOCK
     for steps in _batch_edges(batch):
         uniforms = RngState(steps).random_block(steps)
@@ -639,7 +611,7 @@ def test_batch_width_changes_no_chain_walk(monkeypatch, name):
             monkeypatch.setattr(markov, "_batch_segments", width)
             coupled = _record_lockstep(monkeypatch)
             out = np.empty(steps, dtype=np.uint8)
-            _walk(tables, 1, out, StubRng(uniforms))
+            _walk(table, 1, out, StubRng(uniforms))
             walks.append((out, len(coupled)))
         (wide, wide_batches), (narrow, narrow_batches) = walks
         assert np.array_equal(wide, narrow), steps
@@ -648,7 +620,7 @@ def test_batch_width_changes_no_chain_walk(monkeypatch, name):
             # the states are the bisect walker's, so no lut offset wrapped
             assert (wide_batches, narrow_batches) == (2, 2 * blocks)
             reference = np.empty(steps, dtype=np.uint8)
-            markov._bisect_block(tables, 0, 1, uniforms, reference)
+            markov._bisect_block(table, 1, uniforms, reference)
             assert np.array_equal(wide, reference)
 
 
@@ -692,18 +664,17 @@ def _give_up_on_the_second_batch(monkeypatch):
 def test_a_batch_that_gives_up_is_finished_from_what_it_stores(monkeypatch):
     # the second 4-block batch of a 3-state walk is finished one step at a
     # time through its stored lut offsets, and the rest by bisect
-    matrices = _alternating(THREE_STATE)
-    tables = tuple(_cumulative(m) for m in matrices)
+    table = _cumulative(THREE_STATE)
     steps = 9 * markov._BLOCK + 1001
     uniforms = RngState(12).random_block(steps)
     reference = np.empty(steps, dtype=np.uint8)
-    markov._bisect_block(tables, 0, 2, uniforms, reference)
+    markov._bisect_block(table, 2, uniforms, reference)
     calls = _give_up_on_the_second_batch(monkeypatch)
     out = np.empty(steps, dtype=np.uint8)
-    _walk(tables, 2, out, StubRng(uniforms))
+    _walk(table, 2, out, StubRng(uniforms))
     assert calls == [True, True]
     assert np.array_equal(out, reference)
-    assert out.tolist()[:20001] == bisect_loop(matrices, 2, uniforms[:20001].tolist())
+    assert out.tolist()[:20001] == bisect_loop(THREE_STATE, 2, uniforms[:20001].tolist())
     # an 8-qubit register goes one step at a time from its stored flip
     # words, then one draw at a time; with _MIN_SEGMENTS past every batch
     # the whole walk goes one step at a time
