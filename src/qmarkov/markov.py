@@ -34,7 +34,8 @@ _SEGMENT = 256
 # a fix-up pass tests every this many steps whether all segments have met
 _MEET_CHECK = 8
 # a batch of fewer segments, and the rest of a walk that fails to
-# couple, is walked one step at a time
+# couple, is walked one step at a time; a chain walk of fewer segments
+# is walked by bisect
 _MIN_SEGMENTS = 128
 # guide cells per lookup-table breakpoint, rounded up to a power of two
 _GUIDE_CELLS = 16
@@ -183,7 +184,8 @@ def _walk(table: list, state: int, out: np.ndarray, rng: RngState) -> None:
     out takes the chain's state dtype, _state_dtype(len(table)).  Every
     step leaves `state` through table[state], the running sums of its
     row.  Uniforms come in blocks of _BLOCK, and every walker below
-    gives the states `bisect_right` gives, bit for bit.
+    gives the states `bisect_right` gives, bit for bit.  Each walk takes
+    one of three kernels.
 
     A two-state chain is scanned with numpy: the table [c_r, inf] of row r
     sends a uniform u to u >= c_r, so with a = u >= c_0 and b = u >= c_1
@@ -193,34 +195,32 @@ def _walk(table: list, state: int, out: np.ndarray, rng: RngState) -> None:
     last constant draw XOR the running parity of a since then, and both
     come from array scans.
 
-    A chain of three or more states is walked in lockstep with numpy.
-    The table becomes a lookup table, built once per walk: its
-    breakpoints are the finite entries of all its rows, sorted, and
-    lut[b, x] is bisect_right(table[x], breaks[b - 1]), the next state
-    from x for every uniform u in bucket b, the number of breakpoints at
-    or below u.  Since every table entry is a breakpoint, the lookup is
-    exact.  The bucket comes from a guide of equal cells over [0, 1): a
-    cell holding no breakpoint has one bucket, and only uniforms in the
-    other cells are searched for.  Each uniform's lut offset is stored
-    in the narrowest unsigned dtype of the lut's size, and a batch holds
-    as many whole blocks as _batch_segments allows for those offsets and
-    the path: 4 blocks at 3 states, 2 at 9 and 1 at 51.  Its offsets are
-    found a quarter block of uniforms at a time, in whole segments, and
-    _lockstep walks the batch with one gather per step.  It stops before
-    a batch of fewer than _MIN_SEGMENTS segments, or after one that gives
-    up, and bisect walks the rest.  Walks shorter than _MIN_SEGMENTS
-    segments, and chains whose lut would pass _LUT_CAP entries (about
-    101 states), are walked by bisect alone, so memory stays bounded for
-    any chain.
+    A chain of three or more states is walked through a lookup table,
+    built once per walk: its breakpoints are the finite entries of all
+    its rows, sorted, and lut[b, x] is bisect_right(table[x], breaks[b -
+    1]), the next state from x for every uniform u in bucket b, the
+    number of breakpoints at or below u.  Since every table entry is a
+    breakpoint, the lookup is exact.  The bucket comes from a guide of
+    equal cells over [0, 1): a cell holding no breakpoint has one
+    bucket, and only uniforms in the other cells are searched for.  Each
+    uniform's lut offset is stored in the narrowest unsigned dtype of
+    the lut's size, and _lockstep walks the whole walk from those
+    offsets: in batches of as many whole blocks as _batch_segments
+    allows for the offsets and the path (4 blocks at 3 states, 2 at 9
+    and 1 at 51), with one gather per step, and one step at a time
+    through the offsets of a quarter block of uniforms after them.
+    Walks shorter than _MIN_SEGMENTS segments, and chains whose lut
+    would pass _LUT_CAP entries (about 101 states), are walked by
+    bisect, so memory stays bounded for any chain.
     """
     dim = len(table)
-    done = 0
     if dim > 2 and out.size >= _MIN_SEGMENTS * _SEGMENT:
         lookup = _lookup_table(table)
         if lookup is not None:
-            done, state = _lockstep(out, state, *_chain_parts(lookup, dim, rng))
+            _lockstep(out, state, *_chain_parts(lookup, dim, rng))
+            return
     walker = _scan_block if dim == 2 else _bisect_block
-    for start in range(done, out.size, _BLOCK):
+    for start in range(0, out.size, _BLOCK):
         block = rng.random_block(min(_BLOCK, out.size - start))
         state = walker(table, state, block, out[start : start + block.size])
 
@@ -277,57 +277,47 @@ def _lookup_table(table: list) -> tuple | None:
     return breaks, guide, lut.ravel()
 
 
-def _lut_offsets(breaks: np.ndarray, guide: np.ndarray, dim: int, uniforms: np.ndarray, keys: np.ndarray) -> None:
-    """Write into keys[k, s] the lut offset of uniforms[s * seg + k], for segments of seg = keys.shape[0] steps.
-
-    The offsets are found in the order of the uniforms and written into
-    keys in one transposed copy.
-    """
+def _lut_offsets(breaks: np.ndarray, guide: np.ndarray, dim: int, uniforms: np.ndarray) -> np.ndarray:
+    """The lut offset of each uniform, in the guide's dtype."""
     cells = np.empty(uniforms.size, dtype=np.intp)
     # u * guide.size is exact, so the cast, a floor, is u's cell
     np.multiply(uniforms, guide.size, out=cells, casting="unsafe")
     offsets = guide.take(cells, mode="clip")
     busy = np.flatnonzero(offsets == np.iinfo(guide.dtype).max)
     offsets[busy] = np.searchsorted(breaks, uniforms[busy], side="right") * dim
-    keys[:] = offsets.reshape(keys.shape[1], keys.shape[0]).T
+    return offsets
 
 
 def _chain_parts(lookup: tuple, dim: int, rng: RngState) -> tuple:
-    """_lockstep's width, chunk, fill, guess and finish for a chain of dim states and the lookup table `lookup`.
+    """_lockstep's width, draw_steps, dtype, draw, guess and walk for a chain of dim states and the lookup table `lookup`.
 
-    Step k of segment s of a batch leaves through lut at keys[k, s], its
-    lut offset; every segment but the first is guessed to start at
-    state 0.  A segment that _couple leaves unresolved is walked one step
-    at a time through the lut at its stored offsets.
+    Step k of segment s of a batch leaves through lut at batch[k, s],
+    its lut offset; every segment but the first is guessed to start at
+    state 0.  A draw is a quarter block of uniforms: draws of half or a
+    whole block, with their cells, walked slower.
     """
     breaks, guide, lut = lookup
-    seg = _SEGMENT
-    blocks = max(1, _batch_segments(guide.itemsize + lut.itemsize) * seg // _BLOCK)
-    width = blocks * _BLOCK // seg
-    keys = np.empty((seg, width), dtype=guide.dtype)
-    index = np.empty(width, dtype=np.intp)
+    blocks = max(1, _batch_segments(guide.itemsize + lut.itemsize) * _SEGMENT // _BLOCK)
 
-    def fill(s, count):
-        _lut_offsets(breaks, guide, dim, rng.random_block(count * seg), keys[:, s : s + count])
+    def draw(count):
+        return _lut_offsets(breaks, guide, dim, rng.random_block(count))
 
-    def guess(state, count):
-        batch_keys, batch_index = keys[:, :count], index[:count]
+    def guess(state, batch):
+        index = np.empty(batch.shape[1], dtype=np.intp)
 
         def advance(k, states, into):
-            # the sum is formed in the key dtype, which holds every lut index
-            offsets = np.add(batch_keys[k], states, out=batch_index)
+            # the sum is formed in the offsets' dtype, which holds every lut index
+            offsets = np.add(batch[k], states, out=index)
             return lut.take(offsets, out=into, mode="clip")
 
-        starts = np.zeros(count, dtype=lut.dtype)
+        starts = np.zeros(batch.shape[1], dtype=lut.dtype)
         starts[0] = state
         return starts, advance
 
-    def finish(s, state, into):
-        return _walk_offsets(lut, state, keys[:, s], into)
+    def walk(offsets, state, into):
+        return _walk_offsets(lut, offsets, state, into)
 
-    # a quarter block of uniforms a fill, like a register draw: fills of
-    # half or a whole block, with their cells, walked slower
-    return width, _BLOCK // 4 // seg, fill, guess, finish
+    return blocks * _BLOCK // _SEGMENT, max(1, _BLOCK // 4), guide.dtype, draw, guess, walk
 
 
 def _couple(advance, path: np.ndarray, starts: np.ndarray) -> tuple:
@@ -343,7 +333,7 @@ def _couple(advance, path: np.ndarray, starts: np.ndarray) -> tuple:
     first is the first segment whose path is not yet right.  coupled is
     False when the first fix-up pass left more than half of the segments
     it started wrong still wrong; the passes then stop, and _lockstep
-    walks the segments from first on one step at a time.
+    walks the rest of the walk one step at a time, from segment first on.
     """
     seg, count = path.shape
     states = starts
@@ -368,45 +358,53 @@ def _couple(advance, path: np.ndarray, starts: np.ndarray) -> tuple:
     return (int(wrong[0]) if wrong.size else count), coupled
 
 
-def _lockstep(out: np.ndarray, state: int, width: int, chunk: int, fill, guess, finish) -> tuple:
-    """Walk out from state in lockstep batches of up to width segments; returns (steps walked, last state).
+def _lockstep(out: np.ndarray, state: int, width: int, draw_steps: int, dtype, draw, guess, walk) -> None:
+    """Walk all of out from state, in lockstep batches of up to width segments and then one step at a time.
 
-    The one batch loop of the chain and register walkers, which supply
-    the parts:
-    - fill(s, count) draws the uniforms of segments s..s + count - 1 of
-      the batch into the walker's per-step arrays, at most chunk
-      segments a call;
-    - guess(state, count) returns the starts of a batch of count
-      segments, the first at state and the rest guessed, and the advance
-      that _couple walks them by;
-    - finish(s, state, into) walks segment s of the batch one step at a
-      time from state into `into`, from what the per-step arrays store,
-      and returns the last state.
-    A batch is cut into segments of _SEGMENT steps and walked by _couple,
-    whose coupled prefix is copied into out.  The walk stops before a
-    batch of fewer than _MIN_SEGMENTS segments, and after one that
-    _couple gives up on: that batch is finished by finish from the first
-    segment not yet resolved, since its uniforms are gone.  The steps
-    walked are whole segments; the caller walks the rest of out.
+    The one walk loop of the lut chain and register walkers, which
+    supply the parts:
+    - draw(count) returns the per-step values of the next count steps,
+      in dtype, for count up to draw_steps;
+    - guess(state, batch) returns the starts of the segments of batch,
+      whose column s holds the values of segment s, the first at state
+      and the rest guessed, and the advance that _couple walks them by;
+    - walk(values, state, into) walks the values one step at a time
+      from state into `into` and returns the last state.
+    A batch is cut into segments of _SEGMENT steps, drawn in chunks of
+    draw_steps // _SEGMENT segments and stored transposed, and walked by
+    _couple, whose coupled prefix is copied into out.  A batch that
+    _couple gives up on is finished by walk from the first segment not
+    yet resolved, from the values it stores, since its uniforms are
+    gone.  Batches stop before one of fewer than _MIN_SEGMENTS segments
+    and after one that gave up; walk takes the rest of out, draw_steps
+    at a time.  The batch arrays are allocated only once a batch is
+    walked.
     """
     seg = _SEGMENT
-    path = np.empty((seg, width), dtype=out.dtype)
     done, coupled = 0, True
-    while coupled and (count := min(width, (out.size - done) // seg)) >= _MIN_SEGMENTS:
-        for s in range(0, count, chunk):
-            fill(s, min(chunk, count - s))
-        starts, advance = guess(state, count)
-        first, coupled = _couple(advance, path[:, :count], starts)
-        walked = out[done : done + count * seg].reshape(count, seg)
-        walked[:first] = path[:, :first].T
-        state = int(path[-1, first - 1])
-        for s in range(first, count):
-            state = finish(s, state, walked[s])
-        done += count * seg
-    return done, state
+    if min(width, out.size // seg) >= _MIN_SEGMENTS:
+        values = np.empty((seg, width), dtype=dtype)
+        path = np.empty((seg, width), dtype=out.dtype)
+        chunk = draw_steps // seg
+        while coupled and (count := min(width, (out.size - done) // seg)) >= _MIN_SEGMENTS:
+            batch = values[:, :count]
+            for s in range(0, count, chunk):
+                drawn = min(chunk, count - s)
+                batch[:, s : s + drawn] = draw(drawn * seg).reshape(drawn, seg).T
+            starts, advance = guess(state, batch)
+            first, coupled = _couple(advance, path[:, :count], starts)
+            walked = out[done : done + count * seg].reshape(count, seg)
+            walked[:first] = path[:, :first].T
+            state = int(path[-1, first - 1])
+            for s in range(first, count):
+                state = walk(batch[:, s], state, walked[s])
+            done += count * seg
+    for start in range(done, out.size, draw_steps):
+        count = min(draw_steps, out.size - start)
+        state = walk(draw(count), state, out[start : start + count])
 
 
-def _walk_offsets(lut: np.ndarray, state: int, offsets: np.ndarray, out: np.ndarray) -> int:
+def _walk_offsets(lut: np.ndarray, offsets: np.ndarray, state: int, out: np.ndarray) -> int:
     """One step from x to lut[offset + x] per offset, from state, into out; returns the last state."""
     lut = memoryview(lut)
     out[:] = [state := lut[offset + state] for offset in offsets.tolist()]
@@ -470,10 +468,14 @@ def stationary(P: StochasticMatrix, tol: float = 1e-10, max_iters: int = 100_000
 
     The start vector is a deterministic descending ramp rather than the
     uniform vector: uniform is exactly fixed by every doubly stochastic
-    matrix, which would mask non-convergence of periodic chains.
-    ConvergenceError is raised when max_iters pass without reaching tol,
-    and when the iterate that reaches it fails the probability check:
-    rows that each pass SUM_TOL can still carry its mass past it.
+    matrix, which would mask non-convergence of periodic chains.  The
+    iteration also stops when the iterates, each scaled to sum 1, are
+    within tol of each other: rows that each pass SUM_TOL can still
+    carry the iterate's mass past it, a little further each step, so the
+    unscaled residual stays near their excess.  The residual reported is
+    the unscaled one.  ConvergenceError is raised when max_iters pass
+    without either, and when the iterate that stops fails the
+    probability check.
     """
     _check_tol(tol)
     check_int("max_iters", max_iters, 1)
@@ -484,7 +486,7 @@ def stationary(P: StochasticMatrix, tol: float = 1e-10, max_iters: int = 100_000
     for iteration in range(1, max_iters + 1):
         nxt = curr @ P.rows
         residual = 0.5 * float(np.abs(nxt - curr).sum())
-        if residual <= tol:
+        if residual <= tol or 0.5 * float(np.abs(nxt / nxt.sum() - curr / curr.sum()).sum()) <= tol:
             try:
                 distribution = Distribution(P.labels, curr)
             except InvalidDistributionError as exc:

@@ -230,21 +230,23 @@ def simulate_register(
     Registers of more than N_MAX_FORMULA = 64 qubits are refused with
     RangeLimitError, as the closed forms and the builder refuse them,
     before anything is allocated.  Each step's word is one unsigned
-    integer, and the walk goes through markov._lockstep, the batch loop
-    of the chain walkers too: batches of segments of markov._SEGMENT
-    steps, as many as markov._batch_segments allows for the words and
-    the path (1024 at N <= 8, 682 at N <= 16, 409 at N <= 32 and 256 at
-    N <= 64), are walked side by side by markov._couple, one gather of
-    top and one popcount per segment-step.  Walks of different parity
-    never meet, since i' = i + popcount(w) (mod 2); so each segment is
-    guessed to start at the index nearest N/2 with the parity that the
-    flips before it give, and at N = 1 every guess is right.
-    The walk goes one step at a time, in Python: through the stored flip
-    words of a batch that fails to couple (beta = 0 keeps every index,
-    and beta = pi maps i to N - i, so no guessed start ever meets the
-    true one), and one draw of flips at a time in walks of fewer than
-    markov._MIN_SEGMENTS segments, in the tail after the last whole
-    segment, and in the rest of a walk after a batch that failed.
+    integer, and markov._lockstep, the driver of the lut chain walks
+    too, walks the whole walk from three parts: a draw of flip words, a
+    guess of a batch's starts, and a walk of words one step at a time.
+    Batches of segments of markov._SEGMENT steps, as many as
+    markov._batch_segments allows for the words and the path (1024 at N
+    <= 8, 682 at N <= 16, 409 at N <= 32 and 256 at N <= 64), are walked
+    side by side by markov._couple, one gather of top and one popcount
+    per segment-step.  Walks of different parity never meet, since i' =
+    i + popcount(w) (mod 2); so each segment is guessed to start at the
+    index nearest N/2 with the parity that the flips before it give, and
+    at N = 1 every guess is right.  The walk goes one step at a time, in
+    Python: through the stored flip words of a batch that fails to
+    couple (beta = 0 keeps every index, and beta = pi maps i to N - i,
+    so no guessed start ever meets the true one), and one draw of flips
+    at a time in walks of fewer than markov._MIN_SEGMENTS segments, in
+    the tail after the last whole segment, and in the rest of a walk
+    after a batch that failed.
     """
     n = _check_formula_range(spec)
     check_int("steps", steps, 0)
@@ -270,6 +272,7 @@ def _walk_register(n: int, p: float, index: int, out: np.ndarray, rng: RngState)
         draw_steps -= draw_steps % seg
     bits = np.zeros((min(draw_steps, out.size), 8 * word.itemsize), dtype=bool)
     top = [((1 << i) - 1) << (n - i) for i in range(n + 1)]
+    top_words = np.array(top, dtype=word)
     bit_count = int.bit_count
 
     def draw(count: int) -> np.ndarray:
@@ -283,38 +286,22 @@ def _walk_register(n: int, p: float, index: int, out: np.ndarray, rng: RngState)
         into[:] = np.frombuffer(bytes([index := bit_count(w ^ top[index]) for w in flips.tolist()]), np.uint8)
         return index
 
-    done = 0
-    if out.size >= markov._MIN_SEGMENTS * seg:
-        width = markov._batch_segments(word.itemsize + out.itemsize)
-        # words[k, s]: the flips of step k of segment s
-        words = np.empty((seg, width), dtype=word)
-        top_words = np.array(top, dtype=word)
-        gathered = np.empty(width, dtype=word)
+    def guess(index, batch):
+        flips = np.empty(batch.shape[1], dtype=word)
+        # the parity of the flips before each segment fixes the parity of
+        # its start
+        parity = np.bitwise_count(np.bitwise_xor.reduce(batch, axis=0)) & 1
+        np.bitwise_xor.accumulate(parity, out=parity)
+        starts = np.empty(batch.shape[1], dtype=out.dtype)
+        starts[0] = index
         half = n // 2
+        starts[1:] = half + ((half + index + parity[:-1]) & 1)
 
-        def fill(s, count):
-            words[:, s : s + count] = draw(count * seg).reshape(count, seg).T
+        def advance(k, states, into):
+            top_words.take(states, out=flips, mode="clip")
+            return np.bitwise_count(np.bitwise_xor(batch[k], flips, out=flips), out=into)
 
-        def guess(index, count):
-            batch, flips = words[:, :count], gathered[:count]
-            # the parity of the flips before each segment fixes the parity
-            # of its start
-            parity = np.bitwise_count(np.bitwise_xor.reduce(batch, axis=0)) & 1
-            np.bitwise_xor.accumulate(parity, out=parity)
-            starts = np.empty(count, dtype=out.dtype)
-            starts[0] = index
-            starts[1:] = half + ((half + index + parity[:-1]) & 1)
+        return starts, advance
 
-            def advance(k, states, into):
-                top_words.take(states, out=flips, mode="clip")
-                return np.bitwise_count(np.bitwise_xor(batch[k], flips, out=flips), out=into)
-
-            return starts, advance
-
-        def finish(s, index, into):
-            return walk(words[:, s], index, into)
-
-        done, index = markov._lockstep(out, index, width, draw_steps // seg, fill, guess, finish)
-    for start in range(done, out.size, draw_steps):
-        count = min(draw_steps, out.size - start)
-        index = walk(draw(count), index, out[start : start + count])
+    width = markov._batch_segments(word.itemsize + out.itemsize)
+    markov._lockstep(out, index, width, draw_steps, word, draw, guess, walk)

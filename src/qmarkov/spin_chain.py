@@ -112,8 +112,8 @@ def spin_transition_matrix(spec: SpinChainSpec) -> StochasticMatrix:
     asserted here because a failure means the rotation matrix itself is
     wrong.
     """
-    overlap = _overlap_squared(spec)
-    rows = overlap.T.copy()
+    # O == O.T bit for bit, and StochasticMatrix copies it
+    rows = _overlap_squared(spec)
     col_defect = float(np.abs(rows.sum(axis=0) - 1.0).max())
     row_defect = float(np.abs(rows.sum(axis=1) - 1.0).max())
     if max(col_defect, row_defect) > _DOUBLY_STOCHASTIC_TOL:

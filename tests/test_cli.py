@@ -623,6 +623,19 @@ def test_stationary_on_a_near_stochastic_file_exits_3(capsys, tmp_path):
     assert len(payload["last_iterate"]) == 2
 
 
+def test_stationary_stops_on_a_near_stochastic_file_at_the_default_tol(capsys, tmp_path):
+    # the iterate's mass grows by the rows' 8e-10 excess each step, so the
+    # residual stays near 4e-10, above the default tol of 1e-10; the
+    # iterates scaled to sum 1 meet within it after a few steps
+    near = tmp_path / "near.json"
+    rows = [[0.3 + 4e-10, 0.7 + 4e-10], [0.6 + 4e-10, 0.4 + 4e-10]]
+    near.write_text(json.dumps({"kind": "generic", "labels": ["a", "b"], "rows": rows, "params": {}, "version": 1}))
+    code, payload = run_json(capsys, "stationary", "--kind", "matrix-file", "--file", str(near))
+    assert code == 3
+    assert payload["converged"] is False
+    assert payload["iterations"] < 100
+
+
 def test_reruns_are_byte_identical(capsys, tmp_path):
     cases = [
         ("spin-matrix", "--s", "3/2", "--beta", "1.1"),

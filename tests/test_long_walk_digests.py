@@ -2,16 +2,17 @@
 
 The digests in test_byte_identity run 20001 steps, under the length at
 which a chain of three or more states is walked in lockstep, so they
-never reach markov._lockstep, the one lockstep driver of the chain and
-register walkers, its bisect fallback partway through a walk, or the
-block loops of write_trajectory and transition_counts.  These run
-100001 steps, two blocks of uniforms, walked in lockstep batches of
-whole segments up to a tail walked by bisect: one batch of 390 segments
-at 3 and 9 states, whose lut offsets take one or two bytes, and batches
-of 256 and 134 at 51 states.  The walk that never couples is finished
-one step at a time from inside its batch, through its stored offsets,
-and by bisect after it.  The digests were recorded while each block was
-its own batch, before the bisect walker read its block in place, and,
+never reach a batch of markov._lockstep, the one driver of the lut
+chain and register walks, or the block loops of write_trajectory and
+transition_counts.  These run 100001 steps, two blocks of uniforms,
+walked in lockstep batches of whole segments up to a tail walked one
+step at a time through the lut: one batch of 390 segments at 3 and 9
+states, whose lut offsets take one or two bytes, and batches of 256 and
+134 at 51 states.  The walk that never couples is finished one step at
+a time from inside its batch, through its stored offsets, and through
+the lut after it.  The digests were recorded while each block was its
+own batch, while bisect walked the tails and the rest of a walk that
+never couples, before the bisect walker read its block in place, and,
 for spin-25, while the spin walk read the overlap's rows and columns in
 turn.  A wrapper around markov._couple, which the driver calls on each
 batch, checks that the driver ran, and whether each of its batches

@@ -439,6 +439,18 @@ def _record_lockstep(monkeypatch):
     return coupled
 
 
+def _record_walk_offsets(monkeypatch):
+    """The number of offsets of each _walk_offsets call from now on, in order."""
+    walk_offsets, sizes = markov._walk_offsets, []
+
+    def recording(lut, offsets, state, out):
+        sizes.append(offsets.size)
+        return walk_offsets(lut, offsets, state, out)
+
+    monkeypatch.setattr(markov, "_walk_offsets", recording)
+    return sizes
+
+
 def _recorded_walk(monkeypatch, matrix, start, uniforms):
     """_walk over uniforms with small blocks; returns (states, coupled flag of each lockstep batch, bisect offsets)."""
     monkeypatch.setattr(markov, "_SEGMENT", SEGMENT)
@@ -478,8 +490,9 @@ def test_lockstep_matches_the_bisect_loop(monkeypatch, name, edges):
     for steps, batches in zip(LENGTHS, LOCKSTEP_BATCHES[_key_bytes(matrix)]):
         uniforms = _edge_uniforms(matrix, steps, steps) if edges else RngState(steps).random_block(steps).tolist()
         for start in (0, len(matrix) - 1):
-            states, coupled, _ = _recorded_walk(monkeypatch, matrix, start, uniforms)
+            states, coupled, offsets = _recorded_walk(monkeypatch, matrix, start, uniforms)
             assert states == bisect_loop(matrix, start, uniforms), (steps, start)
+            assert offsets == []  # the lut walk takes the tail too
             if name in SLOW:
                 assert coupled
             else:
@@ -487,27 +500,25 @@ def test_lockstep_matches_the_bisect_loop(monkeypatch, name, edges):
 
 
 @pytest.mark.parametrize("name", list(NON_COUPLING))
-def test_a_walk_that_never_meets_falls_back_to_bisect(monkeypatch, name):
+def test_a_walk_that_never_meets_is_finished_by_the_lut_walk(monkeypatch, name):
     matrix, start = NON_COUPLING[name]
     assert _key_bytes(matrix) == 1  # batches of 3 blocks of whole segments
     steps = 3 * BLOCK + 130 * SEGMENT + 5
     uniforms = RngState(3).random_block(steps).tolist()
-    walk_offsets, resumed = markov._walk_offsets, []
-
-    def recording(lut, state, offsets, out):
-        resumed.append(offsets.size)
-        return walk_offsets(lut, state, offsets, out)
-
-    monkeypatch.setattr(markov, "_walk_offsets", recording)
+    resumed = _record_walk_offsets(monkeypatch)
     states, coupled, offsets = _recorded_walk(monkeypatch, matrix, start, uniforms)
     assert states == bisect_loop(matrix, start, uniforms)
     # the first batch gives up and is finished one segment at a time
-    # through its stored offsets from a segment inside it; bisect walks the
-    # rest of the walk from the batch's end
+    # through its stored offsets from a segment inside it; the lut walk
+    # takes the rest of the walk from the batch's end, a quarter block of
+    # uniforms at a time, and bisect walks none of it
     segments = 3 * BLOCK // SEGMENT
-    assert coupled == [False]
-    assert 0 < len(resumed) < segments and set(resumed) == {SEGMENT}
-    assert offsets == [segments * SEGMENT]
+    draw, rest = BLOCK // 4, steps - segments * SEGMENT
+    tail = [draw] * (rest // draw) + [rest % draw]
+    finished = resumed[: -len(tail)]
+    assert coupled == [False] and offsets == []
+    assert 0 < len(finished) < segments and set(finished) == {SEGMENT}
+    assert resumed[-len(tail) :] == tail
 
 
 def test_a_chain_over_the_lookup_cap_is_walked_by_bisect(monkeypatch):
@@ -518,6 +529,17 @@ def test_a_chain_over_the_lookup_cap_is_walked_by_bisect(monkeypatch):
     states, coupled, offsets = _recorded_walk(monkeypatch, matrix, 0, uniforms)
     assert states == bisect_loop(matrix, 0, uniforms)
     assert coupled == [] and offsets == [0, BLOCK, 2 * BLOCK]
+
+
+def test_bisect_walks_only_walks_under_the_lockstep_length(monkeypatch):
+    # a walk of one step under _MIN_SEGMENTS segments is bisect's alone, and
+    # one of that many segments and a tail is the lut walk's alone
+    short = markov._MIN_SEGMENTS * SEGMENT
+    for steps, bisected in ((short - 1, [0]), (short + SEGMENT - 1, [])):
+        uniforms = RngState(steps).random_block(steps).tolist()
+        states, _, offsets = _recorded_walk(monkeypatch, THREE_STATE, 0, uniforms)
+        assert states == bisect_loop(THREE_STATE, 0, uniforms), steps
+        assert offsets == bisected, steps
 
 
 def _walk_peak(table, start, steps, seed):
@@ -543,7 +565,7 @@ LOCKSTEP_MEMORY = {
 
 def test_lockstep_memory_is_bounded_by_the_block(monkeypatch):
     # no per-step list and no table that grows with the walk: the peak of
-    # a 4-block walk and of an 8-block one, one fill's uniforms with its
+    # a 4-block walk and of an 8-block one, one draw's uniforms with its
     # batch's lookup offsets and segment paths, stay under a fixed multiple
     # of one block of uniforms; 2.08, 1.40 and 1.65 blocks at 51, 9 and 3
     # states
@@ -556,9 +578,10 @@ def test_lockstep_memory_is_bounded_by_the_block(monkeypatch):
         assert abs(peaks[1] - peaks[0]) < 0.1, (name, peaks)
 
 
-# (rows, start, steps, bound in blocks of uniforms) of walks that bisect
-# reads; the fallback's one batch gives up and is finished from its
-# stored lut offsets, whose walk keeps one segment's list at a time
+# (rows, start, steps, bound in blocks of uniforms) of walks read one
+# step at a time: bisect walks the chain over the cap and the short walk;
+# the fallback's one batch gives up and is finished from its stored lut
+# offsets, one segment's list at a time, and the lut walk takes the rest
 BISECT_WALKS = {
     "over-the-cap": (_random_rows(110, 3), 0, 4 * markov._BLOCK, 2.5),
     "fallback": (*NON_COUPLING["spin1-pi"], 4 * markov._BLOCK, 3.5),
@@ -604,6 +627,8 @@ def test_batch_width_changes_no_chain_walk(monkeypatch, name):
     matrix, blocks = BATCH_CHAINS[name]
     table = _cumulative(matrix)
     batch = blocks * markov._BLOCK
+    bisect = markov._bisect_block
+    monkeypatch.setattr(markov, "_bisect_block", None)  # the lut walk takes every step
     for steps in _batch_edges(batch):
         uniforms = RngState(steps).random_block(steps)
         walks = []
@@ -620,7 +645,7 @@ def test_batch_width_changes_no_chain_walk(monkeypatch, name):
             # the states are the bisect walker's, so no lut offset wrapped
             assert (wide_batches, narrow_batches) == (2, 2 * blocks)
             reference = np.empty(steps, dtype=np.uint8)
-            markov._bisect_block(table, 1, uniforms, reference)
+            bisect(table, 1, uniforms, reference)
             assert np.array_equal(wide, reference)
 
 
@@ -663,17 +688,22 @@ def _give_up_on_the_second_batch(monkeypatch):
 
 def test_a_batch_that_gives_up_is_finished_from_what_it_stores(monkeypatch):
     # the second 4-block batch of a 3-state walk is finished one step at a
-    # time through its stored lut offsets, and the rest by bisect
+    # time through its stored lut offsets from segment 3 on, and the rest
+    # through the lut offsets of a quarter block of uniforms at a time
     table = _cumulative(THREE_STATE)
     steps = 9 * markov._BLOCK + 1001
     uniforms = RngState(12).random_block(steps)
     reference = np.empty(steps, dtype=np.uint8)
     markov._bisect_block(table, 2, uniforms, reference)
     calls = _give_up_on_the_second_batch(monkeypatch)
+    resumed = _record_walk_offsets(monkeypatch)
+    monkeypatch.setattr(markov, "_bisect_block", None)
     out = np.empty(steps, dtype=np.uint8)
     _walk(table, 2, out, StubRng(uniforms))
     assert calls == [True, True]
     assert np.array_equal(out, reference)
+    segments, draw = 4 * markov._BLOCK // markov._SEGMENT, markov._BLOCK // 4
+    assert resumed == [markov._SEGMENT] * (segments - 3) + [draw] * 4 + [1001]
     assert out.tolist()[:20001] == bisect_loop(THREE_STATE, 2, uniforms[:20001].tolist())
     # an 8-qubit register goes one step at a time from its stored flip
     # words, then one draw at a time; with _MIN_SEGMENTS past every batch

@@ -99,8 +99,9 @@ def test_doubly_stochastic(twice):
 
 
 def test_a_matrix_that_is_not_doubly_stochastic_is_an_internal_error(monkeypatch):
-    # rows [[0.5, 0.5], [0.2, 0.8]] pass as a chain, but columns sum to 0.7 and 1.3
-    monkeypatch.setattr(spin_chain, "_overlap_squared", lambda spec: np.array([[0.5, 0.2], [0.5, 0.8]]))
+    # rows [[0.5, 0.5], [0.2, 0.8]] pass as a chain, but columns sum to 0.7
+    # and 1.3; the builder takes the overlap as its rows, as O == O.T
+    monkeypatch.setattr(spin_chain, "_overlap_squared", lambda spec: np.array([[0.5, 0.5], [0.2, 0.8]]))
     with pytest.raises(InternalConsistencyError, match="column defect 3.000e-01"):
         spin_transition_matrix(SpinChainSpec(s=HalfInt(1), beta=1.0))
 
