@@ -51,11 +51,13 @@ def _state_dtype(dim: int) -> np.dtype:
 def _batch_segments(step_bytes: int) -> int:
     """Segments in one lockstep batch whose per-step arrays take step_bytes a segment-step.
 
-    A batch holds as many segments as fit 8 * _BLOCK bytes, the size of
-    one block of uniforms, and never fewer than _BLOCK // _SEGMENT: each
-    numpy step of _couple then walks more segments for the same cost.
+    The batch rule: whole blocks of _BLOCK // _SEGMENT segments, as many
+    as fit their arrays in 8 * _BLOCK bytes, the size of one block of
+    uniforms, and never fewer than one: 4 blocks at 2 bytes a step, 2 at
+    3 or 4 bytes and 1 from 5.  Each numpy step of _couple then walks
+    more segments for the same cost.
     """
-    return max(_BLOCK // _SEGMENT, 8 * _BLOCK // (_SEGMENT * step_bytes))
+    return max(1, 8 // step_bytes) * (_BLOCK // _SEGMENT)
 
 
 def _labels(labels) -> tuple:
@@ -204,21 +206,17 @@ def _walk(table: list, state: int, out: np.ndarray, rng: RngState) -> None:
     equal cells over [0, 1): a cell holding no breakpoint has one
     bucket, and only uniforms in the other cells are searched for.  Each
     uniform's lut offset is stored in the narrowest unsigned dtype of
-    the lut's size, and _lockstep walks the whole walk from those
-    offsets: in batches of as many whole blocks as _batch_segments
-    allows for the offsets and the path (4 blocks at 3 states, 2 at 9
-    and 1 at 51), with one gather per step, and one step at a time
-    through the offsets of a quarter block of uniforms after them.
-    Walks shorter than _MIN_SEGMENTS segments, and chains whose lut
-    would pass _LUT_CAP entries (about 101 states), are walked by
-    bisect, so memory stays bounded for any chain.
+    the lut's size, and _walk_chain walks the whole walk from those
+    offsets through _lockstep.  Walks shorter than _MIN_SEGMENTS
+    segments are walked by bisect, since they would not repay building
+    the lut, and so are chains whose lut would pass _LUT_CAP entries
+    (about 101 states), so memory stays bounded for any chain.
     """
     dim = len(table)
-    if dim > 2 and out.size >= _MIN_SEGMENTS * _SEGMENT:
-        lookup = _lookup_table(table)
-        if lookup is not None:
-            _lockstep(out, state, *_chain_parts(lookup, dim, rng))
-            return
+    lookup = dim > 2 and out.size >= _MIN_SEGMENTS * _SEGMENT and _lookup_table(table)
+    if lookup:
+        _walk_chain(lookup, dim, state, out, rng)
+        return
     walker = _scan_block if dim == 2 else _bisect_block
     for start in range(0, out.size, _BLOCK):
         block = rng.random_block(min(_BLOCK, out.size - start))
@@ -288,16 +286,18 @@ def _lut_offsets(breaks: np.ndarray, guide: np.ndarray, dim: int, uniforms: np.n
     return offsets
 
 
-def _chain_parts(lookup: tuple, dim: int, rng: RngState) -> tuple:
-    """_lockstep's width, draw_steps, dtype, draw, guess and walk for a chain of dim states and the lookup table `lookup`.
+def _walk_chain(lookup: tuple, dim: int, state: int, out: np.ndarray, rng: RngState) -> None:
+    """Write the states of a chain of dim states after steps 1..out.size from state into out, through _lockstep.
 
-    Step k of segment s of a batch leaves through lut at batch[k, s],
-    its lut offset; every segment but the first is guessed to start at
-    state 0.  A draw is a quarter block of uniforms: draws of half or a
-    whole block, with their cells, walked slower.
+    lookup is the chain's (breaks, guide, lut).  A step takes one
+    uniform, and its value is the uniform's lut offset, so the driver's
+    rules give batches of 4 blocks of segments at 3 states (1-byte
+    offsets), 2 at 9 (2 bytes) and 1 at 51 (4 bytes), and draws of a
+    quarter block of steps.  Step k of segment s of a batch leaves
+    through lut at batch[k, s]; every segment but the first is guessed
+    to start at state 0.
     """
     breaks, guide, lut = lookup
-    blocks = max(1, _batch_segments(guide.itemsize + lut.itemsize) * _SEGMENT // _BLOCK)
 
     def draw(count):
         return _lut_offsets(breaks, guide, dim, rng.random_block(count))
@@ -317,7 +317,7 @@ def _chain_parts(lookup: tuple, dim: int, rng: RngState) -> tuple:
     def walk(offsets, state, into):
         return _walk_offsets(lut, offsets, state, into)
 
-    return blocks * _BLOCK // _SEGMENT, max(1, _BLOCK // 4), guide.dtype, draw, guess, walk
+    _lockstep(out, state, 1, guide.dtype, draw, guess, walk)
 
 
 def _couple(advance, path: np.ndarray, starts: np.ndarray) -> tuple:
@@ -358,34 +358,42 @@ def _couple(advance, path: np.ndarray, starts: np.ndarray) -> tuple:
     return (int(wrong[0]) if wrong.size else count), coupled
 
 
-def _lockstep(out: np.ndarray, state: int, width: int, draw_steps: int, dtype, draw, guess, walk) -> None:
-    """Walk all of out from state, in lockstep batches of up to width segments and then one step at a time.
+def _lockstep(out: np.ndarray, state: int, per_step: int, dtype: np.dtype, draw, guess, walk) -> None:
+    """Walk all of out from state, in lockstep batches and then one step at a time.
 
     The one walk loop of the lut chain and register walkers, which
     supply the parts:
-    - draw(count) returns the per-step values of the next count steps,
-      in dtype, for count up to draw_steps;
+    - per_step, the uniforms one step takes, and dtype, that of the
+      value each step is walked by;
+    - draw(count) returns the values of the next count steps;
     - guess(state, batch) returns the starts of the segments of batch,
       whose column s holds the values of segment s, the first at state
       and the rest guessed, and the advance that _couple walks them by;
     - walk(values, state, into) walks the values one step at a time
       from state into `into` and returns the last state.
-    A batch is cut into segments of _SEGMENT steps, drawn in chunks of
-    draw_steps // _SEGMENT segments and stored transposed, and walked by
+    The driver sizes both its batches and its draws, each by one rule.
+    A batch holds _batch_segments(step_bytes) segments of _SEGMENT
+    steps, where a step stores its value and its state in out's dtype.
+    A draw is a quarter block of uniforms, _BLOCK // 4 // per_step
+    steps, cut to whole segments when it holds at least one: draws of
+    half or a whole block, with their cells, walked chains slower.
+    A batch is drawn a draw at a time, stored transposed, and walked by
     _couple, whose coupled prefix is copied into out.  A batch that
     _couple gives up on is finished by walk from the first segment not
     yet resolved, from the values it stores, since its uniforms are
     gone.  Batches stop before one of fewer than _MIN_SEGMENTS segments
-    and after one that gave up; walk takes the rest of out, draw_steps
-    at a time.  The batch arrays are allocated only once a batch is
-    walked.
+    and after one that gave up; walk takes the rest of out, a draw at a
+    time.  The batch arrays are allocated only once a batch is walked.
     """
     seg = _SEGMENT
+    width = _batch_segments(dtype.itemsize + out.itemsize)
+    draw_steps = max(1, _BLOCK // 4 // per_step)
+    chunk = draw_steps // seg
+    draw_steps = chunk * seg or draw_steps
     done, coupled = 0, True
     if min(width, out.size // seg) >= _MIN_SEGMENTS:
         values = np.empty((seg, width), dtype=dtype)
         path = np.empty((seg, width), dtype=out.dtype)
-        chunk = draw_steps // seg
         while coupled and (count := min(width, (out.size - done) // seg)) >= _MIN_SEGMENTS:
             batch = values[:, :count]
             for s in range(0, count, chunk):
@@ -476,17 +484,29 @@ def stationary(P: StochasticMatrix, tol: float = 1e-10, max_iters: int = 100_000
     the unscaled one.  ConvergenceError is raised when max_iters pass
     without either, and when the iterate that stops fails the
     probability check.
+
+    For iterates of masses a and b, the unscaled residual is at most a
+    times the scaled one plus |a - b| / 2, so the scaled iterates are
+    formed only when the unscaled residual is within a * tol + |a - b| /
+    2, widened by a margin for rounding that grows with dim and the
+    masses; each iteration sums one iterate, whose mass is the next a.
     """
     _check_tol(tol)
     check_int("max_iters", max_iters, 1)
     dim = P.dim
     ramp = np.arange(dim, 0, -1, dtype=float)
     curr = (ramp / ramp.sum()) @ P.rows
+    mass = float(curr.sum())
+    # more than the rounding of the sums, the scaling and the differences
+    margin = 8 * dim * np.finfo(float).eps
     residual = np.inf
     for iteration in range(1, max_iters + 1):
         nxt = curr @ P.rows
+        next_mass = float(nxt.sum())
         residual = 0.5 * float(np.abs(nxt - curr).sum())
-        if residual <= tol or 0.5 * float(np.abs(nxt / nxt.sum() - curr / curr.sum()).sum()) <= tol:
+        # the scaled iterates can be within tol only where this holds
+        near = 2 * residual <= 2 * mass * tol + abs(mass - next_mass) + margin * (mass + next_mass)
+        if residual <= tol or (near and 0.5 * float(np.abs(nxt / next_mass - curr / mass).sum()) <= tol):
             try:
                 distribution = Distribution(P.labels, curr)
             except InvalidDistributionError as exc:
@@ -497,7 +517,7 @@ def stationary(P: StochasticMatrix, tol: float = 1e-10, max_iters: int = 100_000
                     iterations=iteration,
                 ) from None
             return StationaryResult(distribution=distribution, iterations=iteration, residual=residual)
-        curr = nxt
+        curr, mass = nxt, next_mass
     raise ConvergenceError(
         f"no stationary distribution within {max_iters} iterations "
         f"(residual {residual:.3e}); the chain may be periodic",

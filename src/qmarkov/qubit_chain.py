@@ -233,20 +233,20 @@ def simulate_register(
     integer, and markov._lockstep, the driver of the lut chain walks
     too, walks the whole walk from three parts: a draw of flip words, a
     guess of a batch's starts, and a walk of words one step at a time.
-    Batches of segments of markov._SEGMENT steps, as many as
-    markov._batch_segments allows for the words and the path (1024 at N
-    <= 8, 682 at N <= 16, 409 at N <= 32 and 256 at N <= 64), are walked
-    side by side by markov._couple, one gather of top and one popcount
-    per segment-step.  Walks of different parity never meet, since i' =
-    i + popcount(w) (mod 2); so each segment is guessed to start at the
+    A step takes N uniforms, and the driver sizes its batches and draws
+    from that and the word: batches of 4 blocks of segments at N <= 8,
+    2 at N <= 16 and 1 at N <= 64, and draws of about a quarter block
+    of uniforms.  A batch's segments are walked side by side by
+    markov._couple, one gather of top and one popcount per
+    segment-step.  Walks of different parity never meet, since i' = i +
+    popcount(w) (mod 2); so each segment is guessed to start at the
     index nearest N/2 with the parity that the flips before it give, and
     at N = 1 every guess is right.  The walk goes one step at a time, in
     Python: through the stored flip words of a batch that fails to
     couple (beta = 0 keeps every index, and beta = pi maps i to N - i,
     so no guessed start ever meets the true one), and one draw of flips
-    at a time in walks of fewer than markov._MIN_SEGMENTS segments, in
-    the tail after the last whole segment, and in the rest of a walk
-    after a batch that failed.
+    at a time in walks too short for a batch, in the tail after the
+    last batch, and in the rest of a walk after a batch that failed.
     """
     n = _check_formula_range(spec)
     check_int("steps", steps, 0)
@@ -263,22 +263,17 @@ def simulate_register(
 
 def _walk_register(n: int, p: float, index: int, out: np.ndarray, rng: RngState) -> None:
     """Write the label indices after steps 1..out.size of an n-qubit walk from index into out."""
-    seg = markov._SEGMENT
     # a step's flips are padded with zeros to one word of 1, 2, 4 or 8 bytes
     word = np.dtype(f"<u{1 << (-(-n // 8) - 1).bit_length()}")
-    # a draw is about _BLOCK // 4 uniforms, in whole segments
-    draw_steps = max(1, markov._BLOCK // 4 // n)
-    if draw_steps >= seg:
-        draw_steps -= draw_steps % seg
-    bits = np.zeros((min(draw_steps, out.size), 8 * word.itemsize), dtype=bool)
     top = [((1 << i) - 1) << (n - i) for i in range(n + 1)]
     top_words = np.array(top, dtype=word)
     bit_count = int.bit_count
 
     def draw(count: int) -> np.ndarray:
         """The flip words of the next count steps."""
-        np.less(rng.random_block(count * n).reshape(count, n), p, out=bits[:count, :n])
-        return np.packbits(bits[:count], bitorder="little").view(word)
+        bits = np.zeros((count, 8 * word.itemsize), dtype=bool)
+        np.less(rng.random_block(count * n).reshape(count, n), p, out=bits[:, :n])
+        return np.packbits(bits, bitorder="little").view(word)
 
     def walk(flips: np.ndarray, index: int, into: np.ndarray) -> int:
         """Walk the flip words from index one step at a time into `into`; returns the last index."""
@@ -303,5 +298,4 @@ def _walk_register(n: int, p: float, index: int, out: np.ndarray, rng: RngState)
 
         return starts, advance
 
-    width = markov._batch_segments(word.itemsize + out.itemsize)
-    markov._lockstep(out, index, width, draw_steps, word, draw, guess, walk)
+    markov._lockstep(out, index, n, word, draw, guess, walk)

@@ -189,6 +189,61 @@ def test_stationary_reports_a_converged_iterate_that_is_not_a_distribution():
     assert abs(err.last_iterate.sum() - 1.0) > markov.SUM_TOL
 
 
+def _stationary_scaling_every_iterate(P, tol, max_iters):
+    """(iterations, residual, stopped) of stationary's loop with the scaled iterates formed on every iteration."""
+    ramp = np.arange(P.dim, 0, -1, dtype=float)
+    curr = (ramp / ramp.sum()) @ P.rows
+    for iteration in range(1, max_iters + 1):
+        nxt = curr @ P.rows
+        residual = 0.5 * float(np.abs(nxt - curr).sum())
+        if residual <= tol or 0.5 * float(np.abs(nxt / nxt.sum() - curr / curr.sum()).sum()) <= tol:
+            return iteration, residual, True
+        curr = nxt
+    return max_iters, residual, False
+
+
+def _stationary_stop(P, tol, max_iters):
+    """(iterations, residual, stopped) of stationary; an iterate that stops but is no distribution counts as stopped."""
+    try:
+        result = stationary(P, tol=tol, max_iters=max_iters)
+    except ConvergenceError as exc:
+        return exc.iterations, exc.residual, "not a distribution" in str(exc)
+    return result.iterations, result.residual, True
+
+
+def _stationary_chains():
+    """Random stochastic rows, rows whose sums each miss 1 inside SUM_TOL, and rows whose iterates are proportional."""
+    rng = np.random.default_rng(17)
+    chains = [_spin_rows(50, 0.34), _spin_rows(2, 0.3)]
+    for dim in (2, 3, 9, 51):
+        rows = rng.random((dim, dim)) + 0.01
+        rows /= rows.sum(axis=1, keepdims=True)
+        chains.append(rows)
+        for excess in (8e-10, -6e-10, 2.0**-31):
+            # every row's sum misses 1 by the same excess, so the mass
+            # drifts by it every step
+            chains.append(rows * (1.0 + excess))
+            # every iterate is the last one times 1 + excess: the scaled
+            # iterates are equal, up to rounding, from the first step on
+            chains.append(np.eye(dim) * (1.0 + excess))
+            chains.append(np.tile(rows[0], (dim, 1)) * (1.0 + excess))
+    return [StochasticMatrix(tuple(range(len(rows))), rows) for rows in chains]
+
+
+def test_stationary_forms_the_scaled_iterates_only_where_they_could_stop_it():
+    # the scaled iterates are formed only when the unscaled residual lets
+    # them pass; every walk stops at the iteration, and with the residual,
+    # of the loop that forms them on every iteration, down to tol = 1e-300
+    scaled_stops = 0
+    for P in _stationary_chains():
+        for tol in (1e-1, 1e-6, 1e-10, 1e-13, 1e-15, 1e-16, 1e-300):
+            expected = _stationary_scaling_every_iterate(P, tol, 400)
+            assert _stationary_stop(P, tol, 400) == expected, (P.rows[0], tol)
+            scaled_stops += expected[2] and expected[1] > tol
+    # many walks stop on the scaled iterates alone
+    assert scaled_stops > 20
+
+
 def test_constructors_leave_the_callers_array_writable():
     probs = np.array([0.5, 0.5])
     rows = np.array([[0.5, 0.5], [0.5, 0.5]])
@@ -472,9 +527,10 @@ def _recorded_walk(monkeypatch, matrix, start, uniforms):
 # walks of 451 and 448 whole segments and a tail
 LENGTHS = (2 * BLOCK + 130 * SEGMENT + 5, 2 * BLOCK + 127 * SEGMENT + 3)
 # lockstep batches of the walks of LENGTHS, by the bytes of a lut offset:
-# 3 blocks of whole segments a batch at 1 byte (3 states, 481 segments),
-# 2 at 2 (9, 320) and 1 at 4 (51, 160); there the last batches are 131
-# and 128 segments, the shortest batch lockstep walks (_MIN_SEGMENTS)
+# batches of 4 blocks of 160 segments at 1 byte (3 states, 640 segments,
+# more than either walk), 2 at 2 (9, 320) and 1 at 4 (51, 160); there
+# the last batches are 131 and 128 segments, the shortest batch
+# lockstep walks (_MIN_SEGMENTS)
 LOCKSTEP_BATCHES = {1: (1, 1), 2: (2, 2), 4: (3, 3)}
 
 
@@ -502,8 +558,9 @@ def test_lockstep_matches_the_bisect_loop(monkeypatch, name, edges):
 @pytest.mark.parametrize("name", list(NON_COUPLING))
 def test_a_walk_that_never_meets_is_finished_by_the_lut_walk(monkeypatch, name):
     matrix, start = NON_COUPLING[name]
-    assert _key_bytes(matrix) == 1  # batches of 3 blocks of whole segments
-    steps = 3 * BLOCK + 130 * SEGMENT + 5
+    assert _key_bytes(matrix) == 1  # batches of 4 blocks of 160 segments
+    segments = 4 * (BLOCK // SEGMENT)
+    steps = segments * SEGMENT + 130 * SEGMENT + 5
     uniforms = RngState(3).random_block(steps).tolist()
     resumed = _record_walk_offsets(monkeypatch)
     states, coupled, offsets = _recorded_walk(monkeypatch, matrix, start, uniforms)
@@ -511,9 +568,8 @@ def test_a_walk_that_never_meets_is_finished_by_the_lut_walk(monkeypatch, name):
     # the first batch gives up and is finished one segment at a time
     # through its stored offsets from a segment inside it; the lut walk
     # takes the rest of the walk from the batch's end, a quarter block of
-    # uniforms at a time, and bisect walks none of it
-    segments = 3 * BLOCK // SEGMENT
-    draw, rest = BLOCK // 4, steps - segments * SEGMENT
+    # uniforms at a time, cut to whole segments, and bisect walks none of it
+    draw, rest = BLOCK // 4 // SEGMENT * SEGMENT, steps - segments * SEGMENT
     tail = [draw] * (rest // draw) + [rest % draw]
     finished = resumed[: -len(tail)]
     assert coupled == [False] and offsets == []
@@ -649,9 +705,9 @@ def test_batch_width_changes_no_chain_walk(monkeypatch, name):
             assert np.array_equal(wide, reference)
 
 
-# n: segments in one register batch, 1024 at n <= 8, 682 at n <= 16, 409
-# at n <= 32 and 256 at n <= 64
-REGISTER_BATCHES = {1: 1024, 8: 1024, 9: 682, 16: 682, 17: 409, 33: 256, 64: 256}
+# n: segments in one register batch, 4 blocks of 256 at n <= 8, 2 at n
+# <= 16 and 1 at n <= 64
+REGISTER_BATCHES = {1: 1024, 8: 1024, 9: 512, 16: 512, 17: 256, 33: 256, 64: 256}
 
 
 @pytest.mark.parametrize("n", list(REGISTER_BATCHES))
@@ -668,6 +724,62 @@ def test_batch_width_changes_no_register_walk(monkeypatch, n):
         assert np.array_equal(wide, narrow), steps
         if steps == 2 * batch + 5:
             assert (wide_batches, narrow_batches) == (2, 2 * batch // markov._BLOCK)
+
+
+def _record_lockstep_sizes(monkeypatch):
+    """(batch width in segments, largest draw in steps) of each _lockstep call from now on, in order."""
+    lockstep, sizes = markov._lockstep, []
+
+    def recording(out, state, per_step, dtype, draw, guess, walk):
+        widths, draws = [0], [0]
+
+        def recording_draw(count):
+            draws.append(count)
+            return draw(count)
+
+        def recording_guess(state, batch):
+            widths.append(batch.shape[1])
+            return guess(state, batch)
+
+        lockstep(out, state, per_step, dtype, recording_draw, recording_guess, walk)
+        sizes.append((max(widths), max(draws)))
+
+    monkeypatch.setattr(markov, "_lockstep", recording)
+    return sizes
+
+
+# (batch width in segments, draw in steps) that the driver gives each
+# walker: chains at 3, 9 and 51 states and registers at n = 1, 8 and 64
+# as they had before the driver sized them; registers of 9 to 32 qubits
+# take whole blocks of 256 segments, and every draw is a quarter block
+# of uniforms in whole segments
+LOCKSTEP_SIZES = {
+    "chain-3": (1024, 16384),
+    "chain-9": (512, 16384),
+    "chain-51": (256, 16384),
+    "register-1": (1024, 16384),
+    "register-8": (1024, 2048),
+    "register-9": (512, 1792),
+    "register-16": (512, 1024),
+    "register-17": (256, 768),
+    "register-32": (256, 512),
+    "register-64": (256, 256),
+}
+
+
+@pytest.mark.parametrize("name", list(LOCKSTEP_SIZES))
+def test_the_driver_sizes_every_walk(monkeypatch, name):
+    kind, size = name.split("-")
+    width, draw = LOCKSTEP_SIZES[name]
+    # one whole batch, then a whole draw and a tail
+    steps = width * markov._SEGMENT + draw + 5
+    sizes = _record_lockstep_sizes(monkeypatch)
+    if kind == "chain":
+        _walk(_cumulative(_random_rows(int(size), 1)), 0, np.empty(steps, dtype=np.uint8), RngState(1))
+    else:
+        spec = QubitChainSpec(n_qubits=int(size), beta=1.0)
+        simulate_register(spec, spec.labels[0], steps, RngState(1))
+    assert sizes == [(width, draw)]
 
 
 def _give_up_on_the_second_batch(monkeypatch):

@@ -367,9 +367,9 @@ def test_register_memory_is_bounded_by_the_block(monkeypatch, n):
 
 
 # lockstep batches of walks of 4 and 8 blocks of steps, 1024 and 2048
-# segments, in batches of 1024 segments at n <= 8, 682 at 16, 409 at 17
-# and 256 at 64; a last batch of under 128 segments goes step by step
-LOCKSTEP_BATCHES = {1: 3, 8: 3, 16: 5, 17: 8, 64: 12}
+# segments, in batches of 1024 segments at n <= 8, 512 at 16 and 256 at
+# 17 and 64
+LOCKSTEP_BATCHES = {1: 3, 8: 3, 16: 6, 17: 12, 64: 12}
 
 
 @pytest.mark.parametrize("n", list(LOCKSTEP_BATCHES))
@@ -377,7 +377,7 @@ def test_lockstep_register_memory_is_bounded_by_the_block(monkeypatch, n):
     # walks of 4 and 8 blocks of _BLOCK steps: the batch of flip words
     # and its segment paths, one draw of uniforms and its flips stay
     # under the same bound, however many batches the walk crosses; 1.51,
-    # 1.29, 1.30, 1.28 and 1.44 blocks at n = 1, 8, 16, 17 and 64
+    # 1.29, 1.04, 0.90 and 1.44 blocks at n = 1, 8, 16, 17 and 64
     coupled = _record_lockstep(monkeypatch)
     peaks = [_walk_peak(n, blocks * markov._BLOCK) for blocks in (4, 8)]
     assert coupled == [True] * LOCKSTEP_BATCHES[n]
