@@ -377,8 +377,9 @@ def _lockstep(out: np.ndarray, state: int, per_step: int, dtype: np.dtype, draw,
     A draw is a quarter block of uniforms, _BLOCK // 4 // per_step
     steps, cut to whole segments when it holds at least one: draws of
     half or a whole block, with their cells, walked chains slower.
-    A batch is drawn a draw at a time, stored transposed, and walked by
-    _couple, whose coupled prefix is copied into out.  A batch that
+    A batch is drawn a draw at a time, and never less than a segment
+    at a time, stored transposed, and walked by _couple, whose coupled
+    prefix is copied into out.  A batch that
     _couple gives up on is finished by walk from the first segment not
     yet resolved, from the values it stores, since its uniforms are
     gone.  Batches stop before one of fewer than _MIN_SEGMENTS segments
@@ -388,8 +389,8 @@ def _lockstep(out: np.ndarray, state: int, per_step: int, dtype: np.dtype, draw,
     seg = _SEGMENT
     width = _batch_segments(dtype.itemsize + out.itemsize)
     draw_steps = max(1, _BLOCK // 4 // per_step)
-    chunk = draw_steps // seg
-    draw_steps = chunk * seg or draw_steps
+    chunk = max(1, draw_steps // seg)
+    draw_steps = draw_steps // seg * seg or draw_steps
     done, coupled = 0, True
     if min(width, out.size // seg) >= _MIN_SEGMENTS:
         values = np.empty((seg, width), dtype=dtype)

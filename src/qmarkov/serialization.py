@@ -3,7 +3,8 @@
 JSON is the canonical machine format and round-trips at full double
 precision; CSV and a plain-text table exist for spreadsheets and eyes.
 All formats are deterministic: the same object always renders to the
-same bytes, so outputs can be compared byte for byte.
+same bytes, so outputs can be compared byte for byte.  The matrix
+writers render each distinct entry once (see _cell_texts).
 
 A trajectory file is one JSON header line followed by one outcome label
 per line, so no label may hold a line break, and labels are read back
@@ -44,19 +45,33 @@ def _label_lines(labels, error=InvalidArgumentError) -> list:
     return strings
 
 
+def _cell_texts(rows: np.ndarray, fmt) -> list:
+    """fmt of each entry of rows, as nested row lists, with fmt run once per distinct entry.
+
+    Entries are keyed by their 64 bits, not their values, so 0.0 and
+    -0.0 keep their own texts and the lists equal fmt of every entry in
+    turn.  fmt is given each entry as a Python float.  A spin matrix,
+    symmetric bit for bit, has about half its entries distinct.
+    """
+    bits, where = np.unique(rows.view(np.uint64), return_inverse=True)
+    texts = np.array([fmt(x) for x in bits.view(np.float64).tolist()], dtype=object)
+    # numpy releases differ in the shape of the inverse
+    return texts.take(where.reshape(rows.shape)).tolist()
+
+
 def matrix_to_json(m: StochasticMatrix, kind: str = "generic", params: dict | None = None) -> str:
     """Render a matrix as one JSON object with full float precision.
 
-    Labels that matrix_from_json would refuse are refused here first.
+    The bytes equal json.dumps of the whole payload: the rows are joined
+    from the float reprs of _cell_texts and spliced between json.dumps
+    of the fields before them and of the fields after them, so key
+    order, separators and label escaping are json.dumps's own.  Labels
+    that matrix_from_json would refuse are refused here first.
     """
-    payload = {
-        "kind": kind,
-        "labels": _label_lines(m.labels),
-        "rows": m.rows.tolist(),
-        "params": dict(params or {}),
-        "version": FORMAT_VERSION,
-    }
-    return json.dumps(payload) + "\n"
+    head = json.dumps({"kind": kind, "labels": _label_lines(m.labels)})
+    tail = json.dumps({"params": dict(params or {}), "version": FORMAT_VERSION})
+    rows = ", ".join("[" + ", ".join(row) + "]" for row in _cell_texts(m.rows, repr))
+    return f'{head[:-1]}, "rows": [{rows}], {tail[1:]}\n'
 
 
 def matrix_from_json(text: str) -> StochasticMatrix:
@@ -115,26 +130,27 @@ def matrix_to_csv(m: StochasticMatrix) -> str:
     A label that is empty or holds a comma or a quote is quoted as RFC
     4180 says, so csv.reader reads back one column per label.  A label
     with a line break, or two labels that render alike, are refused.
-    Entries are float reprs, which never need quoting.
+    Entries are float reprs from _cell_texts, which never need quoting.
     """
     lines = [",".join(_csv_field(label) for label in _label_lines(m.labels))]
-    for row in m.rows.tolist():
-        lines.append(",".join(map(repr, row)))
+    lines += [",".join(row) for row in _cell_texts(m.rows, repr)]
     return "\n".join(lines) + "\n"
 
 
 def matrix_to_table(m: StochasticMatrix) -> str:
     """Aligned human-readable table; not meant to be parsed back.
 
-    Labels are refused as matrix_to_csv refuses them.
+    Entries are fixed-point texts from _cell_texts, right-aligned to
+    the longest label's width and at least 9.  Labels are refused as
+    matrix_to_csv refuses them.
     """
     labels = _label_lines(m.labels)
     width = max(max(len(x) for x in labels), 9)
     header = " " * (width + 2) + "  ".join(f"{x:>{width}}" for x in labels)
     lines = [header]
-    for label, row in zip(labels, m.rows.tolist()):
-        cells = "  ".join(f"{x:>{width}.6f}" for x in row)
-        lines.append(f"{label:>{width}}  {cells}")
+    cells = _cell_texts(m.rows, lambda x: format(x, f">{width}.6f"))
+    for label, row in zip(labels, cells):
+        lines.append(f"{label:>{width}}  {'  '.join(row)}")
     return "\n".join(lines) + "\n"
 
 

@@ -12,7 +12,8 @@ output bit for bit.  The library's closed-form sums and flip-count
 enumeration are whole-array passes; their scalar forms live here, one
 cell and one term at a time with exact integer binomials.
 The trajectory parser splits the whole file into lines and looks each
-label up on its own.  Slow is fine; different is the point.
+label up on its own, and the matrix writers render every entry on its
+own.  Slow is fine; different is the point.
 """
 
 import itertools
@@ -257,3 +258,32 @@ def oracle_trajectory_from_text(text: str) -> tuple[Trajectory, dict]:
         states[offset] = i
     trajectory = Trajectory(labels=labels, states=states, seed=seed)
     return trajectory, header
+
+
+def oracle_matrix_json(m, kind: str = "generic", params: dict | None = None) -> str:
+    """json.dumps of the whole payload, with the rows as nested lists of floats."""
+    payload = {
+        "kind": kind,
+        "labels": [str(label) for label in m.labels],
+        "rows": m.rows.tolist(),
+        "params": dict(params or {}),
+        "version": FORMAT_VERSION,
+    }
+    return json.dumps(payload) + "\n"
+
+
+def oracle_matrix_csv(m) -> str:
+    """The quoted label header, then the repr of every entry, a row to a line."""
+    quoted = ['"' + x.replace('"', '""') + '"' if x == "" or "," in x or '"' in x else x for x in map(str, m.labels)]
+    lines = [",".join(quoted)] + [",".join(map(repr, row)) for row in m.rows.tolist()]
+    return "\n".join(lines) + "\n"
+
+
+def oracle_matrix_table(m) -> str:
+    """The label header, then each row's label and every entry to 6 places, right-aligned."""
+    labels = [str(label) for label in m.labels]
+    width = max(max(len(x) for x in labels), 9)
+    lines = [" " * (width + 2) + "  ".join(f"{x:>{width}}" for x in labels)]
+    for label, row in zip(labels, m.rows.tolist()):
+        lines.append(f"{label:>{width}}  " + "  ".join(f"{x:>{width}.6f}" for x in row))
+    return "\n".join(lines) + "\n"

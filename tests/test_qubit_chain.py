@@ -36,7 +36,7 @@ from oracles import (
     scalar_brute_force_q,
     scalar_q_formula,
 )
-from test_markov import _record_lockstep
+from test_markov import BLOCK, SEGMENT, _record_lockstep
 
 # q_{j'j} for N=3, beta=0.7, rows j = 3/2..-3/2, frozen from the
 # bitmask-enumeration oracle
@@ -331,6 +331,20 @@ def test_simulate_register_matches_a_per_qubit_reference(n):
                 t = simulate_register(spec, HalfInt(2 * ups - n), steps, RngState(n))
                 expected = _reference_register(n, p, ups, steps, RngState(n))
                 assert t.states.tolist() == expected, (beta, steps, ups)
+
+
+def test_a_register_draw_of_less_than_a_segment_is_drawn_a_segment_at_a_time(monkeypatch):
+    # at these sizes a quarter block of uniforms is 10 steps of 64 qubits,
+    # under one 16-step segment, so a lockstep batch is filled a segment
+    # at a time
+    monkeypatch.setattr(markov, "_SEGMENT", SEGMENT)
+    monkeypatch.setattr(markov, "_BLOCK", BLOCK)
+    assert markov._BLOCK // 4 // 64 < markov._SEGMENT
+    coupled = _record_lockstep(monkeypatch)
+    spec = QubitChainSpec(n_qubits=64, beta=1.3)
+    t = simulate_register(spec, HalfInt(64), 4000, RngState(64))
+    assert coupled
+    assert t.states.tolist() == _reference_register(64, flip_probability(1.3), 64, 4000, RngState(64))
 
 
 def _walk_peak(n, steps):

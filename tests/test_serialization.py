@@ -12,6 +12,7 @@ from qmarkov import (
     FormatError,
     HalfInt,
     InvalidArgumentError,
+    QubitChainSpec,
     RngState,
     SpinChainSpec,
     StochasticMatrix,
@@ -20,6 +21,7 @@ from qmarkov import (
     matrix_to_csv,
     matrix_to_json,
     matrix_to_table,
+    qubit_transition_matrix,
     serialization,
     simulate_chain,
     simulate_measurements,
@@ -28,7 +30,7 @@ from qmarkov import (
     write_trajectory,
 )
 
-from oracles import oracle_trajectory_from_text
+from oracles import oracle_matrix_csv, oracle_matrix_json, oracle_matrix_table, oracle_trajectory_from_text
 
 
 def spin_matrix():
@@ -158,6 +160,39 @@ def test_matrix_table_is_aligned_text():
     assert len(lines) == 5
     assert "3/2" in lines[0]
     assert all(len(line) == len(lines[1]) for line in lines[1:])
+
+
+def _assert_writers_match_the_oracles(m, kind="generic", params=None):
+    assert matrix_to_json(m, kind=kind, params=params) == oracle_matrix_json(m, kind=kind, params=params)
+    assert matrix_to_csv(m) == oracle_matrix_csv(m)
+    assert matrix_to_table(m) == oracle_matrix_table(m)
+
+
+@pytest.mark.parametrize("beta", [0.3, 2.84])
+def test_matrix_writers_match_the_per_cell_oracles_on_every_chain(beta):
+    # a spin matrix, symmetric bit for bit, repeats about half its entries
+    for twice_s in range(1, 51):
+        spec = SpinChainSpec(s=HalfInt(twice_s), beta=beta)
+        params = {"s": str(spec.s), "beta": beta}
+        _assert_writers_match_the_oracles(spin_transition_matrix(spec), "spin", params)
+    for n in range(1, 65):
+        m = qubit_transition_matrix(QubitChainSpec(n_qubits=n, beta=beta))
+        _assert_writers_match_the_oracles(m, "qubit", {"n": n, "beta": beta})
+
+
+@pytest.mark.parametrize(
+    "labels, rows",
+    [
+        (("a",), [[1.0]]),
+        # 0.0 and -0.0 are equal values with their own texts
+        (("a", "b", "c"), [[0.0, -0.0, 1.0], [-0.0, 1.0, 0.0], [0.25, 0.75, -0.0]]),
+        # labels that JSON escapes and that CSV quotes
+        (('"', "\\", "\u03b1", "a,b"), np.full((4, 4), 0.25)),
+    ],
+)
+def test_matrix_writers_match_the_per_cell_oracles_at_the_edges(labels, rows):
+    m = StochasticMatrix(labels=labels, rows=np.array(rows))
+    _assert_writers_match_the_oracles(m, "generic", {"note": '"\u03b1"'})
 
 
 def trajectory_text(t, config=None):

@@ -62,6 +62,7 @@ def test_each_step_is_run_or_named_as_skipped():
             "Installed entry point writes --out in UTF-8 under the C locale",
             "Installed entry point reports a near-stochastic file's iterate as exit 3",
             "Installed entry point sweeps the whole oracle range",
+            "Installed entry point reads back the matrices it writes",
         ],
         "memory-smoke": [
             "Peak RSS of a 10^7-step simulate, of parsing its file and a 10^6-line file of 24-byte labels, "
