@@ -81,12 +81,6 @@ def _resolve_beta(args) -> float:
     raise InvalidArgumentError("--beta or --beta-pi is required here")
 
 
-def _check_bounded(what: str, value: int, minimum: int, maximum: int) -> int:
-    if check_int(what, value, minimum) > maximum:
-        raise InvalidArgumentError(f"{what} above {maximum} are rejected, got {value}")
-    return value
-
-
 def _opened(out):
     """--out opened for writing in UTF-8, or stdout when it is None, as a context manager.
 
@@ -152,7 +146,7 @@ def _initial_index(labels: tuple, initial: str) -> int:
 
 
 def cmd_simulate(args) -> int:
-    steps = _check_bounded("steps", args.steps, 0, STEPS_MAX)
+    steps = check_int("steps", args.steps, 0, STEPS_MAX)
     rng = RngState(args.seed)
     # the matrix is built, the start resolved and --out opened before the
     # first draw, so every input error surfaces before any work
@@ -161,7 +155,7 @@ def cmd_simulate(args) -> int:
     index = None if args.initial is None else _initial_index(labels, args.initial)
     if args.kind == "qubit":
         # each step draws one uniform per qubit, so the cap is on the draws
-        _check_bounded("qubit draws (n * steps)", spec.n_qubits * steps, 0, STEPS_MAX)
+        check_int("qubit draws (n * steps)", spec.n_qubits * steps, 0, STEPS_MAX)
         # all qubits up by default
         initial_j = labels[0 if index is None else index]
         draw = lambda: simulate_register(spec, initial_j, steps, rng)  # noqa: E731
@@ -209,7 +203,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    _check_bounded("n_max", args.n_max, 1, N_MAX_BRUTE_FORCE)
+    check_int("n_max", args.n_max, 1, N_MAX_BRUTE_FORCE)
     betas = [check_real("beta", beta) for beta in args.beta] if args.beta else list(_DEFAULT_VERIFY_BETAS)
     with _opened(args.out) as stream:
         checks, failures = _verify_sweep(args.n_max, betas)
@@ -262,7 +256,7 @@ def _verify_sweep(n_max: int, betas: list) -> tuple:
 
 
 def cmd_stationary(args) -> int:
-    max_iters = _check_bounded("max_iters", args.max_iters, 1, ITERS_MAX)
+    max_iters = check_int("max_iters", args.max_iters, 1, ITERS_MAX)
     _check_tol(args.tol)
     matrix, source, _ = _chain(args)
     config = {
@@ -302,7 +296,7 @@ def cmd_stationary(args) -> int:
 
 
 def cmd_coin_toss(args) -> int:
-    count = _check_bounded("count", args.count, 0, STEPS_MAX)
+    count = check_int("count", args.count, 0, STEPS_MAX)
     rng = RngState(args.seed)
     with _opened(args.out) as stream:
         bits = coin_toss_stream(count, rng)

@@ -8,8 +8,9 @@ an InvalidArgumentError or one of its subclasses (FormatError among
 them), so one except clause turns all of them away.
 
 Integer and real-number arguments are checked by check_int and
-check_real, the only implementations of those rules: a bool is never a
-number here, and a real number must be finite.
+check_real, the only implementations of those rules, bounds included:
+a bool is never a number here, an integer may have a least and a
+greatest allowed value, and a real number must be finite.
 """
 
 import math
@@ -68,12 +69,14 @@ class FormatError(InvalidArgumentError):
         super().__init__(message if line is None else f"{message} (line {line})")
 
 
-def check_int(name: str, value, minimum: int | None = None) -> int:
-    """value, if it is an int (not a bool) no smaller than minimum."""
+def check_int(name: str, value, minimum: int | None = None, maximum: int | None = None) -> int:
+    """value, if it is an int (not a bool) no smaller than minimum and no larger than maximum."""
     if not isinstance(value, int) or isinstance(value, bool):
         raise InvalidArgumentError(f"{name} must be an integer, got {value!r}")
     if minimum is not None and value < minimum:
         raise InvalidArgumentError(f"{name} must be at least {minimum}, got {value}")
+    if maximum is not None and value > maximum:
+        raise InvalidArgumentError(f"{name} must be at most {maximum}, got {value}")
     return value
 
 

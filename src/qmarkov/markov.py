@@ -22,7 +22,7 @@ from .errors import (
     check_int,
     check_real,
 )
-from .rng import RngState
+from .rng import _SEED_MAX, RngState
 
 SUM_TOL = 1e-9
 
@@ -61,10 +61,24 @@ def _batch_segments(step_bytes: int) -> int:
 
 
 def _labels(labels) -> tuple:
-    """The outcome labels as a tuple, if no label appears twice."""
+    """The outcome labels as a tuple: at least one, none whose str holds a line break, no two with the same str.
+
+    This is the one label rule.  Every labelled object is built under it
+    and every file is read under it, so whatever is built can be written
+    and read back: a file gives each label's str its own line, and
+    labels are read back as those strings.  So two labels with the same
+    str are refused whether or not they are equal: HalfInt(2) and 1 are
+    not, and both render as "1".
+    """
     labels = tuple(labels)
-    if len(set(labels)) != len(labels):
-        raise InvalidArgumentError(f"outcome labels must be distinct, got {labels!r}")
+    strings = [str(label) for label in labels]
+    if not labels:
+        raise InvalidArgumentError("there must be at least one outcome label")
+    for label in strings:
+        if "\n" in label or "\r" in label:
+            raise InvalidArgumentError(f"label {label!r} contains a line break")
+    if len(set(strings)) != len(labels):
+        raise InvalidArgumentError(f"outcome labels must be distinct, got {tuple(strings)!r}")
     return labels
 
 
@@ -143,6 +157,7 @@ class Trajectory:
         if not np.issubdtype(arr.dtype, np.integer):
             raise InvalidArgumentError("trajectory states must be integer indices")
         labels = _labels(self.labels)
+        check_int("seed", self.seed, 0, _SEED_MAX)
         if arr.ndim != 1 or arr.size == 0:
             raise InvalidArgumentError(f"expected a non-empty 1-d array of states, got shape {arr.shape}")
         if arr.min() < 0 or arr.max() >= len(labels):

@@ -9,7 +9,7 @@ trajectory across runs and platforms.
 
 import numpy as np
 
-from .errors import InvalidArgumentError, check_int
+from .errors import check_int
 
 RNG_ALGORITHM = "pcg64"
 
@@ -27,9 +27,7 @@ class RngState:
     __slots__ = ("seed", "_generator")
 
     def __init__(self, seed: int):
-        if not 0 <= check_int("seed", seed) <= _SEED_MAX:
-            raise InvalidArgumentError(f"seed must fit in 64 bits, got {seed}")
-        self.seed = seed
+        self.seed = check_int("seed", seed, 0, _SEED_MAX)
         self._generator = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
 
     def random(self) -> float:

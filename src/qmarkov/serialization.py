@@ -7,11 +7,10 @@ same bytes, so outputs can be compared byte for byte.  The matrix
 writers render each distinct entry once (see _cell_texts).
 
 A trajectory file is one JSON header line followed by one outcome label
-per line, so no label may hold a line break, and labels are read back
-as strings, so no two may render alike: matrix files, trajectory files
-and every writer of them refuse both.  CSV quotes a label that is empty
-or holds a comma or a quote.  Labels are exact strings ("1/2", "-3/2",
-"0"), never floats.
+per line, and labels are read back as strings; the readers hold labels
+to the rule every labelled object is built under (markov._labels).  CSV
+quotes a label that is empty or holds a comma or a quote.  Labels are
+exact strings ("1/2", "-3/2", "0"), never floats.
 """
 
 import json
@@ -19,7 +18,7 @@ import json
 import numpy as np
 
 from .errors import FormatError, InvalidArgumentError, check_int
-from .markov import _BLOCK, StochasticMatrix, Trajectory, _state_dtype
+from .markov import _BLOCK, StochasticMatrix, Trajectory, _labels, _state_dtype
 from .rng import _SEED_MAX, RNG_ALGORITHM
 
 FORMAT_VERSION = 1
@@ -32,17 +31,6 @@ _SLOTS_MAX = 1 << 16
 _MIX = np.uint64(0x9E3779B97F4A7C15)
 # _MASKS[r] keeps the low r bytes of a word, all eight at r = 8
 _MASKS = np.array([(1 << 8 * r) - 1 for r in range(9)], dtype=np.uint64)
-
-
-def _label_lines(labels, error=InvalidArgumentError) -> list:
-    """The labels as strings; error if one holds a line break or two are the same string, as a file gives each its own line."""
-    strings = [str(label) for label in labels]
-    for label in strings:
-        if "\n" in label or "\r" in label:
-            raise error(f"label {label!r} contains a line break")
-    if len(set(strings)) != len(strings):
-        raise error(f"outcome labels must be distinct, got {tuple(strings)!r}")
-    return strings
 
 
 def _cell_texts(rows: np.ndarray, fmt) -> list:
@@ -65,10 +53,12 @@ def matrix_to_json(m: StochasticMatrix, kind: str = "generic", params: dict | No
     The bytes equal json.dumps of the whole payload: the rows are joined
     from the float reprs of _cell_texts and spliced between json.dumps
     of the fields before them and of the fields after them, so key
-    order, separators and label escaping are json.dumps's own.  Labels
-    that matrix_from_json would refuse are refused here first.
+    order, separators and label escaping are json.dumps's own.  A kind
+    that is not a string is refused, as matrix_from_json would refuse it.
     """
-    head = json.dumps({"kind": kind, "labels": _label_lines(m.labels)})
+    if not isinstance(kind, str):
+        raise InvalidArgumentError(f"kind must be a string, got {kind!r}")
+    head = json.dumps({"kind": kind, "labels": list(map(str, m.labels))})
     tail = json.dumps({"params": dict(params or {}), "version": FORMAT_VERSION})
     rows = ", ".join("[" + ", ".join(row) + "]" for row in _cell_texts(m.rows, repr))
     return f'{head[:-1]}, "rows": [{rows}], {tail[1:]}\n'
@@ -77,8 +67,8 @@ def matrix_to_json(m: StochasticMatrix, kind: str = "generic", params: dict | No
 def matrix_from_json(text: str) -> StochasticMatrix:
     """Parse a matrix rendered by matrix_to_json; labels become plain strings.
 
-    kind, params and version are checked but not returned.  A label may
-    not hold a line break.  Structural violations raise FormatError;
+    kind, params and version are checked but not returned.  Structural
+    violations, and labels that break the label rule, raise FormatError;
     probability violations surface from the matrix constructor.
     """
     try:
@@ -99,7 +89,10 @@ def matrix_from_json(text: str) -> StochasticMatrix:
         raise FormatError("missing or non-string 'kind'")
     if not isinstance(labels, list) or not all(isinstance(x, str) for x in labels):
         raise FormatError("'labels' must be a list of strings")
-    _label_lines(labels, FormatError)
+    try:
+        labels = _labels(labels)
+    except InvalidArgumentError as exc:
+        raise FormatError(str(exc)) from None
     if not isinstance(rows, list) or not all(
         isinstance(r, list) and all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in r)
         for r in rows
@@ -114,7 +107,7 @@ def matrix_from_json(text: str) -> StochasticMatrix:
         rows = np.array(rows, dtype=float)
     except OverflowError:
         raise FormatError("'rows' entries must fit in a double") from None
-    return StochasticMatrix(labels=tuple(labels), rows=rows)
+    return StochasticMatrix(labels=labels, rows=rows)
 
 
 def _csv_field(text: str) -> str:
@@ -128,11 +121,10 @@ def matrix_to_csv(m: StochasticMatrix) -> str:
     """Label header row, then one row of full-precision entries per line.
 
     A label that is empty or holds a comma or a quote is quoted as RFC
-    4180 says, so csv.reader reads back one column per label.  A label
-    with a line break, or two labels that render alike, are refused.
-    Entries are float reprs from _cell_texts, which never need quoting.
+    4180 says, so csv.reader reads back one column per label.  Entries
+    are float reprs from _cell_texts, which never need quoting.
     """
-    lines = [",".join(_csv_field(label) for label in _label_lines(m.labels))]
+    lines = [",".join(_csv_field(str(label)) for label in m.labels)]
     lines += [",".join(row) for row in _cell_texts(m.rows, repr)]
     return "\n".join(lines) + "\n"
 
@@ -141,10 +133,9 @@ def matrix_to_table(m: StochasticMatrix) -> str:
     """Aligned human-readable table; not meant to be parsed back.
 
     Entries are fixed-point texts from _cell_texts, right-aligned to
-    the longest label's width and at least 9.  Labels are refused as
-    matrix_to_csv refuses them.
+    the longest label's width and at least 9.
     """
-    labels = _label_lines(m.labels)
+    labels = list(map(str, m.labels))
     width = max(max(len(x) for x in labels), 9)
     header = " " * (width + 2) + "  ".join(f"{x:>{width}}" for x in labels)
     lines = [header]
@@ -155,12 +146,8 @@ def matrix_to_table(m: StochasticMatrix) -> str:
 
 
 def write_trajectory(t: Trajectory, stream, config: dict | None = None) -> None:
-    """Write the header line and outcome labels to a text stream.
-
-    A label that holds a line break, or two labels with the same string,
-    are refused before anything is written.
-    """
-    labels = _label_lines(t.labels)
+    """Write the header line and outcome labels to a text stream."""
+    labels = list(map(str, t.labels))
     header = {
         "labels": labels,
         "seed": t.seed,
@@ -275,12 +262,11 @@ def trajectory_from_text(text: str) -> tuple[Trajectory, dict]:
     seed = header.get("seed")
     steps = header.get("steps")
     rng_name = header.get("rng")
-    if not isinstance(labels, list) or not labels or not all(isinstance(x, str) for x in labels):
-        raise FormatError("header 'labels' must be a non-empty list of strings", line=1)
+    if not isinstance(labels, list) or not all(isinstance(x, str) for x in labels):
+        raise FormatError("header 'labels' must be a list of strings", line=1)
     try:
-        labels = tuple(_label_lines(labels))
-        if check_int("header 'seed'", seed, 0) > _SEED_MAX:
-            raise InvalidArgumentError(f"header 'seed' must fit in 64 bits, got {seed}")
+        labels = _labels(labels)
+        check_int("header 'seed'", seed, 0, _SEED_MAX)
         check_int("header 'steps'", steps, 0)
     except InvalidArgumentError as exc:
         raise FormatError(str(exc), line=1) from None

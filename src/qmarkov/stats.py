@@ -48,7 +48,7 @@ class TransitionCounts:
             )
         if not np.issubdtype(arr.dtype, np.integer):
             raise InvalidArgumentError("counts must be integers")
-        if arr.size and arr.min() < 0:
+        if arr.min() < 0:
             raise InvalidArgumentError("counts must be non-negative")
         arr = arr.astype(np.int64, copy=False)
         arr.flags.writeable = False
@@ -137,7 +137,7 @@ def chi_square(observed, expected: Distribution) -> ChiSquareResult:
         raise DimensionMismatchError(
             f"expected {expected.dim} observed cells, got shape {counts.shape}"
         )
-    if counts.size and counts.min() < 0:
+    if counts.min() < 0:
         raise InvalidArgumentError("observed counts must be non-negative")
     total = float(counts.sum())
     if total <= 0:

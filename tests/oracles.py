@@ -230,8 +230,8 @@ def oracle_trajectory_from_text(text: str) -> tuple[Trajectory, dict]:
     seed = header.get("seed")
     steps = header.get("steps")
     rng_name = header.get("rng")
-    if not isinstance(labels, list) or not labels or not all(isinstance(x, str) for x in labels):
-        raise FormatError("header 'labels' must be a non-empty list of strings", line=1)
+    if not isinstance(labels, list) or not all(isinstance(x, str) for x in labels):
+        raise FormatError("header 'labels' must be a list of strings", line=1)
     try:
         labels = _labels(labels)
         check_int("header 'seed'", seed, 0)
@@ -239,7 +239,7 @@ def oracle_trajectory_from_text(text: str) -> tuple[Trajectory, dict]:
     except InvalidArgumentError as exc:
         raise FormatError(str(exc), line=1) from None
     if seed >= 2**64:
-        raise FormatError(f"header 'seed' must fit in 64 bits, got {seed}", line=1)
+        raise FormatError(f"header 'seed' must be at most {2**64 - 1}, got {seed}", line=1)
     if not isinstance(rng_name, str):
         raise FormatError("header 'rng' must be a string", line=1)
     if header.get("version") != FORMAT_VERSION:

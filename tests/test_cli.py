@@ -342,7 +342,7 @@ def test_stationary_iteration_cap(capsys, monkeypatch, tmp_path):
     for max_iters in (cli.ITERS_MAX + 1, 10**12):
         argv = ["stationary", "--kind", "matrix-file", "--file", str(cycle), "--max-iters", str(max_iters)]
         assert main(argv) == 2
-        assert f"max_iters above {cli.ITERS_MAX}" in assert_one_error_line(capsys)
+        assert f"max_iters must be at most {cli.ITERS_MAX}" in assert_one_error_line(capsys)
     seen = []
 
     def recording(matrix, tol, max_iters):

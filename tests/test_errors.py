@@ -46,6 +46,9 @@ def test_check_int():
             check_int("k", bad)
     with pytest.raises(InvalidArgumentError, match="k must be at least 1, got 0"):
         check_int("k", 0, minimum=1)
+    assert check_int("k", 5, 0, 5) == 5
+    with pytest.raises(InvalidArgumentError, match="k must be at most 5, got 6"):
+        check_int("k", 6, maximum=5)
 
 
 def test_check_real():
@@ -133,6 +136,16 @@ def test_real_arguments(holder, value):
 )
 def test_label_sets_are_distinct_tuples(build):
     assert build(["a", "b"]).labels == ("a", "b")
-    for repeated in (["a", "a"], (HALF, HalfInt(1))):
-        with pytest.raises(InvalidArgumentError, match="labels must be distinct"):
-            build(repeated)
+    # a file gives each label's str its own line and reads labels back as
+    # those strings, so the builders refuse what no reader would take back
+    for labels, match in [
+        (["a", "a"], "labels must be distinct"),
+        ((HALF, HalfInt(1)), "labels must be distinct"),
+        ((HalfInt(2), 1), r"labels must be distinct, got \('1', '1'\)"),
+        (("a\nb", "c"), r"label 'a\\nb' contains a line break"),
+        (("a\rb", "c"), r"label 'a\\rb' contains a line break"),
+        (("c", "a\r\nb"), r"label 'a\\r\\nb' contains a line break"),
+        ((), "at least one outcome label"),
+    ]:
+        with pytest.raises(InvalidArgumentError, match=match):
+            build(labels)
