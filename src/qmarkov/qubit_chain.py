@@ -17,7 +17,10 @@ few whole-array numpy passes with no loop over cells: the single sums
 and the enumeration form all their terms in one array each and add
 them into their cells with np.bincount, and the builder forms every
 row's two binomial laws in one product each, with binomials from a
-float table built once per process, then convolves each pair.  Tests
+float table built once per process, then convolves each pair.  Flipping
+every qubit maps j to -j, so the chain is centrosymmetric, P[i, k] =
+P[N - i, N - k]; the builder convolves only the rows with at most N/2
+up qubits and mirrors them, so that symmetry holds bit for bit.  Tests
 close the loops between them, against their scalar forms one term at
 a time, and against the spin-1/2 chain at N = 1.
 """
@@ -162,6 +165,15 @@ def qubit_transition_matrix(spec: QubitChainSpec) -> StochasticMatrix:
     up plus the number of downs that flip up: the sum of two independent
     binomials, so each row is the convolution of their distributions,
     reversed because labels descend.
+
+    Flipping every qubit maps ups to n - ups, so the matrix is
+    centrosymmetric: P[i, k] = P[n - i, n - k].  Only the rows from
+    ups = 0..n // 2 are convolved, and the first half of the flat
+    (n+1)^2 entries, read backwards, is copied over the second half; at
+    even n that also makes the middle row a palindrome, whose two halves
+    would otherwise differ in their last bits.  P == P[::-1, ::-1] holds
+    bit for bit, and at most half of P's entries, rounded up, are
+    distinct.
     """
     n = _check_formula_range(spec)
     # cos^2 and sin^2 as q_formula forms them, not 1 - p: the N = 1 rows
@@ -176,10 +188,16 @@ def qubit_transition_matrix(spec: QubitChainSpec) -> StochasticMatrix:
     # flip_up[u, k] that k of u down qubits flip up
     stay_up = binom * stay_pow * flip_pow[lag]
     flip_up = binom * flip_pow * stay_pow[lag]
-    # row ups of `ups_after` is the law of the next up count, 0..n
-    ups_after = np.array([np.convolve(stay_up[ups, : ups + 1], flip_up[n - ups, : n - ups + 1]) for ups in range(n + 1)])
-    # labels descend, so rows and columns run from n up qubits down to 0
-    return StochasticMatrix(labels=spec.labels, rows=ups_after[::-1, ::-1])
+    # row ups of `ups_after` is the law of the next up count, 0..n; it is
+    # formed for ups <= n / 2, and the flat array is mirrored end to end
+    ups_after = np.empty((n + 1, n + 1))
+    ups_after[: n // 2 + 1] = [np.convolve(stay_up[ups, : ups + 1], flip_up[n - ups, : n - ups + 1]) for ups in range(n // 2 + 1)]
+    flat = ups_after.reshape(-1)
+    half = flat.size // 2
+    flat[-half:] = flat[half - 1 :: -1]
+    # labels descend, so rows and columns run from n up qubits down to 0:
+    # ups_after[::-1, ::-1], which the mirror makes equal to ups_after
+    return StochasticMatrix(labels=spec.labels, rows=ups_after)
 
 
 def brute_force_q(spec: QubitChainSpec) -> np.ndarray:

@@ -39,12 +39,26 @@ def _cell_texts(rows: np.ndarray, fmt) -> list:
     Entries are keyed by their 64 bits, not their values, so 0.0 and
     -0.0 keep their own texts and the lists equal fmt of every entry in
     turn.  fmt is given each entry as a Python float.  A spin matrix,
-    symmetric bit for bit, has about half its entries distinct.
+    symmetric and persymmetric bit for bit, has about a quarter of its
+    entries distinct, and a register matrix, centrosymmetric bit for
+    bit, half of them.
     """
     bits, where = np.unique(rows.view(np.uint64), return_inverse=True)
     texts = np.array([fmt(x) for x in bits.view(np.float64).tolist()], dtype=object)
     # numpy releases differ in the shape of the inverse
     return texts.take(where.reshape(rows.shape)).tolist()
+
+
+def _json(payload: dict, name: str) -> str:
+    """json.dumps of payload; a value that strict JSON cannot hold, in the caller's `name` field, is refused.
+
+    NaN and the infinities are refused with the rest, as json.dumps
+    would write them as the non-standard NaN and Infinity.
+    """
+    try:
+        return json.dumps(payload, allow_nan=False)
+    except (TypeError, ValueError, RecursionError) as exc:
+        raise InvalidArgumentError(f"{name} must hold only JSON values: {exc}") from None
 
 
 def matrix_to_json(m: StochasticMatrix, kind: str = "generic", params: dict | None = None) -> str:
@@ -54,12 +68,13 @@ def matrix_to_json(m: StochasticMatrix, kind: str = "generic", params: dict | No
     from the float reprs of _cell_texts and spliced between json.dumps
     of the fields before them and of the fields after them, so key
     order, separators and label escaping are json.dumps's own.  A kind
-    that is not a string is refused, as matrix_from_json would refuse it.
+    that is not a string is refused, as matrix_from_json would refuse it,
+    and so are params that strict JSON cannot hold (see _json).
     """
     if not isinstance(kind, str):
         raise InvalidArgumentError(f"kind must be a string, got {kind!r}")
     head = json.dumps({"kind": kind, "labels": list(map(str, m.labels))})
-    tail = json.dumps({"params": dict(params or {}), "version": FORMAT_VERSION})
+    tail = _json({"params": dict(params or {}), "version": FORMAT_VERSION}, "params")
     rows = ", ".join("[" + ", ".join(row) + "]" for row in _cell_texts(m.rows, repr))
     return f'{head[:-1]}, "rows": [{rows}], {tail[1:]}\n'
 
@@ -146,7 +161,11 @@ def matrix_to_table(m: StochasticMatrix) -> str:
 
 
 def write_trajectory(t: Trajectory, stream, config: dict | None = None) -> None:
-    """Write the header line and outcome labels to a text stream."""
+    """Write the header line and outcome labels to a text stream.
+
+    A config that strict JSON cannot hold is refused (see _json) before
+    anything is written.
+    """
     labels = list(map(str, t.labels))
     header = {
         "labels": labels,
@@ -157,7 +176,7 @@ def write_trajectory(t: Trajectory, stream, config: dict | None = None) -> None:
     }
     if config is not None:
         header["config"] = config
-    stream.write(json.dumps(header))
+    stream.write(_json(header, "config"))
     stream.write("\n")
     label_strings = np.array(labels, dtype=object)
     # one step kernel block per join keeps memory flat for long trajectories

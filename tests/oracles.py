@@ -196,6 +196,10 @@ def oracle_register_matrix(n_qubits: int, beta: float) -> np.ndarray:
     The builder's arithmetic in the builder's order, with each binomial
     row a fresh list of math.comb values converted to float, so the two
     must agree bit for bit whatever table the builder takes them from.
+    Rows from at most n // 2 up qubits are formed; every other cell
+    takes the value of the cell that flipping every qubit maps it to,
+    with the cells read in row-major order and the later cell of each
+    pair taking the earlier one's value.
     """
     n = n_qubits
     ch = math.cos(beta / 2.0)
@@ -203,13 +207,19 @@ def oracle_register_matrix(n_qubits: int, beta: float) -> np.ndarray:
     stay_pow = np.cumprod([1.0] + [ch * ch] * n)
     flip_pow = np.cumprod([1.0] + [sh * sh] * n)
     rows = np.empty((n + 1, n + 1))
-    for ups in range(n + 1):
+    for ups in range(n // 2 + 1):
         downs = n - ups
         comb_ups = np.array([math.comb(ups, k) for k in range(ups + 1)], dtype=float)
         comb_downs = np.array([math.comb(downs, k) for k in range(downs + 1)], dtype=float)
         stay_up = comb_ups * stay_pow[: ups + 1] * flip_pow[ups::-1]
         flip_up = comb_downs * flip_pow[: downs + 1] * stay_pow[downs::-1]
         rows[downs] = np.convolve(stay_up, flip_up)[::-1]
+    # rows[downs] holds the law of ups, so the formed cells are the last
+    # ones in row-major order; each earlier cell copies its image
+    for i in range(n + 1):
+        for k in range(n + 1):
+            if (i, k) < (n - i, n - k):
+                rows[i, k] = rows[n - i, n - k]
     return rows
 
 

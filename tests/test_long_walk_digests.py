@@ -26,6 +26,11 @@ once.  The spin-25 stdout digest was recorded again when the spin
 overlap became symmetric bit for bit, its upper triangle copied into the
 lower one: only its row_tv moved, which compares the counts with the
 theory rows; spin-25:out and every COUPLED list stayed as they were.
+The spin-25, qubit-8, qubit-9, qubit-63 and qubit-64 stdout digests
+were recorded again when the spin overlap was also made persymmetric
+and the register matrix centrosymmetric bit for bit, each orbit of
+cells holding one float: again only their row_tv moved, and every :out
+digest and every COUPLED list stayed as they were.
 """
 
 import hashlib
@@ -79,23 +84,23 @@ COUPLED = {
 DIGESTS = {
     "spin-1": "1a2b8e3e7d1059bc357f8887045aa2474712c41c72b9bb77073e1b2dd5c0e95b",
     "spin-1:out": "e5796cbf6ff83b5d95b10d34e302f9c13da7a470c23a0366fad456f71a033ec4",
-    "spin-25": "e27b09583e6cd79c6ffaf63a23fc02f64512333ff20acdd01959374120a010db",
+    "spin-25": "782232183793f4056a0f3e98b30aa5f68a2522ba76038c4d2d935efa61980f1b",
     "spin-25:out": "3560cd482dc156915c4cf75991b2a518ef06a7fe791bb755487dcc50ea7a449d",
     "matrix-9": "e7d70bb875c8ef1ddef8643c186de3328a81fc202c13916ef11ab1081458bc6f",
     "matrix-9:out": "14708c4824e3733b71c6d99aaf12348ab4ce210725e54be675a1d22e4759a8b6",
     "spin-1-pi": "72bc1cbf077e4d1b6f9f59bd0f2986ccd17bf5a10d52fa866f224c1490123bb7",
     "spin-1-pi:out": "308c816cb946398ee9d70dbfa7025278fb9e094e1d1d9ded82585d6f26902594",
-    "qubit-8": "84a6a5376c7f038fbe7e88a6368acbbc88b8f01d51a7769e3d34778aa6adb63c",
+    "qubit-8": "59d0fcef775e74413062a8e937a869af25192ded968bc3ad7c8b9473fb38d5f0",
     "qubit-8:out": "ef4468271cdf9d854350e0f06769e2f9f01f8a0dde90f077af590e42325b0eec",
-    "qubit-64": "f2edc549e398c5d4a879b681069ae409d04118b663ce0f778d99d070e9e6f8f6",
+    "qubit-64": "4f1373ba8a0514c2da45a55bfe2f67419f0a0aab1bf2a8bd47ab27429a8122d5",
     "qubit-64:out": "b617ca981609ace5cd1a36bfd8a0d095f8b469d72700e48748970c2471a92cf7",
     "qubit-1": "352a2637b23a38f7584de54df45d58cdbdf246a7b3af39e8078e74d1400931bd",
     "qubit-1:out": "76d5276530df2e4c6112cc81979e279c5a6657f020feddf8026067493fd52e91",
     "qubit-2": "42dda3e5e1d525b4eefb409729ff41dc07deb5f4f7bcf269bb1677bbbdd51029",
     "qubit-2:out": "ad7b123d91facd16686bab51c336169775686ec24354275f0366458d227d7228",
-    "qubit-9": "75a422e5ee8dce07ba633f8ab2ae1d2e255c688abee927e77e8d7ad2aae04b67",
+    "qubit-9": "f6f5ae06e2a12cfb860aa70ce57efeefac0f86d137d39d68225cf9ed4cc81b60",
     "qubit-9:out": "209f310cfb2afba9914f609f2dff41c689260b171bac44cec079e056e460dbbc",
-    "qubit-63": "9550a5c4cb93c18a884d8c2f4b244a778691acb97d67da39f918b9d914403a92",
+    "qubit-63": "8970879089d47189b44ef9b4d3c311c2c6cc71a041b8505207c318132bab2956",
     "qubit-63:out": "b382904441586c80b36d96f2035a9cfd4f44cecee232490aa0163bc2c0699e19",
     "qubit-8-0": "42856e4d59a745f063b838ad31b1eaf1394c2777cb7d3692839b04a6a27d9254",
     "qubit-8-0:out": "f6a09223a080b84fdb584b57942948bb0d2954988de4920d096f865773bc1ba0",

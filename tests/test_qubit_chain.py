@@ -135,6 +135,15 @@ def test_builder_equals_the_math_comb_oracle_bit_for_bit(beta):
         assert rows.tobytes() == expected.tobytes(), n  # signed zeros too
 
 
+@pytest.mark.parametrize("beta", [0.0, 0.3, 0.4, 1.0, math.pi / 2.0, 2.2, 2.5, 2.7, math.pi])
+def test_matrix_is_centrosymmetric(beta):
+    # flipping every qubit maps j to -j, so P[i, k] = P[N - i, N - k]; the
+    # builder makes that hold bit for bit, the middle row of an even N too
+    for n in range(1, N_MAX_FORMULA + 1):
+        rows = qubit_transition_matrix(QubitChainSpec(n_qubits=n, beta=beta)).rows
+        assert np.array_equal(rows, rows[::-1, ::-1]), n
+
+
 @pytest.mark.parametrize("n", [67, 100])
 def test_builder_binomials_stay_exact_past_int64(monkeypatch, n):
     # C(67, 33) > 2^63: a Pascal table in int64 wraps and gives negative entries

@@ -341,6 +341,24 @@ def test_what_the_builders_accept_comes_back_and_the_rest_is_never_written():
             matrix_to_json(StochasticMatrix(labels=("a",), rows=[[1.0]]), kind=kind)
 
 
+@pytest.mark.parametrize("value", [{1, 2}, np.float32(1.0), float("nan"), float("inf")], ids=["set", "float32", "nan", "inf"])
+def test_params_and_config_that_strict_json_cannot_hold_are_refused(value):
+    # a set and a float32 have no JSON form, and json.dumps would write NaN
+    # and Infinity, which strict JSON readers refuse; nothing is written
+    m = StochasticMatrix(labels=("a",), rows=[[1.0]])
+    with pytest.raises(InvalidArgumentError, match="params must hold only JSON values"):
+        matrix_to_json(m, params={"x": [0, value]})
+    stream = io.StringIO()
+    t = Trajectory(labels=("a",), states=np.zeros(3, dtype=np.int64), seed=1)
+    with pytest.raises(InvalidArgumentError, match="config must hold only JSON values"):
+        write_trajectory(t, stream, config={"x": {"y": value}})
+    assert stream.getvalue() == ""
+    # a float64 is a float, and plain values still go through
+    assert json.loads(matrix_to_json(m, params={"x": np.float64(0.5)}))["params"] == {"x": 0.5}
+    write_trajectory(t, stream, config={"x": 0.5, "y": [None, True, "z"]})
+    assert trajectory_from_text(stream.getvalue())[1]["config"] == {"x": 0.5, "y": [None, True, "z"]}
+
+
 def parse_outcome(parse, text):
     """Everything a parse gives back, or the FormatError's message, which ends with its line."""
     try:
