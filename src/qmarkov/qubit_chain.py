@@ -41,6 +41,9 @@ N_MAX_FORMULA = 64
 N_MAX_BRUTE_FORCE = 20
 
 _BRANCH_SEAM_TOL = 1e-12
+# raw 64-bit words of the main stream per group of 64 flip lanes, one
+# bit plane each, most significant first
+_PLANES = 8
 
 
 @dataclass(frozen=True)
@@ -232,11 +235,11 @@ def simulate_register(
 ) -> Trajectory:
     """Realize the chain at the per-qubit level from initial_j, one of spec.labels.
 
-    Each step draws one uniform per qubit and flips it when the draw
-    falls below sin^2(beta/2); the recorded outcome is the resulting up
-    count minus N/2.  Which qubits are up never matters because the
-    flips are i.i.d., which is exactly why the aggregate is Markov in j;
-    the simulator therefore tracks only the label index i = N - ups, with
+    Each step flips each qubit independently with probability p =
+    sin^2(beta/2); the recorded outcome is the resulting up count minus
+    N/2.  Which qubits are up never matters because the flips are
+    i.i.d., which is exactly why the aggregate is Markov in j; the
+    simulator therefore tracks only the label index i = N - ups, with
     the up qubits notionally listed first and the i down qubits last.
 
     A step's flips form an N-bit word w, bit q set when qubit q flips.
@@ -245,16 +248,35 @@ def simulate_register(
     set bits of w ^ top[i], where top[i] masks the top i of the N bits:
     the next index is popcount(w ^ top[i]).
 
+    The flips are drawn as bits, exactly in law.  A qubit flips when a
+    uniform u falls below p, and u's binary digits, most significant
+    first, decide that at the first one that differs from p's: u < p
+    where p's digit is 1.  Each step's word is padded with zeros to 8,
+    16, 32 or 64 bits, and every 8 bytes of words are a group of 64
+    lanes, one per bit.  A group takes the next _PLANES = 8 raw 64-bit
+    words of rng's main stream, one plane of bits each, one bit per
+    lane.  Padding lanes never flip.  A lane whose 8 bits all equal p's
+    first 8 digits, 2^-8 of them, takes the next uniform of rng's
+    fallback stream, in group then lane order, and flips when it falls
+    below the rest of p, p * 2^8 less those digits, which a double holds
+    exactly.  So a qubit flips with probability p exactly when p is a
+    multiple of 2^-61, as every p >= 2^-9 is, and otherwise with less
+    than 2^-61 more; at p = 1, beta = pi, every digit is 1 and the rest
+    is 1, so every lane flips.  The steps left of a draw's last group
+    start the next draw, so the flips do not depend on how the walk is
+    cut into draws.
+
     Registers of more than N_MAX_FORMULA = 64 qubits are refused with
     RangeLimitError, as the closed forms and the builder refuse them,
     before anything is allocated.  Each step's word is one unsigned
     integer, and markov._lockstep, the driver of the lut chain walks
     too, walks the whole walk from three parts: a draw of flip words, a
     guess of a batch's starts, and a walk of words one step at a time.
-    A step takes N uniforms, and the driver sizes its batches and draws
-    from that and the word: batches of 4 blocks of segments at N <= 8,
-    2 at N <= 16 and 1 at N <= 64, and draws of about a quarter block
-    of uniforms.  A batch's segments are walked side by side by
+    A step takes as many raw words as its word has bytes, and the
+    driver sizes its batches and draws from that and the word: batches
+    of 4 blocks of segments at N <= 8, 2 at N <= 16 and 1 at N <= 64,
+    and draws of a quarter block of raw words, 16384 steps at N <= 8 and
+    2048 at N > 32.  A batch's segments are walked side by side by
     markov._couple, one gather of top and one popcount per
     segment-step.  Walks of different parity never meet, since i' = i +
     popcount(w) (mod 2); so each segment is guessed to start at the
@@ -286,12 +308,51 @@ def _walk_register(n: int, p: float, index: int, out: np.ndarray, rng: RngState)
     top = [((1 << i) - 1) << (n - i) for i in range(n + 1)]
     top_words = np.array(top, dtype=word)
     bit_count = int.bit_count
+    # a group is 8 bytes of flip words, 64 lanes, bit l of the group's
+    # little-endian word lane l; the lanes past n in each word are padding
+    group_steps = 8 // word.itemsize
+    qubits = np.uint64(sum(((1 << n) - 1) << (8 * word.itemsize * s) for s in range(group_steps)))
+    # p's first _PLANES binary digits and the rest, p * 2**_PLANES less
+    # them, in [0, 1]; at p = 1, whose digits never end, the digits are
+    # all ones and the rest is 1
+    scaled = math.ldexp(p, _PLANES)
+    lead = min(int(scaled), (1 << _PLANES) - 1)
+    rest = scaled - lead
+    digits = [lead >> k & 1 for k in reversed(range(_PLANES))]
+    spare = np.empty(0, dtype=word)
+
+    def decide(groups: int) -> np.ndarray:
+        """The flip lanes of the next groups groups, one 64-bit word each."""
+        planes = rng.raw_block(groups * _PLANES).reshape(groups, _PLANES)
+        undecided = np.full(groups, qubits, dtype="<u8")
+        flips = np.zeros(groups, dtype="<u8")
+        ones = np.empty(groups, dtype="<u8")
+        for k, digit in enumerate(digits):
+            # a lane is decided at its first bit that differs from p's
+            # digit, and flips, u < p, where that digit is 1 and its bit 0
+            np.bitwise_and(planes[:, k], undecided, out=ones)
+            np.bitwise_xor(undecided, ones, out=undecided)
+            if digit:
+                np.bitwise_or(flips, undecided, out=flips)
+                undecided, ones = ones, undecided
+        # freed before the fallback's arrays are made, which bounds the draw's peak
+        del planes, ones
+        # a lane still undecided flips when a uniform of the fallback
+        # stream, taken in group then lane order, falls below the rest
+        left = np.flatnonzero(undecided)
+        if left.size:
+            lanes = np.unpackbits(undecided[left].view(np.uint8), bitorder="little").view(bool)
+            hits = np.zeros(lanes.size, dtype=bool)
+            hits[lanes] = rng.fallback_block(int(np.count_nonzero(lanes))) < rest
+            flips[left] |= np.packbits(hits, bitorder="little").view("<u8")
+        return flips
 
     def draw(count: int) -> np.ndarray:
-        """The flip words of the next count steps."""
-        bits = np.zeros((count, 8 * word.itemsize), dtype=bool)
-        np.less(rng.random_block(count * n).reshape(count, n), p, out=bits[:, :n])
-        return np.packbits(bits, bitorder="little").view(word)
+        """The flip words of the next count steps; the rest of the last group's steps start the next draw."""
+        nonlocal spare
+        words = np.concatenate((spare, decide(max(0, -(-(count - spare.size) // group_steps))).view(word)))
+        spare = words[count:].copy()
+        return words[:count]
 
     def walk(flips: np.ndarray, index: int, into: np.ndarray) -> int:
         """Walk the flip words from index one step at a time into `into`; returns the last index."""
@@ -316,4 +377,4 @@ def _walk_register(n: int, p: float, index: int, out: np.ndarray, rng: RngState)
 
         return starts, advance
 
-    markov._lockstep(out, index, n, word, draw, guess, walk)
+    markov._lockstep(out, index, _PLANES * word.itemsize // 8, word, draw, guess, walk)

@@ -20,8 +20,14 @@ qubit-matrix-json, qubit-matrix-csv and stationary-qubit digests were
 recorded again: the matrix outputs moved in the last bits of mirrored
 entries, the simulate outputs only in their row_tv, and stationary-qubit
 in the last bits of its iterate and so in its residual, with the same
-iteration count; every :out digest kept its value.  Any change to a
-draw, a state, a key order or a rendered byte fails here.  Step counts
+iteration count; every :out digest kept its value.  The qubit-8 and
+qubit-64 digests were recorded again when the register came to build
+each step's flips from raw 64-bit words as bit planes, with a second
+stream of the seed for the lanes the planes leave undecided: the
+register's law stayed Bernoulli(sin^2(beta/2)) per qubit, but its draws
+and so its trajectories moved, and every other digest stayed as it was.
+Any change to a draw, a state, a key order or a rendered byte fails
+here.  Step counts
 are odd so the last step reads the n-axis.
 """
 
@@ -77,8 +83,8 @@ DIGESTS = {
     "spin-1:out": "9019e7d0966cd5d76b62671addd93cee3b1eba58150827e9022b9a42f8efb2c0",
     "spin-25": "5c521e990ba75f4a3b2fff5bb42a696e801c43370ed7d9b667f81997b524f728",
     "spin-25:out": "eec886cd3e6b751d9d489839a7661cddb36817d949629c273ba112cb7a97d7b6",
-    "qubit-8": "71cd03c938fa6e844b6475b3909311dfd384942a9527c91ab064eefaacbf4f2a",
-    "qubit-64": "7f74fa4bc89a791453eb11c071ab1fd955a492dafc10ef7c22e745dda00bed26",
+    "qubit-8": "7ba90de4c780e8ce70f63f3f0a4731d4e3ae31cb97f055bb9363f27017b7eae0",
+    "qubit-64": "087b847f39964f7e38f0e3e274f2015a956404bd56b94817f1aacaaaba2f5391",
     "matrix-9": "9ad2fc97072197e796ebb556f22ea0ad9eda16c41fbb29ddf9ec1afc2a0534a7",
     "spin-matrix-json": "bd6d969759426112ab713773bb91771594e48730a0dbab310bcadfe9f40ba640",
     "spin-matrix-csv": "3102f514695f4eab60a05c6a4653c1c7472c834068b7f40c5179edd7ba6c27ea",

@@ -21,8 +21,8 @@ coupled.  The register walks go in one batch of 390 segments at up to
 its tail walked one step at a time; at beta = 0 and beta = pi the first
 batch never couples and the rest of the walk goes one step at a time.
 Their digests were recorded before the register simulator walked in
-lockstep: qubit-8 and qubit-64 before it packed each block of flips at
-once.  The spin-25 stdout digest was recorded again when the spin
+lockstep, and all but qubit-8-0 and qubit-64-pi again since (see
+below).  The spin-25 stdout digest was recorded again when the spin
 overlap became symmetric bit for bit, its upper triangle copied into the
 lower one: only its row_tv moved, which compares the counts with the
 theory rows; spin-25:out and every COUPLED list stayed as they were.
@@ -30,7 +30,13 @@ The spin-25, qubit-8, qubit-9, qubit-63 and qubit-64 stdout digests
 were recorded again when the spin overlap was also made persymmetric
 and the register matrix centrosymmetric bit for bit, each orbit of
 cells holding one float: again only their row_tv moved, and every :out
-digest and every COUPLED list stayed as they were.
+digest and every COUPLED list stayed as they were.  The qubit-1,
+qubit-2, qubit-8, qubit-9, qubit-63 and qubit-64 digests, stdout and
+:out, were recorded again when the register came to build each step's
+flips from raw 64-bit words as bit planes, with a second stream of the
+seed for the lanes the planes leave undecided.  Every COUPLED list
+stayed as it was, and so did qubit-8-0 and qubit-64-pi, whose flips are
+certain at beta = 0 and beta = pi whichever draws decide them.
 """
 
 import hashlib
@@ -90,18 +96,18 @@ DIGESTS = {
     "matrix-9:out": "14708c4824e3733b71c6d99aaf12348ab4ce210725e54be675a1d22e4759a8b6",
     "spin-1-pi": "72bc1cbf077e4d1b6f9f59bd0f2986ccd17bf5a10d52fa866f224c1490123bb7",
     "spin-1-pi:out": "308c816cb946398ee9d70dbfa7025278fb9e094e1d1d9ded82585d6f26902594",
-    "qubit-8": "59d0fcef775e74413062a8e937a869af25192ded968bc3ad7c8b9473fb38d5f0",
-    "qubit-8:out": "ef4468271cdf9d854350e0f06769e2f9f01f8a0dde90f077af590e42325b0eec",
-    "qubit-64": "4f1373ba8a0514c2da45a55bfe2f67419f0a0aab1bf2a8bd47ab27429a8122d5",
-    "qubit-64:out": "b617ca981609ace5cd1a36bfd8a0d095f8b469d72700e48748970c2471a92cf7",
-    "qubit-1": "352a2637b23a38f7584de54df45d58cdbdf246a7b3af39e8078e74d1400931bd",
-    "qubit-1:out": "76d5276530df2e4c6112cc81979e279c5a6657f020feddf8026067493fd52e91",
-    "qubit-2": "42dda3e5e1d525b4eefb409729ff41dc07deb5f4f7bcf269bb1677bbbdd51029",
-    "qubit-2:out": "ad7b123d91facd16686bab51c336169775686ec24354275f0366458d227d7228",
-    "qubit-9": "f6f5ae06e2a12cfb860aa70ce57efeefac0f86d137d39d68225cf9ed4cc81b60",
-    "qubit-9:out": "209f310cfb2afba9914f609f2dff41c689260b171bac44cec079e056e460dbbc",
-    "qubit-63": "8970879089d47189b44ef9b4d3c311c2c6cc71a041b8505207c318132bab2956",
-    "qubit-63:out": "b382904441586c80b36d96f2035a9cfd4f44cecee232490aa0163bc2c0699e19",
+    "qubit-8": "eda9e687baa5046e872242e3096911d8b61c831cb85e8cd7723fa243a6385f3b",
+    "qubit-8:out": "fbb900d18569c4a30a3ee67541a65f90368f7a1c9140febb42f450f55f941d2a",
+    "qubit-64": "163662f739e224725c799250ccbf3ec3a8bdc728f46d2c8d02d103f9879e2437",
+    "qubit-64:out": "1f9304a02e2740fed015e072b627b05bb56c217cba206761d97d67e218b682df",
+    "qubit-1": "88f379ea69c69e22d4659ea4686bc2fcd7a4d6bcc7a5cecdb1ed6491242fbae9",
+    "qubit-1:out": "05f172fa37f20621bf81cbbafeadd972b04f34f5507ac03dbb28978f752b1d2a",
+    "qubit-2": "9c93c43dd5c25df8c426c71dfbfb06707fc904fb168c7ef3993e1a65438d5d84",
+    "qubit-2:out": "f7f7890ad8a652cf89d14f87283e13dd26371f7f68d5b55afbc6365258c3edc9",
+    "qubit-9": "1c19fac5fd7818ba4f3c54f6b91d7165198e57764046ae176d7c5a06f8b7713a",
+    "qubit-9:out": "1803f7d3258850039eda6bebd5aabb2107f094258af3e17acb26aa8652a1f2f3",
+    "qubit-63": "14ff7bb60b2e168495a4e3bdda8e75b267650e0e3003a5187548c774465e8228",
+    "qubit-63:out": "23d9daf111607f2fcde43f3aa1bac530b07cb6930b2e364a68a5e714ac8e098a",
     "qubit-8-0": "42856e4d59a745f063b838ad31b1eaf1394c2777cb7d3692839b04a6a27d9254",
     "qubit-8-0:out": "f6a09223a080b84fdb584b57942948bb0d2954988de4920d096f865773bc1ba0",
     "qubit-64-pi": "35861cd59296b5a06cb0f77c6b58c9cb5f5926087f569af6f60310b9f3238cb1",

@@ -21,6 +21,7 @@ from qmarkov import (
     Trajectory,
     coin_toss_stream,
     markov,
+    qubit_chain,
     sample,
     simulate_chain,
     simulate_measurements,
@@ -391,28 +392,38 @@ def test_block_size_changes_no_trajectory(monkeypatch):
         out += [simulate_measurements(spin_half, half_start, steps, RngState(5))[0].states for steps in (100, 101)]
         out.append(simulate_chain(chain, start, 101, RngState(6)).states)
         out.append(simulate_chain(pair, pair_start, 101, RngState(6)).states)
-        for n in (3, 8):
-            out.append(simulate_register(QubitChainSpec(n_qubits=n, beta=1.0), HalfInt(n), 60, RngState(7)).states)
+        # a group of lanes holds 8 steps at n <= 8 and 4 at n = 9, so these
+        # walks end partway into one
+        for n, steps in ((3, 60), (3, 61), (8, 60), (9, 61)):
+            out.append(simulate_register(QubitChainSpec(n_qubits=n, beta=1.0), HalfInt(n), steps, RngState(7)).states)
         out += [coin_toss_stream(count, RngState(8)) for count in (100, 101)]
         return out
 
     default = trajectories()
-    sizes = []
-    random_block = RngState.random_block
-
-    def recording(self, count):
-        sizes.append(count)
-        return random_block(self, count)
-
-    monkeypatch.setattr(RngState, "random_block", recording)
+    sizes = {"random_block": [], "raw_block": []}
+    for name, drawn in sizes.items():
+        monkeypatch.setattr(RngState, name, _recording(getattr(RngState, name), drawn))
     for block in (1, 7):
         monkeypatch.setattr(markov, "_BLOCK", block)
-        sizes.clear()
+        for drawn in sizes.values():
+            drawn.clear()
         small = trajectories()
-        assert 0 < max(sizes) <= 8  # a register block rounds to whole steps of 8 draws
+        assert 0 < max(sizes["random_block"]) <= block
+        # a register draw of one step takes the planes of one whole group
+        assert max(sizes["raw_block"]) == qubit_chain._PLANES
         assert len(default) == len(small)
         for a, b in zip(default, small):
             assert np.array_equal(a, b)
+
+
+def _recording(method, counts):
+    """method, with the count of each call appended to counts."""
+
+    def recording(self, count):
+        counts.append(count)
+        return method(self, count)
+
+    return recording
 
 
 def _spin_rows(twice_s, beta):
@@ -749,21 +760,22 @@ def _record_lockstep_sizes(monkeypatch):
 
 
 # (batch width in segments, draw in steps) that the driver gives each
-# walker: chains at 3, 9 and 51 states and registers at n = 1, 8 and 64
-# as they had before the driver sized them; registers of 9 to 32 qubits
-# take whole blocks of 256 segments, and every draw is a quarter block
-# of uniforms in whole segments
+# walker: chains at 3, 9 and 51 states as they had before the driver
+# sized them, and registers in whole blocks of 256 segments; every draw
+# is a quarter block of uniforms or, for the register, of raw words, 1,
+# 2, 4 or 8 a step as its flip words take 1, 2, 4 or 8 bytes, in whole
+# segments
 LOCKSTEP_SIZES = {
     "chain-3": (1024, 16384),
     "chain-9": (512, 16384),
     "chain-51": (256, 16384),
     "register-1": (1024, 16384),
-    "register-8": (1024, 2048),
-    "register-9": (512, 1792),
-    "register-16": (512, 1024),
-    "register-17": (256, 768),
-    "register-32": (256, 512),
-    "register-64": (256, 256),
+    "register-8": (1024, 16384),
+    "register-9": (512, 8192),
+    "register-16": (512, 8192),
+    "register-17": (256, 4096),
+    "register-32": (256, 4096),
+    "register-64": (256, 2048),
 }
 
 

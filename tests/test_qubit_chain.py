@@ -1,3 +1,4 @@
+import functools
 import json
 import math
 import tracemalloc
@@ -8,6 +9,7 @@ import numpy as np
 import pytest
 
 from qmarkov import (
+    Distribution,
     HalfInt,
     InvalidArgumentError,
     N_MAX_BRUTE_FORCE,
@@ -17,17 +19,20 @@ from qmarkov import (
     RngState,
     SpinChainSpec,
     brute_force_q,
+    chi_square,
     empirical_matrix,
     flip_probability,
     markov,
     per_row_tv,
     q_formula,
+    qubit_chain,
     qubit_transition_matrix,
     simulate_register,
     spin_transition_matrix,
     transition_counts,
 )
 from qmarkov.cli import main
+from qmarkov.stats import CHI2_CRIT_999
 
 from oracles import (
     enumerate_q,
@@ -36,7 +41,7 @@ from oracles import (
     scalar_brute_force_q,
     scalar_q_formula,
 )
-from test_markov import BLOCK, SEGMENT, _record_lockstep
+from test_markov import SEGMENT, _record_lockstep
 
 # q_{j'j} for N=3, beta=0.7, rows j = 3/2..-3/2, frozen from the
 # bitmask-enumeration oracle
@@ -147,8 +152,6 @@ def test_matrix_is_centrosymmetric(beta):
 @pytest.mark.parametrize("n", [67, 100])
 def test_builder_binomials_stay_exact_past_int64(monkeypatch, n):
     # C(67, 33) > 2^63: a Pascal table in int64 wraps and gives negative entries
-    import qmarkov.qubit_chain as qubit_chain
-
     monkeypatch.setattr(qubit_chain, "N_MAX_FORMULA", 128)
     for beta in (0.4, 1.0, 2.5):
         rows = qubit_transition_matrix(QubitChainSpec(n_qubits=n, beta=beta)).rows
@@ -301,14 +304,60 @@ def test_register_frequencies_close_on_the_analytic_matrix():
     assert max(tvs) < 0.03
 
 
-def _reference_register(n, p, ups, steps, rng):
-    # the per-step prefix count of flips among the up qubits, listed first
+def _plane_digits(p, planes):
+    """p's first `planes` binary digits and the rest, p * 2**planes less them, as exact fractions.
+
+    At p = 1 every digit is 1 and the rest is 1.
+    """
+    rest, digits = Fraction(p), []
+    for _ in range(planes):
+        rest *= 2
+        digits.append(int(rest >= 1))
+        rest -= digits[-1]
+    return digits, rest
+
+
+@functools.lru_cache(maxsize=8)
+def _reference_flips(n, p, steps, seed):
+    """Each step's flip word, qubit q at bit q, read one qubit at a time from the seed's raw words.
+
+    A step's n flips are padded to a word of 8, 16, 32 or 64 bits, and
+    each 64 bits of words are a group of lanes that read _PLANES raw
+    words of the seed's stream, one bit each, most significant first.  A
+    lane flips at its first bit that differs from p's binary digit when
+    that digit is 1.  A lane whose bits all equal the digits takes the
+    next uniform of the seed's spawned stream, and flips when it is
+    below the rest of p.
+    """
+    planes = qubit_chain._PLANES
+    width = next(w for w in (8, 16, 32, 64) if w >= n)
+    group_steps = 64 // width
+    raw = np.random.PCG64(np.random.SeedSequence(seed)).random_raw(-(-steps // group_steps) * planes).tolist()
+    spawned = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(0,))))
+    digits, rest = _plane_digits(p, planes)
+    flips = []
+    for step in range(steps):
+        group, slot = divmod(step, group_steps)
+        words = raw[group * planes : (group + 1) * planes]
+        flip_word = 0
+        for q in range(n):
+            lane = slot * width + q
+            for word, digit in zip(words, digits):
+                if (word >> lane) & 1 != digit:
+                    flip = digit
+                    break
+            else:
+                flip = int(Fraction(spawned.random()) < rest)
+            flip_word |= flip << q
+        flips.append(flip_word)
+    return tuple(flips)
+
+
+def _reference_register(n, p, ups, steps, seed):
+    # the up qubits are listed first, so those that flip are the set bits below bit ups
     states = [n - ups]
-    flips = rng.random_block(steps * n).reshape(steps, n) < p
-    # prefix[step][k] counts the flips among qubits 0..k-1
-    prefix = np.concatenate([np.zeros((steps, 1), dtype=int), np.cumsum(flips, axis=1)], axis=1).tolist()
-    for row in prefix:
-        ups += row[n] - 2 * row[ups]
+    for word in _reference_flips(n, p, steps, seed):
+        ups += word.bit_count() - 2 * (word & ((1 << ups) - 1)).bit_count()
         states.append(n - ups)
     return states
 
@@ -329,31 +378,148 @@ def test_simulate_register_refuses_registers_past_the_closed_form():
 # take 5, padded to an 8-byte word
 @pytest.mark.parametrize("n", [1, 7, 8, 9, 17, 24, 40, 63, 64])
 def test_simulate_register_matches_a_per_qubit_reference(n):
-    # walks inside one block of uniforms and across more than two blocks,
-    # ending partway into one; flip probabilities 0, 1 and in between,
-    # from the first, a middle and the last label
+    # walks inside one draw and across draws, the longer ones at n < 64
+    # ending partway into a group of lanes; flip probabilities 0, 1 and in
+    # between, from the first, a middle and the last label
     for beta in (1.3, 0.0, math.pi):
         spec = QubitChainSpec(n_qubits=n, beta=beta)
         p = flip_probability(beta)
         for steps in (300, 2 * (markov._BLOCK // n) + 3):
             for ups in (n, n - n // 3, 0):
                 t = simulate_register(spec, HalfInt(2 * ups - n), steps, RngState(n))
-                expected = _reference_register(n, p, ups, steps, RngState(n))
-                assert t.states.tolist() == expected, (beta, steps, ups)
+                assert t.states.tolist() == _reference_register(n, p, ups, steps, n), (beta, steps, ups)
 
 
 def test_a_register_draw_of_less_than_a_segment_is_drawn_a_segment_at_a_time(monkeypatch):
-    # at these sizes a quarter block of uniforms is 10 steps of 64 qubits,
-    # under one 16-step segment, so a lockstep batch is filled a segment
-    # at a time
+    # at these sizes a quarter block of raw words is 10 steps of 64 qubits,
+    # under one 16-step segment, so each lockstep batch, of 20 segments, is
+    # filled a segment at a time
     monkeypatch.setattr(markov, "_SEGMENT", SEGMENT)
-    monkeypatch.setattr(markov, "_BLOCK", BLOCK)
-    assert markov._BLOCK // 4 // 64 < markov._SEGMENT
+    monkeypatch.setattr(markov, "_BLOCK", 20 * SEGMENT + 7)
+    monkeypatch.setattr(markov, "_MIN_SEGMENTS", 16)
+    assert markov._BLOCK // 4 // qubit_chain._PLANES < markov._SEGMENT
     coupled = _record_lockstep(monkeypatch)
     spec = QubitChainSpec(n_qubits=64, beta=1.3)
     t = simulate_register(spec, HalfInt(64), 4000, RngState(64))
-    assert coupled
-    assert t.states.tolist() == _reference_register(64, flip_probability(1.3), 64, 4000, RngState(64))
+    assert coupled == [True] * (4000 // (20 * SEGMENT))
+    assert t.states.tolist() == _reference_register(64, flip_probability(1.3), 64, 4000, 64)
+
+
+class _PlaneRng:
+    """Raw words from a list, in turn, and the uniform u for each lane that the planes leave undecided."""
+
+    def __init__(self, words, u):
+        self.words, self.u, self.fallbacks = list(words), u, 0
+
+    def raw_block(self, count):
+        block, self.words = self.words[:count], self.words[count:]
+        return np.array(block, dtype=np.uint64)
+
+    def fallback_block(self, count):
+        self.fallbacks += count
+        return np.full(count, self.u)
+
+
+def _captured_draw(monkeypatch, n, p, rng):
+    """The draw of flip words that an n-qubit walk at flip probability p hands the lockstep driver."""
+    drawn = []
+    monkeypatch.setattr(markov, "_lockstep", lambda out, state, per_step, dtype, draw, guess, walk: drawn.append(draw))
+    qubit_chain._walk_register(n, p, 0, np.empty(1, dtype=np.uint8), rng)
+    return drawn[0]
+
+
+# a uniform is k / 2**53 for k in 0..2**53 - 1
+GRID = 2**53
+
+
+def _plane_law(monkeypatch, p, planes):
+    """The chance of each pattern of plane bits to flip a lane of a 64-qubit step, in order of the pattern.
+
+    Lane l of group g reads pattern (64 g + l) mod 2**planes, most
+    significant bit first.  An undecided lane is drawn once with the
+    uniform just below the rest of p and once with the uniform at it; a
+    pattern that flips on the first and not on the second has the chance
+    of a uniform below the rest, ceil(rest * 2**53) / 2**53.
+    """
+    monkeypatch.setattr(qubit_chain, "_PLANES", planes)
+    patterns = 1 << planes
+    groups = -(-patterns // 64)
+    words = [
+        sum(((((64 * g + lane) % patterns) >> (planes - 1 - k)) & 1) << lane for lane in range(64))
+        for g in range(groups)
+        for k in range(planes)
+    ]
+    # the first uniform at or past the rest
+    at = math.ceil(_plane_digits(p, planes)[1] * GRID)
+    outcomes = []
+    for k in (at - 1, at):
+        if 0 <= k < GRID:
+            rng = _PlaneRng(words, k / GRID)
+            flips = _captured_draw(monkeypatch, 64, p, rng)(groups).tolist()
+            # one pattern equals p's digits, and only its lanes are left to the fallback
+            assert rng.fallbacks == groups * 64 // patterns
+            outcomes.append([(flips[i // 64] >> (i % 64)) & 1 for i in range(patterns)])
+    return [Fraction(f[0]) if len(set(f)) == 1 else Fraction(at, GRID) for f in zip(*outcomes)]
+
+
+# p at 1/2, 3/8, 11/16 and 2^-3 + 2^-10, whose binary digits end before
+# or after 2 and 8 planes, and within 12; 0, 1 at beta = pi, and 2^-60,
+# which a uniform on the 2^-53 grid compared with p would flip at 2^-53,
+# and whose rest past 8 planes or more is on that grid
+EXACT = [
+    *((p, planes) for p in (0.5, 0.375, 0.6875, 2.0**-3 + 2.0**-10, 0.0, 1.0) for planes in (2, 8, 12)),
+    (2.0**-60, 8),
+    (2.0**-60, 12),
+]
+
+
+@pytest.mark.parametrize("p, planes", EXACT)
+def test_the_bit_planes_flip_a_lane_with_probability_p_exactly(monkeypatch, p, planes):
+    assert flip_probability(math.pi) == 1.0
+    chance = _plane_law(monkeypatch, p, planes)
+    digits, rest = _plane_digits(p, planes)
+    lead = int("".join(map(str, digits)), 2)
+    # a lane is decided at its first bit that differs from p's digit, and
+    # flips where that digit is 1: the patterns below p's leading digits
+    assert chance == [1] * lead + [Fraction(math.ceil(rest * GRID), GRID)] + [0] * ((1 << planes) - lead - 1)
+    assert sum(chance) / len(chance) == Fraction(p)
+
+
+@pytest.mark.parametrize("planes", [2, 8, 12])
+@pytest.mark.parametrize("p", [flip_probability(0.3), 2.0**-60, 3 * 2.0**-70])
+def test_the_bit_planes_err_by_less_than_a_uniform_past_the_planes(monkeypatch, p, planes):
+    # past the planes the rest of p may fall between two uniforms, so an
+    # undecided lane's chance is over the rest by under 2^-53, and p's by
+    # under 2^-(53 + planes)
+    error = sum(_plane_law(monkeypatch, p, planes)) / (1 << planes) - Fraction(p)
+    assert 0 <= error < Fraction(1, 2 ** (53 + planes))
+
+
+@pytest.mark.parametrize("n", [1, 3, 9, 17, 64])
+def test_a_draw_takes_the_steps_its_last_group_left(monkeypatch, n):
+    # a group holds 8, 4, 2 or 1 steps; draws of any sizes in turn give
+    # the flip words of one draw of their total
+    p = flip_probability(1.1)
+    sizes = [3, 5, 1, 7, 13, 2]
+    parts = _captured_draw(monkeypatch, n, p, RngState(n))
+    whole = _captured_draw(monkeypatch, n, p, RngState(n))
+    assert np.concatenate([parts(size) for size in sizes]).tolist() == whole(sum(sizes)).tolist()
+
+
+@pytest.mark.parametrize("beta", [0.06, math.pi / 2, math.pi - 0.06])
+def test_flip_counts_pass_a_chi_square_test(monkeypatch, beta):
+    # p near 0, 1/2 and 1: the flips of each 9-qubit step, 7 padding lanes
+    # in its 16-bit word, against Binomial(9, p), and the flipped lanes of
+    # 64-qubit steps against Bernoulli(p)
+    p = flip_probability(beta)
+    steps = 20_000
+    flips = np.bitwise_count(_captured_draw(monkeypatch, 9, p, RngState(9))(steps))
+    binomial = Distribution(tuple(range(10)), [math.comb(9, k) * p**k * (1 - p) ** (9 - k) for k in range(10)])
+    result = chi_square(np.bincount(flips, minlength=10), binomial)
+    assert result.statistic < CHI2_CRIT_999[result.dof], result
+    flipped = int(np.bitwise_count(_captured_draw(monkeypatch, 64, p, RngState(64))(steps)).sum())
+    result = chi_square([flipped, 64 * steps - flipped], Distribution((1, 0), [p, 1 - p]))
+    assert result.statistic < CHI2_CRIT_999[1], result
 
 
 def _walk_peak(n, steps):
@@ -376,13 +542,12 @@ def _register_peak(n, blocks):
 @pytest.mark.parametrize("n", [1, 8, 24, 64])
 def test_register_memory_is_bounded_by_the_block(monkeypatch, n):
     # the per-step walk: with _MIN_SEGMENTS above any of these walks'
-    # segment counts, no batch goes to the lockstep; the block of uniforms,
-    # each step's flips padded to one word of 1, 2, 4 or 8 bytes, and the
-    # listed flip words stay under a fixed multiple of one block of
-    # uniforms however long the walk: 0.80 blocks at n = 1, 0.29 at n = 8,
-    # 0.25 at n = 24 (a 3-byte step in a 4-byte word) and 0.30 at n = 64;
-    # flips padded to 64 bools a step would add 0.88 blocks at n = 8, and
-    # blocks of _BLOCK // n steps 3.7 blocks at n = 1
+    # segment counts, no batch goes to the lockstep; a draw's quarter
+    # block of raw words and its lanes, each step's flips padded to one
+    # word of 1, 2, 4 or 8 bytes, and the listed flip words stay under a
+    # fixed multiple of one block of uniforms however long the walk: 0.55
+    # blocks at n = 1 and 8, 0.39 at n = 24 (a 3-byte step in a 4-byte
+    # word) and 0.37 at n = 64
     monkeypatch.setattr(markov, "_MIN_SEGMENTS", 8 * markov._BLOCK // markov._SEGMENT + 1)
     peaks = [_register_peak(n, blocks) for blocks in (4, 8)]
     assert max(peaks) < 1.6, peaks
@@ -398,9 +563,9 @@ LOCKSTEP_BATCHES = {1: 3, 8: 3, 16: 6, 17: 12, 64: 12}
 @pytest.mark.parametrize("n", list(LOCKSTEP_BATCHES))
 def test_lockstep_register_memory_is_bounded_by_the_block(monkeypatch, n):
     # walks of 4 and 8 blocks of _BLOCK steps: the batch of flip words
-    # and its segment paths, one draw of uniforms and its flips stay
-    # under the same bound, however many batches the walk crosses; 1.51,
-    # 1.29, 1.04, 0.90 and 1.44 blocks at n = 1, 8, 16, 17 and 64
+    # and its segment paths, one draw of raw words and its lanes stay
+    # under the same bound, however many batches the walk crosses; 1.36,
+    # 1.36, 1.11, 0.99 and 1.50 blocks at n = 1, 8, 16, 17 and 64
     coupled = _record_lockstep(monkeypatch)
     peaks = [_walk_peak(n, blocks * markov._BLOCK) for blocks in (4, 8)]
     assert coupled == [True] * LOCKSTEP_BATCHES[n]
