@@ -190,10 +190,9 @@ def cmd_simulate(args) -> int:
         "rng": RNG_ALGORITHM,
         "version": FORMAT_VERSION,
         "labels": [str(label) for label in trajectory.labels],
-        "visits": [int(v) for v in empirical.row_visits],
+        "visits": empirical.row_visits.tolist(),
         "empirical_rows": [
-            [float(x) for x in row] if seen else None
-            for row, seen in zip(empirical.rows, empirical.observed)
+            row if seen else None for row, seen in zip(empirical.rows.tolist(), empirical.observed.tolist())
         ],
         "row_tv": row_tv,
         "max_row_tv": max(observed) if observed else None,
@@ -280,7 +279,7 @@ def cmd_stationary(args) -> int:
                 "converged": False,
                 "iterations": exc.iterations,
                 "residual": float(exc.residual),
-                "last_iterate": [float(x) for x in exc.last_iterate],
+                "last_iterate": exc.last_iterate.tolist(),
             }
         else:
             code = EXIT_OK
@@ -289,7 +288,7 @@ def cmd_stationary(args) -> int:
                 "converged": True,
                 "iterations": result.iterations,
                 "residual": float(result.residual),
-                "probs": [float(x) for x in result.distribution.probs],
+                "probs": result.distribution.probs.tolist(),
             }
         stream.write(json.dumps(payload) + "\n")
     return code

@@ -220,9 +220,10 @@ def _walk(table: list, state: int, out: np.ndarray, rng: RngState) -> None:
     breakpoint, the lookup is exact.  The bucket comes from a guide of
     equal cells over [0, 1): a cell holding no breakpoint has one
     bucket, and only uniforms in the other cells are searched for.  Each
-    uniform's lut offset is stored in the narrowest unsigned dtype of
-    the lut's size, and _walk_chain walks the whole walk from those
-    offsets through _lockstep.  Walks shorter than _MIN_SEGMENTS
+    uniform's key, its lut offset or, where the offsets would take more
+    bytes, its bucket, is stored in the narrowest unsigned dtype that
+    holds every bucket, and _walk_chain walks the whole walk from those
+    keys through _lockstep.  Walks shorter than _MIN_SEGMENTS
     segments are walked by bisect, since they would not repay building
     the lut, and so are chains whose lut would pass _LUT_CAP entries
     (about 101 states), so memory stays bounded for any chain.
@@ -251,7 +252,7 @@ def _bisect_block(table: list, state: int, block: np.ndarray, out: np.ndarray) -
 
 
 def _lookup_table(table: list) -> tuple | None:
-    """(breaks, guide, lut) for the lockstep walk; None if the lut would pass _LUT_CAP entries.
+    """(breaks, guide, lut, scale) for the lockstep walk; None if the lut would pass _LUT_CAP entries.
 
     lut is the (len(breaks) + 1, dim) table of next states, raveled, in
     the state dtype: an entry table[x][j] equal to breaks[r] is at or
@@ -259,10 +260,13 @@ def _lookup_table(table: list) -> tuple | None:
     per row by bucket and summing down the buckets gives bisect_right.
     guide cuts [0, 1) into a power of two of equal cells, at least
     _GUIDE_CELLS per breakpoint: a cell that holds no breakpoint has one
-    bucket, stored as its lut offset (bucket * dim), and a cell that
-    holds one stores the dtype's largest value.  The guide takes the
-    narrowest unsigned dtype of the lut's size, which holds each offset
-    and stays above them all.
+    bucket, and stores its key, bucket * scale, and a cell that holds
+    one stores the dtype's largest value.  The guide takes the narrowest
+    unsigned dtype that holds len(breaks) + 1, which holds each bucket
+    and stays above them all.  A key is the bucket's lut offset (scale
+    dim) when the lut's size fits that dtype too, and the bucket itself
+    (scale 1) when it does not, so it never takes more bytes than the
+    bucket and is scaled in the walk only when it must be.
     """
     dim = len(table)
     # gathered row by row, so a wide chain stops at the cap and not after
@@ -277,60 +281,65 @@ def _lookup_table(table: list) -> tuple | None:
     lut = np.zeros((breaks.size + 1, dim), dtype=_state_dtype(dim))
     np.add.at(lut, (np.searchsorted(breaks, entries) + 1, np.arange(dim)[:, None]), 1)
     np.add.accumulate(lut, axis=0, out=lut)
-    key = _state_dtype(lut.size)
+    key = _state_dtype(breaks.size + 2)
+    scale = dim if _state_dtype(lut.size) == key else 1
     cells = 1 << (_GUIDE_CELLS * breaks.size).bit_length()
     # each breakpoint's cell: b * cells is exact, as cells is a power of
     # two, and a breakpoint at or above 1 is above every uniform
     cell = (breaks * cells).astype(np.intp)
     cell = cell[cell < cells]
     guide = np.zeros(cells, dtype=key)
-    np.add.at(guide, cell[cell + 1 < cells] + 1, dim)
+    np.add.at(guide, cell[cell + 1 < cells] + 1, scale)
     np.add.accumulate(guide, out=guide)
     guide[cell] = np.iinfo(key).max
-    return breaks, guide, lut.ravel()
+    return breaks, guide, lut.ravel(), scale
 
 
-def _lut_offsets(breaks: np.ndarray, guide: np.ndarray, dim: int, uniforms: np.ndarray) -> np.ndarray:
-    """The lut offset of each uniform, in the guide's dtype."""
+def _keys(breaks: np.ndarray, guide: np.ndarray, scale: int, uniforms: np.ndarray) -> np.ndarray:
+    """The key, bucket * scale, of each uniform, in the guide's dtype."""
     cells = np.empty(uniforms.size, dtype=np.intp)
     # u * guide.size is exact, so the cast, a floor, is u's cell
     np.multiply(uniforms, guide.size, out=cells, casting="unsafe")
-    offsets = guide.take(cells, mode="clip")
-    busy = np.flatnonzero(offsets == np.iinfo(guide.dtype).max)
-    offsets[busy] = np.searchsorted(breaks, uniforms[busy], side="right") * dim
-    return offsets
+    keys = guide.take(cells, mode="clip")
+    busy = np.flatnonzero(keys == np.iinfo(guide.dtype).max)
+    keys[busy] = np.searchsorted(breaks, uniforms[busy], side="right") * scale
+    return keys
 
 
 def _walk_chain(lookup: tuple, dim: int, state: int, out: np.ndarray, rng: RngState) -> None:
     """Write the states of a chain of dim states after steps 1..out.size from state into out, through _lockstep.
 
-    lookup is the chain's (breaks, guide, lut).  A step takes one
-    uniform, and its value is the uniform's lut offset, so the driver's
-    rules give batches of 4 blocks of segments at 3 states (1-byte
-    offsets), 2 at 9 (2 bytes) and 1 at 51 (4 bytes), and draws of a
-    quarter block of steps.  Step k of segment s of a batch leaves
-    through lut at batch[k, s]; every segment but the first is guessed
-    to start at state 0.
+    lookup is the chain's (breaks, guide, lut, scale).  A step takes one
+    uniform, and its value is the uniform's key, so the driver's rules
+    give batches of 4 blocks of segments at 3 states (1-byte lut
+    offsets) and at 9 (1-byte buckets), 2 at 51 (2-byte buckets), and
+    draws of a quarter block of steps.  Step k of segment s of a batch
+    leaves x through lut at its key plus x, once a bucket key is scaled
+    by dim; that product is formed in intp, as a narrow bucket times dim
+    would wrap.  Every segment but the first is guessed to start at
+    state 0.
     """
-    breaks, guide, lut = lookup
+    breaks, guide, lut, scale = lookup
+
+    def offsets(keys, out=None):
+        return keys if scale == dim else np.multiply(keys, dim, out=out, dtype=np.intp)
 
     def draw(count):
-        return _lut_offsets(breaks, guide, dim, rng.random_block(count))
+        return _keys(breaks, guide, scale, rng.random_block(count))
 
     def guess(state, batch):
         index = np.empty(batch.shape[1], dtype=np.intp)
 
         def advance(k, states, into):
-            # the sum is formed in the offsets' dtype, which holds every lut index
-            offsets = np.add(batch[k], states, out=index)
-            return lut.take(offsets, out=into, mode="clip")
+            # an offset key plus a state is formed in the keys' dtype, which holds every lut index
+            return lut.take(np.add(offsets(batch[k], index), states, out=index), out=into, mode="clip")
 
         starts = np.zeros(batch.shape[1], dtype=lut.dtype)
         starts[0] = state
         return starts, advance
 
-    def walk(offsets, state, into):
-        return _walk_offsets(lut, offsets, state, into)
+    def walk(keys, state, into):
+        return _walk_offsets(lut, offsets(keys), state, into)
 
     _lockstep(out, state, 1, guide.dtype, draw, guess, walk)
 

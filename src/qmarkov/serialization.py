@@ -25,6 +25,11 @@ FORMAT_VERSION = 1
 
 # characters of trajectory body parsed at a time; each slice is cut at a newline
 _SLICE = _BLOCK // 4
+# the table of label pairs is built for at most _PAIRS_MAX entries, and
+# for at most one entry per _PAIR_LINES trajectory lines: past either, a
+# write ran slower with the table than without it
+_PAIRS_MAX = 1 << 13
+_PAIR_LINES = 16
 # most slots in the table that maps a line's key to a label
 _SLOTS_MAX = 1 << 16
 # odd multiplier that mixes a line's length and first word into its key
@@ -164,7 +169,12 @@ def write_trajectory(t: Trajectory, stream, config: dict | None = None) -> None:
     """Write the header line and outcome labels to a text stream.
 
     A config that strict JSON cannot hold is refused (see _json) before
-    anything is written.
+    anything is written.  The body is written one _BLOCK of states at a
+    time, joined from a table of texts that each end in a newline: of
+    two labels, indexed by first state * dim + second, when that table
+    repays itself, which is when its dim**2 entries are at most
+    _PAIRS_MAX and at most one per _PAIR_LINES lines; else of one
+    label.  A last state left without a partner is written alone.
     """
     labels = list(map(str, t.labels))
     header = {
@@ -178,12 +188,22 @@ def write_trajectory(t: Trajectory, stream, config: dict | None = None) -> None:
         header["config"] = config
     stream.write(_json(header, "config"))
     stream.write("\n")
-    label_strings = np.array(labels, dtype=object)
-    # one step kernel block per join keeps memory flat for long trajectories
-    states = t.states
-    for start in range(0, states.size, _BLOCK):
-        stream.write("\n".join(label_strings.take(states[start : start + _BLOCK]).tolist()))
-        stream.write("\n")
+    states, dim = t.states, len(labels)
+    texts = np.array([label + "\n" for label in labels], dtype=object)
+    pairs = dim * dim <= min(_PAIRS_MAX, states.size // _PAIR_LINES)
+    if pairs:
+        texts = np.add.outer(texts, texts).ravel()
+    # _BLOCK and whole are even, so every block holds whole pairs
+    whole = states.size - states.size % 2 if pairs else states.size
+    for start in range(0, whole, _BLOCK):
+        codes = states[start : min(start + _BLOCK, whole)]
+        if pairs:
+            # formed in the narrowest dtype that holds dim * dim - 1, as the
+            # states' own dtype would wrap
+            codes = np.multiply(codes[0::2], dim, dtype=_state_dtype(dim * dim)) + codes[1::2]
+        stream.write("".join(texts.take(codes).tolist()))
+    if whole < states.size:
+        stream.write(labels[states[-1]] + "\n")
 
 
 def _lines(data: bytes) -> tuple:
@@ -253,6 +273,13 @@ def _split_codes(text: str, index: dict, line: int) -> np.ndarray:
         raise FormatError(f"unknown outcome label {label!r}", line=line + i) from None
 
 
+def _check_line_count(text: str, end: int, steps: int) -> None:
+    """Refuse a file whose lines up to end, but its header line, are other than steps + 1."""
+    found = text.count("\n", 0, end)
+    if found != steps + 1:
+        raise FormatError(f"expected {steps + 1} outcome lines for {steps} steps, found {found}", line=found + 1)
+
+
 def trajectory_from_text(text: str) -> tuple[Trajectory, dict]:
     """Parse a trajectory file; FormatError carries the offending line number.
 
@@ -267,6 +294,13 @@ def trajectory_from_text(text: str) -> tuple[Trajectory, dict]:
     slice of a file with a longer label, is split into lines and looked
     up in a dict (see _split_codes), which reports the first unknown
     label at its line.
+
+    The lines are not counted before the parse.  A header whose steps
+    exceed the body's characters is refused before states is allocated,
+    as steps + 1 lines take at least steps newlines, and the lines are
+    counted only once the parse finds too many or too few of them, or a
+    line that is not a label: a wrong count is reported, at the file's
+    last line, before any line's content.
     """
     if not text:
         raise FormatError("empty trajectory file", line=1)
@@ -295,27 +329,36 @@ def trajectory_from_text(text: str) -> tuple[Trajectory, dict]:
         raise FormatError(f"unsupported format version {header.get('version')!r}", line=1)
     # a final newline ends the last line rather than starting an empty one
     end = len(text) - text.endswith("\n")
-    line_count = text.count("\n", 0, end) + 1
-    if line_count - 1 != steps + 1:
-        raise FormatError(
-            f"expected {steps + 1} outcome lines for {steps} steps, found {line_count - 1}",
-            line=line_count,
-        )
+    # steps + 1 lines take at least steps newlines, so a header that claims
+    # more lines than the body has characters is refused before states is
+    # allocated; so is a file with no body at all
+    if not body or steps > end - body:
+        _check_line_count(text, end, steps)
     index = {label: i for i, label in enumerate(labels)}
     one_word = all(len(label.encode("utf-8", "surrogatepass")) <= 8 for label in labels)
     matcher = _matcher(labels) if one_word else None
     states = np.empty(steps + 1, dtype=_state_dtype(len(labels)))
     done = 0
-    # body..end holds exactly steps + 1 lines, so the slices fill states
-    while done < states.size:
+    while True:
         cut = text.find("\n", body + _SLICE, end)
         cut = end if cut < 0 else cut
         piece = text[body:cut]
         codes = None if matcher is None else _codes(piece.encode("utf-8", "surrogatepass"), matcher)
         if codes is None:
-            codes = _split_codes(piece, index, done + 2)
+            try:
+                codes = _split_codes(piece, index, done + 2)
+            except FormatError:
+                # a wrong line count is reported before any line's content
+                _check_line_count(text, end, steps)
+                raise
+        if done + codes.size > states.size:
+            _check_line_count(text, end, steps)
         states[done : done + codes.size] = codes
         done += codes.size
+        if cut == end:
+            break
         body = cut + 1
+    if done < states.size:
+        _check_line_count(text, end, steps)
     trajectory = Trajectory(labels=labels, states=states, seed=seed)
     return trajectory, header

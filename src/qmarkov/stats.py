@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatchError, InvalidArgumentError, UndefinedTestError
-from .markov import _BLOCK, Distribution, StochasticMatrix, Trajectory, _labels
+from .markov import _BLOCK, Distribution, StochasticMatrix, Trajectory, _labels, _state_dtype
 
 # 0.999 quantiles of the chi-square distribution by degrees of freedom,
 # hard-coded so no special-function dependency is needed
@@ -81,12 +81,12 @@ def transition_counts(t: Trajectory) -> TransitionCounts:
     n = len(t.labels)
     states = t.states
     counts = np.zeros(n * n, dtype=np.int64)
-    # pair codes prev * n + next, one block at a time; each block is
-    # widened to int64 first, since narrow state arithmetic would wrap
+    # pair codes prev * n + next, one block at a time, formed in the
+    # narrowest dtype that holds n * n - 1; the states' own dtype would wrap
+    code = _state_dtype(n * n)
     for start in range(0, states.size - 1, _BLOCK):
         stop = min(start + _BLOCK, states.size - 1)
-        pairs = states[start:stop].astype(np.int64)
-        pairs *= n
+        pairs = np.multiply(states[start:stop], n, dtype=code)
         pairs += states[start + 1 : stop + 1]
         counts += np.bincount(pairs, minlength=n * n)
     return TransitionCounts(labels=t.labels, counts=counts.reshape(n, n))

@@ -458,6 +458,8 @@ COUPLING = {
     "spin25-1.0": _spin_rows(50, 1.0),
     "spin25-2.2": _spin_rows(50, 2.2),
     "random-9": _random_rows(9, 1),
+    # two-byte lut offsets as keys
+    "random-20": _random_rows(20, 4),
     "random-51": _random_rows(51, 2),
     "zero-pattern-9": _zero_pattern_rows(),
 }
@@ -537,17 +539,42 @@ def _recorded_walk(monkeypatch, matrix, start, uniforms):
 
 # walks of 451 and 448 whole segments and a tail
 LENGTHS = (2 * BLOCK + 130 * SEGMENT + 5, 2 * BLOCK + 127 * SEGMENT + 3)
-# lockstep batches of the walks of LENGTHS, by the bytes of a lut offset:
-# batches of 4 blocks of 160 segments at 1 byte (3 states, 640 segments,
-# more than either walk), 2 at 2 (9, 320) and 1 at 4 (51, 160); there
-# the last batches are 131 and 128 segments, the shortest batch
-# lockstep walks (_MIN_SEGMENTS)
-LOCKSTEP_BATCHES = {1: (1, 1), 2: (2, 2), 4: (3, 3)}
+# lockstep batches of the walks of LENGTHS, by the bytes of a key:
+# batches of 4 blocks of 160 segments at 1 byte (3 and 9 states, 640
+# segments, more than either walk) and 2 at 2 (51, 320); there the last
+# batches are 131 and 128 segments, the shortest batch lockstep walks
+# (_MIN_SEGMENTS)
+LOCKSTEP_BATCHES = {1: (1, 1), 2: (2, 2)}
 
 
 def _key_bytes(matrix):
-    """The bytes of one lut offset of the chain's lockstep walk."""
+    """The bytes of one key, a lut offset or a bucket, of the chain's lockstep walk."""
     return markov._lookup_table(_cumulative(matrix))[1].itemsize
+
+
+# (rows, scale of a key, its dtype): a key is the lut offset (scale dim)
+# where the lut's size fits the buckets' dtype, and the bucket (scale 1)
+# where it does not
+KEYS = {
+    "3": (THREE_STATE, 3, np.uint8),
+    "random-9": (_random_rows(9, 1), 1, np.uint8),
+    "random-20": (_random_rows(20, 4), 20, np.uint16),
+    "random-51": (_random_rows(51, 2), 1, np.uint16),
+}
+
+
+@pytest.mark.parametrize("name", list(KEYS))
+def test_a_key_is_the_lut_offset_unless_that_takes_more_bytes_than_the_bucket(name):
+    matrix, scale, dtype = KEYS[name]
+    table = _cumulative(matrix)
+    breaks, guide, lut, got = markov._lookup_table(table)
+    assert (got, guide.dtype) == (scale, dtype)
+    # every key, of a cell or searched for, is bucket * scale
+    uniforms = RngState(9).random_block(20000)
+    buckets = np.searchsorted(breaks, uniforms, side="right")
+    assert np.array_equal(markov._keys(breaks, guide, scale, uniforms), buckets * scale)
+    for x in range(len(matrix)):
+        assert lut[buckets * len(matrix) + x].tolist() == [bisect_right(table[x], u) for u in uniforms.tolist()]
 
 
 @pytest.mark.parametrize("edges", [False, True], ids=["random", "edges"])
@@ -577,7 +604,7 @@ def test_a_walk_that_never_meets_is_finished_by_the_lut_walk(monkeypatch, name):
     states, coupled, offsets = _recorded_walk(monkeypatch, matrix, start, uniforms)
     assert states == bisect_loop(matrix, start, uniforms)
     # the first batch gives up and is finished one segment at a time
-    # through its stored offsets from a segment inside it; the lut walk
+    # through its stored keys from a segment inside it; the lut walk
     # takes the rest of the walk from the batch's end, a quarter block of
     # uniforms at a time, cut to whole segments, and bisect walks none of it
     draw, rest = BLOCK // 4 // SEGMENT * SEGMENT, steps - segments * SEGMENT
@@ -622,10 +649,10 @@ def _walk_peak(table, start, steps, seed):
 
 
 # (rows, lockstep batches of the 4-block and the 8-block walk): batches
-# of 1 block at 51 states, 2 at 9 and 4 at 3
+# of 2 blocks at 51 states and 4 at 9 and at 3
 LOCKSTEP_MEMORY = {
-    "spin25": (_spin_rows(50, 1.0), 12),
-    "random-9": (_random_rows(9, 1), 6),
+    "spin25": (_spin_rows(50, 1.0), 6),
+    "random-9": (_random_rows(9, 1), 3),
     "spin1": (_spin_rows(2, 1.0), 3),
 }
 
@@ -633,8 +660,8 @@ LOCKSTEP_MEMORY = {
 def test_lockstep_memory_is_bounded_by_the_block(monkeypatch):
     # no per-step list and no table that grows with the walk: the peak of
     # a 4-block walk and of an 8-block one, one draw's uniforms with its
-    # batch's lookup offsets and segment paths, stay under a fixed multiple
-    # of one block of uniforms; 2.08, 1.40 and 1.65 blocks at 51, 9 and 3
+    # batch's keys and segment paths, stay under a fixed multiple
+    # of one block of uniforms; 1.92, 1.65 and 1.65 blocks at 51, 9 and 3
     # states
     for name, (rows, batches) in LOCKSTEP_MEMORY.items():
         table = _cumulative(rows)
@@ -647,8 +674,8 @@ def test_lockstep_memory_is_bounded_by_the_block(monkeypatch):
 
 # (rows, start, steps, bound in blocks of uniforms) of walks read one
 # step at a time: bisect walks the chain over the cap and the short walk;
-# the fallback's one batch gives up and is finished from its stored lut
-# offsets, one segment's list at a time, and the lut walk takes the rest
+# the fallback's one batch gives up and is finished from its stored
+# keys, one segment's list at a time, and the lut walk takes the rest
 BISECT_WALKS = {
     "over-the-cap": (_random_rows(110, 3), 0, 4 * markov._BLOCK, 2.5),
     "fallback": (*NON_COUPLING["spin1-pi"], 4 * markov._BLOCK, 3.5),
@@ -674,12 +701,12 @@ def _one_block_batches(step_bytes):
     return markov._BLOCK // markov._SEGMENT
 
 
-# (rows, blocks in one batch) at 3, 9 and 51 states: lut offsets of 1, 2
-# and 4 bytes and a one-byte path make batches of 4, 2 and 1 blocks
+# (rows, blocks in one batch) at 3, 9 and 51 states: keys of 1, 1 and 2
+# bytes and a one-byte path make batches of 4, 4 and 2 blocks
 BATCH_CHAINS = {
     "3": (THREE_STATE, 4),
-    "9": (_random_rows(9, 1), 2),
-    "51": (_random_rows(51, 2), 1),
+    "9": (_random_rows(9, 1), 4),
+    "51": (_random_rows(51, 2), 2),
 }
 
 
@@ -760,15 +787,15 @@ def _record_lockstep_sizes(monkeypatch):
 
 
 # (batch width in segments, draw in steps) that the driver gives each
-# walker: chains at 3, 9 and 51 states as they had before the driver
-# sized them, and registers in whole blocks of 256 segments; every draw
+# walker: chains at 3, 9 and 51 states in batches of 4, 4 and 2 blocks
+# of 256 segments, and registers in whole blocks of them; every draw
 # is a quarter block of uniforms or, for the register, of raw words, 1,
 # 2, 4 or 8 a step as its flip words take 1, 2, 4 or 8 bytes, in whole
 # segments
 LOCKSTEP_SIZES = {
     "chain-3": (1024, 16384),
-    "chain-9": (512, 16384),
-    "chain-51": (256, 16384),
+    "chain-9": (1024, 16384),
+    "chain-51": (512, 16384),
     "register-1": (1024, 16384),
     "register-8": (1024, 16384),
     "register-9": (512, 8192),
@@ -812,8 +839,8 @@ def _give_up_on_the_second_batch(monkeypatch):
 
 def test_a_batch_that_gives_up_is_finished_from_what_it_stores(monkeypatch):
     # the second 4-block batch of a 3-state walk is finished one step at a
-    # time through its stored lut offsets from segment 3 on, and the rest
-    # through the lut offsets of a quarter block of uniforms at a time
+    # time through its stored keys from segment 3 on, and the rest
+    # through the keys of a quarter block of uniforms at a time
     table = _cumulative(THREE_STATE)
     steps = 9 * markov._BLOCK + 1001
     uniforms = RngState(12).random_block(steps)

@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import math
 import tracemalloc
 
 import numpy as np
@@ -293,6 +294,43 @@ def test_trajectory_length_mismatch_is_an_error():
         trajectory_from_text("\n".join(lines + ["a"]) + "\n")
 
 
+# a dim whose dim**2 pairs pass the writer's table cap, so it writes one label at a time
+PAST_THE_PAIR_CAP = math.isqrt(serialization._PAIRS_MAX) + 1
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 9, 51, 65, PAST_THE_PAIR_CAP])
+def test_written_trajectories_match_the_one_label_per_line_oracle(dim):
+    # step counts of 0, 1 and 2, and lines on each side of the pair rule,
+    # dim**2 * _PAIR_LINES, odd and even; at 65 states and past the cap
+    # they span two blocks of states
+    labels = tuple(f"{'½' * (i % 3)}{i - dim // 2}" for i in range(dim))
+    rule = dim * dim * serialization._PAIR_LINES
+    rng = np.random.default_rng(dim)
+    for lines in (1, 2, 3, 4, rule - 1, rule, rule + 1, rule + 2):
+        # every third state of a longer array, so the writer reads a strided view
+        t = Trajectory(labels=labels, states=rng.integers(0, dim, 3 * lines)[::3], seed=dim)
+        header, _, body = trajectory_text(t, config={"dim": dim}).partition("\n")
+        assert json.loads(header)["steps"] == lines - 1
+        # compared first, so a failure does not diff two long texts
+        same = body == "".join(labels[s] + "\n" for s in t.states.tolist())
+        assert same, (dim, lines)
+
+
+def test_a_header_that_claims_more_lines_than_the_body_has_characters_allocates_nothing():
+    steps = 10**15
+    header = {"labels": ["a", "b"], "seed": 1, "steps": steps, "rng": "pcg64", "version": FORMAT_VERSION}
+    text = f"{json.dumps(header)}\na\nb\na\n"
+    tracemalloc.start()
+    try:
+        with pytest.raises(FormatError) as info:
+            trajectory_from_text(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(info.value) == f"expected {steps + 1} outcome lines for {steps} steps, found 3 (line 4)"
+    assert peak < 64 * 1024
+
+
 def test_long_trajectory_round_trip():
     t = make_trajectory(steps=5000, seed=11)
     parsed, _ = trajectory_from_text(trajectory_text(t))
@@ -396,6 +434,18 @@ def parser_corpus(block):
     cases["CRLF endings"] = text.replace("\n", "\r\n")
     cases["one line too few"] = join(body[:-1])
     cases["one line too many"] = join(body + [body[0]])
+    # a wrong count is reported before an unknown label, in a slice before the last or in it
+    for where in (0, len(body) - 2):
+        wrong = body[:where] + ["zz"] + body[where + 1 :]
+        cases[f"unknown label at body line {where}, one line too few"] = join(wrong[:-1])
+        cases[f"unknown label at body line {where}, one line too many"] = join(wrong + [body[0]])
+    # steps at most the body's characters are parsed until the lines run
+    # out, and more are refused before the parse
+    chars = len(text) - text.find("\n") - 2
+    for claimed in (chars - 1, chars, chars + 1):
+        cases[f"steps claimed at {claimed - chars} from the body's characters"] = text.replace(
+            '"steps": 30000,', f'"steps": {claimed},', 1
+        )
     cases["seed past 64 bits"] = text.replace('"seed": 2,', f'"seed": {2**64},', 1)
     cases["header only"] = header + "\n"
     cases["header only, no final newline"] = header
