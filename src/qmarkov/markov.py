@@ -8,7 +8,6 @@ reported, not repaired, because the stochasticity of quantum-derived
 matrices is a correctness signal.
 """
 
-import math
 from bisect import bisect_right
 from dataclasses import dataclass
 
@@ -181,18 +180,17 @@ class StationaryResult:
 
 
 def _cumulative(rows) -> list:
-    """Inverse-CDF tables in stored label order, one per row.
+    """Inverse-CDF tables in stored label order, one list per row, from one cumsum along the rows.
 
     Each table holds the row's running sums with the last one replaced by
     inf, so bisect_right never returns len(row): a uniform at or above the
     row's float sum, which can fall short of 1, lands on the last label.
+    A running sum along the last axis adds each row's entries in order,
+    as a cumsum of that row alone does, so the sums are the same floats.
     """
-    tables = []
-    for row in rows:
-        cum = np.cumsum(row).tolist()
-        cum[-1] = math.inf
-        tables.append(cum)
-    return tables
+    tables = np.cumsum(rows, axis=-1)
+    tables[..., -1] = np.inf
+    return tables.tolist()
 
 
 def _walk(table: list, state: int, out: np.ndarray, rng: RngState) -> None:
@@ -226,7 +224,12 @@ def _walk(table: list, state: int, out: np.ndarray, rng: RngState) -> None:
     keys through _lockstep.  Walks shorter than _MIN_SEGMENTS
     segments are walked by bisect, since they would not repay building
     the lut, and so are chains whose lut would pass _LUT_CAP entries
-    (about 101 states), so memory stays bounded for any chain.
+    (about 101 states), so memory stays bounded for any chain.  Such a
+    chain is refused only once its breakpoints are sorted: while it is
+    refused it holds its entries and their sorted copy, 16 bytes an
+    entry, and the distinct ones with their mask, up to 9 more, so the
+    attempt is bounded by the matrix it came from, whose table takes 32
+    bytes an entry as Python floats.
     """
     dim = len(table)
     lookup = dim > 2 and out.size >= _MIN_SEGMENTS * _SEGMENT and _lookup_table(table)
@@ -241,21 +244,18 @@ def _walk(table: list, state: int, out: np.ndarray, rng: RngState) -> None:
 
 def _bisect_block(table: list, state: int, block: np.ndarray, out: np.ndarray) -> int:
     """The state after each uniform of block by bisect, from state, into out; returns the last state."""
-    bisect = bisect_right
-    path = []
-    append = path.append
-    for u in memoryview(block):
-        state = bisect(table[state], u)
-        append(state)
-    out[:] = np.fromiter(path, dtype=out.dtype, count=out.size)
+    out[:] = [state := bisect_right(table[state], u) for u in memoryview(block)]
     return state
 
 
 def _lookup_table(table: list) -> tuple | None:
     """(breaks, guide, lut, scale) for the lockstep walk; None if the lut would pass _LUT_CAP entries.
 
-    lut is the (len(breaks) + 1, dim) table of next states, raveled, in
-    the state dtype: an entry table[x][j] equal to breaks[r] is at or
+    breaks are the distinct finite entries of all the rows, from one sort
+    of all of them with each run of equal values kept once, so -0.0 and
+    0.0 are one breakpoint; the cap is checked on their count.  lut is
+    the (len(breaks) + 1, dim) table of next states, raveled, in the
+    state dtype: an entry table[x][j] equal to breaks[r] is at or
     below every uniform of bucket r + 1 and above, so counting entries
     per row by bucket and summing down the buckets gives bisect_right.
     guide cuts [0, 1) into a power of two of equal cells, at least
@@ -269,15 +269,11 @@ def _lookup_table(table: list) -> tuple | None:
     bucket and is scaled in the walk only when it must be.
     """
     dim = len(table)
-    # gathered row by row, so a wide chain stops at the cap and not after
-    # a pass over all dim**2 entries
-    breaks = set()
-    for row in table:
-        breaks.update(row[:-1])
-        if (len(breaks) + 1) * dim > _LUT_CAP:
-            return None
-    breaks = np.array(sorted(breaks))
     entries = np.array(table)[:, :-1]
+    breaks = np.sort(entries, axis=None)
+    breaks = breaks[np.append(True, breaks[1:] != breaks[:-1])]
+    if (breaks.size + 1) * dim > _LUT_CAP:
+        return None
     lut = np.zeros((breaks.size + 1, dim), dtype=_state_dtype(dim))
     np.add.at(lut, (np.searchsorted(breaks, entries) + 1, np.arange(dim)[:, None]), 1)
     np.add.accumulate(lut, axis=0, out=lut)

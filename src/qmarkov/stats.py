@@ -115,13 +115,9 @@ def per_row_tv(empirical: EmpiricalMatrix, theory: StochasticMatrix) -> list:
     """
     if empirical.labels != theory.labels:
         raise DimensionMismatchError("empirical and theory matrices have different labels")
-    out = []
-    for i, seen in enumerate(empirical.observed):
-        if seen:
-            out.append(0.5 * float(np.abs(empirical.rows[i] - theory.rows[i]).sum()))
-        else:
-            out.append(None)
-    return out
+    # a sum along the contiguous rows adds each row as a sum of that row alone does
+    tvs = (0.5 * np.abs(empirical.rows - theory.rows).sum(axis=1)).tolist()
+    return [tv if seen else None for tv, seen in zip(tvs, empirical.observed.tolist())]
 
 
 def chi_square(observed, expected: Distribution) -> ChiSquareResult:

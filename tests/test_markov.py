@@ -303,6 +303,11 @@ def _spin_half_rows():
     return [*overlap, *overlap.T]
 
 
+def _cumulative_by_row(rows):
+    """The inverse-CDF tables one row at a time: each row's running sums, the last one inf."""
+    return [[*np.cumsum(row).tolist()[:-1], math.inf] for row in rows]
+
+
 @pytest.mark.parametrize(
     "row",
     [[0.1] * 10, [0.25, 0.75, 0.0, 0.0], [0.0, 0.5, 0.5, 0.0, 0.0], *_spin_half_rows()],
@@ -320,6 +325,8 @@ def test_inf_sentinel_picks_what_the_clamp_picks(row):
     _walk(_cumulative([row] * dim), 0, states, StubRng(uniforms))
     assert states.tolist() == expected
     dist = Distribution(tuple(range(dim)), np.array(row))
+    # sample's one-row table is that row's running sums
+    assert _cumulative([dist.probs]) == _cumulative_by_row([row])
     stub = StubRng(uniforms)
     assert [sample(dist, stub) for _ in uniforms] == expected
 
@@ -447,6 +454,11 @@ def _cycle(dim, stay):
 
 
 THREE_STATE = np.array([[0.2, 0.5, 0.3], [0.6, 0.0, 0.4], [0.1, 0.1, 0.8]])
+# running sums that repeat across rows, 0.5 and 0.75 in every row, and
+# start at -0.0 in one row and at 0.0 in another, as a matrix file may give
+SIGNED_ZEROS = np.array(
+    [[-0.0, 0.5, 0.25, 0.25], [0.0, 0.5, 0.25, 0.25], [0.5, -0.0, 0.25, 0.25], [0.25, 0.25, 0.25, 0.25]]
+)
 # chains whose walks coalesce; all but SLOW couple within the tests' 16-step segments
 COUPLING = {
     "spin1-0.3": _spin_rows(2, 0.3),
@@ -462,6 +474,7 @@ COUPLING = {
     "random-20": _random_rows(20, 4),
     "random-51": _random_rows(51, 2),
     "zero-pattern-9": _zero_pattern_rows(),
+    "signed-zeros-4": SIGNED_ZEROS,
 }
 # near the identity and near a permutation: a block may give up
 SLOW = {"spin1-0.3", "spin1-2.84"}
@@ -557,10 +570,19 @@ def _key_bytes(matrix):
 # where it does not
 KEYS = {
     "3": (THREE_STATE, 3, np.uint8),
+    "signed-zeros-4": (SIGNED_ZEROS, 4, np.uint8),
     "random-9": (_random_rows(9, 1), 1, np.uint8),
     "random-20": (_random_rows(20, 4), 20, np.uint16),
     "random-51": (_random_rows(51, 2), 1, np.uint16),
 }
+
+
+def test_the_tables_are_the_running_sums_of_each_row():
+    from test_spin_chain import SWEEP_BETAS
+
+    chains = [_spin_rows(twice, beta) for twice in range(1, 51) for beta in SWEEP_BETAS]
+    for rows in [*chains, *COUPLING.values()]:
+        assert _cumulative(rows) == _cumulative_by_row(rows)
 
 
 @pytest.mark.parametrize("name", list(KEYS))
@@ -569,6 +591,8 @@ def test_a_key_is_the_lut_offset_unless_that_takes_more_bytes_than_the_bucket(na
     table = _cumulative(matrix)
     breaks, guide, lut, got = markov._lookup_table(table)
     assert (got, guide.dtype) == (scale, dtype)
+    # one breakpoint per distinct entry: equal entries and signed zeros merge
+    assert breaks.tolist() == sorted({c for row in table for c in row[:-1]})
     # every key, of a cell or searched for, is bucket * scale
     uniforms = RngState(9).random_block(20000)
     buckets = np.searchsorted(breaks, uniforms, side="right")

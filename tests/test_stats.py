@@ -61,6 +61,23 @@ def test_transition_counts_match_a_plain_loop(dim, steps, monkeypatch):
     assert transition_counts(t).counts.tolist() == expected
 
 
+@pytest.mark.parametrize("dim", [1, 2, 3, 51, 65, 300])
+def test_per_row_tv_matches_a_plain_loop(dim):
+    rng = np.random.default_rng(dim)
+    rows = rng.random((dim, dim)) + 0.05
+    theory = StochasticMatrix(tuple(range(dim)), rows / rows.sum(axis=1, keepdims=True))
+    # a walk over the even states leaves every odd row unvisited, and a
+    # walk of no steps every row
+    walks = [2 * rng.integers(0, (dim + 1) // 2, 20 * dim + 1), [dim - 1]]
+    for states in walks:
+        e = empirical_matrix(transition_counts(make_trajectory(states, labels=theory.labels)))
+        expected = [
+            0.5 * float(np.abs(e.rows[i] - theory.rows[i]).sum()) if e.observed[i] else None for i in range(dim)
+        ]
+        assert per_row_tv(e, theory) == expected
+        assert expected.count(None) == (dim if len(states) == 1 else dim // 2)
+
+
 def test_transition_counts_allocate_at_most_2_bytes_per_step():
     steps = 10**6
     t = make_trajectory(np.random.default_rng(5).integers(0, 51, steps + 1), labels=tuple(range(51)))
