@@ -516,13 +516,15 @@ def stationary(P: StochasticMatrix, tol: float = 1e-10, max_iters: int = 100_000
     check_int("max_iters", max_iters, 1)
     dim = P.dim
     ramp = np.arange(dim, 0, -1, dtype=float)
-    curr = (ramp / ramp.sum()) @ P.rows
+    # v P as elementwise products summed down the rows in row order, not a
+    # BLAS gemv, so the iterates' bits do not depend on the BLAS kernel
+    curr = ((ramp / ramp.sum())[:, None] * P.rows).sum(axis=0)
     mass = float(curr.sum())
     # more than the rounding of the sums, the scaling and the differences
     margin = 8 * dim * np.finfo(float).eps
     residual = np.inf
     for iteration in range(1, max_iters + 1):
-        nxt = curr @ P.rows
+        nxt = (curr[:, None] * P.rows).sum(axis=0)
         next_mass = float(nxt.sum())
         residual = 0.5 * float(np.abs(nxt - curr).sum())
         # the scaled iterates can be within tol only where this holds

@@ -17,7 +17,8 @@ few whole-array numpy passes with no loop over cells: the single sums
 and the enumeration form all their terms in one array each and add
 them into their cells with np.bincount, and the builder forms every
 row's two binomial laws in one product each, with binomials from a
-float table built once per process, then convolves each pair.  Flipping
+float table built once per process, then convolves each pair, adding
+the terms in a fixed order with elementwise numpy only.  Flipping
 every qubit maps j to -j, so the chain is centrosymmetric, P[i, k] =
 P[N - i, N - k]; the builder convolves only the rows with at most N/2
 up qubits and mirrors them, so that symmetry holds bit for bit.  Tests
@@ -192,9 +193,15 @@ def qubit_transition_matrix(spec: QubitChainSpec) -> StochasticMatrix:
     stay_up = binom * stay_pow * flip_pow[lag]
     flip_up = binom * flip_pow * stay_pow[lag]
     # row ups of `ups_after` is the law of the next up count, 0..n; it is
-    # formed for ups <= n / 2, and the flat array is mirrored end to end
-    ups_after = np.empty((n + 1, n + 1))
-    ups_after[: n // 2 + 1] = [np.convolve(stay_up[ups, : ups + 1], flip_up[n - ups, : n - ups + 1]) for ups in range(n // 2 + 1)]
+    # formed for ups <= n / 2, and the flat array is mirrored end to end.
+    # The convolution adds its terms in the order of j, the ups that stay
+    # up, one elementwise pass each over the rows with ups >= j, so its
+    # bits do not depend on a BLAS kernel's order of summation
+    formed = n // 2 + 1
+    flips = flip_up[n - np.arange(formed)]
+    ups_after = np.zeros((n + 1, n + 1))
+    for j in range(formed):
+        ups_after[j:formed, j:] += flips[j:, : n + 1 - j] * stay_up[j:formed, j, None]
     flat = ups_after.reshape(-1)
     half = flat.size // 2
     flat[-half:] = flat[half - 1 :: -1]

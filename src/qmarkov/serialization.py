@@ -13,6 +13,7 @@ quotes a label that is empty or holds a comma or a quote.  Labels are
 exact strings ("1/2", "-3/2", "0"), never floats.
 """
 
+import itertools
 import json
 
 import numpy as np
@@ -89,7 +90,9 @@ def matrix_from_json(text: str) -> StochasticMatrix:
 
     kind, params and version are checked but not returned.  Structural
     violations, and labels that break the label rule, raise FormatError;
-    probability violations surface from the matrix constructor.
+    probability violations surface from the matrix constructor.  rows
+    must be a list of lists of numbers, checked before params, and its
+    rows of one length, which the float conversion checks after params.
     """
     try:
         payload = json.loads(text)
@@ -113,13 +116,11 @@ def matrix_from_json(text: str) -> StochasticMatrix:
         labels = _labels(labels)
     except InvalidArgumentError as exc:
         raise FormatError(str(exc)) from None
-    if not isinstance(rows, list) or not all(
-        isinstance(r, list) and all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in r)
-        for r in rows
-    ):
+    # json.loads gives a number only as an exact int or float, and a
+    # boolean as bool, so the entry types are checked as one set
+    rows_ok = isinstance(rows, list) and all(type(r) is list for r in rows)
+    if not rows_ok or not set(map(type, itertools.chain.from_iterable(rows))) <= {int, float}:
         raise FormatError("'rows' must be a list of numeric lists")
-    if len({len(r) for r in rows}) > 1:
-        raise FormatError("'rows' must all have the same length")
     params = payload.get("params", {})
     if not isinstance(params, dict):
         raise FormatError("'params' must be an object")
@@ -127,6 +128,9 @@ def matrix_from_json(text: str) -> StochasticMatrix:
         rows = np.array(rows, dtype=float)
     except OverflowError:
         raise FormatError("'rows' entries must fit in a double") from None
+    except ValueError:
+        # numbers only, so the conversion refuses nothing but ragged rows
+        raise FormatError("'rows' must all have the same length") from None
     return StochasticMatrix(labels=labels, rows=rows)
 
 

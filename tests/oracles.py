@@ -213,7 +213,12 @@ def oracle_register_matrix(n_qubits: int, beta: float) -> np.ndarray:
         comb_downs = np.array([math.comb(downs, k) for k in range(downs + 1)], dtype=float)
         stay_up = comb_ups * stay_pow[: ups + 1] * flip_pow[ups::-1]
         flip_up = comb_downs * flip_pow[: downs + 1] * stay_pow[downs::-1]
-        rows[downs] = np.convolve(stay_up, flip_up)[::-1]
+        # the convolution's terms added in the builder's order, that of
+        # the ups that stay up
+        row = np.zeros(n + 1)
+        for j in range(ups + 1):
+            row[j : j + downs + 1] += stay_up[j] * flip_up
+        rows[downs] = row[::-1]
     # rows[downs] holds the law of ups, so the formed cells are the last
     # ones in row-major order; each earlier cell copies its image
     for i in range(n + 1):

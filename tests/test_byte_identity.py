@@ -26,16 +26,33 @@ each step's flips from raw 64-bit words as bit planes, with a second
 stream of the seed for the lanes the planes leave undecided: the
 register's law stayed Bernoulli(sin^2(beta/2)) per qubit, but its draws
 and so its trajectories moved, and every other digest stayed as it was.
-Any change to a draw, a state, a key order or a rendered byte fails
-here.  Step counts
-are odd so the last step reads the n-axis.
+The qubit-8, qubit-64, qubit-matrix-csv, stationary-qubit and
+stationary-file digests were recorded again when the register builder's
+convolution and stationary's products of a vector and the matrix came
+to add their terms in a fixed order with elementwise numpy, where the
+BLAS dot and gemv they replaced summed in an order of each kernel's
+own: the CSV moved in the last bits of some entries, qubit-8 and
+qubit-64 only in their row_tv, and the stationary outputs in the last
+bits of their iterates and residuals, with the same iteration counts.
+The trajectories of qubit-8 and qubit-64, written with --out, kept
+their digests, and so did every other output.  Since then every digest
+holds whichever kernel OpenBLAS picks (checked under Prescott, Nehalem,
+Sandybridge, Haswell, Zen and SkylakeX), and a test checks it under
+Prescott, the oldest.  Any change to a draw, a state, a key order or a rendered
+byte fails here.  Step counts are odd so the last step reads the
+n-axis.
 """
 
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
 from contextlib import redirect_stdout
+from pathlib import Path
 
+import qmarkov
 from qmarkov.cli import main
 
 SEED = 20260
@@ -83,18 +100,18 @@ DIGESTS = {
     "spin-1:out": "9019e7d0966cd5d76b62671addd93cee3b1eba58150827e9022b9a42f8efb2c0",
     "spin-25": "5c521e990ba75f4a3b2fff5bb42a696e801c43370ed7d9b667f81997b524f728",
     "spin-25:out": "eec886cd3e6b751d9d489839a7661cddb36817d949629c273ba112cb7a97d7b6",
-    "qubit-8": "7ba90de4c780e8ce70f63f3f0a4731d4e3ae31cb97f055bb9363f27017b7eae0",
-    "qubit-64": "087b847f39964f7e38f0e3e274f2015a956404bd56b94817f1aacaaaba2f5391",
+    "qubit-8": "38f397cdbf0cef9867d1e092b4eff06517100dde5cd6582abbeef7eccb3c7a40",
+    "qubit-64": "de33c62f0336bfe8bf7b5b575424fa8201de4a53cc6d48c4d0b69ffcfccdcd20",
     "matrix-9": "9ad2fc97072197e796ebb556f22ea0ad9eda16c41fbb29ddf9ec1afc2a0534a7",
     "spin-matrix-json": "bd6d969759426112ab713773bb91771594e48730a0dbab310bcadfe9f40ba640",
     "spin-matrix-csv": "3102f514695f4eab60a05c6a4653c1c7472c834068b7f40c5179edd7ba6c27ea",
     "spin-matrix-table": "cdb580a6a2f218ba94b4ff0e8158e77b94059effde342f3a2b255f9ffa844ebc",
     "qubit-matrix-json": "93e2f9522f3e8ca800702d221d367e5b068e08f6a671ba6fd6901b80997b9fd9",
-    "qubit-matrix-csv": "86b808246a6e0ef4eef3f9d181194f7bc5c8df1698b1ecc76b7da55a22a0f402",
+    "qubit-matrix-csv": "3726c45e36e210598fd7d07c99f7c84a77551c5e7d7630f4dce41e86a11f8ce2",
     "qubit-matrix-table": "da9439374a810d4397d7e7849c5709add1344e481fa921d171c2988733339891",
     "stationary-spin": "14148c5b7ae8a03e92ab25713614801b574feb67bd403fa97a6e437e6c9d66f1",
-    "stationary-qubit": "c7c7860e33f39d22e38f4575c9a995ab3833658fe21251571de279609e787b60",
-    "stationary-file": "a3b6d35bed3d97681562f535c6e5799be84c3c148a85d1bce080eb5183718adc",
+    "stationary-qubit": "121a3dbcb2ec3aae271795b38ec3a6914e3bc025df386b951c32c81795a53b18",
+    "stationary-file": "b647e6925d24b72b34aa45eca8d3b4489e34371522703945840aa65a8695f234",
     "stationary-cycle": "aa1797234042c59b4720574d787ae91c1267474dc25d1a6d4f59305709db964f",
     "verify": "f801086329babd14b298fe02f9c5003a0b8ac219c2e9158e7b2a05b9f24e8bcf",
 }
@@ -141,3 +158,25 @@ def test_cli_output_matches_the_recorded_digests(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     got = {name: hashlib.sha256(data).hexdigest() for name, data in outputs(tmp_path).items()}
     assert got == DIGESTS
+
+
+def test_cli_output_does_not_depend_on_the_blas_kernel(tmp_path, monkeypatch):
+    # OpenBLAS reads OPENBLAS_CORETYPE once, as it loads, so the outputs are
+    # made again in a new process under Prescott, its SSE3 kernel, which
+    # every x86-64 host can run; elsewhere the variable is ignored
+    src = str(Path(qmarkov.__file__).resolve().parent.parent)
+    tests = str(Path(__file__).resolve().parent)
+    env = dict(os.environ, OPENBLAS_CORETYPE="Prescott")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, tests, env.get("PYTHONPATH")]))
+    (tmp_path / "prescott").mkdir()
+    script = (
+        "import hashlib, json, pathlib, test_byte_identity as t; "
+        "print(json.dumps({k: hashlib.sha256(v).hexdigest() for k, v in t.outputs(pathlib.Path.cwd()).items()}))"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", script], cwd=tmp_path / "prescott", env=env, capture_output=True, text=True, timeout=300
+    )
+    assert done.returncode == 0, done.stderr
+    monkeypatch.chdir(tmp_path)
+    got = {name: hashlib.sha256(data).hexdigest() for name, data in outputs(tmp_path).items()}
+    assert json.loads(done.stdout) == got

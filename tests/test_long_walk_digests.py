@@ -40,6 +40,12 @@ certain at beta = 0 and beta = pi whichever draws decide them.  The
 spin-25 COUPLED list went from two batches, of 256 and 134 segments, to
 one of 390 when the lut walk came to store each step's bucket, two bytes
 at 51 states, in place of its four-byte lut offset; no digest moved.
+The qubit-8, qubit-9, qubit-63 and qubit-64 stdout digests were recorded
+again when the register builder came to add its convolution's terms in
+a fixed order with elementwise numpy, not through a BLAS dot whose
+order depends on the kernel: only their row_tv moved, which compares
+the counts with the theory rows, and every :out digest and every
+COUPLED list stayed as they were.
 """
 
 import hashlib
@@ -99,17 +105,17 @@ DIGESTS = {
     "matrix-9:out": "14708c4824e3733b71c6d99aaf12348ab4ce210725e54be675a1d22e4759a8b6",
     "spin-1-pi": "72bc1cbf077e4d1b6f9f59bd0f2986ccd17bf5a10d52fa866f224c1490123bb7",
     "spin-1-pi:out": "308c816cb946398ee9d70dbfa7025278fb9e094e1d1d9ded82585d6f26902594",
-    "qubit-8": "eda9e687baa5046e872242e3096911d8b61c831cb85e8cd7723fa243a6385f3b",
+    "qubit-8": "79b5d0efa2d3e95f7055ecc73b1089a4d406dbc0e43eb214639f95de52e694e6",
     "qubit-8:out": "fbb900d18569c4a30a3ee67541a65f90368f7a1c9140febb42f450f55f941d2a",
-    "qubit-64": "163662f739e224725c799250ccbf3ec3a8bdc728f46d2c8d02d103f9879e2437",
+    "qubit-64": "07c9d922e8953f1775c83b3afbcf68a994b62feb01c5ee9e7d08a290a2771a97",
     "qubit-64:out": "1f9304a02e2740fed015e072b627b05bb56c217cba206761d97d67e218b682df",
     "qubit-1": "88f379ea69c69e22d4659ea4686bc2fcd7a4d6bcc7a5cecdb1ed6491242fbae9",
     "qubit-1:out": "05f172fa37f20621bf81cbbafeadd972b04f34f5507ac03dbb28978f752b1d2a",
     "qubit-2": "9c93c43dd5c25df8c426c71dfbfb06707fc904fb168c7ef3993e1a65438d5d84",
     "qubit-2:out": "f7f7890ad8a652cf89d14f87283e13dd26371f7f68d5b55afbc6365258c3edc9",
-    "qubit-9": "1c19fac5fd7818ba4f3c54f6b91d7165198e57764046ae176d7c5a06f8b7713a",
+    "qubit-9": "51eb2f62a0ea226ac04a70148c767f36b06633ae599294ac5425ed71730d10b7",
     "qubit-9:out": "1803f7d3258850039eda6bebd5aabb2107f094258af3e17acb26aa8652a1f2f3",
-    "qubit-63": "14ff7bb60b2e168495a4e3bdda8e75b267650e0e3003a5187548c774465e8228",
+    "qubit-63": "394364899ec5ca60ce8eed1602e8ecdbf07545781a9c4ba84487975419bad74f",
     "qubit-63:out": "23d9daf111607f2fcde43f3aa1bac530b07cb6930b2e364a68a5e714ac8e098a",
     "qubit-8-0": "42856e4d59a745f063b838ad31b1eaf1394c2777cb7d3692839b04a6a27d9254",
     "qubit-8-0:out": "f6a09223a080b84fdb584b57942948bb0d2954988de4920d096f865773bc1ba0",

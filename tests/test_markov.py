@@ -193,9 +193,9 @@ def test_stationary_reports_a_converged_iterate_that_is_not_a_distribution():
 def _stationary_scaling_every_iterate(P, tol, max_iters):
     """(iterations, residual, stopped) of stationary's loop with the scaled iterates formed on every iteration."""
     ramp = np.arange(P.dim, 0, -1, dtype=float)
-    curr = (ramp / ramp.sum()) @ P.rows
+    curr = ((ramp / ramp.sum())[:, None] * P.rows).sum(axis=0)
     for iteration in range(1, max_iters + 1):
-        nxt = curr @ P.rows
+        nxt = (curr[:, None] * P.rows).sum(axis=0)
         residual = 0.5 * float(np.abs(nxt - curr).sum())
         if residual <= tol or 0.5 * float(np.abs(nxt / nxt.sum() - curr / curr.sum()).sum()) <= tol:
             return iteration, residual, True

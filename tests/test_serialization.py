@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -59,27 +60,37 @@ def test_matrix_json_is_one_deterministic_line():
     assert payload["params"] == {}
 
 
+ROWS = "'rows' must be a list of numeric lists"
+
+
 @pytest.mark.parametrize(
-    "mutate",
+    "mutate, message",
     [
-        lambda p: p.pop("labels"),
-        lambda p: p.pop("rows"),
-        lambda p: p.pop("kind"),
-        lambda p: p.update(version=99),
-        lambda p: p.update(labels=[1, 2]),
-        lambda p: p.update(rows=[["a", "b"], ["c", "d"]]),
-        lambda p: p.update(rows=[[True, False], [False, True]]),
-        lambda p: p.update(labels=["a", "b"], rows=[[1.0], [0.5, 0.5]]),  # ragged
-        lambda p: p.update(params=[1]),
+        (lambda p: p.pop("labels"), "'labels' must be a list of strings"),
+        (lambda p: p.pop("rows"), ROWS),
+        (lambda p: p.pop("kind"), "missing or non-string 'kind'"),
+        (lambda p: p.update(version=99), "unsupported format version 99"),
+        (lambda p: p.update(labels=[1, 2]), "'labels' must be a list of strings"),
+        (lambda p: p.update(rows=[["a", "b"], ["c", "d"]]), ROWS),
+        (lambda p: p.update(rows=[[True, False], [False, True]]), ROWS),
+        (lambda p: p.update(labels=["a", "b"], rows=[[1.0], [0.5, 0.5]]), "'rows' must all have the same length"),
+        (lambda p: p.update(params=[1]), "'params' must be an object"),
         # a trajectory file gives each label one line
-        lambda p: p.update(labels=["3/2", "1/2\n", "-1/2", "-3/2"]),
-        lambda p: p.update(labels=["3/2", "1/2", "-1\r/2", "-3/2"]),
+        (lambda p: p.update(labels=["3/2", "1/2\n", "-1/2", "-3/2"]), "label '1/2\\n' contains a line break"),
+        (lambda p: p.update(labels=["3/2", "1/2", "-1\r/2", "-3/2"]), "label '-1\\r/2' contains a line break"),
+        (lambda p: p.update(labels=["a", "b"], rows=[[0.5, None], [0.5, 0.5]]), ROWS),
+        (lambda p: p.update(labels=["a", "b"], rows=[[0.5, [0.5]], [0.5, 0.5]]), ROWS),
+        (lambda p: p.update(labels=["a", "b"], rows=[[0.5, {"p": 0.5}], [0.5, 0.5]]), ROWS),
+        (lambda p: p.update(labels=["a", "b"], rows=[[0.5, 0.5], 0.5]), ROWS),
+        (lambda p: p.update(labels=["a", "b"], rows={"a": [0.5, 0.5], "b": [0.5, 0.5]}), ROWS),
+        # the lengths are checked by the float conversion, after params
+        (lambda p: p.update(labels=["a", "b"], rows=[[1.0], [0.5, 0.5]], params=[1]), "'params' must be an object"),
     ],
 )
-def test_matrix_json_structural_errors(mutate):
+def test_matrix_json_structural_errors(mutate, message):
     payload = json.loads(matrix_to_json(spin_matrix()))
     mutate(payload)
-    with pytest.raises(FormatError):
+    with pytest.raises(FormatError, match=f"^{re.escape(message)}$"):
         matrix_from_json(json.dumps(payload))
 
 

@@ -28,6 +28,7 @@ SKIPPED = [
     ("tier-1", "actions/setup-python@v5"),
     ("tier-1", "Install dependencies"),
     ("tier-1", "Tier-1 tests"),
+    ("tier-1", "Byte-identity digests under the SSE3 BLAS kernel"),
     ("bench-harness", "actions/checkout@v4"),
     ("bench-harness", "actions/setup-python@v5"),
     ("bench-harness", "Install dependencies"),
