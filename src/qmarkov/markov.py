@@ -10,6 +10,7 @@ matrices is a correctness signal.
 
 from bisect import bisect_right
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -25,8 +26,9 @@ from .rng import _SEED_MAX, RngState
 
 SUM_TOL = 1e-9
 
-# uniforms per block draw, shared by every simulator; block draws equal
-# one-at-a-time draws, so the size changes no trajectory
+# uniforms per block, shared by every simulator, whose walks draw a
+# quarter block at a time; block draws equal one-at-a-time draws, so
+# the size changes no trajectory
 _BLOCK = 1 << 16
 # steps per lockstep segment
 _SEGMENT = 256
@@ -179,8 +181,8 @@ class StationaryResult:
     residual: float
 
 
-def _cumulative(rows) -> list:
-    """Inverse-CDF tables in stored label order, one list per row, from one cumsum along the rows.
+def _cumulative(rows) -> np.ndarray:
+    """Inverse-CDF tables in stored label order, one per row, from one cumsum along the rows.
 
     Each table holds the row's running sums with the last one replaced by
     inf, so bisect_right never returns len(row): a uniform at or above the
@@ -190,17 +192,19 @@ def _cumulative(rows) -> list:
     """
     tables = np.cumsum(rows, axis=-1)
     tables[..., -1] = np.inf
-    return tables.tolist()
+    return tables
 
 
-def _walk(table: list, state: int, out: np.ndarray, rng: RngState) -> None:
+def _walk(table: np.ndarray, state: int, out: np.ndarray, rng: RngState) -> None:
     """Write the states after steps 1..out.size into out, one uniform per step.
 
     out takes the chain's state dtype, _state_dtype(len(table)).  Every
     step leaves `state` through table[state], the running sums of its
-    row.  Uniforms come in blocks of _BLOCK, and every walker below
-    gives the states `bisect_right` gives, bit for bit.  Each walk takes
-    one of three kernels.
+    row.  Each walk takes one of three kernels, and every one gives the
+    states `bisect_right` gives, bit for bit.  All three are walked by
+    _lockstep, so every walk draws its uniforms a quarter block, 16384,
+    at a time; the scan and bisect are given no guess, so the driver
+    walks them one draw at a time.
 
     A two-state chain is scanned with numpy: the table [c_r, inf] of row r
     sends a uniform u to u >= c_r, so with a = u >= c_0 and b = u >= c_1
@@ -226,29 +230,27 @@ def _walk(table: list, state: int, out: np.ndarray, rng: RngState) -> None:
     the lut, and so are chains whose lut would pass _LUT_CAP entries
     (about 101 states), so memory stays bounded for any chain.  Such a
     chain is refused only once its breakpoints are sorted: while it is
-    refused it holds its entries and their sorted copy, 16 bytes an
-    entry, and the distinct ones with their mask, up to 9 more, so the
-    attempt is bounded by the matrix it came from, whose table takes 32
-    bytes an entry as Python floats.
+    refused it holds the sorted copy of its entries, 8 bytes an entry,
+    and the distinct ones with their mask, up to 9 more, so the attempt
+    takes less than the lists of Python floats that bisect then walks,
+    32 bytes an entry.
     """
     dim = len(table)
     lookup = dim > 2 and out.size >= _MIN_SEGMENTS * _SEGMENT and _lookup_table(table)
     if lookup:
         _walk_chain(lookup, dim, state, out, rng)
         return
-    walker = _scan_block if dim == 2 else _bisect_block
-    for start in range(0, out.size, _BLOCK):
-        block = rng.random_block(min(_BLOCK, out.size - start))
-        state = walker(table, state, block, out[start : start + block.size])
+    walk = partial(_scan_block, table) if dim == 2 else partial(_bisect_block, table.tolist())
+    _lockstep(out, state, 1, None, rng.random_block, None, walk)
 
 
-def _bisect_block(table: list, state: int, block: np.ndarray, out: np.ndarray) -> int:
+def _bisect_block(table: list, block: np.ndarray, state: int, out: np.ndarray) -> int:
     """The state after each uniform of block by bisect, from state, into out; returns the last state."""
     out[:] = [state := bisect_right(table[state], u) for u in memoryview(block)]
     return state
 
 
-def _lookup_table(table: list) -> tuple | None:
+def _lookup_table(table: np.ndarray) -> tuple | None:
     """(breaks, guide, lut, scale) for the lockstep walk; None if the lut would pass _LUT_CAP entries.
 
     breaks are the distinct finite entries of all the rows, from one sort
@@ -269,7 +271,7 @@ def _lookup_table(table: list) -> tuple | None:
     bucket and is scaled in the walk only when it must be.
     """
     dim = len(table)
-    entries = np.array(table)[:, :-1]
+    entries = table[:, :-1]
     breaks = np.sort(entries, axis=None)
     breaks = breaks[np.append(True, breaks[1:] != breaks[:-1])]
     if (breaks.size + 1) * dim > _LUT_CAP:
@@ -378,17 +380,19 @@ def _couple(advance, path: np.ndarray, starts: np.ndarray) -> tuple:
     return (int(wrong[0]) if wrong.size else count), coupled
 
 
-def _lockstep(out: np.ndarray, state: int, per_step: int, dtype: np.dtype, draw, guess, walk) -> None:
+def _lockstep(out: np.ndarray, state: int, per_step: int, dtype: np.dtype | None, draw, guess, walk) -> None:
     """Walk all of out from state, in lockstep batches and then one step at a time.
 
-    The one walk loop of the lut chain and register walkers, which
-    supply the parts:
+    The one draw loop of every walker: the two-state scan, bisect, the
+    lut chain walk and the register.  Each supplies the parts:
     - per_step, the uniforms one step takes, and dtype, that of the
       value each step is walked by;
     - draw(count) returns the values of the next count steps;
     - guess(state, batch) returns the starts of the segments of batch,
       whose column s holds the values of segment s, the first at state
       and the rest guessed, and the advance that _couple walks them by;
+      the scan and bisect give None, and no dtype, and are never
+      batched;
     - walk(values, state, into) walks the values one step at a time
       from state into `into` and returns the last state.
     The driver sizes both its batches and its draws, each by one rule.
@@ -407,7 +411,7 @@ def _lockstep(out: np.ndarray, state: int, per_step: int, dtype: np.dtype, draw,
     time.  The batch arrays are allocated only once a batch is walked.
     """
     seg = _SEGMENT
-    width = _batch_segments(dtype.itemsize + out.itemsize)
+    width = _batch_segments(dtype.itemsize + out.itemsize) if guess else 0
     draw_steps = max(1, _BLOCK // 4 // per_step)
     chunk = max(1, draw_steps // seg)
     draw_steps = draw_steps // seg * seg or draw_steps
@@ -440,17 +444,18 @@ def _walk_offsets(lut: np.ndarray, offsets: np.ndarray, state: int, out: np.ndar
     return state
 
 
-def _scan_block(table: list, state: int, block: np.ndarray, out: np.ndarray) -> int:
+def _scan_block(table: np.ndarray, block: np.ndarray, state: int, out: np.ndarray) -> int:
     """The states of a two-state chain after each uniform of block by scans; as _bisect_block.
 
     Index 0 of the scans stands for the start state, taken as a constant
-    draw; index k >= 1 is the block's step k.
+    draw; index k >= 1 is the block's step k.  Only the table's first
+    column, c_0 and c_1, is read.
     """
     a = np.empty(block.size + 1, dtype=bool)
     b = np.empty(block.size + 1, dtype=bool)
     a[0] = b[0] = state
-    np.greater_equal(block, table[0][0], out=a[1:])
-    np.greater_equal(block, table[1][0], out=b[1:])
+    np.greater_equal(block, table[0, 0], out=a[1:])
+    np.greater_equal(block, table[1, 0], out=b[1:])
     constant = np.equal(a, b, out=b)
     # last[k]: index of the last constant draw at or before k
     last = np.arange(block.size + 1, dtype=np.int32)
@@ -467,7 +472,7 @@ def _scan_block(table: list, state: int, block: np.ndarray, out: np.ndarray) -> 
 
 def sample(dist: Distribution, rng: RngState) -> int:
     """One outcome index drawn from dist, consuming exactly one uniform."""
-    return bisect_right(_cumulative([dist.probs])[0], rng.random())
+    return bisect_right(_cumulative(dist.probs).tolist(), rng.random())
 
 
 def _realize(initial: Distribution, rows: np.ndarray, steps: int, rng: RngState) -> Trajectory:

@@ -276,8 +276,8 @@ def simulate_register(
     Registers of more than N_MAX_FORMULA = 64 qubits are refused with
     RangeLimitError, as the closed forms and the builder refuse them,
     before anything is allocated.  Each step's word is one unsigned
-    integer, and markov._lockstep, the driver of the lut chain walks
-    too, walks the whole walk from three parts: a draw of flip words, a
+    integer, and markov._lockstep, the driver of every chain walk too,
+    walks the whole walk from three parts: a draw of flip words, a
     guess of a batch's starts, and a walk of words one step at a time.
     A step takes as many raw words as its word has bytes, and the
     driver sizes its batches and draws from that and the word: batches

@@ -326,7 +326,7 @@ def test_inf_sentinel_picks_what_the_clamp_picks(row):
     assert states.tolist() == expected
     dist = Distribution(tuple(range(dim)), np.array(row))
     # sample's one-row table is that row's running sums
-    assert _cumulative([dist.probs]) == _cumulative_by_row([row])
+    assert _cumulative(dist.probs).tolist() == _cumulative_by_row([row])[0]
     stub = StubRng(uniforms)
     assert [sample(dist, stub) for _ in uniforms] == expected
 
@@ -415,7 +415,8 @@ def test_block_size_changes_no_trajectory(monkeypatch):
         for drawn in sizes.values():
             drawn.clear()
         small = trajectories()
-        assert 0 < max(sizes["random_block"]) <= block
+        # every walker draws through the one driver, a quarter block at a time
+        assert 0 < max(sizes["random_block"]) <= max(1, block // 4)
         # a register draw of one step takes the planes of one whole group
         assert max(sizes["raw_block"]) == qubit_chain._PLANES
         assert len(default) == len(small)
@@ -540,10 +541,10 @@ def _recorded_walk(monkeypatch, matrix, start, uniforms):
     out = np.empty(len(uniforms), dtype=markov._state_dtype(len(matrix)))
     bisect, offsets = markov._bisect_block, []
 
-    def recording_bisect(table, state, block, part):
+    def recording_bisect(table, block, state, part):
         # the step of the walk at which part starts
         offsets.append((part.ctypes.data - out.ctypes.data) // out.itemsize)
-        return bisect(table, state, block, part)
+        return bisect(table, block, state, part)
 
     monkeypatch.setattr(markov, "_bisect_block", recording_bisect)
     _walk(_cumulative(matrix), start, out, StubRng(uniforms))
@@ -582,7 +583,7 @@ def test_the_tables_are_the_running_sums_of_each_row():
 
     chains = [_spin_rows(twice, beta) for twice in range(1, 51) for beta in SWEEP_BETAS]
     for rows in [*chains, *COUPLING.values()]:
-        assert _cumulative(rows) == _cumulative_by_row(rows)
+        assert _cumulative(rows).tolist() == _cumulative_by_row(rows)
 
 
 @pytest.mark.parametrize("name", list(KEYS))
@@ -646,14 +647,17 @@ def test_a_chain_over_the_lookup_cap_is_walked_by_bisect(monkeypatch):
     uniforms = RngState(4).random_block(LENGTHS[0]).tolist()
     states, coupled, offsets = _recorded_walk(monkeypatch, matrix, 0, uniforms)
     assert states == bisect_loop(matrix, 0, uniforms)
-    assert coupled == [] and offsets == [0, BLOCK, 2 * BLOCK]
+    # a quarter block of uniforms at a time, cut to whole segments
+    assert coupled == [] and offsets == list(range(0, len(uniforms), BLOCK // 4 // SEGMENT * SEGMENT))
 
 
 def test_bisect_walks_only_walks_under_the_lockstep_length(monkeypatch):
     # a walk of one step under _MIN_SEGMENTS segments is bisect's alone, and
     # one of that many segments and a tail is the lut walk's alone
     short = markov._MIN_SEGMENTS * SEGMENT
-    for steps, bisected in ((short - 1, [0]), (short + SEGMENT - 1, [])):
+    # bisect walks a quarter block of uniforms at a time, cut to whole segments
+    draw = BLOCK // 4 // SEGMENT * SEGMENT
+    for steps, bisected in ((short - 1, list(range(0, short - 1, draw))), (short + SEGMENT - 1, [])):
         uniforms = RngState(steps).random_block(steps).tolist()
         states, _, offsets = _recorded_walk(monkeypatch, THREE_STATE, 0, uniforms)
         assert states == bisect_loop(THREE_STATE, 0, uniforms), steps
@@ -699,19 +703,22 @@ def test_lockstep_memory_is_bounded_by_the_block(monkeypatch):
 # (rows, start, steps, bound in blocks of uniforms) of walks read one
 # step at a time: bisect walks the chain over the cap and the short walk;
 # the fallback's one batch gives up and is finished from its stored
-# keys, one segment's list at a time, and the lut walk takes the rest
+# keys, one segment's list at a time, and the lut walk takes the rest;
+# the two-state scan walks the spin-1/2 chain
 BISECT_WALKS = {
     "over-the-cap": (_random_rows(110, 3), 0, 4 * markov._BLOCK, 2.5),
     "fallback": (*NON_COUPLING["spin1-pi"], 4 * markov._BLOCK, 3.5),
     "short": (_spin_rows(2, 0.8), 0, 20001, 1.0),
+    "two-state": (_spin_rows(1, 1.0), 0, 4 * markov._BLOCK, 1.0),
 }
 
 
 @pytest.mark.parametrize("name", list(BISECT_WALKS))
 def test_bisect_walks_read_their_block_in_place(monkeypatch, name):
     matrix, start, steps, bound = BISECT_WALKS[name]
-    # bisect reads its block of uniforms in place; a listed block alone
-    # takes about 4 blocks of uniforms
+    # bisect reads its draw of uniforms in place, where a listed draw
+    # alone would take about 4 times its uniforms, and the scan's arrays
+    # are those of one draw, a quarter block
     coupled = _record_lockstep(monkeypatch)
     assert _walk_peak(_cumulative(matrix), start, steps, 5) < bound
     assert coupled == ([False] if name == "fallback" else [])
@@ -763,7 +770,7 @@ def test_batch_width_changes_no_chain_walk(monkeypatch, name):
             # the states are the bisect walker's, so no lut offset wrapped
             assert (wide_batches, narrow_batches) == (2, 2 * blocks)
             reference = np.empty(steps, dtype=np.uint8)
-            bisect(table, 1, uniforms, reference)
+            bisect(table.tolist(), uniforms, 1, reference)
             assert np.array_equal(wide, reference)
 
 
@@ -803,7 +810,8 @@ def _record_lockstep_sizes(monkeypatch):
             widths.append(batch.shape[1])
             return guess(state, batch)
 
-        lockstep(out, state, per_step, dtype, recording_draw, recording_guess, walk)
+        # the scan and bisect give no guess, and are never batched
+        lockstep(out, state, per_step, dtype, recording_draw, guess and recording_guess, walk)
         sizes.append((max(widths), max(draws)))
 
     monkeypatch.setattr(markov, "_lockstep", recording)
@@ -869,7 +877,7 @@ def test_a_batch_that_gives_up_is_finished_from_what_it_stores(monkeypatch):
     steps = 9 * markov._BLOCK + 1001
     uniforms = RngState(12).random_block(steps)
     reference = np.empty(steps, dtype=np.uint8)
-    markov._bisect_block(table, 2, uniforms, reference)
+    markov._bisect_block(table.tolist(), uniforms, 2, reference)
     calls = _give_up_on_the_second_batch(monkeypatch)
     resumed = _record_walk_offsets(monkeypatch)
     monkeypatch.setattr(markov, "_bisect_block", None)
