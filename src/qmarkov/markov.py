@@ -26,18 +26,18 @@ from .rng import _SEED_MAX, RngState
 
 SUM_TOL = 1e-9
 
-# uniforms per block, shared by every simulator, whose walks draw a
-# quarter block at a time; block draws equal one-at-a-time draws, so
-# the size changes no trajectory
+# uniforms per block, shared by every simulator, whose walks draw an
+# eighth of a block at a time; block draws equal one-at-a-time draws,
+# so the size changes no trajectory
 _BLOCK = 1 << 16
 # steps per lockstep segment
-_SEGMENT = 256
+_SEGMENT = 128
 # a fix-up pass tests every this many steps whether all segments have met
 _MEET_CHECK = 8
 # a batch of fewer segments, and the rest of a walk that fails to
 # couple, is walked one step at a time; a chain walk of fewer segments
 # is walked by bisect
-_MIN_SEGMENTS = 128
+_MIN_SEGMENTS = 256
 # guide cells per lookup-table breakpoint, rounded up to a power of two
 _GUIDE_CELLS = 16
 # lookup-table entries; a larger chain is walked by bisect
@@ -49,16 +49,19 @@ def _state_dtype(dim: int) -> np.dtype:
     return np.min_scalar_type(dim - 1)
 
 
-def _batch_segments(step_bytes: int) -> int:
-    """Segments in one lockstep batch whose per-step arrays take step_bytes a segment-step.
+def _batch_segments(step_bytes: int, table_bytes: int) -> int:
+    """Segments in one lockstep batch whose arrays take step_bytes a segment-step, beside tables of table_bytes.
 
     The batch rule: whole blocks of _BLOCK // _SEGMENT segments, as many
     as fit their arrays in 8 * _BLOCK bytes, the size of one block of
-    uniforms, and never fewer than one: 4 blocks at 2 bytes a step, 2 at
-    3 or 4 bytes and 1 from 5.  Each numpy step of _couple then walks
-    more segments for the same cost.
+    uniforms, after the walk's lookup tables, rounded to the nearest
+    block and never fewer than one: 4 blocks at 3 and 9 states, and 1 at
+    51 and 65, whose tables take half a block and more.  Rounding keeps
+    a small chain's fourth block, which its few table bytes would cost
+    it under a floor.  Each numpy step of _couple walks more segments
+    for the same cost in a wider batch.
     """
-    return max(1, 8 // step_bytes) * (_BLOCK // _SEGMENT)
+    return max(1, round((8 * _BLOCK - table_bytes) / (step_bytes * _BLOCK))) * (_BLOCK // _SEGMENT)
 
 
 def _labels(labels) -> tuple:
@@ -202,9 +205,9 @@ def _walk(table: np.ndarray, state: int, out: np.ndarray, rng: RngState) -> None
     step leaves `state` through table[state], the running sums of its
     row.  Each walk takes one of three kernels, and every one gives the
     states `bisect_right` gives, bit for bit.  All three are walked by
-    _lockstep, so every walk draws its uniforms a quarter block, 16384,
-    at a time; the scan and bisect are given no guess, so the driver
-    walks them one draw at a time.
+    _lockstep, so every walk draws its uniforms an eighth of a block,
+    8192, at a time; the scan and bisect are given no guess, so the
+    driver walks them one draw at a time.
 
     A two-state chain is scanned with numpy: the table [c_r, inf] of row r
     sends a uniform u to u >= c_r, so with a = u >= c_0 and b = u >= c_1
@@ -241,7 +244,7 @@ def _walk(table: np.ndarray, state: int, out: np.ndarray, rng: RngState) -> None
         _walk_chain(lookup, dim, state, out, rng)
         return
     walk = partial(_scan_block, table) if dim == 2 else partial(_bisect_block, table.tolist())
-    _lockstep(out, state, 1, None, rng.random_block, None, walk)
+    _lockstep(out, state, 0, None, rng.random_block, None, walk)
 
 
 def _bisect_block(table: list, block: np.ndarray, state: int, out: np.ndarray) -> int:
@@ -294,13 +297,16 @@ def _lookup_table(table: np.ndarray) -> tuple | None:
 
 
 def _keys(breaks: np.ndarray, guide: np.ndarray, scale: int, uniforms: np.ndarray) -> np.ndarray:
-    """The key, bucket * scale, of each uniform, in the guide's dtype."""
-    cells = np.empty(uniforms.size, dtype=np.intp)
-    # u * guide.size is exact, so the cast, a floor, is u's cell
-    np.multiply(uniforms, guide.size, out=cells, casting="unsafe")
-    keys = guide.take(cells, mode="clip")
+    """The key, bucket * scale, of each uniform, in the guide's dtype; uniforms is scaled in place.
+
+    u * guide.size is exact, as guide.size is a power of two, so its
+    cast, a floor, is u's cell, and scaled / guide.size is u again.
+    Scaling in place lets the float-to-intp cast run with no buffer.
+    """
+    scaled = np.multiply(uniforms, guide.size, out=uniforms)
+    keys = guide.take(scaled.astype(np.intp), mode="clip")
     busy = np.flatnonzero(keys == np.iinfo(guide.dtype).max)
-    keys[busy] = np.searchsorted(breaks, uniforms[busy], side="right") * scale
+    keys[busy] = np.searchsorted(breaks, scaled[busy] / guide.size, side="right") * scale
     return keys
 
 
@@ -310,12 +316,12 @@ def _walk_chain(lookup: tuple, dim: int, state: int, out: np.ndarray, rng: RngSt
     lookup is the chain's (breaks, guide, lut, scale).  A step takes one
     uniform, and its value is the uniform's key, so the driver's rules
     give batches of 4 blocks of segments at 3 states (1-byte lut
-    offsets) and at 9 (1-byte buckets), 2 at 51 (2-byte buckets), and
-    draws of a quarter block of steps.  Step k of segment s of a batch
-    leaves x through lut at its key plus x, once a bucket key is scaled
-    by dim; that product is formed in intp, as a narrow bucket times dim
-    would wrap.  Every segment but the first is guessed to start at
-    state 0.
+    offsets) and at 9 (1-byte buckets), 1 at 51 and 65 (2-byte buckets,
+    beside half a block of tables and more), and draws of an eighth of
+    a block of steps.  Step k of segment s of a batch leaves x through
+    lut at its key plus x, once a bucket key is scaled by dim; that
+    product is formed in intp, as a narrow bucket times dim would wrap.
+    Every segment but the first is guessed to start at state 0.
     """
     breaks, guide, lut, scale = lookup
 
@@ -339,7 +345,7 @@ def _walk_chain(lookup: tuple, dim: int, state: int, out: np.ndarray, rng: RngSt
     def walk(keys, state, into):
         return _walk_offsets(lut, offsets(keys), state, into)
 
-    _lockstep(out, state, 1, guide.dtype, draw, guess, walk)
+    _lockstep(out, state, breaks.nbytes + guide.nbytes + lut.nbytes, guide.dtype, draw, guess, walk)
 
 
 def _couple(advance, path: np.ndarray, starts: np.ndarray) -> tuple:
@@ -380,39 +386,43 @@ def _couple(advance, path: np.ndarray, starts: np.ndarray) -> tuple:
     return (int(wrong[0]) if wrong.size else count), coupled
 
 
-def _lockstep(out: np.ndarray, state: int, per_step: int, dtype: np.dtype | None, draw, guess, walk) -> None:
+def _lockstep(out: np.ndarray, state: int, tables: int, dtype: np.dtype | None, draw, guess, walk) -> None:
     """Walk all of out from state, in lockstep batches and then one step at a time.
 
-    The one draw loop of every walker: the two-state scan, bisect, the
-    lut chain walk and the register.  Each supplies the parts:
-    - per_step, the uniforms one step takes, and dtype, that of the
-      value each step is walked by;
+    The one draw loop of every walker: the two-state scan, bisect and
+    the lut chain walk, which the register takes too.  Each supplies
+    the parts:
+    - tables, the bytes of the walk's lookup tables, and dtype, that of
+      the value each step is walked by, one uniform's key;
     - draw(count) returns the values of the next count steps;
     - guess(state, batch) returns the starts of the segments of batch,
       whose column s holds the values of segment s, the first at state
       and the rest guessed, and the advance that _couple walks them by;
-      the scan and bisect give None, and no dtype, and are never
-      batched;
+      the scan and bisect give None, no tables and no dtype, and are
+      never batched;
     - walk(values, state, into) walks the values one step at a time
       from state into `into` and returns the last state.
     The driver sizes both its batches and its draws, each by one rule.
-    A batch holds _batch_segments(step_bytes) segments of _SEGMENT
-    steps, where a step stores its value and its state in out's dtype.
-    A draw is a quarter block of uniforms, _BLOCK // 4 // per_step
-    steps, cut to whole segments when it holds at least one: draws of
-    half or a whole block, with their cells, walked chains slower.
-    A batch is drawn a draw at a time, and never less than a segment
-    at a time, stored transposed, and walked by _couple, whose coupled
-    prefix is copied into out.  A batch that
-    _couple gives up on is finished by walk from the first segment not
-    yet resolved, from the values it stores, since its uniforms are
-    gone.  Batches stop before one of fewer than _MIN_SEGMENTS segments
-    and after one that gave up; walk takes the rest of out, a draw at a
-    time.  The batch arrays are allocated only once a batch is walked.
+    A batch holds _batch_segments(step_bytes, tables) segments of
+    _SEGMENT steps, where a step stores its value and its state in
+    out's dtype, so the batch and the tables share 8 * _BLOCK bytes.  A
+    draw is an eighth of a block of uniforms, 8192, cut to whole
+    segments when it holds at least one: a draw, its cells and its keys
+    sit beside the tables and the batch, and with quarter-block draws a
+    65-state walk peaked at 1.79 blocks of uniforms, against 1.51.  A
+    batch is drawn a draw at a time, and never less than a segment at a
+    time, stored transposed, and walked by _couple, whose coupled prefix
+    is copied into out.  A batch that _couple gives
+    up on is finished by walk from the first segment not yet resolved,
+    from the values it stores, since its uniforms are gone, a draw's
+    worth of segments per call.  Batches stop before one of fewer than
+    _MIN_SEGMENTS segments and after one that gave up; walk takes the
+    rest of out, a draw at a time.  The batch arrays are allocated only
+    once a batch is walked.
     """
     seg = _SEGMENT
-    width = _batch_segments(dtype.itemsize + out.itemsize) if guess else 0
-    draw_steps = max(1, _BLOCK // 4 // per_step)
+    width = _batch_segments(dtype.itemsize + out.itemsize, tables) if guess else 0
+    draw_steps = max(1, _BLOCK // 8)
     chunk = max(1, draw_steps // seg)
     draw_steps = draw_steps // seg * seg or draw_steps
     done, coupled = 0, True
@@ -429,8 +439,8 @@ def _lockstep(out: np.ndarray, state: int, per_step: int, dtype: np.dtype | None
             walked = out[done : done + count * seg].reshape(count, seg)
             walked[:first] = path[:, :first].T
             state = int(path[-1, first - 1])
-            for s in range(first, count):
-                state = walk(batch[:, s], state, walked[s])
+            for s in range(first, count, chunk):
+                state = walk(batch[:, s : s + chunk].T.ravel(), state, walked[s : s + chunk].reshape(-1))
             done += count * seg
     for start in range(done, out.size, draw_steps):
         count = min(draw_steps, out.size - start)

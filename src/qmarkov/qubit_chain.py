@@ -7,23 +7,24 @@ flips each qubit independently with probability sin^2(beta/2), so the
 transition probability from j to j' is a sum of binomial terms over the
 number of up-to-down flips.
 
-Four independent routes are implemented: the closed-form single-sum
+Three independent routes are implemented: the closed-form single-sum
 formulas as printed (two branches, j >= j' and j <= j'), the matrix
-builder (each row a convolution of two binomial distributions), a
-brute-force double-sum enumeration over flip counts, and a per-qubit
-simulator.  The first three each return the whole (N+1)x(N+1) matrix,
-row j and column j' with labels descending, in one call, and each is a
-few whole-array numpy passes with no loop over cells: the single sums
-and the enumeration form all their terms in one array each and add
-them into their cells with np.bincount, and the builder forms every
-row's two binomial laws in one product each, with binomials from a
-float table built once per process, then convolves each pair, adding
-the terms in a fixed order with elementwise numpy only.  Flipping
-every qubit maps j to -j, so the chain is centrosymmetric, P[i, k] =
-P[N - i, N - k]; the builder convolves only the rows with at most N/2
-up qubits and mirrors them, so that symmetry holds bit for bit.  Tests
-close the loops between them, against their scalar forms one term at
-a time, and against the spin-1/2 chain at N = 1.
+builder (each row a convolution of two binomial distributions), and a
+brute-force double-sum enumeration over flip counts.  Each returns the
+whole (N+1)x(N+1) matrix, row j and column j' with labels descending,
+in one call, and each is a few whole-array numpy passes with no loop
+over cells: the single sums and the enumeration form all their terms
+in one array each and add them into their cells with np.bincount, and
+the builder forms every row's two binomial laws in one product each,
+with binomials from a float table built once per process, then
+convolves each pair, adding the terms in a fixed order with
+elementwise numpy only.  Flipping every qubit maps j to -j, so the
+chain is centrosymmetric, P[i, k] = P[N - i, N - k]; the builder
+convolves only the rows with at most N/2 up qubits and mirrors them,
+so that symmetry holds bit for bit.  Tests close the loops between
+them, against their scalar forms one term at a time, and against the
+spin-1/2 chain at N = 1.  The simulator walks the builder's matrix; a
+per-qubit walk in the tests checks its law.
 """
 
 import functools
@@ -42,9 +43,6 @@ N_MAX_FORMULA = 64
 N_MAX_BRUTE_FORCE = 20
 
 _BRANCH_SEAM_TOL = 1e-12
-# raw 64-bit words of the main stream per group of 64 flip lanes, one
-# bit plane each, most significant first
-_PLANES = 8
 
 
 @dataclass(frozen=True)
@@ -240,148 +238,36 @@ def simulate_register(
     steps: int,
     rng: RngState,
 ) -> Trajectory:
-    """Realize the chain at the per-qubit level from initial_j, one of spec.labels.
+    """Realize the chain from initial_j, one of spec.labels, through the rows of qubit_transition_matrix(spec).
 
     Each step flips each qubit independently with probability p =
-    sin^2(beta/2); the recorded outcome is the resulting up count minus
-    N/2.  Which qubits are up never matters because the flips are
-    i.i.d., which is exactly why the aggregate is Markov in j; the
-    simulator therefore tracks only the label index i = N - ups, with
-    the up qubits notionally listed first and the i down qubits last.
-
-    A step's flips form an N-bit word w, bit q set when qubit q flips.
-    A qubit is up after the step exactly when it was up and did not
-    flip, or was down and flipped, so the qubits down after it are the
-    set bits of w ^ top[i], where top[i] masks the top i of the N bits:
-    the next index is popcount(w ^ top[i]).
-
-    The flips are drawn as bits, exactly in law.  A qubit flips when a
-    uniform u falls below p, and u's binary digits, most significant
-    first, decide that at the first one that differs from p's: u < p
-    where p's digit is 1.  Each step's word is padded with zeros to 8,
-    16, 32 or 64 bits, and every 8 bytes of words are a group of 64
-    lanes, one per bit.  A group takes the next _PLANES = 8 raw 64-bit
-    words of rng's main stream, one plane of bits each, one bit per
-    lane.  Padding lanes never flip.  A lane whose 8 bits all equal p's
-    first 8 digits, 2^-8 of them, takes the next uniform of rng's
-    fallback stream, in group then lane order, and flips when it falls
-    below the rest of p, p * 2^8 less those digits, which a double holds
-    exactly.  So a qubit flips with probability p exactly when p is a
-    multiple of 2^-61, as every p >= 2^-9 is, and otherwise with less
-    than 2^-61 more; at p = 1, beta = pi, every digit is 1 and the rest
-    is 1, so every lane flips.  The steps left of a draw's last group
-    start the next draw, so the flips do not depend on how the walk is
-    cut into draws.
+    sin^2(beta/2), and which qubits are up never matters because the
+    flips are i.i.d., which is exactly why the aggregate is Markov in j.
+    So the register is walked as the chain it is: markov._walk steps
+    from the start's label index over the running sums of the matrix's
+    rows, one uniform a step and none for the start, as every other
+    chain walks.  A step's law is the law of the matrix's floats, within
+    about 1e-15 of the binomial convolution, as the spin chain's is of
+    |d^s|^2; tests check it against a per-qubit walk that shares no code
+    with this one.  N = 1 takes the two-state scan; a larger register
+    takes bisect in walks too short to repay a lookup table, and the
+    lookup-table lockstep otherwise: 4 blocks of segments a batch up to
+    N = 15, and fewer as the tables grow with N, 1 or 2 at N = 64.  A
+    slowly mixing small register, such as N = 8 at beta = 0.1, may
+    couple in no batch and go one step at a time.
 
     Registers of more than N_MAX_FORMULA = 64 qubits are refused with
     RangeLimitError, as the closed forms and the builder refuse them,
-    before anything is allocated.  Each step's word is one unsigned
-    integer, and markov._lockstep, the driver of every chain walk too,
-    walks the whole walk from three parts: a draw of flip words, a
-    guess of a batch's starts, and a walk of words one step at a time.
-    A step takes as many raw words as its word has bytes, and the
-    driver sizes its batches and draws from that and the word: batches
-    of 4 blocks of segments at N <= 8, 2 at N <= 16 and 1 at N <= 64,
-    and draws of a quarter block of raw words, 16384 steps at N <= 8 and
-    2048 at N > 32.  A batch's segments are walked side by side by
-    markov._couple, one gather of top and one popcount per
-    segment-step.  Walks of different parity never meet, since i' = i +
-    popcount(w) (mod 2); so each segment is guessed to start at the
-    index nearest N/2 with the parity that the flips before it give, and
-    at N = 1 every guess is right.  The walk goes one step at a time, in
-    Python: through the stored flip words of a batch that fails to
-    couple (beta = 0 keeps every index, and beta = pi maps i to N - i,
-    so no guessed start ever meets the true one), and one draw of flips
-    at a time in walks too short for a batch, in the tail after the
-    last batch, and in the rest of a walk after a batch that failed.
+    before anything is allocated.
     """
-    n = _check_formula_range(spec)
+    table = markov._cumulative(qubit_transition_matrix(spec).rows)
     check_int("steps", steps, 0)
     labels = spec.labels
     try:
         index = labels.index(initial_j)
     except ValueError:
-        raise InvalidArgumentError(f"initial_j={initial_j!r} is not an outcome label for {n} qubits") from None
-    states = np.empty(steps + 1, dtype=markov._state_dtype(n + 1))
+        raise InvalidArgumentError(f"initial_j={initial_j!r} is not an outcome label for {spec.n_qubits} qubits") from None
+    states = np.empty(steps + 1, dtype=markov._state_dtype(len(labels)))
     states[0] = index
-    _walk_register(n, flip_probability(spec.beta), index, states[1:], rng)
+    markov._walk(table, index, states[1:], rng)
     return Trajectory(labels=labels, states=states, seed=rng.seed)
-
-
-def _walk_register(n: int, p: float, index: int, out: np.ndarray, rng: RngState) -> None:
-    """Write the label indices after steps 1..out.size of an n-qubit walk from index into out."""
-    # a step's flips are padded with zeros to one word of 1, 2, 4 or 8 bytes
-    word = np.dtype(f"<u{1 << (-(-n // 8) - 1).bit_length()}")
-    top = [((1 << i) - 1) << (n - i) for i in range(n + 1)]
-    top_words = np.array(top, dtype=word)
-    bit_count = int.bit_count
-    # a group is 8 bytes of flip words, 64 lanes, bit l of the group's
-    # little-endian word lane l; the lanes past n in each word are padding
-    group_steps = 8 // word.itemsize
-    qubits = np.uint64(sum(((1 << n) - 1) << (8 * word.itemsize * s) for s in range(group_steps)))
-    # p's first _PLANES binary digits and the rest, p * 2**_PLANES less
-    # them, in [0, 1]; at p = 1, whose digits never end, the digits are
-    # all ones and the rest is 1
-    scaled = math.ldexp(p, _PLANES)
-    lead = min(int(scaled), (1 << _PLANES) - 1)
-    rest = scaled - lead
-    digits = [lead >> k & 1 for k in reversed(range(_PLANES))]
-    spare = np.empty(0, dtype=word)
-
-    def decide(groups: int) -> np.ndarray:
-        """The flip lanes of the next groups groups, one 64-bit word each."""
-        planes = rng.raw_block(groups * _PLANES).reshape(groups, _PLANES)
-        undecided = np.full(groups, qubits, dtype="<u8")
-        flips = np.zeros(groups, dtype="<u8")
-        ones = np.empty(groups, dtype="<u8")
-        for k, digit in enumerate(digits):
-            # a lane is decided at its first bit that differs from p's
-            # digit, and flips, u < p, where that digit is 1 and its bit 0
-            np.bitwise_and(planes[:, k], undecided, out=ones)
-            np.bitwise_xor(undecided, ones, out=undecided)
-            if digit:
-                np.bitwise_or(flips, undecided, out=flips)
-                undecided, ones = ones, undecided
-        # freed before the fallback's arrays are made, which bounds the draw's peak
-        del planes, ones
-        # a lane still undecided flips when a uniform of the fallback
-        # stream, taken in group then lane order, falls below the rest
-        left = np.flatnonzero(undecided)
-        if left.size:
-            lanes = np.unpackbits(undecided[left].view(np.uint8), bitorder="little").view(bool)
-            hits = np.zeros(lanes.size, dtype=bool)
-            hits[lanes] = rng.fallback_block(int(np.count_nonzero(lanes))) < rest
-            flips[left] |= np.packbits(hits, bitorder="little").view("<u8")
-        return flips
-
-    def draw(count: int) -> np.ndarray:
-        """The flip words of the next count steps; the rest of the last group's steps start the next draw."""
-        nonlocal spare
-        words = np.concatenate((spare, decide(max(0, -(-(count - spare.size) // group_steps))).view(word)))
-        spare = words[count:].copy()
-        return words[:count]
-
-    def walk(flips: np.ndarray, index: int, into: np.ndarray) -> int:
-        """Walk the flip words from index one step at a time into `into`; returns the last index."""
-        # at most 65 labels, so every index is one byte
-        into[:] = np.frombuffer(bytes([index := bit_count(w ^ top[index]) for w in flips.tolist()]), np.uint8)
-        return index
-
-    def guess(index, batch):
-        flips = np.empty(batch.shape[1], dtype=word)
-        # the parity of the flips before each segment fixes the parity of
-        # its start
-        parity = np.bitwise_count(np.bitwise_xor.reduce(batch, axis=0)) & 1
-        np.bitwise_xor.accumulate(parity, out=parity)
-        starts = np.empty(batch.shape[1], dtype=out.dtype)
-        starts[0] = index
-        half = n // 2
-        starts[1:] = half + ((half + index + parity[:-1]) & 1)
-
-        def advance(k, states, into):
-            top_words.take(states, out=flips, mode="clip")
-            return np.bitwise_count(np.bitwise_xor(batch[k], flips, out=flips), out=into)
-
-        return starts, advance
-
-    markov._lockstep(out, index, _PLANES * word.itemsize // 8, word, draw, guess, walk)

@@ -6,6 +6,8 @@ operator, or exactly in rational arithmetic from Wigner's explicit sum,
 rather than from the library's recursion, and register transition
 probabilities come from enumerating every flip pattern of every qubit,
 or exactly in rational arithmetic as a convolution of two binomial laws.
+The register's walk has a per-qubit route here too: every qubit of the
+register flipped on its own at each step.
 The register matrix oracle is the exception: it repeats the builder's
 float arithmetic with binomials from math.comb, to pin the builder's
 output bit for bit.  The library's closed-form sums and flip-count
@@ -226,6 +228,27 @@ def oracle_register_matrix(n_qubits: int, beta: float) -> np.ndarray:
             if (i, k) < (n - i, n - k):
                 rows[i, k] = rows[n - i, n - k]
     return rows
+
+
+def per_qubit_register_walk(n_qubits: int, beta: float, ups: int, steps: int, seed: int) -> np.ndarray:
+    """The label indices, n - ups, of steps steps of a register of qubits flipped one by one.
+
+    Qubit q is up where its entry is True; the first ups qubits start up.
+    Each step flips every qubit on its own, where a fresh uniform of
+    numpy's own generator falls below sin^2(beta/2), so the qubits after
+    step k are the start XOR the running XOR of the flips.  No binomial,
+    matrix or library walker takes part.
+    """
+    p = math.sin(beta / 2.0) ** 2
+    generator = np.random.default_rng(seed)
+    qubits = np.arange(n_qubits) < ups
+    states = [np.array([n_qubits - ups])]
+    for done in range(0, steps, 4096):
+        flips = generator.random((min(4096, steps - done), n_qubits)) < p
+        after = np.bitwise_xor.accumulate(flips, axis=0) ^ qubits
+        states.append(n_qubits - after.sum(axis=1))
+        qubits = after[-1]
+    return np.concatenate(states)
 
 
 def oracle_trajectory_from_text(text: str) -> tuple[Trajectory, dict]:

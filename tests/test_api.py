@@ -19,7 +19,7 @@ REMOVED = (
     "BigDMatrix",
 )
 REMOVED_MEMBERS = (
-    (qmarkov.RngState, ("spawn", "stream")),
+    (qmarkov.RngState, ("spawn", "stream", "raw_block", "fallback_block")),
     (qmarkov.HalfInt, ("from_int", "is_integer", "__add__", "__sub__", "__lt__", "__neg__", "as_float")),
     (qmarkov.StochasticMatrix, ("row_distribution",)),
     (qmarkov.Trajectory, ("outcomes",)),

@@ -21,7 +21,7 @@ from qmarkov import (
     Trajectory,
     coin_toss_stream,
     markov,
-    qubit_chain,
+    qubit_transition_matrix,
     sample,
     simulate_chain,
     simulate_measurements,
@@ -399,26 +399,21 @@ def test_block_size_changes_no_trajectory(monkeypatch):
         out += [simulate_measurements(spin_half, half_start, steps, RngState(5))[0].states for steps in (100, 101)]
         out.append(simulate_chain(chain, start, 101, RngState(6)).states)
         out.append(simulate_chain(pair, pair_start, 101, RngState(6)).states)
-        # a group of lanes holds 8 steps at n <= 8 and 4 at n = 9, so these
-        # walks end partway into one
-        for n, steps in ((3, 60), (3, 61), (8, 60), (9, 61)):
+        # the register at n = 1 takes the two-state scan, and above it bisect
+        for n, steps in ((1, 61), (3, 60), (8, 60), (9, 61), (64, 61)):
             out.append(simulate_register(QubitChainSpec(n_qubits=n, beta=1.0), HalfInt(n), steps, RngState(7)).states)
         out += [coin_toss_stream(count, RngState(8)) for count in (100, 101)]
         return out
 
     default = trajectories()
-    sizes = {"random_block": [], "raw_block": []}
-    for name, drawn in sizes.items():
-        monkeypatch.setattr(RngState, name, _recording(getattr(RngState, name), drawn))
+    sizes = []
+    monkeypatch.setattr(RngState, "random_block", _recording(RngState.random_block, sizes))
     for block in (1, 7):
         monkeypatch.setattr(markov, "_BLOCK", block)
-        for drawn in sizes.values():
-            drawn.clear()
+        sizes.clear()
         small = trajectories()
-        # every walker draws through the one driver, a quarter block at a time
-        assert 0 < max(sizes["random_block"]) <= max(1, block // 4)
-        # a register draw of one step takes the planes of one whole group
-        assert max(sizes["raw_block"]) == qubit_chain._PLANES
+        # every walker draws through the one driver, an eighth of a block at a time
+        assert 0 < max(sizes) <= max(1, block // 8)
         assert len(default) == len(small)
         for a, b in zip(default, small):
             assert np.array_equal(a, b)
@@ -454,6 +449,10 @@ def _cycle(dim, stay):
     return stay * shift + (1.0 - stay) / dim
 
 
+def _register_rows(n, beta):
+    return qubit_transition_matrix(QubitChainSpec(n_qubits=n, beta=beta)).rows
+
+
 THREE_STATE = np.array([[0.2, 0.5, 0.3], [0.6, 0.0, 0.4], [0.1, 0.1, 0.8]])
 # running sums that repeat across rows, 0.5 and 0.75 in every row, and
 # start at -0.0 in one row and at 0.0 in another, as a matrix file may give
@@ -476,6 +475,9 @@ COUPLING = {
     "random-51": _random_rows(51, 2),
     "zero-pattern-9": _zero_pattern_rows(),
     "signed-zeros-4": SIGNED_ZEROS,
+    # 65 states, the widest register, whose rows end in runs of equal sums
+    "register-64-1.0": _register_rows(64, 1.0),
+    "register-64-2.2": _register_rows(64, 2.2),
 }
 # near the identity and near a permutation: a block may give up
 SLOW = {"spin1-0.3", "spin1-2.84"}
@@ -487,10 +489,12 @@ NON_COUPLING = {
     "spin1-pi": (_spin_rows(2, math.pi), 1),
 }
 
-# lockstep in tier-1 time: segments of 16 steps, and odd blocks of 160
-# segments and a tail, so blocks and batches do not share their edges
+# lockstep in tier-1 time: segments of 16 steps, odd blocks of 160
+# segments and a tail, so blocks and batches do not share their edges,
+# and batches of at least 128 segments
 SEGMENT = 16
 BLOCK = 160 * SEGMENT + 7
+MIN_SEGMENTS = 128
 
 
 def _edge_uniforms(matrix, steps, seed):
@@ -537,6 +541,7 @@ def _recorded_walk(monkeypatch, matrix, start, uniforms):
     """_walk over uniforms with small blocks; returns (states, coupled flag of each lockstep batch, bisect offsets)."""
     monkeypatch.setattr(markov, "_SEGMENT", SEGMENT)
     monkeypatch.setattr(markov, "_BLOCK", BLOCK)
+    monkeypatch.setattr(markov, "_MIN_SEGMENTS", MIN_SEGMENTS)
     coupled = _record_lockstep(monkeypatch)
     out = np.empty(len(uniforms), dtype=markov._state_dtype(len(matrix)))
     bisect, offsets = markov._bisect_block, []
@@ -554,11 +559,12 @@ def _recorded_walk(monkeypatch, matrix, start, uniforms):
 # walks of 451 and 448 whole segments and a tail
 LENGTHS = (2 * BLOCK + 130 * SEGMENT + 5, 2 * BLOCK + 127 * SEGMENT + 3)
 # lockstep batches of the walks of LENGTHS, by the bytes of a key:
-# batches of 4 blocks of 160 segments at 1 byte (3 and 9 states, 640
-# segments, more than either walk) and 2 at 2 (51, 320); there the last
-# batches are 131 and 128 segments, the shortest batch lockstep walks
-# (_MIN_SEGMENTS)
-LOCKSTEP_BATCHES = {1: (1, 1), 2: (2, 2)}
+# batches of 3 or 4 blocks of 160 segments at 1 byte (3 to 9 states,
+# whose tables take 0.01-0.16 of the batch budget of 8 * BLOCK bytes;
+# 480 or 640 segments, more than either walk) and 1 at 2 (20, 51 and 65
+# states, whose tables pass that budget); there the last batches are
+# 131 and 128 segments, the shortest batch lockstep walks (MIN_SEGMENTS)
+LOCKSTEP_BATCHES = {1: (1, 1), 2: (3, 3)}
 
 
 def _key_bytes(matrix):
@@ -575,6 +581,8 @@ KEYS = {
     "random-9": (_random_rows(9, 1), 1, np.uint8),
     "random-20": (_random_rows(20, 4), 20, np.uint16),
     "random-51": (_random_rows(51, 2), 1, np.uint16),
+    "register-64-1.0": (_register_rows(64, 1.0), 1, np.uint16),
+    "register-64-pi/2": (_register_rows(64, math.pi / 2), 1, np.uint16),
 }
 
 
@@ -594,10 +602,11 @@ def test_a_key_is_the_lut_offset_unless_that_takes_more_bytes_than_the_bucket(na
     assert (got, guide.dtype) == (scale, dtype)
     # one breakpoint per distinct entry: equal entries and signed zeros merge
     assert breaks.tolist() == sorted({c for row in table for c in row[:-1]})
-    # every key, of a cell or searched for, is bucket * scale
+    # every key, of a cell or searched for, is bucket * scale; _keys
+    # scales the uniforms it is given in place, so it is given a copy
     uniforms = RngState(9).random_block(20000)
     buckets = np.searchsorted(breaks, uniforms, side="right")
-    assert np.array_equal(markov._keys(breaks, guide, scale, uniforms), buckets * scale)
+    assert np.array_equal(markov._keys(breaks, guide, scale, uniforms.copy()), buckets * scale)
     for x in range(len(matrix)):
         assert lut[buckets * len(matrix) + x].tolist() == [bisect_right(table[x], u) for u in uniforms.tolist()]
 
@@ -628,15 +637,18 @@ def test_a_walk_that_never_meets_is_finished_by_the_lut_walk(monkeypatch, name):
     resumed = _record_walk_offsets(monkeypatch)
     states, coupled, offsets = _recorded_walk(monkeypatch, matrix, start, uniforms)
     assert states == bisect_loop(matrix, start, uniforms)
-    # the first batch gives up and is finished one segment at a time
-    # through its stored keys from a segment inside it; the lut walk
-    # takes the rest of the walk from the batch's end, a quarter block of
-    # uniforms at a time, cut to whole segments, and bisect walks none of it
-    draw, rest = BLOCK // 4 // SEGMENT * SEGMENT, steps - segments * SEGMENT
+    # the first batch gives up and is finished through its stored keys
+    # from a segment inside it, a draw's worth of segments at a time, 20
+    # of them; the lut walk takes the rest of the walk from the batch's
+    # end, an eighth of a block of uniforms at a time, cut to whole
+    # segments, and bisect walks none of it
+    draw, rest = BLOCK // 8 // SEGMENT * SEGMENT, steps - segments * SEGMENT
+    assert draw == 20 * SEGMENT
     tail = [draw] * (rest // draw) + [rest % draw]
     finished = resumed[: -len(tail)]
     assert coupled == [False] and offsets == []
-    assert 0 < len(finished) < segments and set(finished) == {SEGMENT}
+    assert 0 < sum(finished) < segments * SEGMENT and sum(finished) % SEGMENT == 0
+    assert set(finished[:-1]) <= {draw} and 0 < finished[-1] <= draw
     assert resumed[-len(tail) :] == tail
 
 
@@ -647,16 +659,16 @@ def test_a_chain_over_the_lookup_cap_is_walked_by_bisect(monkeypatch):
     uniforms = RngState(4).random_block(LENGTHS[0]).tolist()
     states, coupled, offsets = _recorded_walk(monkeypatch, matrix, 0, uniforms)
     assert states == bisect_loop(matrix, 0, uniforms)
-    # a quarter block of uniforms at a time, cut to whole segments
-    assert coupled == [] and offsets == list(range(0, len(uniforms), BLOCK // 4 // SEGMENT * SEGMENT))
+    # an eighth of a block of uniforms at a time, cut to whole segments
+    assert coupled == [] and offsets == list(range(0, len(uniforms), BLOCK // 8 // SEGMENT * SEGMENT))
 
 
 def test_bisect_walks_only_walks_under_the_lockstep_length(monkeypatch):
-    # a walk of one step under _MIN_SEGMENTS segments is bisect's alone, and
+    # a walk of one step under MIN_SEGMENTS segments is bisect's alone, and
     # one of that many segments and a tail is the lut walk's alone
-    short = markov._MIN_SEGMENTS * SEGMENT
-    # bisect walks a quarter block of uniforms at a time, cut to whole segments
-    draw = BLOCK // 4 // SEGMENT * SEGMENT
+    short = MIN_SEGMENTS * SEGMENT
+    # bisect walks an eighth of a block of uniforms at a time, cut to whole segments
+    draw = BLOCK // 8 // SEGMENT * SEGMENT
     for steps, bisected in ((short - 1, list(range(0, short - 1, draw))), (short + SEGMENT - 1, [])):
         uniforms = RngState(steps).random_block(steps).tolist()
         states, _, offsets = _recorded_walk(monkeypatch, THREE_STATE, 0, uniforms)
@@ -677,9 +689,10 @@ def _walk_peak(table, start, steps, seed):
 
 
 # (rows, lockstep batches of the 4-block and the 8-block walk): batches
-# of 2 blocks at 51 states and 4 at 9 and at 3
+# of 1 block at 51 and 65 states and 4 at 9 and at 3
 LOCKSTEP_MEMORY = {
-    "spin25": (_spin_rows(50, 1.0), 6),
+    "spin25": (_spin_rows(50, 1.0), 12),
+    "register-64": (_register_rows(64, 1.0), 12),
     "random-9": (_random_rows(9, 1), 3),
     "spin1": (_spin_rows(2, 1.0), 3),
 }
@@ -688,9 +701,9 @@ LOCKSTEP_MEMORY = {
 def test_lockstep_memory_is_bounded_by_the_block(monkeypatch):
     # no per-step list and no table that grows with the walk: the peak of
     # a 4-block walk and of an 8-block one, one draw's uniforms with its
-    # batch's keys and segment paths, stay under a fixed multiple
-    # of one block of uniforms; 1.92, 1.65 and 1.65 blocks at 51, 9 and 3
-    # states
+    # batch's keys and segment paths, and the lookup tables, stay under a
+    # fixed multiple of one block of uniforms; 1.21, 1.43, 1.31 and 1.31
+    # blocks at 51, 65, 9 and 3 states
     for name, (rows, batches) in LOCKSTEP_MEMORY.items():
         table = _cumulative(rows)
         coupled = _record_lockstep(monkeypatch)
@@ -703,7 +716,7 @@ def test_lockstep_memory_is_bounded_by_the_block(monkeypatch):
 # (rows, start, steps, bound in blocks of uniforms) of walks read one
 # step at a time: bisect walks the chain over the cap and the short walk;
 # the fallback's one batch gives up and is finished from its stored
-# keys, one segment's list at a time, and the lut walk takes the rest;
+# keys, a draw's worth of segments at a time, and the lut walk takes the rest;
 # the two-state scan walks the spin-1/2 chain
 BISECT_WALKS = {
     "over-the-cap": (_random_rows(110, 3), 0, 4 * markov._BLOCK, 2.5),
@@ -718,7 +731,7 @@ def test_bisect_walks_read_their_block_in_place(monkeypatch, name):
     matrix, start, steps, bound = BISECT_WALKS[name]
     # bisect reads its draw of uniforms in place, where a listed draw
     # alone would take about 4 times its uniforms, and the scan's arrays
-    # are those of one draw, a quarter block
+    # are those of one draw, an eighth of a block
     coupled = _record_lockstep(monkeypatch)
     assert _walk_peak(_cumulative(matrix), start, steps, 5) < bound
     assert coupled == ([False] if name == "fallback" else [])
@@ -727,17 +740,18 @@ def test_bisect_walks_read_their_block_in_place(monkeypatch, name):
 BATCH_SEGMENTS = markov._batch_segments
 
 
-def _one_block_batches(step_bytes):
-    """Batches of _BLOCK // _SEGMENT segments whatever their arrays take: one block of a chain's steps."""
+def _one_block_batches(step_bytes, table_bytes):
+    """Batches of _BLOCK // _SEGMENT segments whatever their arrays and tables take: one block of a chain's steps."""
     return markov._BLOCK // markov._SEGMENT
 
 
 # (rows, blocks in one batch) at 3, 9 and 51 states: keys of 1, 1 and 2
-# bytes and a one-byte path make batches of 4, 4 and 2 blocks
+# bytes and a one-byte path, beside tables of under 0.01, 0.01 and 0.54
+# blocks of uniforms, make batches of 4, 4 and 1 blocks
 BATCH_CHAINS = {
     "3": (THREE_STATE, 4),
     "9": (_random_rows(9, 1), 4),
-    "51": (_random_rows(51, 2), 2),
+    "51": (_random_rows(51, 2), 1),
 }
 
 
@@ -774,15 +788,17 @@ def test_batch_width_changes_no_chain_walk(monkeypatch, name):
             assert np.array_equal(wide, reference)
 
 
-# n: segments in one register batch, 4 blocks of 256 at n <= 8, 2 at n
-# <= 16 and 1 at n <= 64
-REGISTER_BATCHES = {1: 1024, 8: 1024, 9: 512, 16: 512, 17: 256, 33: 256, 64: 256}
+# n: blocks of segments in one register batch at beta = 1: 4 at n <= 9,
+# whose tables take at most 0.01 blocks of uniforms, 3 at 16 and 17, 2 at
+# 33 and 1 at 64, whose tables take 0.76
+REGISTER_BATCHES = {8: 4, 9: 4, 16: 3, 17: 3, 33: 2, 64: 1}
 
 
 @pytest.mark.parametrize("n", list(REGISTER_BATCHES))
 def test_batch_width_changes_no_register_walk(monkeypatch, n):
     spec = QubitChainSpec(n_qubits=n, beta=1.0)
-    batch = REGISTER_BATCHES[n] * markov._SEGMENT
+    blocks = REGISTER_BATCHES[n]
+    batch = blocks * markov._BLOCK
     for steps in _batch_edges(batch)[1:]:
         walks = []
         for width in (BATCH_SEGMENTS, _one_block_batches):
@@ -792,14 +808,14 @@ def test_batch_width_changes_no_register_walk(monkeypatch, n):
         (wide, wide_batches), (narrow, narrow_batches) = walks
         assert np.array_equal(wide, narrow), steps
         if steps == 2 * batch + 5:
-            assert (wide_batches, narrow_batches) == (2, 2 * batch // markov._BLOCK)
+            assert (wide_batches, narrow_batches) == (2, 2 * blocks)
 
 
 def _record_lockstep_sizes(monkeypatch):
     """(batch width in segments, largest draw in steps) of each _lockstep call from now on, in order."""
     lockstep, sizes = markov._lockstep, []
 
-    def recording(out, state, per_step, dtype, draw, guess, walk):
+    def recording(out, state, tables, dtype, draw, guess, walk):
         widths, draws = [0], [0]
 
         def recording_draw(count):
@@ -811,7 +827,7 @@ def _record_lockstep_sizes(monkeypatch):
             return guess(state, batch)
 
         # the scan and bisect give no guess, and are never batched
-        lockstep(out, state, per_step, dtype, recording_draw, guess and recording_guess, walk)
+        lockstep(out, state, tables, dtype, recording_draw, guess and recording_guess, walk)
         sizes.append((max(widths), max(draws)))
 
     monkeypatch.setattr(markov, "_lockstep", recording)
@@ -819,22 +835,21 @@ def _record_lockstep_sizes(monkeypatch):
 
 
 # (batch width in segments, draw in steps) that the driver gives each
-# walker: chains at 3, 9 and 51 states in batches of 4, 4 and 2 blocks
-# of 256 segments, and registers in whole blocks of them; every draw
-# is a quarter block of uniforms or, for the register, of raw words, 1,
-# 2, 4 or 8 a step as its flip words take 1, 2, 4 or 8 bytes, in whole
-# segments
+# walker: chains at 3, 9 and 51 states in batches of 4, 4 and 1 blocks
+# of 512 segments, and registers, the chains of their own matrices at
+# beta = 1, in 4 blocks at n <= 9, 3 at 16, 2 at 32 and 1 at 64; the
+# register at n = 1 is the two-state scan, never batched; every draw
+# is an eighth of a block of uniforms, 64 whole segments
 LOCKSTEP_SIZES = {
-    "chain-3": (1024, 16384),
-    "chain-9": (1024, 16384),
-    "chain-51": (512, 16384),
-    "register-1": (1024, 16384),
-    "register-8": (1024, 16384),
-    "register-9": (512, 8192),
-    "register-16": (512, 8192),
-    "register-17": (256, 4096),
-    "register-32": (256, 4096),
-    "register-64": (256, 2048),
+    "chain-3": (2048, 8192),
+    "chain-9": (2048, 8192),
+    "chain-51": (512, 8192),
+    "register-1": (0, 8192),
+    "register-8": (2048, 8192),
+    "register-9": (2048, 8192),
+    "register-16": (1536, 8192),
+    "register-32": (1024, 8192),
+    "register-64": (512, 8192),
 }
 
 
@@ -871,13 +886,15 @@ def _give_up_on_the_second_batch(monkeypatch):
 
 def test_a_batch_that_gives_up_is_finished_from_what_it_stores(monkeypatch):
     # the second 4-block batch of a 3-state walk is finished one step at a
-    # time through its stored keys from segment 3 on, and the rest
-    # through the keys of a quarter block of uniforms at a time
+    # time through its stored keys from segment 3 on, a draw's worth of
+    # segments, 64, per call, and the rest through the keys of an eighth
+    # of a block of uniforms at a time
     table = _cumulative(THREE_STATE)
     steps = 9 * markov._BLOCK + 1001
     uniforms = RngState(12).random_block(steps)
     reference = np.empty(steps, dtype=np.uint8)
-    markov._bisect_block(table.tolist(), uniforms, 2, reference)
+    bisect = markov._bisect_block
+    bisect(table.tolist(), uniforms, 2, reference)
     calls = _give_up_on_the_second_batch(monkeypatch)
     resumed = _record_walk_offsets(monkeypatch)
     monkeypatch.setattr(markov, "_bisect_block", None)
@@ -885,16 +902,18 @@ def test_a_batch_that_gives_up_is_finished_from_what_it_stores(monkeypatch):
     _walk(table, 2, out, StubRng(uniforms))
     assert calls == [True, True]
     assert np.array_equal(out, reference)
-    segments, draw = 4 * markov._BLOCK // markov._SEGMENT, markov._BLOCK // 4
-    assert resumed == [markov._SEGMENT] * (segments - 3) + [draw] * 4 + [1001]
+    seg, draw = markov._SEGMENT, markov._BLOCK // 8
+    left, chunk = 4 * markov._BLOCK // seg - 3, draw // seg
+    assert resumed == [chunk * seg] * (left // chunk) + [left % chunk * seg] + [draw] * 8 + [1001]
     assert out.tolist()[:20001] == bisect_loop(THREE_STATE, 2, uniforms[:20001].tolist())
-    # an 8-qubit register goes one step at a time from its stored flip
-    # words, then one draw at a time; with _MIN_SEGMENTS past every batch
-    # the whole walk goes one step at a time
+    # so does an 8-qubit register, the 9-state chain of its own matrix,
+    # from its stored keys in a second batch of 1024 segments; with
+    # _MIN_SEGMENTS past the walk, bisect walks all of it
     calls.clear()
     spec = QubitChainSpec(n_qubits=8, beta=1.0)
     steps = 3 * 1024 * markov._SEGMENT + 1001
     given_up = simulate_register(spec, HalfInt(2), steps, RngState(13)).states
     assert calls == [True, True]
+    monkeypatch.setattr(markov, "_bisect_block", bisect)
     monkeypatch.setattr(markov, "_MIN_SEGMENTS", steps)
     assert np.array_equal(given_up, simulate_register(spec, HalfInt(2), steps, RngState(13)).states)

@@ -1,4 +1,3 @@
-import functools
 import json
 import math
 import tracemalloc
@@ -38,10 +37,11 @@ from oracles import (
     enumerate_q,
     exact_register_row,
     oracle_register_matrix,
+    per_qubit_register_walk,
     scalar_brute_force_q,
     scalar_q_formula,
 )
-from test_markov import SEGMENT, _record_lockstep
+from test_markov import _record_lockstep
 
 # q_{j'j} for N=3, beta=0.7, rows j = 3/2..-3/2, frozen from the
 # bitmask-enumeration oracle
@@ -304,64 +304,6 @@ def test_register_frequencies_close_on_the_analytic_matrix():
     assert max(tvs) < 0.03
 
 
-def _plane_digits(p, planes):
-    """p's first `planes` binary digits and the rest, p * 2**planes less them, as exact fractions.
-
-    At p = 1 every digit is 1 and the rest is 1.
-    """
-    rest, digits = Fraction(p), []
-    for _ in range(planes):
-        rest *= 2
-        digits.append(int(rest >= 1))
-        rest -= digits[-1]
-    return digits, rest
-
-
-@functools.lru_cache(maxsize=8)
-def _reference_flips(n, p, steps, seed):
-    """Each step's flip word, qubit q at bit q, read one qubit at a time from the seed's raw words.
-
-    A step's n flips are padded to a word of 8, 16, 32 or 64 bits, and
-    each 64 bits of words are a group of lanes that read _PLANES raw
-    words of the seed's stream, one bit each, most significant first.  A
-    lane flips at its first bit that differs from p's binary digit when
-    that digit is 1.  A lane whose bits all equal the digits takes the
-    next uniform of the seed's spawned stream, and flips when it is
-    below the rest of p.
-    """
-    planes = qubit_chain._PLANES
-    width = next(w for w in (8, 16, 32, 64) if w >= n)
-    group_steps = 64 // width
-    raw = np.random.PCG64(np.random.SeedSequence(seed)).random_raw(-(-steps // group_steps) * planes).tolist()
-    spawned = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(0,))))
-    digits, rest = _plane_digits(p, planes)
-    flips = []
-    for step in range(steps):
-        group, slot = divmod(step, group_steps)
-        words = raw[group * planes : (group + 1) * planes]
-        flip_word = 0
-        for q in range(n):
-            lane = slot * width + q
-            for word, digit in zip(words, digits):
-                if (word >> lane) & 1 != digit:
-                    flip = digit
-                    break
-            else:
-                flip = int(Fraction(spawned.random()) < rest)
-            flip_word |= flip << q
-        flips.append(flip_word)
-    return tuple(flips)
-
-
-def _reference_register(n, p, ups, steps, seed):
-    # the up qubits are listed first, so those that flip are the set bits below bit ups
-    states = [n - ups]
-    for word in _reference_flips(n, p, steps, seed):
-        ups += word.bit_count() - 2 * (word & ((1 << ups) - 1)).bit_count()
-        states.append(n - ups)
-    return states
-
-
 def test_simulate_register_refuses_registers_past_the_closed_form():
     spec = QubitChainSpec(n_qubits=N_MAX_FORMULA + 1, beta=1.0)
     with pytest.raises(RangeLimitError) as builder:
@@ -374,157 +316,78 @@ def test_simulate_register_refuses_registers_past_the_closed_form():
         assert str(walker.value) == str(builder.value)
 
 
-# 17 and 24 qubits take 3 bytes a step, padded to a 4-byte word, and 40
-# take 5, padded to an 8-byte word
-@pytest.mark.parametrize("n", [1, 7, 8, 9, 17, 24, 40, 63, 64])
-def test_simulate_register_matches_a_per_qubit_reference(n):
-    # walks inside one draw and across draws, the longer ones at n < 64
-    # ending partway into a group of lanes; flip probabilities 0, 1 and in
-    # between, from the first, a middle and the last label
-    for beta in (1.3, 0.0, math.pi):
-        spec = QubitChainSpec(n_qubits=n, beta=beta)
-        p = flip_probability(beta)
-        for steps in (300, 2 * (markov._BLOCK // n) + 3):
-            for ups in (n, n - n // 3, 0):
-                t = simulate_register(spec, HalfInt(2 * ups - n), steps, RngState(n))
-                assert t.states.tolist() == _reference_register(n, p, ups, steps, n), (beta, steps, ups)
+def _transitions(states, dim):
+    """counts[i, k], the steps of states from label index i to k, counted with numpy alone."""
+    states = np.asarray(states, dtype=np.int64)
+    return np.bincount(states[:-1] * dim + states[1:], minlength=dim * dim).reshape(dim, dim)
 
 
-def test_a_register_draw_of_less_than_a_segment_is_drawn_a_segment_at_a_time(monkeypatch):
-    # at these sizes a quarter block of raw words is 10 steps of 64 qubits,
-    # under one 16-step segment, so each lockstep batch, of 20 segments, is
-    # filled a segment at a time
-    monkeypatch.setattr(markov, "_SEGMENT", SEGMENT)
-    monkeypatch.setattr(markov, "_BLOCK", 20 * SEGMENT + 7)
-    monkeypatch.setattr(markov, "_MIN_SEGMENTS", 16)
-    assert markov._BLOCK // 4 // qubit_chain._PLANES < markov._SEGMENT
-    coupled = _record_lockstep(monkeypatch)
-    spec = QubitChainSpec(n_qubits=64, beta=1.3)
-    t = simulate_register(spec, HalfInt(64), 4000, RngState(64))
-    assert coupled == [True] * (4000 // (20 * SEGMENT))
-    assert t.states.tolist() == _reference_register(64, flip_probability(1.3), 64, 4000, 64)
+def _fits_by_chi_square(counts, rows):
+    """Every row of counts visited 1000 times or more passes Pearson's test against its matrix row at the 0.999 level.
 
-
-class _PlaneRng:
-    """Raw words from a list, in turn, and the uniform u for each lane that the planes leave undecided."""
-
-    def __init__(self, words, u):
-        self.words, self.u, self.fallbacks = list(words), u, 0
-
-    def raw_block(self, count):
-        block, self.words = self.words[:count], self.words[count:]
-        return np.array(block, dtype=np.uint64)
-
-    def fallback_block(self, count):
-        self.fallbacks += count
-        return np.full(count, self.u)
-
-
-def _captured_draw(monkeypatch, n, p, rng):
-    """The draw of flip words that an n-qubit walk at flip probability p hands the lockstep driver."""
-    drawn = []
-    monkeypatch.setattr(markov, "_lockstep", lambda out, state, per_step, dtype, draw, guess, walk: drawn.append(draw))
-    qubit_chain._walk_register(n, p, 0, np.empty(1, dtype=np.uint8), rng)
-    return drawn[0]
-
-
-# a uniform is k / 2**53 for k in 0..2**53 - 1
-GRID = 2**53
-
-
-def _plane_law(monkeypatch, p, planes):
-    """The chance of each pattern of plane bits to flip a lane of a 64-qubit step, in order of the pattern.
-
-    Lane l of group g reads pattern (64 g + l) mod 2**planes, most
-    significant bit first.  An undecided lane is drawn once with the
-    uniform just below the rest of p and once with the uniform at it; a
-    pattern that flips on the first and not on the second has the chance
-    of a uniform below the rest, ceil(rest * 2**53) / 2**53.
+    Returns how many rows were tested.
     """
-    monkeypatch.setattr(qubit_chain, "_PLANES", planes)
-    patterns = 1 << planes
-    groups = -(-patterns // 64)
-    words = [
-        sum(((((64 * g + lane) % patterns) >> (planes - 1 - k)) & 1) << lane for lane in range(64))
-        for g in range(groups)
-        for k in range(planes)
-    ]
-    # the first uniform at or past the rest
-    at = math.ceil(_plane_digits(p, planes)[1] * GRID)
-    outcomes = []
-    for k in (at - 1, at):
-        if 0 <= k < GRID:
-            rng = _PlaneRng(words, k / GRID)
-            flips = _captured_draw(monkeypatch, 64, p, rng)(groups).tolist()
-            # one pattern equals p's digits, and only its lanes are left to the fallback
-            assert rng.fallbacks == groups * 64 // patterns
-            outcomes.append([(flips[i // 64] >> (i % 64)) & 1 for i in range(patterns)])
-    return [Fraction(f[0]) if len(set(f)) == 1 else Fraction(at, GRID) for f in zip(*outcomes)]
+    tested = 0
+    for observed, row in zip(counts, rows):
+        if observed.sum() >= 1000:
+            result = chi_square(observed, Distribution(tuple(range(row.size)), row))
+            assert result.statistic < CHI2_CRIT_999[result.dof], (tested, result)
+            tested += 1
+    return tested
 
 
-# p at 1/2, 3/8, 11/16 and 2^-3 + 2^-10, whose binary digits end before
-# or after 2 and 8 planes, and within 12; 0, 1 at beta = pi, and 2^-60,
-# which a uniform on the 2^-53 grid compared with p would flip at 2^-53,
-# and whose rest past 8 planes or more is on that grid
-EXACT = [
-    *((p, planes) for p in (0.5, 0.375, 0.6875, 2.0**-3 + 2.0**-10, 0.0, 1.0) for planes in (2, 8, 12)),
-    (2.0**-60, 8),
-    (2.0**-60, 12),
-]
+def _fits_by_tv_bound(counts, rows, delta=1e-9):
+    """Every visited row of counts is within the Bretagnolle-Huber-Carol bound of its matrix row.
+
+    The empirical law of m draws from a law on d cells is further than
+    sqrt((d ln 2 + ln(1/delta)) / (2 m)) from it in total variation with
+    probability at most delta.  Returns how many rows were tested.
+    """
+    tested = 0
+    for observed, row in zip(counts, rows):
+        visits = int(observed.sum())
+        if visits:
+            tv = 0.5 * np.abs(observed / visits - row).sum()
+            assert tv <= math.sqrt((row.size * math.log(2) + math.log(1 / delta)) / (2 * visits)), (tested, tv)
+            tested += 1
+    return tested
 
 
-@pytest.mark.parametrize("p, planes", EXACT)
-def test_the_bit_planes_flip_a_lane_with_probability_p_exactly(monkeypatch, p, planes):
-    assert flip_probability(math.pi) == 1.0
-    chance = _plane_law(monkeypatch, p, planes)
-    digits, rest = _plane_digits(p, planes)
-    lead = int("".join(map(str, digits)), 2)
-    # a lane is decided at its first bit that differs from p's digit, and
-    # flips where that digit is 1: the patterns below p's leading digits
-    assert chance == [1] * lead + [Fraction(math.ceil(rest * GRID), GRID)] + [0] * ((1 << planes) - lead - 1)
-    assert sum(chance) / len(chance) == Fraction(p)
+@pytest.mark.parametrize("beta", [0.7, math.pi / 2, 2.6])
+@pytest.mark.parametrize("n", [1, 2, 8, 9])
+def test_a_per_qubit_walk_fits_the_matrix_by_chi_square(n, beta):
+    # qubits flipped one by one, with no binomial and no library walker,
+    # step between up counts by the matrix's rows; n <= 9 keeps every
+    # row's test within 9 degrees of freedom
+    rows = qubit_transition_matrix(QubitChainSpec(n_qubits=n, beta=beta)).rows
+    states = per_qubit_register_walk(n, beta, n, 100_000, n)
+    assert _fits_by_chi_square(_transitions(states, n + 1), rows) >= min(n + 1, 5)
 
 
-@pytest.mark.parametrize("planes", [2, 8, 12])
-@pytest.mark.parametrize("p", [flip_probability(0.3), 2.0**-60, 3 * 2.0**-70])
-def test_the_bit_planes_err_by_less_than_a_uniform_past_the_planes(monkeypatch, p, planes):
-    # past the planes the rest of p may fall between two uniforms, so an
-    # undecided lane's chance is over the rest by under 2^-53, and p's by
-    # under 2^-(53 + planes)
-    error = sum(_plane_law(monkeypatch, p, planes)) / (1 << planes) - Fraction(p)
-    assert 0 <= error < Fraction(1, 2 ** (53 + planes))
+@pytest.mark.parametrize("beta", [0.3, 1.0, math.pi / 2, 2.84])
+@pytest.mark.parametrize("n", [63, 64])
+def test_a_per_qubit_walk_fits_the_matrix_by_a_tv_bound(n, beta):
+    # past the chi-square table's 10 degrees of freedom, each visited
+    # row's total variation from its matrix row is bounded instead
+    rows = qubit_transition_matrix(QubitChainSpec(n_qubits=n, beta=beta)).rows
+    states = per_qubit_register_walk(n, beta, n // 3, 100_000, n)
+    assert _fits_by_tv_bound(_transitions(states, n + 1), rows) >= 20
 
 
-@pytest.mark.parametrize("n", [1, 3, 9, 17, 64])
-def test_a_draw_takes_the_steps_its_last_group_left(monkeypatch, n):
-    # a group holds 8, 4, 2 or 1 steps; draws of any sizes in turn give
-    # the flip words of one draw of their total
-    p = flip_probability(1.1)
-    sizes = [3, 5, 1, 7, 13, 2]
-    parts = _captured_draw(monkeypatch, n, p, RngState(n))
-    whole = _captured_draw(monkeypatch, n, p, RngState(n))
-    assert np.concatenate([parts(size) for size in sizes]).tolist() == whole(sum(sizes)).tolist()
+@pytest.mark.parametrize("beta", [0.3, 1.0, math.pi / 2, 2.84])
+@pytest.mark.parametrize("n", [8, 64])
+def test_simulate_register_counts_fit_the_matrix(n, beta):
+    # the walker's own steps, by chi-square at 8 qubits and by the bound
+    # at 64, from a start that is not the stationary mode
+    spec = QubitChainSpec(n_qubits=n, beta=beta)
+    t = simulate_register(spec, spec.labels[1], 100_000, RngState(n))
+    fits = _fits_by_chi_square if n == 8 else _fits_by_tv_bound
+    assert fits(_transitions(t.states, n + 1), qubit_transition_matrix(spec).rows) >= 5
 
 
-@pytest.mark.parametrize("beta", [0.06, math.pi / 2, math.pi - 0.06])
-def test_flip_counts_pass_a_chi_square_test(monkeypatch, beta):
-    # p near 0, 1/2 and 1: the flips of each 9-qubit step, 7 padding lanes
-    # in its 16-bit word, against Binomial(9, p), and the flipped lanes of
-    # 64-qubit steps against Bernoulli(p)
-    p = flip_probability(beta)
-    steps = 20_000
-    flips = np.bitwise_count(_captured_draw(monkeypatch, 9, p, RngState(9))(steps))
-    binomial = Distribution(tuple(range(10)), [math.comb(9, k) * p**k * (1 - p) ** (9 - k) for k in range(10)])
-    result = chi_square(np.bincount(flips, minlength=10), binomial)
-    assert result.statistic < CHI2_CRIT_999[result.dof], result
-    flipped = int(np.bitwise_count(_captured_draw(monkeypatch, 64, p, RngState(64))(steps)).sum())
-    result = chi_square([flipped, 64 * steps - flipped], Distribution((1, 0), [p, 1 - p]))
-    assert result.statistic < CHI2_CRIT_999[1], result
-
-
-def _walk_peak(n, steps):
+def _walk_peak(n, steps, beta=1.0):
     """The tracemalloc peak of a register walk of steps, less its states, in blocks of uniforms."""
-    spec = QubitChainSpec(n_qubits=n, beta=1.0)
+    spec = QubitChainSpec(n_qubits=n, beta=beta)
     rng = RngState(n)  # the first generator imports numpy.random's modules
     tracemalloc.start()
     try:
@@ -534,40 +397,45 @@ def _walk_peak(n, steps):
         tracemalloc.stop()
 
 
-def _register_peak(n, blocks):
-    """The tracemalloc peak of a register walk of blocks * (_BLOCK // n) steps, less its states, in blocks of uniforms."""
-    return _walk_peak(n, blocks * (markov._BLOCK // n))
-
-
 @pytest.mark.parametrize("n", [1, 8, 24, 64])
 def test_register_memory_is_bounded_by_the_block(monkeypatch, n):
     # the per-step walk: with _MIN_SEGMENTS above any of these walks'
-    # segment counts, no batch goes to the lockstep; a draw's quarter
-    # block of raw words and its lanes, each step's flips padded to one
-    # word of 1, 2, 4 or 8 bytes, and the listed flip words stay under a
-    # fixed multiple of one block of uniforms however long the walk: 0.55
-    # blocks at n = 1 and 8, 0.39 at n = 24 (a 3-byte step in a 4-byte
-    # word) and 0.37 at n = 64
+    # segment counts, no batch goes to the lockstep, so n = 1 takes the
+    # two-state scan and every larger register bisect; a step takes one
+    # uniform, and a draw's eighth of a block of them, its states and
+    # the matrix's running sums as lists stay under a fixed multiple of
+    # one block of uniforms however long the walk: 0.38 blocks at n = 1,
+    # 0.26 at 8, 0.31 at 24 and 0.59 at 64
     monkeypatch.setattr(markov, "_MIN_SEGMENTS", 8 * markov._BLOCK // markov._SEGMENT + 1)
-    peaks = [_register_peak(n, blocks) for blocks in (4, 8)]
+    peaks = [_walk_peak(n, blocks * markov._BLOCK) for blocks in (4, 8)]
     assert max(peaks) < 1.6, peaks
     assert abs(peaks[1] - peaks[0]) < 0.1, peaks
 
 
-# lockstep batches of walks of 4 and 8 blocks of steps, 1024 and 2048
-# segments, in batches of 1024 segments at n <= 8, 512 at 16 and 256 at
-# 17 and 64
-LOCKSTEP_BATCHES = {1: 3, 8: 3, 16: 6, 17: 12, 64: 12}
+# (n, beta): lockstep batches of walks of 4 and 8 blocks of steps, 2048
+# and 4096 segments, in batches of 2048 segments at n = 8, 1536 at 16
+# and 17, 512 at 64 and beta = 0.3 or 1, and 1024 at 64 and beta = pi/2,
+# whose tables are the smallest; n = 1 is the two-state scan, never batched
+LOCKSTEP_BATCHES = {
+    (1, 1.0): 0,
+    (8, 1.0): 3,
+    (16, 1.0): 5,
+    (17, 1.0): 5,
+    (64, 1.0): 12,
+    (64, math.pi / 2): 6,
+    (64, 0.3): 12,
+}
 
 
-@pytest.mark.parametrize("n", list(LOCKSTEP_BATCHES))
-def test_lockstep_register_memory_is_bounded_by_the_block(monkeypatch, n):
-    # walks of 4 and 8 blocks of _BLOCK steps: the batch of flip words
-    # and its segment paths, one draw of raw words and its lanes stay
-    # under the same bound, however many batches the walk crosses; 1.36,
-    # 1.36, 1.11, 0.99 and 1.50 blocks at n = 1, 8, 16, 17 and 64
+@pytest.mark.parametrize("n, beta", list(LOCKSTEP_BATCHES))
+def test_lockstep_register_memory_is_bounded_by_the_block(monkeypatch, n, beta):
+    # walks of 4 and 8 blocks of _BLOCK steps: the batch of keys and its
+    # segment paths, the lookup tables and one draw of uniforms with its
+    # keys stay under the same bound, however many batches the walk
+    # crosses; 0.45, 1.32, 1.49, 1.50, 1.51, 1.51 and 1.40 blocks in the
+    # order above
     coupled = _record_lockstep(monkeypatch)
-    peaks = [_walk_peak(n, blocks * markov._BLOCK) for blocks in (4, 8)]
-    assert coupled == [True] * LOCKSTEP_BATCHES[n]
+    peaks = [_walk_peak(n, blocks * markov._BLOCK, beta) for blocks in (4, 8)]
+    assert coupled == [True] * LOCKSTEP_BATCHES[n, beta]
     assert max(peaks) < 1.6, peaks
     assert abs(peaks[1] - peaks[0]) < 0.1, peaks
