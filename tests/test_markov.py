@@ -790,15 +790,16 @@ def test_batch_width_changes_no_chain_walk(monkeypatch, name):
 
 # n: blocks of segments in one register batch at beta = 1: 4 at n <= 9,
 # whose tables take at most 0.01 blocks of uniforms, 3 at 16 and 17, 2 at
-# 33 and 1 at 64, whose tables take 0.76
-REGISTER_BATCHES = {8: 4, 9: 4, 16: 3, 17: 3, 33: 2, 64: 1}
+# 33 and 1 at 64, whose tables take 0.76; n = 1 is the two-state scan,
+# never batched, walked to the edges of a 4-block batch
+REGISTER_BATCHES = {1: 0, 8: 4, 9: 4, 16: 3, 17: 3, 33: 2, 64: 1}
 
 
 @pytest.mark.parametrize("n", list(REGISTER_BATCHES))
 def test_batch_width_changes_no_register_walk(monkeypatch, n):
     spec = QubitChainSpec(n_qubits=n, beta=1.0)
     blocks = REGISTER_BATCHES[n]
-    batch = blocks * markov._BLOCK
+    batch = (blocks or 4) * markov._BLOCK
     for steps in _batch_edges(batch)[1:]:
         walks = []
         for width in (BATCH_SEGMENTS, _one_block_batches):
@@ -808,7 +809,7 @@ def test_batch_width_changes_no_register_walk(monkeypatch, n):
         (wide, wide_batches), (narrow, narrow_batches) = walks
         assert np.array_equal(wide, narrow), steps
         if steps == 2 * batch + 5:
-            assert (wide_batches, narrow_batches) == (2, 2 * blocks)
+            assert (wide_batches, narrow_batches) == ((2, 2 * blocks) if blocks else (0, 0))
 
 
 def _record_lockstep_sizes(monkeypatch):
@@ -837,7 +838,7 @@ def _record_lockstep_sizes(monkeypatch):
 # (batch width in segments, draw in steps) that the driver gives each
 # walker: chains at 3, 9 and 51 states in batches of 4, 4 and 1 blocks
 # of 512 segments, and registers, the chains of their own matrices at
-# beta = 1, in 4 blocks at n <= 9, 3 at 16, 2 at 32 and 1 at 64; the
+# beta = 1, in 4 blocks at n <= 9, 3 at 16 and 17, 2 at 32 and 1 at 64; the
 # register at n = 1 is the two-state scan, never batched; every draw
 # is an eighth of a block of uniforms, 64 whole segments
 LOCKSTEP_SIZES = {
@@ -848,6 +849,7 @@ LOCKSTEP_SIZES = {
     "register-8": (2048, 8192),
     "register-9": (2048, 8192),
     "register-16": (1536, 8192),
+    "register-17": (1536, 8192),
     "register-32": (1024, 8192),
     "register-64": (512, 8192),
 }

@@ -41,7 +41,7 @@ from oracles import (
     scalar_brute_force_q,
     scalar_q_formula,
 )
-from test_markov import _record_lockstep
+from test_markov import SEGMENT, _record_lockstep, _recording
 
 # q_{j'j} for N=3, beta=0.7, rows j = 3/2..-3/2, frozen from the
 # bitmask-enumeration oracle
@@ -336,19 +336,38 @@ def _fits_by_chi_square(counts, rows):
     return tested
 
 
-def _fits_by_tv_bound(counts, rows, delta=1e-9):
-    """Every visited row of counts is within the Bretagnolle-Huber-Carol bound of its matrix row.
+def _tv_bound(cells, visits, delta=1e-9):
+    """The Bretagnolle-Huber-Carol bound: the empirical law of visits draws from a law on cells is further than it from that law in total variation with probability at most delta."""
+    return math.sqrt((cells * math.log(2) + math.log(1 / delta)) / (2 * visits))
 
-    The empirical law of m draws from a law on d cells is further than
-    sqrt((d ln 2 + ln(1/delta)) / (2 m)) from it in total variation with
-    probability at most delta.  Returns how many rows were tested.
+
+def _fits_by_tv_bound(counts, rows):
+    """Every visited row of counts is within _tv_bound of its matrix row.
+
+    Returns how many rows were tested.
     """
     tested = 0
     for observed, row in zip(counts, rows):
         visits = int(observed.sum())
         if visits:
             tv = 0.5 * np.abs(observed / visits - row).sum()
-            assert tv <= math.sqrt((row.size * math.log(2) + math.log(1 / delta)) / (2 * visits)), (tested, tv)
+            assert tv <= _tv_bound(row.size, visits), (tested, tv)
+            tested += 1
+    return tested
+
+
+def _fit_each_other_by_tv_bound(counts, others):
+    """Every row visited in both counts and others is within the sum of their _tv_bounds of the other's row.
+
+    Both lie within their bounds of the one law they are drawn from.
+    Returns how many rows were tested.
+    """
+    tested = 0
+    for observed, other in zip(counts, others):
+        visits, other_visits = int(observed.sum()), int(other.sum())
+        if visits and other_visits:
+            tv = 0.5 * np.abs(observed / visits - other / other_visits).sum()
+            assert tv <= _tv_bound(observed.size, visits) + _tv_bound(other.size, other_visits), (tested, tv)
             tested += 1
     return tested
 
@@ -383,6 +402,67 @@ def test_simulate_register_counts_fit_the_matrix(n, beta):
     t = simulate_register(spec, spec.labels[1], 100_000, RngState(n))
     fits = _fits_by_chi_square if n == 8 else _fits_by_tv_bound
     assert fits(_transitions(t.states, n + 1), qubit_transition_matrix(spec).rows) >= 5
+
+
+@pytest.mark.parametrize("n", [1, 7, 8, 9, 17, 24, 40, 63, 64])
+def test_simulate_register_matches_a_per_qubit_reference(n):
+    # from the first, a middle and the last label, walks inside one draw
+    # and across draws: at beta = 0 no qubit flips and at pi every one
+    # does, so the walker and the per-qubit walk agree step for step; in
+    # between, each row both visit steps alike in both, within their bounds
+    for ups in (n, n - n // 3, 0):
+        for beta in (0.0, math.pi):
+            spec = QubitChainSpec(n_qubits=n, beta=beta)
+            for steps in (300, 2 * markov._BLOCK + 3):
+                t = simulate_register(spec, HalfInt(2 * ups - n), steps, RngState(n))
+                assert t.states.tolist() == per_qubit_register_walk(n, beta, ups, steps, n).tolist(), (beta, ups, steps)
+    ups = n - n // 3
+    t = simulate_register(QubitChainSpec(n_qubits=n, beta=1.3), HalfInt(2 * ups - n), 100_000, RngState(n))
+    reference = per_qubit_register_walk(n, 1.3, ups, 100_000, n)
+    assert _fit_each_other_by_tv_bound(_transitions(t.states, n + 1), _transitions(reference, n + 1)) >= min(n + 1, 5)
+
+
+@pytest.mark.parametrize("beta", [0.06, math.pi / 2, math.pi - 0.06])
+def test_flip_counts_pass_a_chi_square_test(beta):
+    # p near 0, 1/2 and 1.  Out of all up or all down, a step's flips are
+    # the qubits that leave that state, so the 9-qubit register's steps
+    # from there go against Binomial(9, p).  At 64 qubits, where those
+    # states are rare, a step's up count less n/2 is (1 - 2p) times the
+    # last one's plus flips of variance n p (1 - p), so the sum of those
+    # residuals over the walk, scaled, is about a standard normal
+    p = flip_probability(beta)
+    states = simulate_register(QubitChainSpec(n_qubits=9, beta=beta), HalfInt(9), 200_000, RngState(9)).states
+    before, after = states[:-1], states[1:]
+    flips = np.concatenate([after[before == 0], 9 - after[before == 9]])
+    binomial = Distribution(tuple(range(10)), [math.comb(9, k) * p**k * (1 - p) ** (9 - k) for k in range(10)])
+    result = chi_square(np.bincount(flips, minlength=10), binomial)
+    assert result.statistic < CHI2_CRIT_999[result.dof], result
+    steps = 200_000
+    states = simulate_register(QubitChainSpec(n_qubits=64, beta=beta), HalfInt(64), steps, RngState(64)).states
+    centred = 32.0 - states
+    z = (centred[1:] - (1 - 2 * p) * centred[:-1]).sum() / math.sqrt(steps * 64 * p * (1 - p))
+    assert z**2 < CHI2_CRIT_999[1], z
+
+
+def test_a_register_draw_of_less_than_a_segment_is_drawn_a_segment_at_a_time(monkeypatch):
+    # at these sizes a draw, an eighth of a block, is 15 uniforms, under
+    # one 16-step segment, so each lockstep batch of the 64-qubit
+    # register, 7 segments, is filled a segment at a time; the 80 steps
+    # past the last whole batch are drawn 15 at a time, and the walk is
+    # the one of the default sizes
+    spec = QubitChainSpec(n_qubits=64, beta=1.3)
+    default = simulate_register(spec, HalfInt(64), 4000, RngState(64)).states
+    monkeypatch.setattr(markov, "_SEGMENT", SEGMENT)
+    monkeypatch.setattr(markov, "_BLOCK", 8 * SEGMENT - 1)
+    monkeypatch.setattr(markov, "_MIN_SEGMENTS", 7)
+    assert markov._BLOCK // 8 < markov._SEGMENT
+    coupled = _record_lockstep(monkeypatch)
+    drawn = []
+    monkeypatch.setattr(RngState, "random_block", _recording(RngState.random_block, drawn))
+    t = simulate_register(spec, HalfInt(64), 4000, RngState(64))
+    assert coupled == [True] * 35
+    assert drawn == [SEGMENT] * (35 * 7) + [15] * 5 + [5]
+    assert np.array_equal(t.states, default)
 
 
 def _walk_peak(n, steps, beta=1.0):
@@ -427,7 +507,9 @@ LOCKSTEP_BATCHES = {
 }
 
 
-@pytest.mark.parametrize("n, beta", list(LOCKSTEP_BATCHES))
+@pytest.mark.parametrize(
+    "n, beta", list(LOCKSTEP_BATCHES), ids=[str(n) if beta == 1.0 else f"{n}-{beta}" for n, beta in LOCKSTEP_BATCHES]
+)
 def test_lockstep_register_memory_is_bounded_by_the_block(monkeypatch, n, beta):
     # walks of 4 and 8 blocks of _BLOCK steps: the batch of keys and its
     # segment paths, the lookup tables and one draw of uniforms with its
