@@ -154,8 +154,6 @@ def cmd_simulate(args) -> int:
     labels, dim = theory.labels, theory.dim
     index = None if args.initial is None else _initial_index(labels, args.initial)
     if args.kind == "qubit":
-        # each step draws one flip per qubit, so the cap is on those draws
-        check_int("qubit draws (n * steps)", spec.n_qubits * steps, 0, STEPS_MAX)
         # all qubits up by default
         initial_j = labels[0 if index is None else index]
         draw = lambda: simulate_register(spec, initial_j, steps, rng)  # noqa: E731

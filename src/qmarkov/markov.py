@@ -233,10 +233,10 @@ def _walk(table: np.ndarray, state: int, out: np.ndarray, rng: RngState) -> None
     the lut, and so are chains whose lut would pass _LUT_CAP entries
     (about 101 states), so memory stays bounded for any chain.  Such a
     chain is refused only once its breakpoints are sorted: while it is
-    refused it holds the sorted copy of its entries, 8 bytes an entry,
-    and the distinct ones with their mask, up to 9 more, so the attempt
-    takes less than the lists of Python floats that bisect then walks,
-    32 bytes an entry.
+    refused it holds the sort's order and the sorted copy of its
+    entries, 16 bytes an entry, and the distinct ones with their mask,
+    up to 9 more, so the attempt takes less than the lists of Python
+    floats that bisect then walks, 32 bytes an entry.
     """
     dim = len(table)
     lookup = dim > 2 and out.size >= _MIN_SEGMENTS * _SEGMENT and _lookup_table(table)
@@ -256,57 +256,76 @@ def _bisect_block(table: list, block: np.ndarray, state: int, out: np.ndarray) -
 def _lookup_table(table: np.ndarray) -> tuple | None:
     """(breaks, guide, lut, scale) for the lockstep walk; None if the lut would pass _LUT_CAP entries.
 
-    breaks are the distinct finite entries of all the rows, from one sort
-    of all of them with each run of equal values kept once, so -0.0 and
-    0.0 are one breakpoint; the cap is checked on their count.  lut is
-    the (len(breaks) + 1, dim) table of next states, raveled, in the
-    state dtype: an entry table[x][j] equal to breaks[r] is at or
-    below every uniform of bucket r + 1 and above, so counting entries
-    per row by bucket and summing down the buckets gives bisect_right.
-    guide cuts [0, 1) into a power of two of equal cells, at least
-    _GUIDE_CELLS per breakpoint: a cell that holds no breakpoint has one
-    bucket, and stores its key, bucket * scale, and a cell that holds
-    one stores the dtype's largest value.  The guide takes the narrowest
-    unsigned dtype that holds len(breaks) + 1, which holds each bucket
-    and stays above them all.  A key is the bucket's lut offset (scale
-    dim) when the lut's size fits that dtype too, and the bucket itself
-    (scale 1) when it does not, so it never takes more bytes than the
-    bucket and is scaled in the walk only when it must be.
+    Every table is built from np.repeat runs over one stable argsort of
+    the whole table, whose infs, one closing each row, sort last and
+    are one run.  breaks are the distinct finite entries, each run of
+    equal values kept once, so -0.0 and 0.0 are one breakpoint; the cap
+    is checked on their count.  An entry's rank is its run's, so an
+    entry table[x][j] of rank r is at or below every uniform of bucket
+    r + 1 and above, and each row's inf has the last rank,
+    len(breaks).  lut is the (len(breaks) + 1, dim) table of next
+    states, raveled, in the state dtype: lut[b, x] is
+    bisect_right(table[x], breaks[b - 1]), so column x holds j over the
+    buckets after table[x][j - 1]'s rank through table[x][j]'s, one run
+    per j, as the running sums of a row never fall.  guide cuts [0, 1)
+    into a power of two of equal cells, at least _GUIDE_CELLS per
+    breakpoint: a cell that holds no breakpoint has one bucket, the
+    number of breakpoints in the cells before it, so the guide is a run
+    of each key, bucket * scale, up to the cell of the next breakpoint
+    under 1, and each cell that holds a breakpoint is then set to the
+    dtype's largest value.  The guide takes the narrowest unsigned dtype
+    that holds len(breaks) + 1, which holds each bucket and stays above
+    them all.  A key is the bucket's lut offset (scale dim) when the
+    lut's size fits that dtype too, and the bucket itself (scale 1) when
+    it does not, so it never takes more bytes than the bucket and is
+    scaled in the walk only when it must be.
     """
     dim = len(table)
-    entries = table[:, :-1]
-    breaks = np.sort(entries, axis=None)
-    breaks = breaks[np.append(True, breaks[1:] != breaks[:-1])]
+    order = np.argsort(table, axis=None, kind="stable")
+    ordered = table.ravel()[order]
+    # edge[i]: ordered[i] starts a run of equal entries, or i is the end
+    edge = np.empty(ordered.size + 1, dtype=bool)
+    edge[0] = edge[-1] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=edge[1:-1])
+    breaks = ordered[edge[:-1]][:-1]
     if (breaks.size + 1) * dim > _LUT_CAP:
         return None
-    lut = np.zeros((breaks.size + 1, dim), dtype=_state_dtype(dim))
-    np.add.at(lut, (np.searchsorted(breaks, entries) + 1, np.arange(dim)[:, None]), 1)
-    np.add.accumulate(lut, axis=0, out=lut)
+    ends = np.flatnonzero(edge)
+    rank = np.empty(order.size, dtype=np.intp)
+    rank[order] = np.repeat(np.arange(breaks.size + 1), ends[1:] - ends[:-1])
+    # column x's runs end at the ranks of row x's entries
+    bounds = np.empty((dim, dim + 1), dtype=np.intp)
+    bounds[:, 0] = -1
+    bounds[:, 1:] = rank.reshape(dim, dim)
+    columns = np.broadcast_to(np.arange(dim, dtype=_state_dtype(dim)), (dim, dim))
+    lut = np.repeat(columns, (bounds[:, 1:] - bounds[:, :-1]).ravel())
+    lut = lut.reshape(dim, breaks.size + 1).T.ravel()
     key = _state_dtype(breaks.size + 2)
     scale = dim if _state_dtype(lut.size) == key else 1
     cells = 1 << (_GUIDE_CELLS * breaks.size).bit_length()
-    # each breakpoint's cell: b * cells is exact, as cells is a power of
-    # two, and a breakpoint at or above 1 is above every uniform
-    cell = (breaks * cells).astype(np.intp)
-    cell = cell[cell < cells]
-    guide = np.zeros(cells, dtype=key)
-    np.add.at(guide, cell[cell + 1 < cells] + 1, scale)
-    np.add.accumulate(guide, out=guide)
-    guide[cell] = np.iinfo(key).max
-    return breaks, guide, lut.ravel(), scale
+    # the cells of the breakpoints under 1 end the guide's runs: b * cells
+    # is exact, as cells is a power of two, and its cast is a floor
+    cell = np.empty(np.searchsorted(breaks, 1.0) + 2, dtype=np.intp)
+    cell[0], cell[-1] = -1, cells - 1
+    cell[1:-1] = breaks[: cell.size - 2] * cells
+    guide = np.repeat(np.arange(0, (cell.size - 1) * scale, scale, dtype=key), cell[1:] - cell[:-1])
+    guide[cell[1:-1]] = np.iinfo(key).max
+    return breaks, guide, lut, scale
 
 
-def _keys(breaks: np.ndarray, guide: np.ndarray, scale: int, uniforms: np.ndarray) -> np.ndarray:
+def _keys(breaks: np.ndarray, guide: np.ndarray, scale: int, busy: int, uniforms: np.ndarray) -> np.ndarray:
     """The key, bucket * scale, of each uniform, in the guide's dtype; uniforms is scaled in place.
 
-    u * guide.size is exact, as guide.size is a power of two, so its
-    cast, a floor, is u's cell, and scaled / guide.size is u again.
-    Scaling in place lets the float-to-intp cast run with no buffer.
+    busy is the guide's mark of a cell that holds a breakpoint, its
+    dtype's largest value.  u * guide.size is exact, as guide.size is a
+    power of two, so its cast, a floor, is u's cell, and scaled /
+    guide.size is u again.  Scaling in place lets the float-to-intp cast
+    run with no buffer.
     """
     scaled = np.multiply(uniforms, guide.size, out=uniforms)
     keys = guide.take(scaled.astype(np.intp), mode="clip")
-    busy = np.flatnonzero(keys == np.iinfo(guide.dtype).max)
-    keys[busy] = np.searchsorted(breaks, scaled[busy] / guide.size, side="right") * scale
+    searched = np.flatnonzero(keys == busy)
+    keys[searched] = np.searchsorted(breaks, scaled[searched] / guide.size, side="right") * scale
     return keys
 
 
@@ -319,66 +338,80 @@ def _walk_chain(lookup: tuple, dim: int, state: int, out: np.ndarray, rng: RngSt
     offsets) and at 9 (1-byte buckets), 1 at 51 and 65 (2-byte buckets,
     beside half a block of tables and more), and draws of an eighth of
     a block of steps.  Step k of segment s of a batch leaves x through
-    lut at its key plus x, once a bucket key is scaled by dim; that
-    product is formed in intp, as a narrow bucket times dim would wrap.
+    lut at its key plus x, once a bucket key is scaled by dim.  The
+    batch's advance scales the keys of a meet-check's steps in one
+    multiply into a scratch of offsets, in the narrowest dtype that
+    holds every lut index while that takes at most 2 bytes and in intp
+    past that, as a narrow bucket times dim would wrap and a 4-byte
+    offset is slower to add to a state than an 8-byte one.  So each step
+    is one add of the states to the step's offsets into an index and one
+    gather of lut at the index; an offset key is added directly.  The
+    scratch is made with each batch's guess and goes with its advance,
+    before the next batch is drawn, so it never sits beside a draw.
     Every segment but the first is guessed to start at state 0.
     """
     breaks, guide, lut, scale = lookup
-
-    def offsets(keys, out=None):
-        return keys if scale == dim else np.multiply(keys, dim, out=out, dtype=np.intp)
+    busy = np.iinfo(guide.dtype).max
+    index_dtype = _state_dtype(lut.size) if scale != dim and _state_dtype(lut.size).itemsize <= 2 else np.intp
 
     def draw(count):
-        return _keys(breaks, guide, scale, rng.random_block(count))
+        return _keys(breaks, guide, scale, busy, rng.random_block(count))
 
     def guess(state, batch):
-        index = np.empty(batch.shape[1], dtype=np.intp)
+        index = np.empty(batch.shape[1], dtype=index_dtype)
+        scratch = None if scale == dim else np.empty((_MEET_CHECK, batch.shape[1]), dtype=index_dtype)
 
-        def advance(k, states, into):
-            # an offset key plus a state is formed in the keys' dtype, which holds every lut index
-            return lut.take(np.add(offsets(batch[k], index), states, out=index), out=into, mode="clip")
+        def advance(k, states, rows):
+            offsets = batch[k : k + len(rows)]
+            if scratch is not None:
+                offsets = np.multiply(offsets, dim, out=scratch[: len(rows)], dtype=index_dtype)
+            for offset, row in zip(offsets, rows):
+                states = lut.take(np.add(offset, states, out=index), out=row, mode="clip")
+            return states
 
         starts = np.zeros(batch.shape[1], dtype=lut.dtype)
         starts[0] = state
         return starts, advance
 
     def walk(keys, state, into):
-        return _walk_offsets(lut, offsets(keys), state, into)
+        return _walk_offsets(lut, keys if scale == dim else np.multiply(keys, dim, dtype=np.intp), state, into)
 
     _lockstep(out, state, breaks.nbytes + guide.nbytes + lut.nbytes, guide.dtype, draw, guess, walk)
 
 
-def _couple(advance, path: np.ndarray, starts: np.ndarray) -> tuple:
+def _couple(path: np.ndarray, starts: np.ndarray, advance) -> tuple:
     """Walk the columns of path, segments of path.shape[0] steps, side by side; returns (first, coupled).
 
-    advance(k, states, into) writes into `into`, and returns, the states
-    after step k of every segment from states.  Segment 0 starts at
-    starts[0] and every other one at its guess starts[s], which the
-    passes overwrite; path[k, s] is the state after step k of segment
-    s.  Each fix-up pass walks the segments again from the end of the
-    one before, rewriting path in place, and stops once every segment is
-    back on its stored path; passes repeat until no start changes.
-    first is the first segment whose path is not yet right.  coupled is
-    False when the first fix-up pass left more than half of the segments
-    it started wrong still wrong; the passes then stop, and _lockstep
-    walks the rest of the walk one step at a time, from segment first on.
+    advance(k, states, rows) writes into rows, and returns, the states
+    after steps k, k + 1, ... of every segment from states, one row of
+    rows per step; it is handed a meet-check's _MEET_CHECK rows of path
+    at a time.  Segment 0 starts at starts[0] and every other one at its
+    guess starts[s], which the passes overwrite; path[k, s] is the state
+    after step k of segment s.  Each fix-up pass walks the segments
+    again from the end of the one before, rewriting path in place, and
+    stops once every segment is back on its stored path at the end of a
+    meet-check's rows; passes repeat until no start changes.  first is
+    the first segment whose path is not yet right.  coupled is False
+    when the first fix-up pass left more than half of the segments it
+    started wrong still wrong; the passes then stop, and _lockstep walks
+    the rest of the walk one step at a time, from segment first on.
     """
     seg, count = path.shape
+    checks = range(0, seg, _MEET_CHECK)
     states = starts
-    for k in range(seg):
-        states = advance(k, states, path[k])
+    for k in checks:
+        states = advance(k, states, path[k : k + _MEET_CHECK])
     stored = np.empty(count, dtype=path.dtype)
     wrong = np.flatnonzero(path[-1, :-1] != starts[1:]) + 1
     first_pass = coupled = True
     while wrong.size and coupled:
         starts[1:] = path[-1, :-1]
         states = starts
-        for k in range(seg):
-            check = k % _MEET_CHECK == _MEET_CHECK - 1
-            if check:
-                stored[:] = path[k]
-            states = advance(k, states, path[k])
-            if check and (states == stored).all():
+        for k in checks:
+            rows = path[k : k + _MEET_CHECK]
+            stored[:] = rows[-1]
+            states = advance(k, states, rows)
+            if (states == stored).all():
                 break
         before, wrong = wrong.size, np.flatnonzero(path[-1, :-1] != starts[1:]) + 1
         coupled = not first_pass or 2 * wrong.size <= before
@@ -397,9 +430,11 @@ def _lockstep(out: np.ndarray, state: int, tables: int, dtype: np.dtype | None, 
     - draw(count) returns the values of the next count steps;
     - guess(state, batch) returns the starts of the segments of batch,
       whose column s holds the values of segment s, the first at state
-      and the rest guessed, and the advance that _couple walks them by;
-      the scan and bisect give None, no tables and no dtype, and are
-      never batched;
+      and the rest guessed, and the advance that _couple walks them by,
+      a meet-check's steps a call; no name holds that advance past
+      _couple, so any scratch it holds is freed before the next batch
+      is drawn; the scan and bisect give None, no tables and no dtype,
+      and are never batched;
     - walk(values, state, into) walks the values one step at a time
       from state into `into` and returns the last state.
     The driver sizes both its batches and its draws, each by one rule.
@@ -434,8 +469,8 @@ def _lockstep(out: np.ndarray, state: int, tables: int, dtype: np.dtype | None, 
             for s in range(0, count, chunk):
                 drawn = min(chunk, count - s)
                 batch[:, s : s + drawn] = draw(drawn * seg).reshape(drawn, seg).T
-            starts, advance = guess(state, batch)
-            first, coupled = _couple(advance, path[:, :count], starts)
+            # no name holds the batch's advance, and its scratch, past _couple
+            first, coupled = _couple(path[:, :count], *guess(state, batch))
             walked = out[done : done + count * seg].reshape(count, seg)
             walked[:first] = path[:, :first].T
             state = int(path[-1, first - 1])

@@ -226,9 +226,9 @@ def test_qubit_draws_at_the_cap_reach_the_simulator(capsys, monkeypatch):
         return simulate_register(spec, initial_j, 0, rng)
 
     monkeypatch.setattr(cli, "simulate_register", record)
-    code, _ = run(capsys, "simulate", "--kind", "qubit", "--n", "64", "--beta", "1.0", "--steps", str(10**8 // 64))
+    code, _ = run(capsys, "simulate", "--kind", "qubit", "--n", "64", "--beta", "1.0", "--steps", str(10**8))
     assert code == 0
-    assert calls == [(64, 10**8 // 64)]
+    assert calls == [(64, 10**8)]
 
 
 def test_unwritable_out_fails_before_the_first_draw(capsys, monkeypatch, tmp_path):
@@ -304,7 +304,7 @@ def _file_arg(tmp_path, arg: str) -> str:
         ("stationary", "--kind", "spin", "--s", "1/3", "--beta", "0.9"),
         ("spin-matrix", "--s", "1/3", "--beta", "1"),
         ("qubit-matrix", "--n", "65", "--beta", "1"),
-        ("simulate", "--kind", "qubit", "--n", "64", "--beta", "1", "--steps", str(10**8 // 64 + 1)),
+        ("simulate", "--kind", "qubit", "--n", "64", "--beta", "1", "--steps", str(10**8 + 1)),
         ("simulate", "--kind", "qubit", "--n", "2", "--beta", "1", "--steps", "5", "--initial", "7"),
         ("simulate", "--kind", "qubit", "--n", "2", "--beta", "1", "--steps", "5", "--initial", "1/2"),
         ("simulate", "--kind", "spin", "--s", "1", "--beta", "1", "--steps", "5", "--initial", "1/2"),

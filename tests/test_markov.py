@@ -478,9 +478,13 @@ COUPLING = {
     # 65 states, the widest register, whose rows end in runs of equal sums
     "register-64-1.0": _register_rows(64, 1.0),
     "register-64-2.2": _register_rows(64, 2.2),
+    # the beta ends, where most breakpoints lie in tail buckets and later
+    # fix-up passes take a larger share of a walk
+    "spin25-2.84": _spin_rows(50, 2.84),
+    "register-64-0.3": _register_rows(64, 0.3),
 }
 # near the identity and near a permutation: a block may give up
-SLOW = {"spin1-0.3", "spin1-2.84"}
+SLOW = {"spin1-0.3", "spin1-2.84", "spin25-2.84", "register-64-0.3"}
 # chains whose walks never meet: the first fix-up pass gives up; (rows, start)
 NON_COUPLING = {
     "identity-from-1": (np.eye(3), 1),
@@ -606,9 +610,42 @@ def test_a_key_is_the_lut_offset_unless_that_takes_more_bytes_than_the_bucket(na
     # scales the uniforms it is given in place, so it is given a copy
     uniforms = RngState(9).random_block(20000)
     buckets = np.searchsorted(breaks, uniforms, side="right")
-    assert np.array_equal(markov._keys(breaks, guide, scale, uniforms.copy()), buckets * scale)
+    busy = np.iinfo(guide.dtype).max
+    assert np.array_equal(markov._keys(breaks, guide, scale, busy, uniforms.copy()), buckets * scale)
     for x in range(len(matrix)):
         assert lut[buckets * len(matrix) + x].tolist() == [bisect_right(table[x], u) for u in uniforms.tolist()]
+
+
+# chains whose lookup tables are checked entry by entry: at the beta
+# ends most of a wide chain's breakpoints lie outside [1e-4, 1 - 1e-4]
+# (53-56% at spin 25, 77-78% at 64 qubits), in buckets too narrow for
+# any sample of uniforms to reach
+TABLE_CHAINS = {
+    **{f"spin{twice}-{beta}": _spin_rows(twice, beta) for twice in (2, 8, 50) for beta in (0.3, 1.0, 2.8)},
+    **{f"register-{n}-{beta}": _register_rows(n, beta) for n in (8, 17, 64) for beta in (0.3, 1.0, 2.8)},
+    **{f"random-{dim}": _random_rows(dim, dim) for dim in (9, 51, 101)},
+}
+
+
+@pytest.mark.parametrize("name", list(TABLE_CHAINS))
+def test_every_bucket_and_every_guide_cell_of_the_tables(name):
+    table = _cumulative(TABLE_CHAINS[name])
+    breaks, guide, lut, scale = markov._lookup_table(table)
+    # lut[b * dim + x] is the next state from x in bucket b, the
+    # uniforms from breaks[b - 1] up, and 0 in bucket 0, below them all
+    rows = table.tolist()
+    assert lut.dtype == np.min_scalar_type(len(rows) - 1)
+    assert lut.tolist() == [bisect_right(row, c) for c in [-math.inf, *breaks.tolist()] for row in rows]
+    # a power of two of cells, at least _GUIDE_CELLS per breakpoint; a
+    # cell that holds no breakpoint holds its bucket's key, and one that
+    # holds a breakpoint the dtype's largest value
+    cells = guide.size
+    assert cells & (cells - 1) == 0 and markov._GUIDE_CELLS * breaks.size <= cells
+    assert guide.dtype == np.min_scalar_type(breaks.size + 1)
+    low, high = np.arange(cells) / cells, np.arange(1, cells + 1) / cells
+    held = np.searchsorted(breaks, high) > np.searchsorted(breaks, low)
+    keys = scale * np.searchsorted(breaks, low, side="right")
+    assert np.array_equal(guide, np.where(held, np.iinfo(guide.dtype).max, keys))
 
 
 @pytest.mark.parametrize("edges", [False, True], ids=["random", "edges"])
@@ -625,6 +662,44 @@ def test_lockstep_matches_the_bisect_loop(monkeypatch, name, edges):
                 assert coupled
             else:
                 assert coupled == [True] * batches
+
+
+def _record_passes(monkeypatch):
+    """The passes, the first and the fix-up ones, of each batch _couple walks from now on, in order."""
+    couple, passes = markov._couple, []
+
+    def recording(path, starts, advance):
+        steps = []
+
+        def counting(k, states, rows):
+            steps.append(k)
+            return advance(k, states, rows)
+
+        first, coupled = couple(path, starts, counting)
+        # each pass starts at step 0
+        passes.append(steps.count(0))
+        return first, coupled
+
+    monkeypatch.setattr(markov, "_couple", recording)
+    return passes
+
+
+@pytest.mark.parametrize("name", ["spin25-2.84", "register-64-0.3"])
+def test_later_fix_up_passes_of_wide_chains_match_the_bisect_loop(monkeypatch, name):
+    # at the beta ends the tests' 16-step segments give up after the
+    # first fix-up pass, but segments of _SEGMENT steps couple after two
+    # or three, so these walks of two one-block batches and a tail take
+    # the passes after the first at their own sizes
+    matrix = COUPLING[name]
+    steps, start = 2 * markov._BLOCK + 77, len(matrix) - 1
+    uniforms = RngState(5).random_block(steps).tolist()
+    coupled = _record_lockstep(monkeypatch)
+    passes = _record_passes(monkeypatch)
+    out = np.empty(steps, dtype=np.uint8)
+    _walk(_cumulative(matrix), start, out, StubRng(uniforms))
+    assert out.tolist() == bisect_loop(matrix, start, uniforms)
+    assert coupled == [True, True]
+    assert min(passes) >= 3, passes
 
 
 @pytest.mark.parametrize("name", list(NON_COUPLING))
@@ -702,7 +777,7 @@ def test_lockstep_memory_is_bounded_by_the_block(monkeypatch):
     # no per-step list and no table that grows with the walk: the peak of
     # a 4-block walk and of an 8-block one, one draw's uniforms with its
     # batch's keys and segment paths, and the lookup tables, stay under a
-    # fixed multiple of one block of uniforms; 1.21, 1.43, 1.31 and 1.31
+    # fixed multiple of one block of uniforms; 1.19, 1.42, 1.28 and 1.27
     # blocks at 51, 65, 9 and 3 states
     for name, (rows, batches) in LOCKSTEP_MEMORY.items():
         table = _cumulative(rows)

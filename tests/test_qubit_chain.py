@@ -514,7 +514,7 @@ def test_lockstep_register_memory_is_bounded_by_the_block(monkeypatch, n, beta):
     # walks of 4 and 8 blocks of _BLOCK steps: the batch of keys and its
     # segment paths, the lookup tables and one draw of uniforms with its
     # keys stay under the same bound, however many batches the walk
-    # crosses; 0.45, 1.32, 1.49, 1.50, 1.51, 1.51 and 1.40 blocks in the
+    # crosses; 0.45, 1.28, 1.46, 1.47, 1.50, 1.50 and 1.39 blocks in the
     # order above
     coupled = _record_lockstep(monkeypatch)
     peaks = [_walk_peak(n, blocks * markov._BLOCK, beta) for blocks in (4, 8)]

@@ -71,8 +71,7 @@ def test_each_step_is_run_or_named_as_skipped():
             "of 10^7-step walks of a spin-1/2 chain by the two-state scan, of a 9-state chain, "
             "of a dense 110-state chain walked by bisect "
             "and of a spin-1 walk that never couples, "
-            "of 10^7-flip register walks at 8, 24 and 64 qubits, "
-            "of a 64-qubit walk at the CLI's cap of 10^8 flips and of 10^7 coin tosses"
+            "of 10^7-step register walks at 8, 24 and 64 qubits and of 10^7 coin tosses"
         ],
     }
 
