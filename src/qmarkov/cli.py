@@ -34,15 +34,8 @@ from .errors import (
     check_real,
 )
 from .halfint import HalfInt
-from .markov import Distribution, _check_tol, simulate_chain, stationary
-from .qubit_chain import (
-    N_MAX_BRUTE_FORCE,
-    QubitChainSpec,
-    brute_force_q,
-    q_formula,
-    qubit_transition_matrix,
-    simulate_register,
-)
+from .markov import Distribution, _check_tol, _realize, sample, stationary
+from .qubit_chain import N_MAX_BRUTE_FORCE, QubitChainSpec, brute_force_q, q_formula, qubit_transition_matrix
 from .rng import RNG_ALGORITHM, RngState
 from .serialization import (
     FORMAT_VERSION,
@@ -52,12 +45,7 @@ from .serialization import (
     matrix_to_table,
     write_trajectory,
 )
-from .spin_chain import (
-    SpinChainSpec,
-    coin_toss_stream,
-    simulate_measurements,
-    spin_transition_matrix,
-)
+from .spin_chain import SpinChainSpec, coin_toss_stream, spin_transition_matrix
 from .stats import CHI2_CRIT_999, chi_square, empirical_matrix, per_row_tv, transition_counts
 
 EXIT_OK = 0
@@ -92,35 +80,34 @@ def _opened(out):
 
 
 def _chain(args) -> tuple:
-    """(matrix, source, spec) for --kind spin, qubit or matrix-file.
+    """(matrix, source) for --kind spin, qubit or matrix-file.
 
     source is the ordered dict of the flags that name the chain, echoed
-    into every output; spec is the chain's SpinChainSpec or
-    QubitChainSpec, None for a matrix file.
+    into every output.
     """
     if args.kind == "spin":
         if args.s is None:
             raise InvalidArgumentError("--kind spin requires --s")
         spec = SpinChainSpec(s=HalfInt.parse(args.s), beta=_resolve_beta(args))
         source = {"kind": "spin", "s": str(spec.s), "beta": spec.beta}
-        return spin_transition_matrix(spec), source, spec
+        return spin_transition_matrix(spec), source
     if args.kind == "qubit":
         if args.n is None:
             raise InvalidArgumentError("--kind qubit requires --n")
         spec = QubitChainSpec(n_qubits=args.n, beta=_resolve_beta(args))
         source = {"kind": "qubit", "n": spec.n_qubits, "beta": spec.beta}
-        return qubit_transition_matrix(spec), source, spec
+        return qubit_transition_matrix(spec), source
     if args.file is None:
         raise InvalidArgumentError("--kind matrix-file requires --file")
     try:
         text = Path(args.file).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
         raise InvalidArgumentError(f"{args.file}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
-    return matrix_from_json(text), {"kind": "matrix-file", "file": str(args.file)}, None
+    return matrix_from_json(text), {"kind": "matrix-file", "file": str(args.file)}
 
 
 def cmd_matrix(args) -> int:
-    matrix, source, _ = _chain(args)
+    matrix, source = _chain(args)
     with _opened(args.out) as stream:
         if args.format == "json":
             params = {key: value for key, value in source.items() if key != "kind"}
@@ -150,32 +137,29 @@ def cmd_simulate(args) -> int:
     rng = RngState(args.seed)
     # the matrix is built, the start resolved and --out opened before the
     # first draw, so every input error surfaces before any work
-    theory, source, spec = _chain(args)
+    theory, source = _chain(args)
     labels, dim = theory.labels, theory.dim
     index = None if args.initial is None else _initial_index(labels, args.initial)
+    law = None
     if args.kind == "qubit":
-        # all qubits up by default
-        initial_j = labels[0 if index is None else index]
-        draw = lambda: simulate_register(spec, initial_j, steps, rng)  # noqa: E731
-        default = str(initial_j)
+        # all qubits up by default; the register starts at its label index, with no draw
+        index = 0 if index is None else index
+        initial = str(labels[index])
     else:
-        # the start law: uniform by default (for spin, the Born law of the
-        # balanced superposition), else all weight on the named label
-        start = np.full(dim, 1.0 / dim)
+        # the start is one draw from its law: uniform by default (for spin,
+        # the Born law of the balanced superposition), else all weight on
+        # the named label
+        probs = np.full(dim, 1.0 / dim)
         if index is not None:
-            start = np.zeros(dim)
-            start[index] = 1.0
-        law = Distribution(labels, start)
-        if args.kind == "spin":
-            draw = lambda: simulate_measurements(spec, law, steps, rng)[0]  # noqa: E731
-            default = "balanced"
-        else:
-            draw = lambda: simulate_chain(theory, law, steps, rng)  # noqa: E731
-            default = "uniform"
-    initial = default if index is None else str(labels[index])
+            probs = np.zeros(dim)
+            probs[index] = 1.0
+        law = Distribution(labels, probs)
+        default = "balanced" if args.kind == "spin" else "uniform"
+        initial = default if index is None else str(labels[index])
     config = {"command": "simulate", **source, "initial": initial, "steps": steps, "seed": rng.seed}
     with _opened(args.out) as stream:
-        trajectory = draw()
+        start = index if law is None else sample(law, rng)
+        trajectory = _realize(theory, start, steps, rng)
         if args.out is not None:
             write_trajectory(trajectory, stream, config=config)
 
@@ -255,7 +239,7 @@ def _verify_sweep(n_max: int, betas: list) -> tuple:
 def cmd_stationary(args) -> int:
     max_iters = check_int("max_iters", args.max_iters, 1, ITERS_MAX)
     _check_tol(args.tol)
-    matrix, source, _ = _chain(args)
+    matrix, source = _chain(args)
     config = {
         "command": "stationary",
         "source": source,
@@ -431,8 +415,9 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="LABEL",
         help=(
             "starting outcome, one of the chain's labels: a half-integer such as -1 or 1/2 "
-            "(spin, qubit) or the exact label string (matrix-file); defaults: balanced state "
-            "(spin), all up (qubit), uniform (matrix-file)"
+            "(spin, qubit) or the exact label string (matrix-file); a negative fraction needs "
+            "the = form, --initial=-1/2; defaults: balanced state (spin), all up (qubit), "
+            "uniform (matrix-file)"
         ),
     )
     _add_seed(p)

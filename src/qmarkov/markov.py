@@ -520,20 +520,26 @@ def sample(dist: Distribution, rng: RngState) -> int:
     return bisect_right(_cumulative(dist.probs).tolist(), rng.random())
 
 
-def _realize(initial: Distribution, rows: np.ndarray, steps: int, rng: RngState) -> Trajectory:
-    """steps transitions through the chain of rows from a start drawn from initial."""
+def _realize(P: StochasticMatrix, start: int, steps: int, rng: RngState) -> Trajectory:
+    """steps transitions of the chain P from the label index start, one uniform a step.
+
+    The one walk of every simulator and of the CLI's simulate: it alone
+    allocates a trajectory's states, and _walk steps them over the
+    running sums of P's rows.  The start takes no draw here; a caller
+    that draws it, from a law over P's labels, does so first.
+    """
     check_int("steps", steps, 0)
-    states = np.empty(steps + 1, dtype=_state_dtype(initial.dim))
-    states[0] = sample(initial, rng)
-    _walk(_cumulative(rows), int(states[0]), states[1:], rng)
-    return Trajectory(labels=initial.labels, states=states, seed=rng.seed)
+    states = np.empty(steps + 1, dtype=_state_dtype(P.dim))
+    states[0] = start
+    _walk(_cumulative(P.rows), start, states[1:], rng)
+    return Trajectory(labels=P.labels, states=states, seed=rng.seed)
 
 
 def simulate_chain(P: StochasticMatrix, initial: Distribution, steps: int, rng: RngState) -> Trajectory:
     """Realize steps transitions of the chain; states[0] is drawn from initial."""
     if P.labels != initial.labels:
         raise DimensionMismatchError("matrix and initial distribution have different labels")
-    return _realize(initial, P.rows, steps, rng)
+    return _realize(P, sample(initial, rng), steps, rng)
 
 
 def _check_tol(tol) -> None:

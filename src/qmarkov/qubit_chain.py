@@ -35,8 +35,7 @@ import numpy as np
 
 from .errors import InternalConsistencyError, InvalidArgumentError, RangeLimitError, check_int, check_real
 from .halfint import HalfInt, m_values
-from . import markov
-from .markov import StochasticMatrix, Trajectory
+from .markov import StochasticMatrix, Trajectory, _realize
 from .rng import RngState
 
 N_MAX_FORMULA = 64
@@ -243,11 +242,10 @@ def simulate_register(
     Each step flips each qubit independently with probability p =
     sin^2(beta/2), and which qubits are up never matters because the
     flips are i.i.d., which is exactly why the aggregate is Markov in j.
-    So the register is walked as the chain it is: markov._walk steps
-    from the start's label index over the running sums of the matrix's
-    rows, one uniform a step and none for the start, as every other
-    chain walks.  A step's law is the law of the matrix's floats, within
-    about 1e-15 of the binomial convolution, as the spin chain's is of
+    So the register is walked as the chain it is, by markov._realize
+    from the start's label index, one uniform a step and none for the
+    start.  A step's law is the law of the matrix's floats, within about
+    1e-15 of the binomial convolution, as the spin chain's is of
     |d^s|^2; tests check it against a per-qubit walk that shares no code
     with this one.  N = 1 takes the two-state scan; a larger register
     takes bisect in walks too short to repay a lookup table, and the
@@ -260,14 +258,9 @@ def simulate_register(
     RangeLimitError, as the closed forms and the builder refuse them,
     before anything is allocated.
     """
-    table = markov._cumulative(qubit_transition_matrix(spec).rows)
-    check_int("steps", steps, 0)
-    labels = spec.labels
+    matrix = qubit_transition_matrix(spec)
     try:
-        index = labels.index(initial_j)
+        start = matrix.labels.index(initial_j)
     except ValueError:
         raise InvalidArgumentError(f"initial_j={initial_j!r} is not an outcome label for {spec.n_qubits} qubits") from None
-    states = np.empty(steps + 1, dtype=markov._state_dtype(len(labels)))
-    states[0] = index
-    markov._walk(table, index, states[1:], rng)
-    return Trajectory(labels=labels, states=states, seed=rng.seed)
+    return _realize(matrix, start, steps, rng)

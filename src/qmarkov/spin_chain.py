@@ -7,9 +7,10 @@ only on the current one: the outcome sequence is a Markov chain on
 {s, s-1, ..., -s} whose transition probabilities are squared rotation
 matrix elements |d^s(beta)|^2.
 
-Two independent routes to that chain live here: the analytic transition
-matrix, and a simulator that tracks the collapse measurement by
-measurement.  Tests close the loop between them.
+The analytic transition matrix lives here, and a simulator that walks
+its rows, one measurement a step, with each step readable as a
+MeasurementRecord.  Tests close the loop between the walk's
+frequencies and the matrix.
 """
 
 import functools
@@ -28,7 +29,7 @@ from .errors import (
     check_real,
 )
 from .halfint import HalfInt, m_values
-from .markov import Distribution, StochasticMatrix, Trajectory, _realize
+from .markov import Distribution, StochasticMatrix, Trajectory, _realize, sample
 from .rng import RngState
 from .wigner import big_D
 
@@ -96,10 +97,11 @@ def _overlap_squared(spec: SpinChainSpec) -> np.ndarray:
     a + b > n.  O == O.T and O == O[::-1, ::-1] then hold bit for bit,
     and about a quarter of O's entries are distinct (26.5% over
     2s = 1..50, one random beta each).  The last spec's matrix is kept,
-    so a command that builds the transition matrix and then simulates
-    the same chain evaluates d^s once; equal specs give the same matrix
-    bit for bit, as beta = -0.0 and 0.0 differ at most in the sign of a
-    zero entry, which the squares drop.
+    so library code that simulates a chain and then builds its
+    transition matrix, as a reload of a just-written trajectory does,
+    evaluates d^s once; equal specs give the same matrix bit for bit, as
+    beta = -0.0 and 0.0 differ at most in the sign of a zero entry,
+    which the squares drop.
     """
     entries = big_D(spec.s, 0.0, spec.beta, 0.0)
     overlap = np.square(entries.real) + np.square(entries.imag)
@@ -162,7 +164,7 @@ class MeasurementRecords(Sequence):
 def simulate_measurements(
     spec: SpinChainSpec, initial: Distribution, steps: int, rng: RngState
 ) -> tuple[Trajectory, MeasurementRecords]:
-    """Realize the alternating measurement sequence with explicit collapse.
+    """Realize the alternating measurement sequence, one outcome per measurement.
 
     Step 0 reads the z-axis: its outcome is drawn from the start law
     over spec.labels, which holds the Born probabilities |<m|psi>|^2 of
@@ -174,16 +176,18 @@ def simulate_measurements(
     overlap matrix O is read along its row, from an n-outcome along its
     column.  |<m_a| R |m_b>| = |<m_b| R |m_a>|, as d^s_{m'm} and d^s_{mm'}
     differ only in sign, so the column of O through an outcome is the
-    same law as its row; O is built symmetric bit for bit, and every
-    step walks the rows of O.  No transition matrix is consulted; the
-    chain law is emergent and is what the tests verify.
+    same law as its row.  O is built symmetric bit for bit, so it is
+    the chain's transition matrix, spin_transition_matrix(spec), and
+    every step after the first walks its rows through markov._realize,
+    as every chain walks.  Tests check the walk's frequencies against
+    the matrix.
 
     The records are a lazy view derived from the trajectory, so the
     simulation stores one integer per step and nothing else.
     """
     if initial.labels != spec.labels:
         raise DimensionMismatchError("spin chain and initial distribution have different labels")
-    trajectory = _realize(initial, _overlap_squared(spec), steps, rng)
+    trajectory = _realize(spin_transition_matrix(spec), sample(initial, rng), steps, rng)
     return trajectory, MeasurementRecords(trajectory)
 
 

@@ -11,7 +11,20 @@ import numpy as np
 import pytest
 
 import qmarkov
-from qmarkov import HalfInt, RngState, coin_toss_stream, simulate_register, stationary, trajectory_from_text
+from qmarkov import (
+    Distribution,
+    HalfInt,
+    QubitChainSpec,
+    RngState,
+    SpinChainSpec,
+    coin_toss_stream,
+    matrix_from_json,
+    simulate_chain,
+    simulate_measurements,
+    simulate_register,
+    stationary,
+    trajectory_from_text,
+)
 from qmarkov.cli import main
 
 
@@ -201,17 +214,17 @@ def test_simulate_usage_errors(capsys, tmp_path):
 def test_qubit_register_above_the_cap_fails_before_simulating(capsys, monkeypatch):
     import qmarkov.cli as cli
 
-    monkeypatch.setattr(cli, "simulate_register", never("simulate_register"))
+    monkeypatch.setattr(cli, "_realize", never("_realize"))
     assert main(["simulate", "--kind", "qubit", "--n", "65", "--beta", "1.0", "--steps", str(10**8)]) == 2
     assert_one_error_line(capsys)
 
 
 def test_qubit_register_past_the_closed_form_fails_before_simulating(capsys, monkeypatch):
     # the draws are under the cap, but the matrix is built first, so a
-    # register past N_MAX_FORMULA never reaches the simulator
+    # register past N_MAX_FORMULA never reaches the walk
     import qmarkov.cli as cli
 
-    monkeypatch.setattr(cli, "simulate_register", never("simulate_register"))
+    monkeypatch.setattr(cli, "_realize", never("_realize"))
     assert main(["simulate", "--kind", "qubit", "--n", "100000", "--beta", "1.0", "--steps", "1000"]) == 2
     assert "closed form limited to N <= 64" in assert_one_error_line(capsys)
 
@@ -220,12 +233,14 @@ def test_qubit_draws_at_the_cap_reach_the_simulator(capsys, monkeypatch):
     import qmarkov.cli as cli
 
     calls = []
+    realize = cli._realize
 
-    def record(spec, initial_j, steps, rng):
-        calls.append((spec.n_qubits, steps))
-        return simulate_register(spec, initial_j, 0, rng)
+    def record(P, start, steps, rng):
+        # a register of N qubits has N + 1 labels
+        calls.append((P.dim - 1, steps))
+        return realize(P, start, 0, rng)
 
-    monkeypatch.setattr(cli, "simulate_register", record)
+    monkeypatch.setattr(cli, "_realize", record)
     code, _ = run(capsys, "simulate", "--kind", "qubit", "--n", "64", "--beta", "1.0", "--steps", str(10**8))
     assert code == 0
     assert calls == [(64, 10**8)]
@@ -234,7 +249,8 @@ def test_qubit_draws_at_the_cap_reach_the_simulator(capsys, monkeypatch):
 def test_unwritable_out_fails_before_the_first_draw(capsys, monkeypatch, tmp_path):
     import qmarkov.cli as cli
 
-    monkeypatch.setattr(cli, "simulate_measurements", never("simulate_measurements"))
+    monkeypatch.setattr(cli, "_realize", never("_realize"))
+    monkeypatch.setattr(cli, "sample", never("sample"))
     unwritable = str(tmp_path / "missing" / "t.txt")
     argv = ["simulate", "--kind", "spin", "--s", "1", "--beta", "1", "--steps", str(10**8), "--out", unwritable]
     assert main(argv) == 2
@@ -320,8 +336,7 @@ def _file_arg(tmp_path, arg: str) -> str:
 def test_rejected_input_leaves_the_out_file_alone(capsys, monkeypatch, tmp_path, argv):
     import qmarkov.cli as cli
 
-    work_names = ("coin_toss_stream", "simulate_measurements", "simulate_chain", "simulate_register", "q_formula",
-                  "stationary")
+    work_names = ("coin_toss_stream", "sample", "_realize", "q_formula", "stationary")
     for work in work_names:
         monkeypatch.setattr(cli, work, never(work))
     argv = [_file_arg(tmp_path, arg) for arg in argv]
@@ -359,7 +374,8 @@ def test_stationary_iteration_cap(capsys, monkeypatch, tmp_path):
 def test_repeated_matrix_labels_fail_before_the_first_draw(capsys, monkeypatch, tmp_path):
     import qmarkov.cli as cli
 
-    monkeypatch.setattr(cli, "simulate_chain", never("simulate_chain"))
+    monkeypatch.setattr(cli, "_realize", never("_realize"))
+    monkeypatch.setattr(cli, "sample", never("sample"))
     dup = tmp_path / "dup.json"
     dup.write_text(json.dumps({"kind": "generic", "labels": ["a", "a"], "rows": [[0.5, 0.5], [0.5, 0.5]],
                                "params": {}, "version": 1}))
@@ -422,6 +438,82 @@ def test_initial_label_for_every_kind(capsys, tmp_path, kind, label, echoed, for
     assert payload["config"]["initial"] == echoed
     assert main(["simulate", *source, "--steps", "10", "--initial", foreign]) == 2
     assert foreign in assert_one_error_line(capsys)
+
+
+def test_negative_fraction_initial_takes_the_equals_form(capsys, tmp_path):
+    # argparse reads "--initial -1/2" as a missing value, as -1/2 does not
+    # look like a negative number to it; "--initial=-1/2" names the label
+    for source in (("--kind", "spin", "--s", "1/2", "--beta", "1"), ("--kind", "qubit", "--n", "1", "--beta", "1")):
+        out = tmp_path / "t.txt"
+        code, payload = run_json(capsys, "simulate", *source, "--steps", "5", "--initial=-1/2", "--out", str(out))
+        assert code == 0
+        assert payload["config"]["initial"] == "-1/2"
+        trajectory, header = trajectory_from_text(out.read_text())
+        assert trajectory.states[0] == 1 and trajectory.labels[1] == "-1/2"
+        assert header["config"]["initial"] == "-1/2"
+
+
+def _nine_states(tmp_path):
+    """A matrix file of 9 states with distinct rows, and its path."""
+    rows = [[1 + (3 * i + 5 * j) % 11 for j in range(9)] for i in range(9)]
+    target = tmp_path / "nine.json"
+    target.write_text(json.dumps({"kind": "generic", "labels": [f"s{i}" for i in range(9)],
+                                  "rows": [[w / sum(row) for w in row] for row in rows], "params": {}, "version": 1}))
+    return target
+
+
+# each chain's simulate flags, and the label that --initial names
+WRAPPER_CHAINS = {
+    "spin-1/2": (("--kind", "spin", "--s", "1/2", "--beta", "1.1"), "-1/2"),
+    "spin-25": (("--kind", "spin", "--s", "25", "--beta", "2.1"), "3"),
+    "qubit-1": (("--kind", "qubit", "--n", "1", "--beta", "1.1"), "-1/2"),
+    "qubit-8": (("--kind", "qubit", "--n", "8", "--beta", "1.1"), "-2"),
+    "qubit-64": (("--kind", "qubit", "--n", "64", "--beta", "2.1"), "-10"),
+    "file-9": (("--kind", "matrix-file"), "s4"),
+}
+
+
+# 1000 steps walk by bisect and 40000, over _MIN_SEGMENTS * _SEGMENT =
+# 32768, in lockstep batches (two-state chains scan either way)
+@pytest.mark.parametrize("steps", [1000, 40_000])
+@pytest.mark.parametrize("named", [False, True], ids=["default", "initial"])
+@pytest.mark.parametrize("chain", list(WRAPPER_CHAINS))
+def test_library_simulators_walk_as_simulate_does(capsys, tmp_path, chain, named, steps):
+    # simulate walks its matrix directly, so the library's simulators are
+    # pinned to its --out file: the same seed and start give the same states
+    source, label = WRAPPER_CHAINS[chain]
+    kind = source[1]
+    if kind == "matrix-file":
+        source = (*source, "--file", str(_nine_states(tmp_path)))
+    out = tmp_path / "t.txt"
+    initial = (f"--initial={label}",) if named else ()
+    assert main(["simulate", *source, "--steps", str(steps), "--seed", "11", *initial, "--out", str(out)]) == 0
+    capsys.readouterr()
+    walked, _ = trajectory_from_text(out.read_text())
+    rng = RngState(11)
+    if kind == "qubit":
+        spec = QubitChainSpec(n_qubits=int(source[3]), beta=float(source[5]))
+        trajectory = simulate_register(spec, HalfInt.parse(label) if named else spec.labels[0], steps, rng)
+    else:
+        if kind == "spin":
+            spec = SpinChainSpec(s=HalfInt.parse(source[3]), beta=float(source[5]))
+            labels = spec.labels
+        else:
+            matrix = matrix_from_json(Path(source[3]).read_text())
+            labels = matrix.labels
+        dim = len(labels)
+        probs = np.full(dim, 1 / dim)
+        if named:
+            probs = np.zeros(dim)
+            probs[[str(x) for x in labels].index(label)] = 1.0
+        law = Distribution(labels, probs)
+        if kind == "spin":
+            trajectory, _ = simulate_measurements(spec, law, steps, rng)
+        else:
+            trajectory = simulate_chain(matrix, law, steps, rng)
+    assert [str(x) for x in trajectory.labels] == list(walked.labels)
+    assert trajectory.seed == walked.seed
+    assert np.array_equal(trajectory.states, walked.states)
 
 
 def test_coin_toss_output(capsys):

@@ -316,6 +316,25 @@ def test_simulate_register_refuses_registers_past_the_closed_form():
         assert str(walker.value) == str(builder.value)
 
 
+def test_simulate_qubit_builds_the_register_matrix_once(monkeypatch, capsys):
+    # simulate --kind qubit builds the matrix for its theory rows and walks
+    # that same matrix, so the builder runs once, whichever module calls it
+    import qmarkov.cli as cli
+
+    calls = []
+
+    def counting(spec):
+        calls.append(spec)
+        return build(spec)
+
+    build = qubit_chain.qubit_transition_matrix
+    monkeypatch.setattr(qubit_chain, "qubit_transition_matrix", counting)
+    monkeypatch.setattr(cli, "qubit_transition_matrix", counting)
+    assert main(["simulate", "--kind", "qubit", "--n", "8", "--beta", "1.0", "--steps", "100", "--seed", "1"]) == 0
+    capsys.readouterr()
+    assert calls == [QubitChainSpec(n_qubits=8, beta=1.0)]
+
+
 def _transitions(states, dim):
     """counts[i, k], the steps of states from label index i to k, counted with numpy alone."""
     states = np.asarray(states, dtype=np.int64)

@@ -64,6 +64,7 @@ def test_each_step_is_run_or_named_as_skipped():
             "Installed entry point reports a near-stochastic file's iterate as exit 3",
             "Installed entry point sweeps the whole oracle range",
             "Installed entry point reads back the matrices it writes",
+            "Installed entry point starts at a negative half-integer label",
         ],
         "memory-smoke": [
             "Peak RSS of 10^7-step simulates of spin 1 and spin 25 with --out, of parsing their files "
