@@ -204,10 +204,10 @@ def _walk(table: np.ndarray, state: int, out: np.ndarray, rng: RngState) -> None
     out takes the chain's state dtype, _state_dtype(len(table)).  Every
     step leaves `state` through table[state], the running sums of its
     row.  Each walk takes one of three kernels, and every one gives the
-    states `bisect_right` gives, bit for bit.  All three are walked by
-    _lockstep, so every walk draws its uniforms an eighth of a block,
-    8192, at a time; the scan and bisect are given no guess, so the
-    driver walks them one draw at a time.
+    states `bisect_right` gives, bit for bit.  Every walk draws its
+    uniforms an eighth of a block, 8192, at a time, cut to whole
+    segments, through _draws; the lut walk fills its lockstep batches
+    from such draws too.
 
     A two-state chain is scanned with numpy: the table [c_r, inf] of row r
     sends a uniform u to u >= c_r, so with a = u >= c_0 and b = u >= c_1
@@ -225,26 +225,41 @@ def _walk(table: np.ndarray, state: int, out: np.ndarray, rng: RngState) -> None
     breakpoint, the lookup is exact.  The bucket comes from a guide of
     equal cells over [0, 1): a cell holding no breakpoint has one
     bucket, and only uniforms in the other cells are searched for.  Each
-    uniform's key, its lut offset or, where the offsets would take more
-    bytes, its bucket, is stored in the narrowest unsigned dtype that
-    holds every bucket, and _walk_chain walks the whole walk from those
-    keys through _lockstep.  Walks shorter than _MIN_SEGMENTS
-    segments are walked by bisect, since they would not repay building
-    the lut, and so are chains whose lut would pass _LUT_CAP entries
-    (about 101 states), so memory stays bounded for any chain.  Such a
-    chain is refused only once its breakpoints are sorted: while it is
-    refused it holds the sort's order and the sorted copy of its
-    entries, 16 bytes an entry, and the distinct ones with their mask,
-    up to 9 more, so the attempt takes less than the lists of Python
-    floats that bisect then walks, 32 bytes an entry.
+    uniform's key is its bucket, in the narrowest unsigned dtype that
+    holds every bucket, and _lockstep walks the whole walk from those
+    keys.  Walks shorter than _MIN_SEGMENTS segments are walked by
+    bisect, since they would not repay building the lut, and so are
+    chains whose lut would pass _LUT_CAP entries (about 101 states), so
+    memory stays bounded for any chain.  Such a chain is refused only
+    once its breakpoints are sorted: while it is refused it holds the
+    sort's order and the sorted copy of its entries, 16 bytes an entry,
+    and the distinct ones with their mask, up to 9 more, so the attempt
+    takes less than the lists of Python floats that bisect then walks,
+    32 bytes an entry.
     """
     dim = len(table)
     lookup = dim > 2 and out.size >= _MIN_SEGMENTS * _SEGMENT and _lookup_table(table)
     if lookup:
-        _walk_chain(lookup, dim, state, out, rng)
+        _lockstep(lookup, state, out, rng)
         return
-    walk = partial(_scan_block, table) if dim == 2 else partial(_bisect_block, table.tolist())
-    _lockstep(out, state, 0, None, rng.random_block, None, walk)
+    _draws(partial(_scan_block, table) if dim == 2 else partial(_bisect_block, table.tolist()), state, out, rng)
+
+
+def _draws(walk, state: int, out: np.ndarray, rng: RngState) -> None:
+    """Walk all of out from state, a draw of uniforms at a time; walk(uniforms, state, into) walks one draw.
+
+    The one draw loop of every walk: the two-state scan's, bisect's and
+    the tail of the lut walk.  A draw is an eighth of a block of
+    uniforms, 8192, cut to whole segments when it holds at least one: a
+    draw, its cells and its keys sit beside the lut walk's tables and
+    batch, and with quarter-block draws a 65-state walk peaked at 1.79
+    blocks of uniforms, against 1.51.
+    """
+    count = max(1, _BLOCK // 8)
+    count = count // _SEGMENT * _SEGMENT or count
+    for start in range(0, out.size, count):
+        into = out[start : start + count]
+        state = walk(rng.random_block(into.size), state, into)
 
 
 def _bisect_block(table: list, block: np.ndarray, state: int, out: np.ndarray) -> int:
@@ -254,7 +269,7 @@ def _bisect_block(table: list, block: np.ndarray, state: int, out: np.ndarray) -
 
 
 def _lookup_table(table: np.ndarray) -> tuple | None:
-    """(breaks, guide, lut, scale) for the lockstep walk; None if the lut would pass _LUT_CAP entries.
+    """(breaks, guide, lut) for the lockstep walk; None if the lut would pass _LUT_CAP entries.
 
     Every table is built from np.repeat runs over one stable argsort of
     the whole table, whose infs, one closing each row, sort last and
@@ -271,14 +286,11 @@ def _lookup_table(table: np.ndarray) -> tuple | None:
     into a power of two of equal cells, at least _GUIDE_CELLS per
     breakpoint: a cell that holds no breakpoint has one bucket, the
     number of breakpoints in the cells before it, so the guide is a run
-    of each key, bucket * scale, up to the cell of the next breakpoint
-    under 1, and each cell that holds a breakpoint is then set to the
-    dtype's largest value.  The guide takes the narrowest unsigned dtype
-    that holds len(breaks) + 1, which holds each bucket and stays above
-    them all.  A key is the bucket's lut offset (scale dim) when the
-    lut's size fits that dtype too, and the bucket itself (scale 1) when
-    it does not, so it never takes more bytes than the bucket and is
-    scaled in the walk only when it must be.
+    of each bucket up to the cell of the next breakpoint under 1, and
+    each cell that holds a breakpoint is then set to the dtype's
+    largest value.  The guide takes the narrowest unsigned dtype that
+    holds len(breaks) + 1, which holds each bucket and stays above them
+    all.
     """
     dim = len(table)
     order = np.argsort(table, axis=None, kind="stable")
@@ -300,83 +312,60 @@ def _lookup_table(table: np.ndarray) -> tuple | None:
     columns = np.broadcast_to(np.arange(dim, dtype=_state_dtype(dim)), (dim, dim))
     lut = np.repeat(columns, (bounds[:, 1:] - bounds[:, :-1]).ravel())
     lut = lut.reshape(dim, breaks.size + 1).T.ravel()
-    key = _state_dtype(breaks.size + 2)
-    scale = dim if _state_dtype(lut.size) == key else 1
     cells = 1 << (_GUIDE_CELLS * breaks.size).bit_length()
     # the cells of the breakpoints under 1 end the guide's runs: b * cells
     # is exact, as cells is a power of two, and its cast is a floor
     cell = np.empty(np.searchsorted(breaks, 1.0) + 2, dtype=np.intp)
     cell[0], cell[-1] = -1, cells - 1
     cell[1:-1] = breaks[: cell.size - 2] * cells
-    guide = np.repeat(np.arange(0, (cell.size - 1) * scale, scale, dtype=key), cell[1:] - cell[:-1])
+    key = _state_dtype(breaks.size + 2)
+    guide = np.repeat(np.arange(cell.size - 1, dtype=key), cell[1:] - cell[:-1])
     guide[cell[1:-1]] = np.iinfo(key).max
-    return breaks, guide, lut, scale
+    return breaks, guide, lut
 
 
-def _keys(breaks: np.ndarray, guide: np.ndarray, scale: int, busy: int, uniforms: np.ndarray) -> np.ndarray:
-    """The key, bucket * scale, of each uniform, in the guide's dtype; uniforms is scaled in place.
+def _keys(breaks: np.ndarray, guide: np.ndarray, busy: int, uniforms: np.ndarray) -> np.ndarray:
+    """The bucket of each uniform, in the guide's dtype; uniforms is scaled in place.
 
     busy is the guide's mark of a cell that holds a breakpoint, its
-    dtype's largest value.  u * guide.size is exact, as guide.size is a
-    power of two, so its cast, a floor, is u's cell, and scaled /
-    guide.size is u again.  Scaling in place lets the float-to-intp cast
-    run with no buffer.
+    dtype's largest value, found once a walk rather than once a draw;
+    only the uniforms in such cells are searched for.  u * guide.size
+    is exact, as guide.size is a power of two, so its cast, a floor, is
+    u's cell, and scaled / guide.size is u again.  Scaling in place lets
+    the float-to-intp cast run with no buffer.
     """
     scaled = np.multiply(uniforms, guide.size, out=uniforms)
     keys = guide.take(scaled.astype(np.intp), mode="clip")
     searched = np.flatnonzero(keys == busy)
-    keys[searched] = np.searchsorted(breaks, scaled[searched] / guide.size, side="right") * scale
+    keys[searched] = np.searchsorted(breaks, scaled[searched] / guide.size, side="right")
     return keys
 
 
-def _walk_chain(lookup: tuple, dim: int, state: int, out: np.ndarray, rng: RngState) -> None:
-    """Write the states of a chain of dim states after steps 1..out.size from state into out, through _lockstep.
+def _advance(lut: np.ndarray, dim: int, keys: np.ndarray):
+    """_couple's advance over a batch of keys, whose column s holds the keys of segment s.
 
-    lookup is the chain's (breaks, guide, lut, scale).  A step takes one
-    uniform, and its value is the uniform's key, so the driver's rules
-    give batches of 4 blocks of segments at 3 states (1-byte lut
-    offsets) and at 9 (1-byte buckets), 1 at 51 and 65 (2-byte buckets,
-    beside half a block of tables and more), and draws of an eighth of
-    a block of steps.  Step k of segment s of a batch leaves x through
-    lut at its key plus x, once a bucket key is scaled by dim.  The
-    batch's advance scales the keys of a meet-check's steps in one
-    multiply into a scratch of offsets, in the narrowest dtype that
-    holds every lut index while that takes at most 2 bytes and in intp
-    past that, as a narrow bucket times dim would wrap and a 4-byte
-    offset is slower to add to a state than an 8-byte one.  So each step
-    is one add of the states to the step's offsets into an index and one
-    gather of lut at the index; an offset key is added directly.  The
-    scratch is made with each batch's guess and goes with its advance,
-    before the next batch is drawn, so it never sits beside a draw.
-    Every segment but the first is guessed to start at state 0.
+    Step k of segment s leaves x through lut at keys[k, s] * dim + x.
+    The advance scales the keys of a meet-check's steps in one multiply
+    into a scratch of offsets, in the narrowest dtype that holds every
+    lut index while that takes at most 2 bytes and in intp past that, as
+    a narrow bucket times dim would wrap and a 4-byte offset is slower
+    to add to a state than an 8-byte one.  So each step is one add of
+    the states to the step's offsets into an index and one gather of lut
+    at the index.  The scratch lives as long as the advance, one batch:
+    kept for the whole walk, it sat beside every draw and passed the
+    walk's memory bounds.
     """
-    breaks, guide, lut, scale = lookup
-    busy = np.iinfo(guide.dtype).max
-    index_dtype = _state_dtype(lut.size) if scale != dim and _state_dtype(lut.size).itemsize <= 2 else np.intp
+    index_dtype = _state_dtype(lut.size) if _state_dtype(lut.size).itemsize <= 2 else np.intp
+    index = np.empty(keys.shape[1], dtype=index_dtype)
+    scratch = np.empty((_MEET_CHECK, keys.shape[1]), dtype=index_dtype)
 
-    def draw(count):
-        return _keys(breaks, guide, scale, busy, rng.random_block(count))
+    def advance(k, states, rows):
+        offsets = np.multiply(keys[k : k + len(rows)], dim, out=scratch[: len(rows)], dtype=index_dtype)
+        for offset, row in zip(offsets, rows):
+            states = lut.take(np.add(offset, states, out=index), out=row, mode="clip")
+        return states
 
-    def guess(state, batch):
-        index = np.empty(batch.shape[1], dtype=index_dtype)
-        scratch = None if scale == dim else np.empty((_MEET_CHECK, batch.shape[1]), dtype=index_dtype)
-
-        def advance(k, states, rows):
-            offsets = batch[k : k + len(rows)]
-            if scratch is not None:
-                offsets = np.multiply(offsets, dim, out=scratch[: len(rows)], dtype=index_dtype)
-            for offset, row in zip(offsets, rows):
-                states = lut.take(np.add(offset, states, out=index), out=row, mode="clip")
-            return states
-
-        starts = np.zeros(batch.shape[1], dtype=lut.dtype)
-        starts[0] = state
-        return starts, advance
-
-    def walk(keys, state, into):
-        return _walk_offsets(lut, keys if scale == dim else np.multiply(keys, dim, dtype=np.intp), state, into)
-
-    _lockstep(out, state, breaks.nbytes + guide.nbytes + lut.nbytes, guide.dtype, draw, guess, walk)
+    return advance
 
 
 def _couple(path: np.ndarray, starts: np.ndarray, advance) -> tuple:
@@ -419,67 +408,58 @@ def _couple(path: np.ndarray, starts: np.ndarray, advance) -> tuple:
     return (int(wrong[0]) if wrong.size else count), coupled
 
 
-def _lockstep(out: np.ndarray, state: int, tables: int, dtype: np.dtype | None, draw, guess, walk) -> None:
-    """Walk all of out from state, in lockstep batches and then one step at a time.
+def _lockstep(lookup: tuple, state: int, out: np.ndarray, rng: RngState) -> None:
+    """Write the states after steps 1..out.size from state into out through lookup, the chain's (breaks, guide, lut).
 
-    The one draw loop of every walker: the two-state scan, bisect and
-    the lut chain walk, which the register takes too.  Each supplies
-    the parts:
-    - tables, the bytes of the walk's lookup tables, and dtype, that of
-      the value each step is walked by, one uniform's key;
-    - draw(count) returns the values of the next count steps;
-    - guess(state, batch) returns the starts of the segments of batch,
-      whose column s holds the values of segment s, the first at state
-      and the rest guessed, and the advance that _couple walks them by,
-      a meet-check's steps a call; no name holds that advance past
-      _couple, so any scratch it holds is freed before the next batch
-      is drawn; the scan and bisect give None, no tables and no dtype,
-      and are never batched;
-    - walk(values, state, into) walks the values one step at a time
-      from state into `into` and returns the last state.
-    The driver sizes both its batches and its draws, each by one rule.
-    A batch holds _batch_segments(step_bytes, tables) segments of
-    _SEGMENT steps, where a step stores its value and its state in
-    out's dtype, so the batch and the tables share 8 * _BLOCK bytes.  A
-    draw is an eighth of a block of uniforms, 8192, cut to whole
-    segments when it holds at least one: a draw, its cells and its keys
-    sit beside the tables and the batch, and with quarter-block draws a
-    65-state walk peaked at 1.79 blocks of uniforms, against 1.51.  A
-    batch is drawn a draw at a time, and never less than a segment at a
-    time, stored transposed, and walked by _couple, whose coupled prefix
-    is copied into out.  A batch that _couple gives
-    up on is finished by walk from the first segment not yet resolved,
-    from the values it stores, since its uniforms are gone, a draw's
-    worth of segments per call.  Batches stop before one of fewer than
-    _MIN_SEGMENTS segments and after one that gave up; walk takes the
-    rest of out, a draw at a time.  The batch arrays are allocated only
-    once a batch is walked.
+    A step's value is its uniform's key, the bucket.  A batch holds
+    _batch_segments segments of _SEGMENT steps, where a step stores its
+    key and its state in out's dtype, beside the bytes of the three
+    tables, so the batch and the tables share 8 * _BLOCK bytes: 4 blocks
+    of segments at 3 and 9 states (1-byte keys) and 1 at 51 and 65
+    (2-byte keys, beside half a block of tables and more).  A batch is
+    filled a draw at a time, as _draws sizes a draw and never less than
+    a segment, its keys stored transposed, and walked by _couple through
+    its own advance, every segment but the first guessed to start at
+    state 0; the coupled prefix is copied into out.  A batch that
+    _couple gives up on is finished one step at a time from the first
+    segment not yet resolved, through the keys it stores, since its
+    uniforms are gone, a draw's worth of segments a call.  Batches stop
+    before one of fewer than _MIN_SEGMENTS segments and after one that
+    gave up, and _draws walks the rest of out one step at a time.  A step
+    walked one at a time leaves x through lut at its key times dim plus
+    x, formed in intp.  The batch arrays are allocated only once a batch
+    is walked.
     """
+    breaks, guide, lut = lookup
+    dim = lut.size // (breaks.size + 1)
+    busy = np.iinfo(guide.dtype).max
     seg = _SEGMENT
-    width = _batch_segments(dtype.itemsize + out.itemsize, tables) if guess else 0
-    draw_steps = max(1, _BLOCK // 8)
-    chunk = max(1, draw_steps // seg)
-    draw_steps = draw_steps // seg * seg or draw_steps
+    width = _batch_segments(guide.itemsize + out.itemsize, breaks.nbytes + guide.nbytes + lut.nbytes)
+    chunk = max(1, _BLOCK // 8 // seg)
+
+    def walk(keys, state, into):
+        return _walk_offsets(lut, np.multiply(keys, dim, dtype=np.intp), state, into)
+
     done, coupled = 0, True
     if min(width, out.size // seg) >= _MIN_SEGMENTS:
-        values = np.empty((seg, width), dtype=dtype)
+        keys = np.empty((seg, width), dtype=guide.dtype)
         path = np.empty((seg, width), dtype=out.dtype)
         while coupled and (count := min(width, (out.size - done) // seg)) >= _MIN_SEGMENTS:
-            batch = values[:, :count]
+            batch = keys[:, :count]
             for s in range(0, count, chunk):
                 drawn = min(chunk, count - s)
-                batch[:, s : s + drawn] = draw(drawn * seg).reshape(drawn, seg).T
+                batch[:, s : s + drawn] = _keys(breaks, guide, busy, rng.random_block(drawn * seg)).reshape(drawn, seg).T
+            starts = np.zeros(count, dtype=lut.dtype)
+            starts[0] = state
             # no name holds the batch's advance, and its scratch, past _couple
-            first, coupled = _couple(path[:, :count], *guess(state, batch))
+            first, coupled = _couple(path[:, :count], starts, _advance(lut, dim, batch))
             walked = out[done : done + count * seg].reshape(count, seg)
             walked[:first] = path[:, :first].T
             state = int(path[-1, first - 1])
             for s in range(first, count, chunk):
                 state = walk(batch[:, s : s + chunk].T.ravel(), state, walked[s : s + chunk].reshape(-1))
             done += count * seg
-    for start in range(done, out.size, draw_steps):
-        count = min(draw_steps, out.size - start)
-        state = walk(draw(count), state, out[start : start + count])
+    _draws(lambda uniforms, state, into: walk(_keys(breaks, guide, busy, uniforms), state, into), state, out[done:], rng)
 
 
 def _walk_offsets(lut: np.ndarray, offsets: np.ndarray, state: int, out: np.ndarray) -> int:

@@ -248,9 +248,10 @@ def simulate_register(
     1e-15 of the binomial convolution, as the spin chain's is of
     |d^s|^2; tests check it against a per-qubit walk that shares no code
     with this one.  N = 1 takes the two-state scan; a larger register
-    takes bisect in walks too short to repay a lookup table, and the
-    lookup-table lockstep otherwise: 4 blocks of segments a batch up to
-    N = 15, and fewer as the tables grow with N, 1 or 2 at N = 64.  A
+    takes bisect in walks too short to repay a lookup table, and
+    markov._lockstep, the walk through its lookup table, otherwise: 4
+    blocks of segments a batch up to N = 15, and fewer as the tables
+    grow with N, 1 or 2 at N = 64.  A
     slowly mixing small register, such as N = 8 at beta = 0.1, may
     couple in no batch and go one step at a time.
 

@@ -50,6 +50,9 @@ class TransitionCounts:
             raise InvalidArgumentError("counts must be integers")
         if arr.min() < 0:
             raise InvalidArgumentError("counts must be non-negative")
+        # a uint64 count past the int64 range would wrap in the cast
+        if arr.max() > np.iinfo(np.int64).max:
+            raise InvalidArgumentError(f"counts must be at most {np.iinfo(np.int64).max}")
         arr = arr.astype(np.int64, copy=False)
         arr.flags.writeable = False
         object.__setattr__(self, "counts", arr)
@@ -123,7 +126,8 @@ def per_row_tv(empirical: EmpiricalMatrix, theory: StochasticMatrix) -> list:
 def chi_square(observed, expected: Distribution) -> ChiSquareResult:
     """Pearson goodness-of-fit statistic of observed counts against expected.
 
-    Cells whose expected count falls below 5 (_MIN_EXPECTED) are pooled into a
+    The counts must be finite and non-negative, with a finite positive
+    total.  Cells whose expected count falls below 5 (_MIN_EXPECTED) are pooled into a
     single cell before the statistic is formed; degrees of freedom are
     (effective cells - 1).  A test with fewer than two effective cells is
     undefined and reported as such.
@@ -133,9 +137,14 @@ def chi_square(observed, expected: Distribution) -> ChiSquareResult:
         raise DimensionMismatchError(
             f"expected {expected.dim} observed cells, got shape {counts.shape}"
         )
+    if not np.all(np.isfinite(counts)):
+        raise InvalidArgumentError("observed counts must be finite")
     if counts.min() < 0:
         raise InvalidArgumentError("observed counts must be non-negative")
-    total = float(counts.sum())
+    with np.errstate(over="ignore"):
+        total = float(counts.sum())
+    if not np.isfinite(total):
+        raise InvalidArgumentError(f"observed counts must have a finite total, got {total}")
     if total <= 0:
         raise InvalidArgumentError("chi-square needs at least one observation")
     expected_counts = expected.probs * total

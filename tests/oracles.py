@@ -7,7 +7,9 @@ rather than from the library's recursion, and register transition
 probabilities come from enumerating every flip pattern of every qubit,
 or exactly in rational arithmetic as a convolution of two binomial laws.
 The register's walk has a per-qubit route here too: every qubit of the
-register flipped on its own at each step.
+register flipped on its own at each step.  The spin's walk has a
+measurement-level route: state vectors measured alternately along z and
+along n by the Born rule, with no rotation or transition matrix at all.
 The register matrix oracle is the exception: it repeats the builder's
 float arithmetic with binomials from math.comb, to pin the builder's
 output bit for bit.  The library's closed-form sums and flip-count
@@ -31,8 +33,8 @@ from qmarkov.markov import Trajectory, _labels
 from qmarkov.serialization import FORMAT_VERSION
 
 
-def sy_matrix(twice_s: int) -> np.ndarray:
-    """Spin-y operator in the basis m = s..-s via ladder operators."""
+def _raising(twice_s: int) -> np.ndarray:
+    """The raising operator S_+ in the basis m = s..-s."""
     dim = twice_s + 1
     s = twice_s / 2.0
     ms = [s - i for i in range(dim)]
@@ -40,7 +42,49 @@ def sy_matrix(twice_s: int) -> np.ndarray:
     for i in range(dim - 1):
         m = ms[i + 1]
         raising[i, i + 1] = math.sqrt(s * (s + 1) - m * (m + 1))
+    return raising
+
+
+def sy_matrix(twice_s: int) -> np.ndarray:
+    """Spin-y operator in the basis m = s..-s via ladder operators."""
+    raising = _raising(twice_s)
     return (raising - raising.T) / 2j
+
+
+def sx_matrix(twice_s: int) -> np.ndarray:
+    """Spin-x operator in the basis m = s..-s via ladder operators."""
+    raising = _raising(twice_s)
+    return (raising + raising.T) / 2
+
+
+def measured_spin_walk(twice_s: int, beta: float, steps: int, walkers: int, seed: int) -> np.ndarray:
+    """Outcome indices, shape (steps + 1, walkers), of spins measured alternately along z and n.
+
+    Walker w starts in the S_z eigenstate of index w % (2s + 1), which is
+    row 0's outcome; at step k it is measured in the eigenbasis of S_z
+    for even k and of cos(beta) S_z + sin(beta) S_x for odd k, each basis
+    from eigh and listed by descending eigenvalue, as the library's
+    labels m = s..-s are.  Each walker's state vector is a column of one
+    array: its outcome is drawn by the Born rule, |<e_k|psi>|^2 against a
+    uniform of numpy's own generator, and psi collapses to e_k.  No
+    rotation or transition matrix takes part.
+    """
+    dim = twice_s + 1
+    sz = np.diag(twice_s / 2.0 - np.arange(dim))
+    # eigh lists eigenvalues ascending, so each basis is read back to front
+    bases = [np.linalg.eigh(axis)[1][:, ::-1] for axis in (sz, math.cos(beta) * sz + math.sin(beta) * sx_matrix(twice_s))]
+    generator = np.random.default_rng(seed)
+    outcomes = np.empty((steps + 1, walkers), dtype=np.intp)
+    outcomes[0] = np.arange(walkers) % dim
+    psi = bases[0][:, outcomes[0]].astype(complex)
+    for k in range(1, steps + 1):
+        basis = bases[k % 2]
+        born = np.abs(basis.conj().T @ psi) ** 2
+        cdf = np.cumsum(born, axis=0)
+        outcome = np.minimum((cdf < generator.random(walkers) * cdf[-1]).sum(axis=0), dim - 1)
+        outcomes[k] = outcome
+        psi = basis[:, outcome].astype(complex)
+    return outcomes
 
 
 def oracle_small_d(twice_s: int, beta: float) -> np.ndarray:

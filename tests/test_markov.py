@@ -412,7 +412,7 @@ def test_block_size_changes_no_trajectory(monkeypatch):
         monkeypatch.setattr(markov, "_BLOCK", block)
         sizes.clear()
         small = trajectories()
-        # every walker draws through the one driver, an eighth of a block at a time
+        # every walker draws through the one draw loop, an eighth of a block at a time
         assert 0 < max(sizes) <= max(1, block // 8)
         assert len(default) == len(small)
         for a, b in zip(default, small):
@@ -470,7 +470,7 @@ COUPLING = {
     "spin25-1.0": _spin_rows(50, 1.0),
     "spin25-2.2": _spin_rows(50, 2.2),
     "random-9": _random_rows(9, 1),
-    # two-byte lut offsets as keys
+    # two-byte buckets as keys, scaled into a two-byte lut index
     "random-20": _random_rows(20, 4),
     "random-51": _random_rows(51, 2),
     "zero-pattern-9": _zero_pattern_rows(),
@@ -517,7 +517,7 @@ def _edge_uniforms(matrix, steps, seed):
 
 
 def _record_lockstep(monkeypatch):
-    """The coupled flag of each block or batch the lockstep driver walks from now on, in order."""
+    """The coupled flag of each batch the lockstep walk walks from now on, in order."""
     couple, coupled = markov._couple, []
 
     def recording(*args):
@@ -572,21 +572,20 @@ LOCKSTEP_BATCHES = {1: (1, 1), 2: (3, 3)}
 
 
 def _key_bytes(matrix):
-    """The bytes of one key, a lut offset or a bucket, of the chain's lockstep walk."""
+    """The bytes of one key, a bucket, of the chain's lockstep walk."""
     return markov._lookup_table(_cumulative(matrix))[1].itemsize
 
 
-# (rows, scale of a key, its dtype): a key is the lut offset (scale dim)
-# where the lut's size fits the buckets' dtype, and the bucket (scale 1)
-# where it does not
+# (rows, dtype of a key): a key is the bucket, in the narrowest dtype
+# that holds every bucket and the guide's mark above them all
 KEYS = {
-    "3": (THREE_STATE, 3, np.uint8),
-    "signed-zeros-4": (SIGNED_ZEROS, 4, np.uint8),
-    "random-9": (_random_rows(9, 1), 1, np.uint8),
-    "random-20": (_random_rows(20, 4), 20, np.uint16),
-    "random-51": (_random_rows(51, 2), 1, np.uint16),
-    "register-64-1.0": (_register_rows(64, 1.0), 1, np.uint16),
-    "register-64-pi/2": (_register_rows(64, math.pi / 2), 1, np.uint16),
+    "3": (THREE_STATE, np.uint8),
+    "signed-zeros-4": (SIGNED_ZEROS, np.uint8),
+    "random-9": (_random_rows(9, 1), np.uint8),
+    "random-20": (_random_rows(20, 4), np.uint16),
+    "random-51": (_random_rows(51, 2), np.uint16),
+    "register-64-1.0": (_register_rows(64, 1.0), np.uint16),
+    "register-64-pi/2": (_register_rows(64, math.pi / 2), np.uint16),
 }
 
 
@@ -599,19 +598,19 @@ def test_the_tables_are_the_running_sums_of_each_row():
 
 
 @pytest.mark.parametrize("name", list(KEYS))
-def test_a_key_is_the_lut_offset_unless_that_takes_more_bytes_than_the_bucket(name):
-    matrix, scale, dtype = KEYS[name]
+def test_a_key_is_the_bucket_in_the_narrowest_dtype_that_holds_every_bucket(name):
+    matrix, dtype = KEYS[name]
     table = _cumulative(matrix)
-    breaks, guide, lut, got = markov._lookup_table(table)
-    assert (got, guide.dtype) == (scale, dtype)
+    breaks, guide, lut = markov._lookup_table(table)
+    assert guide.dtype == dtype
     # one breakpoint per distinct entry: equal entries and signed zeros merge
     assert breaks.tolist() == sorted({c for row in table for c in row[:-1]})
-    # every key, of a cell or searched for, is bucket * scale; _keys
-    # scales the uniforms it is given in place, so it is given a copy
+    # every key, of a cell or searched for, is the bucket; _keys scales
+    # the uniforms it is given in place, so it is given a copy
     uniforms = RngState(9).random_block(20000)
     buckets = np.searchsorted(breaks, uniforms, side="right")
-    busy = np.iinfo(guide.dtype).max
-    assert np.array_equal(markov._keys(breaks, guide, scale, busy, uniforms.copy()), buckets * scale)
+    keys = markov._keys(breaks, guide, np.iinfo(dtype).max, uniforms.copy())
+    assert keys.dtype == dtype and np.array_equal(keys, buckets)
     for x in range(len(matrix)):
         assert lut[buckets * len(matrix) + x].tolist() == [bisect_right(table[x], u) for u in uniforms.tolist()]
 
@@ -630,22 +629,22 @@ TABLE_CHAINS = {
 @pytest.mark.parametrize("name", list(TABLE_CHAINS))
 def test_every_bucket_and_every_guide_cell_of_the_tables(name):
     table = _cumulative(TABLE_CHAINS[name])
-    breaks, guide, lut, scale = markov._lookup_table(table)
+    breaks, guide, lut = markov._lookup_table(table)
     # lut[b * dim + x] is the next state from x in bucket b, the
     # uniforms from breaks[b - 1] up, and 0 in bucket 0, below them all
     rows = table.tolist()
     assert lut.dtype == np.min_scalar_type(len(rows) - 1)
     assert lut.tolist() == [bisect_right(row, c) for c in [-math.inf, *breaks.tolist()] for row in rows]
     # a power of two of cells, at least _GUIDE_CELLS per breakpoint; a
-    # cell that holds no breakpoint holds its bucket's key, and one that
-    # holds a breakpoint the dtype's largest value
+    # cell that holds no breakpoint holds its bucket, and one that holds
+    # a breakpoint the dtype's largest value
     cells = guide.size
     assert cells & (cells - 1) == 0 and markov._GUIDE_CELLS * breaks.size <= cells
     assert guide.dtype == np.min_scalar_type(breaks.size + 1)
     low, high = np.arange(cells) / cells, np.arange(1, cells + 1) / cells
     held = np.searchsorted(breaks, high) > np.searchsorted(breaks, low)
-    keys = scale * np.searchsorted(breaks, low, side="right")
-    assert np.array_equal(guide, np.where(held, np.iinfo(guide.dtype).max, keys))
+    buckets = np.searchsorted(breaks, low, side="right")
+    assert np.array_equal(guide, np.where(held, np.iinfo(guide.dtype).max, buckets))
 
 
 @pytest.mark.parametrize("edges", [False, True], ids=["random", "edges"])
@@ -662,6 +661,34 @@ def test_lockstep_matches_the_bisect_loop(monkeypatch, name, edges):
                 assert coupled
             else:
                 assert coupled == [True] * batches
+
+
+# uniform chains at the dtype edges of the lockstep walk: (lut entries,
+# the narrowest dtype that holds every lut index, the keys' dtype, the
+# states'); an index past 2 bytes is formed in intp
+DTYPE_EDGES = {
+    16: (256, np.uint8, np.uint8, np.uint8),
+    17: (289, np.uint16, np.uint8, np.uint8),
+    256: (65536, np.uint16, np.uint16, np.uint8),
+    257: (66049, np.uint32, np.uint16, np.uint16),
+}
+
+
+@pytest.mark.parametrize("dim", list(DTYPE_EDGES))
+def test_lockstep_at_the_dtype_edges_matches_the_bisect_loop(monkeypatch, dim):
+    entries, index, key, state = DTYPE_EDGES[dim]
+    matrix = np.full((dim, dim), 1.0 / dim)
+    table = _cumulative(matrix)
+    breaks, guide, lut = markov._lookup_table(table)
+    assert (lut.size, np.min_scalar_type(lut.size - 1), guide.dtype, lut.dtype) == (entries, index, key, state)
+    steps, start = 3 * markov._BLOCK + 77, dim - 1
+    uniforms = RngState(dim).random_block(steps)
+    coupled = _record_lockstep(monkeypatch)
+    out = np.empty(steps, dtype=state)
+    _walk(table, start, out, StubRng(uniforms))
+    assert out.tolist() == bisect_loop(matrix, start, uniforms.tolist())
+    # every row is one law, so every batch couples at its first step
+    assert coupled and all(coupled)
 
 
 def _record_passes(monkeypatch):
@@ -887,35 +914,35 @@ def test_batch_width_changes_no_register_walk(monkeypatch, n):
             assert (wide_batches, narrow_batches) == ((2, 2 * blocks) if blocks else (0, 0))
 
 
-def _record_lockstep_sizes(monkeypatch):
-    """(batch width in segments, largest draw in steps) of each _lockstep call from now on, in order."""
-    lockstep, sizes = markov._lockstep, []
+class _RecordingRng:
+    """RngState(seed), recording the count of each block draw in draws."""
 
-    def recording(out, state, tables, dtype, draw, guess, walk):
-        widths, draws = [0], [0]
+    def __init__(self, seed):
+        self.rng, self.seed, self.draws = RngState(seed), seed, []
 
-        def recording_draw(count):
-            draws.append(count)
-            return draw(count)
-
-        def recording_guess(state, batch):
-            widths.append(batch.shape[1])
-            return guess(state, batch)
-
-        # the scan and bisect give no guess, and are never batched
-        lockstep(out, state, tables, dtype, recording_draw, guess and recording_guess, walk)
-        sizes.append((max(widths), max(draws)))
-
-    monkeypatch.setattr(markov, "_lockstep", recording)
-    return sizes
+    def random_block(self, count):
+        self.draws.append(count)
+        return self.rng.random_block(count)
 
 
-# (batch width in segments, draw in steps) that the driver gives each
-# walker: chains at 3, 9 and 51 states in batches of 4, 4 and 1 blocks
-# of 512 segments, and registers, the chains of their own matrices at
-# beta = 1, in 4 blocks at n <= 9, 3 at 16 and 17, 2 at 32 and 1 at 64; the
-# register at n = 1 is the two-state scan, never batched; every draw
-# is an eighth of a block of uniforms, 64 whole segments
+def _record_lockstep_sizes(monkeypatch, seed):
+    """(rng, widths): a _RecordingRng of seed, and the batch width in segments of each _couple call from now on, in order."""
+    couple, widths = markov._couple, []
+
+    def recording(path, starts, advance):
+        widths.append(path.shape[1])
+        return couple(path, starts, advance)
+
+    monkeypatch.setattr(markov, "_couple", recording)
+    return _RecordingRng(seed), widths
+
+
+# (batch width in segments, draw in steps) of each walk: chains at 3, 9
+# and 51 states in batches of 4, 4 and 1 blocks of 512 segments, and
+# registers, the chains of their own matrices at beta = 1, in 4 blocks
+# at n <= 9, 3 at 16 and 17, 2 at 32 and 1 at 64; the register at n = 1
+# is the two-state scan, never batched; every draw is an eighth of a
+# block of uniforms, 64 whole segments
 LOCKSTEP_SIZES = {
     "chain-3": (2048, 8192),
     "chain-9": (2048, 8192),
@@ -936,13 +963,14 @@ def test_the_driver_sizes_every_walk(monkeypatch, name):
     width, draw = LOCKSTEP_SIZES[name]
     # one whole batch, then a whole draw and a tail
     steps = width * markov._SEGMENT + draw + 5
-    sizes = _record_lockstep_sizes(monkeypatch)
+    rng, widths = _record_lockstep_sizes(monkeypatch, 1)
     if kind == "chain":
-        _walk(_cumulative(_random_rows(int(size), 1)), 0, np.empty(steps, dtype=np.uint8), RngState(1))
+        _walk(_cumulative(_random_rows(int(size), 1)), 0, np.empty(steps, dtype=np.uint8), rng)
     else:
         spec = QubitChainSpec(n_qubits=int(size), beta=1.0)
-        simulate_register(spec, spec.labels[0], steps, RngState(1))
-    assert sizes == [(width, draw)]
+        simulate_register(spec, spec.labels[0], steps, rng)
+    # the scan is never batched
+    assert (max(widths, default=0), max(rng.draws)) == (width, draw)
 
 
 def _give_up_on_the_second_batch(monkeypatch):

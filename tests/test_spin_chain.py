@@ -28,7 +28,8 @@ from qmarkov import (
 from qmarkov import spin_chain
 from qmarkov.cli import main
 
-from oracles import oracle_small_d
+from oracles import measured_spin_walk, oracle_small_d
+from test_qubit_chain import _fit_each_other_by_tv_bound, _fits_by_tv_bound
 
 HALF = HalfInt(1)
 
@@ -234,6 +235,30 @@ def test_even_and_odd_steps_share_one_transition_law():
         np.add.at(counts, (src, dst), 1)
         rows = counts / counts.sum(axis=1, keepdims=True)
         assert np.abs(rows - theory.rows).max() < 0.03
+
+
+# (2s, beta) of the measurement-level checks: the four smallest spins
+# at a small, a middle and a large angle
+MEASURED = [(twice, beta) for twice in (1, 2, 3, 4) for beta in (0.4, 1.0, 2.6)]
+
+
+@pytest.mark.parametrize("twice,beta", MEASURED)
+def test_measured_spins_step_by_the_transition_matrix(twice, beta):
+    # 4000 spins measured alternately along z and n by the Born rule on
+    # their own state vectors, 100 steps from every z outcome alike, with
+    # no rotation or transition matrix: every row of the z -> n steps and
+    # of the n -> z steps lies within the BHC bound at delta = 1e-9 of the
+    # library's matrix row, and the two kinds within the sum of their
+    # bounds of each other, so both kinds follow one law
+    dim = twice + 1
+    rows = spin_transition_matrix(SpinChainSpec(s=HalfInt(twice), beta=beta)).rows
+    outcomes = measured_spin_walk(twice, beta, 100, 4000, twice)
+    kinds = []
+    for first in (0, 1):
+        pairs = outcomes[first:-1:2] * dim + outcomes[first + 1 :: 2]
+        kinds.append(np.bincount(pairs.ravel(), minlength=dim * dim).reshape(dim, dim))
+        assert _fits_by_tv_bound(kinds[-1], rows) == dim
+    assert _fit_each_other_by_tv_bound(*kinds) == dim
 
 
 def test_coin_toss_stream_basics():

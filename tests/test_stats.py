@@ -120,6 +120,9 @@ def test_per_row_tv_reports_unvisited_rows_as_none():
         (np.zeros((2, 3), dtype=int), DimensionMismatchError, "2x2"),
         (np.ones((2, 2)), InvalidArgumentError, "integers"),
         (np.array([[1, 0], [-1, 2]]), InvalidArgumentError, "non-negative"),
+        # uint64 counts past the int64 range would wrap to negatives
+        (np.array([[1, 0], [2**63, 2]], dtype=np.uint64), InvalidArgumentError, "at most"),
+        (np.array([[1, 0], [2**64 - 1, 2]], dtype=np.uint64), InvalidArgumentError, "at most"),
     ],
 )
 def test_transition_counts_validation(counts, error, match):
@@ -171,6 +174,30 @@ def test_chi_square_validates_observations():
         chi_square(np.array([1.0, 2.0, 3.0]), fair)
     with pytest.raises(InvalidArgumentError, match="at least one observation"):
         chi_square(np.array([0.0, 0.0]), fair)
+
+
+def test_transition_counts_keep_the_largest_int64_count():
+    largest = np.iinfo(np.int64).max
+    counts = TransitionCounts(("a", "b"), np.array([[1, 0], [largest, 2]], dtype=np.uint64)).counts
+    assert counts.dtype == np.int64 and counts[1, 0] == largest
+
+
+@pytest.mark.parametrize(
+    "observed,match",
+    [
+        # nan is neither negative nor positive, so it passed as a count
+        ([math.nan, 10.0], "must be finite"),
+        ([10.0, math.nan], "must be finite"),
+        ([math.inf, 10.0], "must be finite"),
+        ([-math.inf, 10.0], "must be finite"),
+        # finite counts whose total overflows
+        ([1e308, 1e308], "finite total"),
+    ],
+)
+def test_chi_square_refuses_non_finite_observations(observed, match):
+    fair = Distribution((1, 0), np.array([0.5, 0.5]))
+    with pytest.raises(InvalidArgumentError, match=match):
+        chi_square(np.array(observed), fair)
 
 
 def test_chi_square_critical_values_table():

@@ -72,7 +72,8 @@ def test_each_step_is_run_or_named_as_skipped():
             "of 10^7-step walks of a spin-1/2 chain by the two-state scan, of a 9-state chain, "
             "of a dense 110-state chain walked by bisect "
             "and of a spin-1 walk that never couples, "
-            "of 10^7-step register walks at 8, 24 and 64 qubits and of 10^7 coin tosses"
+            "of 10^7-step register walks at 8, 24 and 64 qubits and of 10^7 coin tosses, "
+            "and of a 10^7-step walk of a uniform 256-state chain"
         ],
     }
 
