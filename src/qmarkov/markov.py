@@ -227,15 +227,14 @@ def _walk(table: np.ndarray, state: int, out: np.ndarray, rng: RngState) -> None
     bucket, and only uniforms in the other cells are searched for.  Each
     uniform's key is its bucket, in the narrowest unsigned dtype that
     holds every bucket, and _lockstep walks the whole walk from those
-    keys.  Walks shorter than _MIN_SEGMENTS segments are walked by
-    bisect, since they would not repay building the lut, and so are
-    chains whose lut would pass _LUT_CAP entries (about 101 states), so
-    memory stays bounded for any chain.  Such a chain is refused only
-    once its breakpoints are sorted: while it is refused it holds the
-    sort's order and the sorted copy of its entries, 16 bytes an entry,
-    and the distinct ones with their mask, up to 9 more, so the attempt
-    takes less than the lists of Python floats that bisect then walks,
-    32 bytes an entry.
+    keys.  Walks shorter than _MIN_SEGMENTS segments, 32,768 steps, are
+    walked by bisect, and so are chains whose lut would pass _LUT_CAP
+    entries (about 101 states), so memory stays bounded for any chain.
+    Such a chain is refused only once its breakpoints are sorted: while
+    it is refused it holds the sort's order and the sorted copy of its
+    entries, 16 bytes an entry, and the distinct ones with their mask,
+    up to 9 more, so the attempt takes less than the lists of Python
+    floats that bisect then walks, 32 bytes an entry.
     """
     dim = len(table)
     lookup = dim > 2 and out.size >= _MIN_SEGMENTS * _SEGMENT and _lookup_table(table)
@@ -427,8 +426,9 @@ def _lockstep(lookup: tuple, state: int, out: np.ndarray, rng: RngState) -> None
     before one of fewer than _MIN_SEGMENTS segments and after one that
     gave up, and _draws walks the rest of out one step at a time.  A step
     walked one at a time leaves x through lut at its key times dim plus
-    x, formed in intp.  The batch arrays are allocated only once a batch
-    is walked.
+    x, formed in intp.  _walk calls it only for walks of at least
+    _MIN_SEGMENTS segments, and a batch holds at least _BLOCK // _SEGMENT
+    of them, so a first batch is always walked.
     """
     breaks, guide, lut = lookup
     dim = lut.size // (breaks.size + 1)
@@ -441,24 +441,23 @@ def _lockstep(lookup: tuple, state: int, out: np.ndarray, rng: RngState) -> None
         return _walk_offsets(lut, np.multiply(keys, dim, dtype=np.intp), state, into)
 
     done, coupled = 0, True
-    if min(width, out.size // seg) >= _MIN_SEGMENTS:
-        keys = np.empty((seg, width), dtype=guide.dtype)
-        path = np.empty((seg, width), dtype=out.dtype)
-        while coupled and (count := min(width, (out.size - done) // seg)) >= _MIN_SEGMENTS:
-            batch = keys[:, :count]
-            for s in range(0, count, chunk):
-                drawn = min(chunk, count - s)
-                batch[:, s : s + drawn] = _keys(breaks, guide, busy, rng.random_block(drawn * seg)).reshape(drawn, seg).T
-            starts = np.zeros(count, dtype=lut.dtype)
-            starts[0] = state
-            # no name holds the batch's advance, and its scratch, past _couple
-            first, coupled = _couple(path[:, :count], starts, _advance(lut, dim, batch))
-            walked = out[done : done + count * seg].reshape(count, seg)
-            walked[:first] = path[:, :first].T
-            state = int(path[-1, first - 1])
-            for s in range(first, count, chunk):
-                state = walk(batch[:, s : s + chunk].T.ravel(), state, walked[s : s + chunk].reshape(-1))
-            done += count * seg
+    keys = np.empty((seg, width), dtype=guide.dtype)
+    path = np.empty((seg, width), dtype=out.dtype)
+    while coupled and (count := min(width, (out.size - done) // seg)) >= _MIN_SEGMENTS:
+        batch = keys[:, :count]
+        for s in range(0, count, chunk):
+            drawn = min(chunk, count - s)
+            batch[:, s : s + drawn] = _keys(breaks, guide, busy, rng.random_block(drawn * seg)).reshape(drawn, seg).T
+        starts = np.zeros(count, dtype=lut.dtype)
+        starts[0] = state
+        # no name holds the batch's advance, and its scratch, past _couple
+        first, coupled = _couple(path[:, :count], starts, _advance(lut, dim, batch))
+        walked = out[done : done + count * seg].reshape(count, seg)
+        walked[:first] = path[:, :first].T
+        state = int(path[-1, first - 1])
+        for s in range(first, count, chunk):
+            state = walk(batch[:, s : s + chunk].T.ravel(), state, walked[s : s + chunk].reshape(-1))
+        done += count * seg
     _draws(lambda uniforms, state, into: walk(_keys(breaks, guide, busy, uniforms), state, into), state, out[done:], rng)
 
 

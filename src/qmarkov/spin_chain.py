@@ -7,10 +7,12 @@ only on the current one: the outcome sequence is a Markov chain on
 {s, s-1, ..., -s} whose transition probabilities are squared rotation
 matrix elements |d^s(beta)|^2.
 
-The analytic transition matrix lives here, and a simulator that walks
-its rows, one measurement a step, with each step readable as a
-MeasurementRecord.  Tests close the loop between the walk's
-frequencies and the matrix.
+The analytic transition matrix lives here, from one builder,
+spin_transition_matrix, which keeps the last spec's matrix, and a
+simulator that walks its rows, one measurement a step, with each step
+readable as a MeasurementRecord.  Tests check the walk's frequencies
+against the matrix, and the matrix against spins measured by the Born
+rule.
 """
 
 import functools
@@ -81,55 +83,41 @@ class MeasurementRecord:
 
 
 @functools.lru_cache(maxsize=1)
-def _overlap_squared(spec: SpinChainSpec) -> np.ndarray:
-    """Read-only matrix O with O[a, b] = |<m_a| R |m_b>|^2 for the spec's rotation R.
+def spin_transition_matrix(spec: SpinChainSpec) -> StochasticMatrix:
+    """The chain's transition matrix, kept for the last spec: entry (i, j) = |d^s(beta)|^2 at (i, j).
 
-    Row a indexes the z-basis outcome, column b the rotated-basis outcome,
-    both in descending-m order.  O[a, b] is the probability of either
-    cross-basis transition between outcomes m_a and m_b; the two readings
-    agree because squared magnitudes kill the phases.  O is symmetric
-    and persymmetric: d^s_{m'm} = (-1)^(m - m') d^s_{mm'} = d^s_{-m,-m'}
-    (Edmonds, Angular Momentum in Quantum Mechanics, 1957), so with
-    n = 2s, O[a, b] = O[b, a] = O[n - b, n - a] = O[n - a, n - b].  The
-    floats of those cells can differ in their last bits, so only the
-    cells with a <= b and a + b <= n are kept: the upper triangle is
-    copied into the lower one, then O[n - b, n - a] into every cell with
-    a + b > n.  O == O.T and O == O[::-1, ::-1] then hold bit for bit,
-    and about a quarter of O's entries are distinct (26.5% over
-    2s = 1..50, one random beta each).  The last spec's matrix is kept,
-    so library code that simulates a chain and then builds its
-    transition matrix, as a reload of a just-written trajectory does,
-    evaluates d^s once; equal specs give the same matrix bit for bit, as
-    beta = -0.0 and 0.0 differ at most in the sign of a zero entry,
-    which the squares drop.
+    Row i is the current outcome, column j the next, both in
+    descending-m order.  Entry (i, j) is the probability of either
+    cross-basis transition between outcomes m_i and m_j, from z to n
+    and from n to z, as squared magnitudes kill the phases.  The matrix
+    is symmetric and persymmetric: d^s_{m'm} = (-1)^(m - m') d^s_{mm'}
+    = d^s_{-m,-m'} (Edmonds, Angular Momentum in Quantum Mechanics,
+    1957), so with n = 2s, entry (i, j) equals (j, i), (n - j, n - i)
+    and (n - i, n - j).  The floats of those cells can differ in their
+    last bits, so only the cells with i <= j and i + j <= n are kept:
+    the upper triangle is copied into the lower one, then (n - j, n - i)
+    into every cell with i + j > n.  rows == rows.T and rows ==
+    rows[::-1, ::-1] then hold bit for bit, and about a quarter of the
+    entries are distinct (26.5% over 2s = 1..50, one random beta each).
+
+    Unitarity of the rotation makes the matrix doubly stochastic.  The
+    row sums are checked here, and being symmetric the matrix has the
+    same column sums, so a failure means the rotation matrix itself is
+    wrong.  The last spec's matrix is kept, so library code that
+    simulates a chain and then builds its transition matrix, as a reload
+    of a just-written trajectory does, evaluates d^s once; equal specs
+    give the same matrix bit for bit, as beta = -0.0 and 0.0 differ at
+    most in the sign of a zero entry, which the squares drop.
     """
     entries = big_D(spec.s, 0.0, spec.beta, 0.0)
-    overlap = np.square(entries.real) + np.square(entries.imag)
-    below = np.tri(len(overlap), k=-1, dtype=bool)
-    np.copyto(overlap, overlap.T, where=below)
-    # below[a, n - b] holds where a + b > n
-    np.copyto(overlap, overlap[::-1, ::-1].T, where=below[:, ::-1])
-    overlap.flags.writeable = False
-    return overlap
-
-
-def spin_transition_matrix(spec: SpinChainSpec) -> StochasticMatrix:
-    """The chain's transition matrix: entry (i, j) = |d^s(beta)|^2 at (j, i).
-
-    Row i is the current outcome, column j the next.  Unitarity of the
-    rotation makes the matrix doubly stochastic; both sum directions are
-    asserted here because a failure means the rotation matrix itself is
-    wrong.
-    """
-    # O == O.T bit for bit, and StochasticMatrix copies it
-    rows = _overlap_squared(spec)
-    col_defect = float(np.abs(rows.sum(axis=0) - 1.0).max())
-    row_defect = float(np.abs(rows.sum(axis=1) - 1.0).max())
-    if max(col_defect, row_defect) > _DOUBLY_STOCHASTIC_TOL:
-        raise InternalConsistencyError(
-            f"transition matrix not doubly stochastic: row defect {row_defect:.3e}, "
-            f"column defect {col_defect:.3e}"
-        )
+    rows = np.square(entries.real) + np.square(entries.imag)
+    below = np.tri(len(rows), k=-1, dtype=bool)
+    np.copyto(rows, rows.T, where=below)
+    # below[i, n - j] holds where i + j > n
+    np.copyto(rows, rows[::-1, ::-1].T, where=below[:, ::-1])
+    defect = float(np.abs(rows.sum(axis=1) - 1.0).max())
+    if defect > _DOUBLY_STOCHASTIC_TOL:
+        raise InternalConsistencyError(f"transition matrix not doubly stochastic: row defect {defect:.3e}")
     return StochasticMatrix(labels=spec.labels, rows=rows)
 
 
@@ -172,15 +160,15 @@ def simulate_measurements(
     chain.  Afterwards the state is always a known basis vector of the
     axis just measured, so only (axis, outcome) is tracked.  Outcome
     probabilities at every later step are squared overlaps between the
-    current basis vector and the next axis's basis: from a z-outcome the
-    overlap matrix O is read along its row, from an n-outcome along its
-    column.  |<m_a| R |m_b>| = |<m_b| R |m_a>|, as d^s_{m'm} and d^s_{mm'}
-    differ only in sign, so the column of O through an outcome is the
-    same law as its row.  O is built symmetric bit for bit, so it is
-    the chain's transition matrix, spin_transition_matrix(spec), and
-    every step after the first walks its rows through markov._realize,
-    as every chain walks.  Tests check the walk's frequencies against
-    the matrix.
+    current basis vector and the next axis's basis: from a z-outcome
+    they are read along a row of |d^s(beta)|^2, from an n-outcome along
+    a column.  |<m_a| R |m_b>| = |<m_b| R |m_a>|, as d^s_{m'm} and
+    d^s_{mm'} differ only in sign, so the column through an outcome is
+    the same law as its row.  spin_transition_matrix(spec) builds that
+    matrix symmetric bit for bit and keeps it, so every step after the
+    first walks its rows through markov._realize, as every chain walks,
+    and building the matrix again for the same spec, as a reload of the
+    trajectory does, costs nothing.
 
     The records are a lazy view derived from the trajectory, so the
     simulation stores one integer per step and nothing else.

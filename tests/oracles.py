@@ -7,9 +7,10 @@ rather than from the library's recursion, and register transition
 probabilities come from enumerating every flip pattern of every qubit,
 or exactly in rational arithmetic as a convolution of two binomial laws.
 The register's walk has a per-qubit route here too: every qubit of the
-register flipped on its own at each step.  The spin's walk has a
-measurement-level route: state vectors measured alternately along z and
-along n by the Born rule, with no rotation or transition matrix at all.
+register flipped on its own at each step.  The spin's and the register's
+walks have a measurement-level route: state vectors measured alternately
+along z and along n by the Born rule, with no rotation or transition
+matrix at all.
 The register matrix oracle is the exception: it repeats the builder's
 float arithmetic with binomials from math.comb, to pin the builder's
 output bit for bit.  The library's closed-form sums and flip-count
@@ -293,6 +294,51 @@ def per_qubit_register_walk(n_qubits: int, beta: float, ups: int, steps: int, se
         states.append(n_qubits - after.sum(axis=1))
         qubits = after[-1]
     return np.concatenate(states)
+
+
+def measured_register_walk(n_qubits: int, beta: float, rounds: int, walkers: int, seed: int) -> np.ndarray:
+    """Up counts j, shape (rounds + 1, walkers), of registers whose qubits are measured one by one along z or n.
+
+    Walker w starts in the sigma_z eigenstate whose first w % (N + 1)
+    qubits are up, and row 0 counts them.  Round k measures every qubit
+    in turn in the eigenbasis of sigma_z for even k and of sigma_n =
+    cos(beta) sigma_z + sin(beta) sigma_x for odd k, each basis from eigh
+    of the 2 x 2 matrix and listed up first; row k counts the ups of
+    round k.  Each walker's 2^N state vector is a row of one array, its
+    leading qubit on the axis of length 2 in shape (walkers, 2, 2^(N-1)):
+    the qubit's outcome is drawn by the Born rule, the squared norm of
+    the state's part along each basis vector against a uniform of numpy's
+    own generator, the state collapses to that part, renormalized, and
+    the next qubit is rotated to the front.  Every operator and start
+    state is real, and so is every state.  No binomial, transition matrix
+    or library walker takes part.
+    """
+    sz = np.diag([1.0, -1.0])
+    sx = np.array([[0.0, 1.0], [1.0, 0.0]])
+    # eigh lists eigenvalues ascending, so each basis is read back to front
+    bases = [np.linalg.eigh(axis)[1][:, ::-1] for axis in (sz, math.cos(beta) * sz + math.sin(beta) * sx)]
+    generator = np.random.default_rng(seed)
+    ups = np.empty((rounds + 1, walkers), dtype=np.intp)
+    ups[0] = np.arange(walkers) % (n_qubits + 1)
+    # basis state i holds qubit q down where bit n - 1 - q of i is set, so
+    # the first u qubits up and the rest down is state 2^(n - u) - 1
+    psi = np.zeros((walkers, 2**n_qubits))
+    psi[np.arange(walkers), 2 ** (n_qubits - ups[0]) - 1] = 1.0
+    every = np.arange(walkers)
+    for k in range(1, rounds + 1):
+        basis = bases[k % 2]
+        ups[k] = 0
+        for _ in range(n_qubits):
+            # each state's parts along the leading qubit's two basis vectors
+            parts = basis.T @ psi.reshape(walkers, 2, -1)
+            born = np.square(parts).sum(axis=2)
+            outcome = (generator.random(walkers) * born.sum(axis=1) >= born[:, 0]).astype(np.intp)
+            ups[k] += outcome == 0
+            kept = parts[every, outcome] / np.sqrt(born[every, outcome])[:, None]
+            collapsed = basis[:, outcome].T[:, :, None] * kept[:, None, :]
+            # the measured qubit goes last, and the next one leads
+            psi = collapsed.transpose(0, 2, 1).reshape(walkers, -1)
+    return ups
 
 
 def oracle_trajectory_from_text(text: str) -> tuple[Trajectory, dict]:

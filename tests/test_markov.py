@@ -26,10 +26,10 @@ from qmarkov import (
     simulate_chain,
     simulate_measurements,
     simulate_register,
+    spin_transition_matrix,
     stationary,
 )
 from qmarkov.markov import _cumulative, _walk
-from qmarkov.spin_chain import _overlap_squared
 
 
 def coin_matrix():
@@ -299,8 +299,8 @@ def clamped_pick(cum, u, dim):
 
 
 def _spin_half_rows():
-    overlap = _overlap_squared(SpinChainSpec(s=HalfInt(1), beta=math.pi / 2.0))
-    return [*overlap, *overlap.T]
+    rows = spin_transition_matrix(SpinChainSpec(s=HalfInt(1), beta=math.pi / 2.0)).rows
+    return [*rows, *rows.T]
 
 
 def _cumulative_by_row(rows):
@@ -430,7 +430,7 @@ def _recording(method, counts):
 
 
 def _spin_rows(twice_s, beta):
-    return _overlap_squared(SpinChainSpec(s=HalfInt(twice_s), beta=beta))
+    return spin_transition_matrix(SpinChainSpec(s=HalfInt(twice_s), beta=beta)).rows
 
 
 def _random_rows(dim, seed):

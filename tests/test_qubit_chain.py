@@ -36,6 +36,7 @@ from qmarkov.stats import CHI2_CRIT_999
 from oracles import (
     enumerate_q,
     exact_register_row,
+    measured_register_walk,
     oracle_register_matrix,
     per_qubit_register_walk,
     scalar_brute_force_q,
@@ -389,6 +390,52 @@ def _fit_each_other_by_tv_bound(counts, others):
             assert tv <= _tv_bound(observed.size, visits) + _tv_bound(other.size, other_visits), (tested, tv)
             tested += 1
     return tested
+
+
+def _fit_the_measured_steps(outcomes, rows):
+    """The BHC checks of a measured walk's outcome indices, one walker a column, against the matrix rows.
+
+    The steps from even rows of outcomes (z -> n) and from odd rows
+    (n -> z) are counted apart: every visited row of each kind is within
+    _tv_bound of its matrix row, and of the other kind within the sum of
+    their bounds, so both kinds follow one law.  And the law of x_{t+1}
+    given (x_{t-1}, x_t), for every pair visited, is within _tv_bound of
+    row x_t: the step before adds nothing, as the Markov property says.
+    Returns how many rows of each check were tested.
+    """
+    dim = len(rows)
+    kinds = []
+    for first in (0, 1):
+        pairs = outcomes[first:-1:2] * dim + outcomes[first + 1 :: 2]
+        kinds.append(np.bincount(pairs.ravel(), minlength=dim * dim).reshape(dim, dim))
+    triples = (outcomes[:-2] * dim + outcomes[1:-1]) * dim + outcomes[2:]
+    given = np.bincount(triples.ravel(), minlength=dim**3).reshape(dim * dim, dim)
+    return (
+        *(_fits_by_tv_bound(kind, rows) for kind in kinds),
+        _fit_each_other_by_tv_bound(*kinds),
+        # row (x_{t-1}, x_t) of given is x_{t-1} * dim + x_t, and tiling
+        # the rows dim times puts row x_t there
+        _fits_by_tv_bound(given, np.tile(rows, (dim, 1))),
+    )
+
+
+# (N, beta) of the measurement-level register checks
+MEASURED = [(n, beta) for n in (1, 2, 4, 6) for beta in (0.4, 1.0, 2.6)]
+
+
+@pytest.mark.parametrize("n,beta", MEASURED)
+def test_measured_registers_step_by_the_transition_matrix(n, beta):
+    # 2000 registers whose qubits are measured one by one, 40 rounds
+    # alternately along z and n, by the Born rule on each register's 2^n
+    # state vector, from every up count alike, with no binomial or
+    # transition matrix: the up counts step by the library's matrix, in
+    # both kinds of step, and given the two rounds before, by the row of
+    # the last alone; label index n - j holds j up qubits
+    dim = n + 1
+    rows = qubit_transition_matrix(QubitChainSpec(n_qubits=n, beta=beta)).rows
+    states = n - measured_register_walk(n, beta, 40, 2000, n)
+    *tested, pairs = _fit_the_measured_steps(states, rows)
+    assert tested == [dim] * 3 and pairs >= dim
 
 
 @pytest.mark.parametrize("beta", [0.7, math.pi / 2, 2.6])

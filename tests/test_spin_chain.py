@@ -29,7 +29,7 @@ from qmarkov import spin_chain
 from qmarkov.cli import main
 
 from oracles import measured_spin_walk, oracle_small_d
-from test_qubit_chain import _fit_each_other_by_tv_bound, _fits_by_tv_bound
+from test_qubit_chain import _fit_the_measured_steps
 
 HALF = HalfInt(1)
 
@@ -101,10 +101,13 @@ def test_doubly_stochastic(twice):
 
 
 def test_a_matrix_that_is_not_doubly_stochastic_is_an_internal_error(monkeypatch):
-    # rows [[0.5, 0.5], [0.2, 0.8]] pass as a chain, but columns sum to 0.7
-    # and 1.3; the builder takes the overlap as its rows, as O == O.T
-    monkeypatch.setattr(spin_chain, "_overlap_squared", lambda spec: np.array([[0.5, 0.5], [0.2, 0.8]]))
-    with pytest.raises(InternalConsistencyError, match="column defect 3.000e-01"):
+    # a rotation whose squared first row is [0.5, 0.2]: the builder keeps
+    # the cells (0, 0) and (0, 1) and copies them into the rest, so both
+    # rows and both columns of [[0.5, 0.2], [0.2, 0.5]] sum to 0.7
+    rotation = np.sqrt(np.array([[0.5, 0.2], [0.8, 0.5]], dtype=complex))
+    monkeypatch.setattr(spin_chain, "big_D", lambda *args: rotation)
+    spin_transition_matrix.cache_clear()
+    with pytest.raises(InternalConsistencyError, match="row defect 3.000e-01"):
         spin_transition_matrix(SpinChainSpec(s=HalfInt(1), beta=1.0))
 
 
@@ -144,7 +147,8 @@ def test_spec_labels_are_built_once():
 
 def test_simulate_spin_builds_the_overlap_once(monkeypatch, capsys):
     # simulate --kind spin builds the transition matrix, then simulates the
-    # same chain: d^s is evaluated once, and the kept matrix is read-only
+    # same chain: d^s is evaluated once, and an equal spec gets the kept
+    # matrix itself, read-only
     calls = []
 
     def counting(*args):
@@ -153,11 +157,12 @@ def test_simulate_spin_builds_the_overlap_once(monkeypatch, capsys):
 
     big_D = spin_chain.big_D
     monkeypatch.setattr(spin_chain, "big_D", counting)
-    spin_chain._overlap_squared.cache_clear()
+    spin_transition_matrix.cache_clear()
     assert main(["simulate", "--kind", "spin", "--s", "7/2", "--beta", "0.9", "--steps", "100", "--seed", "1"]) == 0
     assert len(calls) == 1
-    overlap = spin_chain._overlap_squared(SpinChainSpec(s=HalfInt(7), beta=0.9))
-    assert len(calls) == 1 and not overlap.flags.writeable
+    kept = spin_transition_matrix(SpinChainSpec(s=HalfInt(7), beta=0.9))
+    assert len(calls) == 1 and not kept.rows.flags.writeable
+    assert spin_transition_matrix(SpinChainSpec(s=HalfInt(7), beta=0.9)) is kept
 
 
 def test_start_law_must_share_the_chain_labels():
@@ -249,16 +254,13 @@ def test_measured_spins_step_by_the_transition_matrix(twice, beta):
     # no rotation or transition matrix: every row of the z -> n steps and
     # of the n -> z steps lies within the BHC bound at delta = 1e-9 of the
     # library's matrix row, and the two kinds within the sum of their
-    # bounds of each other, so both kinds follow one law
+    # bounds of each other, so both kinds follow one law; and given the
+    # two steps before, each step follows the row of the last alone
     dim = twice + 1
     rows = spin_transition_matrix(SpinChainSpec(s=HalfInt(twice), beta=beta)).rows
     outcomes = measured_spin_walk(twice, beta, 100, 4000, twice)
-    kinds = []
-    for first in (0, 1):
-        pairs = outcomes[first:-1:2] * dim + outcomes[first + 1 :: 2]
-        kinds.append(np.bincount(pairs.ravel(), minlength=dim * dim).reshape(dim, dim))
-        assert _fits_by_tv_bound(kinds[-1], rows) == dim
-    assert _fit_each_other_by_tv_bound(*kinds) == dim
+    *tested, pairs = _fit_the_measured_steps(outcomes, rows)
+    assert tested == [dim] * 3 and pairs >= dim
 
 
 def test_coin_toss_stream_basics():
