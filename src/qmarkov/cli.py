@@ -34,7 +34,7 @@ from .errors import (
     check_real,
 )
 from .halfint import HalfInt
-from .markov import Distribution, _check_tol, _realize, sample, stationary
+from .markov import _BLOCK, Distribution, _check_tol, _realize, sample, stationary
 from .qubit_chain import N_MAX_BRUTE_FORCE, QubitChainSpec, brute_force_q, q_formula, qubit_transition_matrix
 from .rng import RNG_ALGORITHM, RngState
 from .serialization import (
@@ -277,22 +277,37 @@ def cmd_stationary(args) -> int:
 
 
 def cmd_coin_toss(args) -> int:
+    """Write the bits and their statistics as one JSON object.
+
+    The bytes equal json.dumps of the payload with "bits" holding the
+    bits as a string of "0" and "1", in the order config, rng, version,
+    bits, ones, mean, lag1_autocorrelation, chi_square: the bits are
+    written _BLOCK at a time between json.dumps of the fields before
+    them, without its closing brace, and of the fields after them,
+    without its opening brace.  "0" and "1" need no escape, so the text
+    json.dumps would give them is the bits' own, and no string of the
+    whole count is built.
+    """
     count = check_int("count", args.count, 0, STEPS_MAX)
     rng = RngState(args.seed)
     with _opened(args.out) as stream:
         bits = coin_toss_stream(count, rng)
         ones = int(bits.sum())
-        payload = {
+        head = {
             "config": {"command": "coin-toss", "count": count, "seed": rng.seed},
             "rng": RNG_ALGORITHM,
             "version": FORMAT_VERSION,
-            "bits": (bits + ord("0")).tobytes().decode("ascii"),
+        }
+        tail = {
             "ones": ones,
             "mean": ones / count if count else None,
             "lag1_autocorrelation": _lag1_autocorrelation(bits, ones),
             "chi_square": _fair_coin_chi_square(ones, count),
         }
-        stream.write(json.dumps(payload) + "\n")
+        stream.write(json.dumps(head)[:-1] + ', "bits": "')
+        for start in range(0, count, _BLOCK):
+            stream.write((bits[start : start + _BLOCK] + ord("0")).tobytes().decode("ascii"))
+        stream.write('", ' + json.dumps(tail)[1:] + "\n")
     return EXIT_OK
 
 

@@ -215,7 +215,8 @@ def _walk(table: np.ndarray, state: int, out: np.ndarray, rng: RngState) -> None
     a == b, the identity when a < b, a swap when a > b.  Either
     non-constant map sends x to x ^ a.  So a state is the value of the
     last constant draw XOR the running parity of a since then, and both
-    come from array scans.
+    come from array scans.  A draw of constant maps alone, as the fair
+    coin's almost always is, is its comparisons a and needs no scan.
 
     A chain of three or more states is walked through a lookup table,
     built once per walk: its breakpoints are the finite entries of all
@@ -473,7 +474,13 @@ def _scan_block(table: np.ndarray, block: np.ndarray, state: int, out: np.ndarra
 
     Index 0 of the scans stands for the start state, taken as a constant
     draw; index k >= 1 is the block's step k.  Only the table's first
-    column, c_0 and c_1, is read.
+    column, c_0 and c_1, is read.  A block whose every map is constant
+    leaves each step in a, its comparison with c_0, whatever the state
+    before it, so a is the block's states and the scans are skipped.
+    This is a test of the block's own draws, not of the chain: the fair
+    coin's c_0 and c_1 are 0.5 within an ulp either side, so a uniform
+    between them, a swap or an identity map, is rare but not excluded,
+    and a block that draws one is scanned.
     """
     a = np.empty(block.size + 1, dtype=bool)
     b = np.empty(block.size + 1, dtype=bool)
@@ -481,6 +488,9 @@ def _scan_block(table: np.ndarray, block: np.ndarray, state: int, out: np.ndarra
     np.greater_equal(block, table[0, 0], out=a[1:])
     np.greater_equal(block, table[1, 0], out=b[1:])
     constant = np.equal(a, b, out=b)
+    if constant.all():
+        out[:] = a[1:]
+        return int(a[-1])
     # last[k]: index of the last constant draw at or before k
     last = np.arange(block.size + 1, dtype=np.int32)
     last *= constant

@@ -4,6 +4,7 @@ import os
 import shlex
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -25,7 +26,8 @@ from qmarkov import (
     stationary,
     trajectory_from_text,
 )
-from qmarkov.cli import main
+from qmarkov.cli import _fair_coin_chi_square, _lag1_autocorrelation, main
+from qmarkov.markov import _BLOCK
 
 
 def run(capsys, *argv):
@@ -516,7 +518,23 @@ def test_library_simulators_walk_as_simulate_does(capsys, tmp_path, chain, named
     assert np.array_equal(trajectory.states, walked.states)
 
 
-def test_coin_toss_output(capsys):
+def _coin_toss_payload(count, seed):
+    """coin-toss's payload, in its field order, from the bits of coin_toss_stream."""
+    bits = coin_toss_stream(count, RngState(seed))
+    ones = int(bits.sum())
+    return {
+        "config": {"command": "coin-toss", "count": count, "seed": seed},
+        "rng": "pcg64",
+        "version": 1,
+        "bits": "".join("1" if b else "0" for b in bits.tolist()),
+        "ones": ones,
+        "mean": ones / count if count else None,
+        "lag1_autocorrelation": _lag1_autocorrelation(bits, ones),
+        "chi_square": _fair_coin_chi_square(ones, count),
+    }
+
+
+def test_coin_toss_output(capsys, tmp_path):
     code, payload = run_json(capsys, "coin-toss", "--count", "1000", "--seed", "42")
     assert code == 0
     assert len(payload["bits"]) == 1000
@@ -541,6 +559,31 @@ def test_coin_toss_output(capsys):
     assert code == 0
     assert payload["bits"] == "000"
     assert payload["lag1_autocorrelation"] is None
+    # the bits are written a block at a time between the fields around
+    # them: stdout and --out are json.dumps of the whole payload, for
+    # counts at and around each block edge
+    out = tmp_path / "coin.json"
+    for count in (0, 1, 2, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 3):
+        expected = json.dumps(_coin_toss_payload(count, 9)) + "\n"
+        assert run(capsys, "coin-toss", "--count", str(count), "--seed", "9") == (0, expected), count
+        assert main(["coin-toss", "--count", str(count), "--seed", "9", "--out", str(out)]) == 0
+        assert out.read_bytes() == expected.encode(), count
+
+
+def test_coin_toss_peaks_at_two_bytes_a_bit(tmp_path):
+    # the walk's states and the bits take a byte a bit each, and the bits'
+    # text is written a block at a time, so no string of the whole count is
+    # held: 2.01 bytes a bit, against 4.01 with the text built whole
+    count = 10**6
+    out = str(tmp_path / "coin.json")
+    assert main(["coin-toss", "--count", "10", "--out", out]) == 0
+    tracemalloc.start()
+    try:
+        assert main(["coin-toss", "--count", str(count), "--out", out]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * count, peak / count
 
 
 def _exact_lag1(bits):

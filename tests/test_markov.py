@@ -381,6 +381,25 @@ def test_two_state_scan_matches_the_bisect_loop(monkeypatch, name, start):
             out = np.empty(steps, dtype=np.int64)
             _walk(table, start, out, StubRng(uniforms))
             assert out.tolist() == expected, (steps, block)
+    if name not in ("spin-z", "spin-n", "random-a"):
+        return
+    # three whole default draws and 5 steps: uniforms below c_0 and c_1 or
+    # at or above both, constant maps only, but for one uniform between
+    # them at the first, a middle or the last index of the second draw,
+    # so draws of constant maps alone sit on both sides of a mixed one; the
+    # step before it goes to 1, from where its identity or swap gives the
+    # other state than its comparison with c_0
+    monkeypatch.setattr(markov, "_BLOCK", default_block)
+    draw = default_block // 8
+    low, high = sorted(table[:, 0].tolist())
+    u = RngState(start).random_block(3 * draw + 5)
+    constant = np.where(u < 0.5, u * low, np.minimum(high + u * (1.0 - high), 1.0 - 2.0**-53))
+    for mixed in (draw, draw + draw // 2, 2 * draw - 1):
+        uniforms = constant.tolist()
+        uniforms[mixed - 1 : mixed + 1] = high, low
+        out = np.empty(len(uniforms), dtype=np.int64)
+        _walk(table, start, out, StubRng(uniforms))
+        assert out.tolist() == bisect_loop(matrix, start, uniforms), mixed
 
 
 def test_block_size_changes_no_trajectory(monkeypatch):
