@@ -60,13 +60,8 @@ ITERS_MAX = 10**7
 
 _DEFAULT_VERIFY_BETAS = (0.3, 1.0, math.pi / 2.0, 2.2, 2.7)
 
-
-def _resolve_beta(args) -> float:
-    if args.beta is not None:
-        return args.beta
-    if args.beta_pi is not None:
-        return args.beta_pi * math.pi
-    raise InvalidArgumentError("--beta or --beta-pi is required here")
+# each chain source's --kind and the one flag that names its chain
+_SOURCE_FLAGS = {"spin": "s", "qubit": "n", "matrix-file": "file"}
 
 
 def _opened(out):
@@ -82,23 +77,26 @@ def _opened(out):
 def _chain(args) -> tuple:
     """(matrix, source) for --kind spin, qubit or matrix-file.
 
-    source is the ordered dict of the flags that name the chain, echoed
-    into every output.
+    Each kind takes its own flag of _SOURCE_FLAGS and no other kind's,
+    and an angle, --beta or --beta-pi, unless it is matrix-file; any
+    other set of flags is refused before the chain is built.  source is
+    the ordered dict of the flags that name the chain, echoed into every
+    output.
     """
+    # spin-matrix and qubit-matrix have no flag of another kind to read
+    rules = [(f"--{flag}", kind == args.kind, getattr(args, flag, None)) for kind, flag in _SOURCE_FLAGS.items()]
+    rules.append(("--beta or --beta-pi", args.kind != "matrix-file", args.beta))
+    for name, wanted, value in rules:
+        if wanted != (value is not None):
+            raise InvalidArgumentError(f"--kind {args.kind} {'requires' if wanted else 'takes no'} {name}")
     if args.kind == "spin":
-        if args.s is None:
-            raise InvalidArgumentError("--kind spin requires --s")
-        spec = SpinChainSpec(s=HalfInt.parse(args.s), beta=_resolve_beta(args))
+        spec = SpinChainSpec(s=HalfInt.parse(args.s), beta=args.beta)
         source = {"kind": "spin", "s": str(spec.s), "beta": spec.beta}
         return spin_transition_matrix(spec), source
     if args.kind == "qubit":
-        if args.n is None:
-            raise InvalidArgumentError("--kind qubit requires --n")
-        spec = QubitChainSpec(n_qubits=args.n, beta=_resolve_beta(args))
+        spec = QubitChainSpec(n_qubits=args.n, beta=args.beta)
         source = {"kind": "qubit", "n": spec.n_qubits, "beta": spec.beta}
         return qubit_transition_matrix(spec), source
-    if args.file is None:
-        raise InvalidArgumentError("--kind matrix-file requires --file")
     try:
         text = Path(args.file).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
@@ -369,17 +367,25 @@ def _add_seed(parser) -> None:
     )
 
 
+def _times_pi(text: str) -> float:
+    """--beta-pi's X as the angle X*pi in radians; argparse reports a bad X as it does a bad --beta."""
+    try:
+        return float(text) * math.pi
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+
+
 def _add_beta(parser, required: bool) -> None:
     group = parser.add_mutually_exclusive_group(required=required)
     group.add_argument("--beta", type=float, metavar="RAD", help="rotation angle in radians")
-    group.add_argument("--beta-pi", type=float, metavar="X", help="rotation angle as X*pi")
+    group.add_argument("--beta-pi", type=_times_pi, dest="beta", metavar="X", help="rotation angle as X*pi")
 
 
 def _add_source(parser) -> None:
     parser.add_argument(
         "--kind",
         required=True,
-        choices=("spin", "qubit", "matrix-file"),
+        choices=tuple(_SOURCE_FLAGS),
         help="chain source: analytic spin or qubit parameters, or a matrix JSON file",
     )
     parser.add_argument("--s", metavar="FRAC", help='spin as an exact string, e.g. "1/2" or "2"')

@@ -368,8 +368,8 @@ def _advance(lut: np.ndarray, dim: int, keys: np.ndarray):
     return advance
 
 
-def _couple(path: np.ndarray, starts: np.ndarray, advance) -> tuple:
-    """Walk the columns of path, segments of path.shape[0] steps, side by side; returns (first, coupled).
+def _couple(path: np.ndarray, starts: np.ndarray, advance) -> int:
+    """Walk the columns of path, segments of path.shape[0] steps, side by side; returns first.
 
     advance(k, states, rows) writes into rows, and returns, the states
     after steps k, k + 1, ... of every segment from states, one row of
@@ -380,10 +380,11 @@ def _couple(path: np.ndarray, starts: np.ndarray, advance) -> tuple:
     again from the end of the one before, rewriting path in place, and
     stops once every segment is back on its stored path at the end of a
     meet-check's rows; passes repeat until no start changes.  first is
-    the first segment whose path is not yet right.  coupled is False
-    when the first fix-up pass left more than half of the segments it
-    started wrong still wrong; the passes then stop, and _lockstep walks
-    the rest of the walk one step at a time, from segment first on.
+    the first segment whose path is not yet right, path.shape[1] when
+    every one is.  When the first fix-up pass leaves more than half of
+    the segments it started wrong still wrong, the passes stop with
+    first short of path.shape[1], and _lockstep walks the rest of the
+    walk one step at a time, from segment first on.
     """
     seg, count = path.shape
     checks = range(0, seg, _MEET_CHECK)
@@ -392,8 +393,8 @@ def _couple(path: np.ndarray, starts: np.ndarray, advance) -> tuple:
         states = advance(k, states, path[k : k + _MEET_CHECK])
     stored = np.empty(count, dtype=path.dtype)
     wrong = np.flatnonzero(path[-1, :-1] != starts[1:]) + 1
-    first_pass = coupled = True
-    while wrong.size and coupled:
+    first_pass = True
+    while wrong.size:
         starts[1:] = path[-1, :-1]
         states = starts
         for k in checks:
@@ -403,9 +404,10 @@ def _couple(path: np.ndarray, starts: np.ndarray, advance) -> tuple:
             if (states == stored).all():
                 break
         before, wrong = wrong.size, np.flatnonzero(path[-1, :-1] != starts[1:]) + 1
-        coupled = not first_pass or 2 * wrong.size <= before
+        if first_pass and 2 * wrong.size > before:
+            break
         first_pass = False
-    return (int(wrong[0]) if wrong.size else count), coupled
+    return int(wrong[0]) if wrong.size else count
 
 
 def _lockstep(lookup: tuple, state: int, out: np.ndarray, rng: RngState) -> None:
@@ -441,10 +443,10 @@ def _lockstep(lookup: tuple, state: int, out: np.ndarray, rng: RngState) -> None
     def walk(keys, state, into):
         return _walk_offsets(lut, np.multiply(keys, dim, dtype=np.intp), state, into)
 
-    done, coupled = 0, True
+    done = first = count = 0
     keys = np.empty((seg, width), dtype=guide.dtype)
     path = np.empty((seg, width), dtype=out.dtype)
-    while coupled and (count := min(width, (out.size - done) // seg)) >= _MIN_SEGMENTS:
+    while first == count and (count := min(width, (out.size - done) // seg)) >= _MIN_SEGMENTS:
         batch = keys[:, :count]
         for s in range(0, count, chunk):
             drawn = min(chunk, count - s)
@@ -452,7 +454,7 @@ def _lockstep(lookup: tuple, state: int, out: np.ndarray, rng: RngState) -> None
         starts = np.zeros(count, dtype=lut.dtype)
         starts[0] = state
         # no name holds the batch's advance, and its scratch, past _couple
-        first, coupled = _couple(path[:, :count], starts, _advance(lut, dim, batch))
+        first = _couple(path[:, :count], starts, _advance(lut, dim, batch))
         walked = out[done : done + count * seg].reshape(count, seg)
         walked[:first] = path[:, :first].T
         state = int(path[-1, first - 1])

@@ -52,15 +52,34 @@ def test_spin_matrix_coin(capsys):
 
 
 def test_beta_pi_matches_explicit_radians(capsys):
-    _, a = run(capsys, "spin-matrix", "--s", "1", "--beta-pi", "0.5")
-    _, b = run(capsys, "spin-matrix", "--s", "1", "--beta", repr(0.5 * math.pi))
-    assert a == b
+    # --beta-pi X is the angle X*pi, the float product, in every output
+    for argv in (
+        ("spin-matrix", "--s", "1"),
+        ("qubit-matrix", "--n", "3"),
+        ("simulate", "--kind", "spin", "--s", "3/2", "--steps", "200", "--seed", "5"),
+        ("simulate", "--kind", "qubit", "--n", "4", "--steps", "200", "--seed", "5"),
+        ("stationary", "--kind", "spin", "--s", "1"),
+        ("stationary", "--kind", "qubit", "--n", "3"),
+    ):
+        for x in ("0.5", "0.3", "0.83"):
+            code_pi, out_pi = run(capsys, *argv, "--beta-pi", x)
+            code, out = run(capsys, *argv, "--beta", repr(float(x) * math.pi))
+            assert code_pi == code == 0, (argv, x)
+            assert out_pi.encode() == out.encode(), (argv, x)
 
 
 def test_beta_flags_are_mutually_exclusive(capsys):
     with pytest.raises(SystemExit) as info:
         main(["spin-matrix", "--s", "1/2", "--beta", "1.0", "--beta-pi", "0.5"])
     assert info.value.code == 2
+
+
+@pytest.mark.parametrize("argv", [("spin-matrix", "--s", "1"), ("simulate", "--kind", "spin", "--s", "1", "--steps", "3")])
+def test_a_bad_beta_pi_is_a_usage_error_naming_it(capsys, argv):
+    with pytest.raises(SystemExit) as info:
+        main([*argv, "--beta-pi", "half"])
+    assert info.value.code == 2
+    assert "argument --beta-pi: invalid float value: 'half'" in capsys.readouterr().err
 
 
 def test_qubit_matrix_formats(capsys, tmp_path):
@@ -282,7 +301,7 @@ def test_unwritable_out_fails_before_the_work(capsys, monkeypatch, tmp_path, arg
 # matrix files past the parser's limits (not UTF-8, nesting, integer
 # digits, double range) or with a label that a trajectory file cannot
 # hold on one line; an argv entry "@name" stands for the path of a file
-# holding BAD_MATRIX_FILES[name]
+# holding BAD_MATRIX_FILES[name], or for "@two-states" a valid file
 _TWO_STATES = json.dumps({"kind": "generic", "labels": ["a", "b"], "rows": [[0.5, 0.5], [0.5, 0.5]],
                           "params": {}, "version": 1})
 BAD_MATRIX_FILES = {
@@ -300,12 +319,37 @@ def _short(arg: str) -> str:
 
 
 def _file_arg(tmp_path, arg: str) -> str:
-    """arg, or for "@name" the path of a new file holding BAD_MATRIX_FILES[name]."""
+    """arg, or for "@name" the path of a new file holding BAD_MATRIX_FILES[name] or the valid _TWO_STATES."""
     if not arg.startswith("@"):
         return arg
     path = tmp_path / f"{arg[1:]}.json"
-    path.write_bytes(BAD_MATRIX_FILES[arg[1:]])
+    path.write_bytes({"two-states": _TWO_STATES.encode(), **BAD_MATRIX_FILES}[arg[1:]])
     return str(path)
+
+
+# each --kind's own flag; a source that misses it or its angle, or
+# carries another kind's flag or an angle for matrix-file, is refused
+KIND_FLAGS = {"spin": ("--s", "1"), "qubit": ("--n", "2"), "matrix-file": ("--file", "@two-states")}
+ANGLES = (("--beta", "0.9"), ("--beta-pi", "0.5"))
+
+
+def _source_argv(command: str, kind: str, *, own: bool = True, angle: bool = True, extra: tuple = ()) -> tuple:
+    """command's argv for kind, with or without its own flag and (spin, qubit) its angle, then extra."""
+    flags = (*(KIND_FLAGS[kind] if own else ()), *(ANGLES[0] if angle and kind != "matrix-file" else ()))
+    return (command, "--kind", kind, *flags, *(("--steps", "3") if command == "simulate" else ()), *extra)
+
+
+SOURCE_COMMANDS = ("simulate", "stationary")
+FOREIGN_FLAGS = [
+    _source_argv(command, kind, extra=foreign)
+    for command in SOURCE_COMMANDS
+    for kind in KIND_FLAGS
+    for foreign in [*(KIND_FLAGS[other] for other in KIND_FLAGS if other != kind), *(ANGLES if kind == "matrix-file" else ())]
+]
+MISSING_FLAGS = [
+    *(_source_argv(command, kind, own=False) for command in SOURCE_COMMANDS for kind in KIND_FLAGS),
+    *(_source_argv(command, kind, angle=False) for command in SOURCE_COMMANDS for kind in ("spin", "qubit")),
+]
 
 
 @pytest.mark.parametrize(
@@ -332,6 +376,8 @@ def _file_arg(tmp_path, arg: str) -> str:
         ("spin-matrix", "--s", LONG_DIGITS, "--beta", "1"),
         *(("simulate", "--kind", "matrix-file", "--file", f"@{name}", "--steps", "3") for name in BAD_MATRIX_FILES),
         ("stationary", "--kind", "matrix-file", "--file", "@nested"),
+        *FOREIGN_FLAGS,
+        *MISSING_FLAGS,
     ],
     ids=lambda argv: " ".join(map(_short, argv)),
 )

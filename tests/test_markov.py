@@ -536,13 +536,13 @@ def _edge_uniforms(matrix, steps, seed):
 
 
 def _record_lockstep(monkeypatch):
-    """The coupled flag of each batch the lockstep walk walks from now on, in order."""
+    """Whether each batch the lockstep walk walks from now on coupled, in order: every segment resolved."""
     couple, coupled = markov._couple, []
 
-    def recording(*args):
-        first, flag = couple(*args)
-        coupled.append(flag)
-        return first, flag
+    def recording(path, starts, advance):
+        first = couple(path, starts, advance)
+        coupled.append(first == path.shape[1])
+        return first
 
     monkeypatch.setattr(markov, "_couple", recording)
     return coupled
@@ -721,10 +721,10 @@ def _record_passes(monkeypatch):
             steps.append(k)
             return advance(k, states, rows)
 
-        first, coupled = couple(path, starts, counting)
+        first = couple(path, starts, counting)
         # each pass starts at step 0
         passes.append(steps.count(0))
-        return first, coupled
+        return first
 
     monkeypatch.setattr(markov, "_couple", recording)
     return passes
@@ -993,16 +993,16 @@ def test_the_driver_sizes_every_walk(monkeypatch, name):
 
 
 def _give_up_on_the_second_batch(monkeypatch):
-    """Make _couple report coupled=False on its second call, with segments from 3 on unresolved."""
+    """Make _couple give up on its second call, with segments from 3 on unresolved; returns whether each call coupled."""
     couple, calls = markov._couple, []
 
-    def second_gives_up(*args):
-        first, coupled = couple(*args)
-        calls.append(coupled)
+    def second_gives_up(path, starts, advance):
+        first = couple(path, starts, advance)
+        calls.append(first == path.shape[1])
         if len(calls) == 2:
             # the passes' path of segments 0..2 is right; the rest is walked again
-            return min(first, 3), False
-        return first, coupled
+            return min(first, 3)
+        return first
 
     monkeypatch.setattr(markov, "_couple", second_gives_up)
     return calls

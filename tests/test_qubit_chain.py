@@ -392,6 +392,15 @@ def _fit_each_other_by_tv_bound(counts, others):
     return tested
 
 
+def _steps_by_kind(outcomes, dim):
+    """[z -> n, n -> z]: the step counts from even rows and from odd rows of outcome indices, one walker a column."""
+    kinds = []
+    for first in (0, 1):
+        pairs = outcomes[first:-1:2] * dim + outcomes[first + 1 :: 2]
+        kinds.append(np.bincount(pairs.ravel(), minlength=dim * dim).reshape(dim, dim))
+    return kinds
+
+
 def _fit_the_measured_steps(outcomes, rows):
     """The BHC checks of a measured walk's outcome indices, one walker a column, against the matrix rows.
 
@@ -404,10 +413,7 @@ def _fit_the_measured_steps(outcomes, rows):
     Returns how many rows of each check were tested.
     """
     dim = len(rows)
-    kinds = []
-    for first in (0, 1):
-        pairs = outcomes[first:-1:2] * dim + outcomes[first + 1 :: 2]
-        kinds.append(np.bincount(pairs.ravel(), minlength=dim * dim).reshape(dim, dim))
+    kinds = _steps_by_kind(outcomes, dim)
     triples = (outcomes[:-2] * dim + outcomes[1:-1]) * dim + outcomes[2:]
     given = np.bincount(triples.ravel(), minlength=dim**3).reshape(dim * dim, dim)
     return (
